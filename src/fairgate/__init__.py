@@ -41,7 +41,6 @@ from .model import (
 from .optimizer import (
     InfeasibleConstraintError,
     OptimizationProblem,
-    brute_force_oracle,
     optimize,
     optimize_conditional_parity,
     optimize_independence,
@@ -49,6 +48,7 @@ from .optimizer import (
     optimize_sufficiency,
     optimize_unconstrained,
 )
+from .oracle import brute_force_oracle
 from .scorer import FitConfig, LogisticModel, fit, predict, score_dataset, split
 
 __version__ = "0.1.0"

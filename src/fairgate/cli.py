@@ -46,14 +46,8 @@ from .model import (
     read_rule_file,
     write_rule_file,
 )
-from .optimizer import (
-    OptimizationProblem,
-    brute_force_oracle,
-    default_grid_step,
-    optimize,
-    optimize_unconstrained,
-)
-from .oracle import MAX_ORACLE_RECORDS, OracleSizeError
+from .optimizer import OptimizationProblem, default_grid_step, optimize, optimize_unconstrained
+from .oracle import MAX_ORACLE_RECORDS, OracleSizeError, brute_force_oracle
 from .scorer import FitConfig, fit, load_model, save_model, score_dataset, split
 
 FEATURE_PREFIX = "x_"
@@ -321,13 +315,10 @@ def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
     train, _ = split(dataset, config.train_fraction, config.seed)
     model = fit(train, config.fit_config)
     scored = score_dataset(model, dataset)
-    score_by_id = {rec.id: rec.score for rec in scored.records}
-    roles = config.roles
 
     buffer = [",".join(list(fieldnames) + ["score"])]
-    for line, row in rows:
-        rec_id = row[roles.id] if roles.id is not None else str(line)
-        buffer.append(",".join([row[c] for c in fieldnames] + [repr(score_by_id[rec_id])]))
+    for (_, row), rec in zip(rows, scored.records):
+        buffer.append(",".join([row[c] for c in fieldnames] + [repr(float(rec.score))]))
     out.out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out.out_dir / "model.json"
     save_model(model_path, model)
@@ -374,7 +365,7 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
 
 
 def _verify_against_oracle(problem: OptimizationProblem, rule: DecisionRule) -> dict:
-    if len(problem.dataset.records) > MAX_ORACLE_RECORDS:
+    if len(problem.dataset) > MAX_ORACLE_RECORDS:
         return {
             "checked": False,
             "reason": f"training split over {MAX_ORACLE_RECORDS} records",

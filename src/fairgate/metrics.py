@@ -4,13 +4,23 @@ All quantities are computed from analytic decision probabilities rather than
 sampled decisions, so parity can be verified exactly. Conditioning cells that
 are empty are reported as undefined (``None``) instead of silently counting
 as fair or unfair; ratio computations skip them and emit a warning.
+
+Each function evaluates the rule once over the dataset's columns
+(``decision_probabilities``) and sums per cell with ``np.bincount`` over
+cell codes: group, (group, outcome), (stratum, group) or (justifier value,
+group). ``np.bincount`` adds in record order, so every sum equals the
+sequential per-record sum bit for bit. Results are Python numbers, ready
+for ``json`` and ``repr``.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .assessment import JustifierKind, MoralAssessment
 from .model import (
@@ -20,7 +30,7 @@ from .model import (
     DecisionRule,
     FairnessCriterion,
     UtilityMatrix,
-    decision_probability,
+    decision_probabilities,
 )
 
 
@@ -62,65 +72,52 @@ class GroupRates:
     stratum_size: Mapping[tuple[tuple[str, ...], str], int] = None  # type: ignore[assignment]
 
 
+def _sums(codes: np.ndarray, cells: int, weights: np.ndarray | None = None) -> list:
+    """Per-cell count, or per-cell float sum of ``weights``, added in record order."""
+    sums = np.bincount(codes, weights, minlength=cells)
+    return sums.tolist() if weights is None else sums.astype(float).tolist()
+
+
+def _rate(num: float, den: float) -> float | None:
+    return num / den if den > 0 else None
+
+
 def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
     """All conditional rates of the rule on the dataset, per group and stratum."""
-    if not dataset.records:
+    if not len(dataset):
         raise ValueError("cannot compute rates on an empty dataset")
     dataset.require_scores()
+    dp = decision_probabilities(rule, dataset)
+    groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
+    k = len(groups)
+    size, accept = _sums(g, k), _sums(g, k, dp)
+    # Cells 2 * group + outcome, in (group, outcome) order.
+    counts, accepted, rejected = (_sums(2 * g + y, 2 * k, w) for w in (None, dp, 1.0 - dp))
 
-    size: dict[str, int] = {g: 0 for g in dataset.groups}
-    label_count: dict[tuple[str, int], int] = {(g, y) for g in dataset.groups for y in (0, 1)}
-    label_count = {key: 0 for key in label_count}
-    accept = {g: 0.0 for g in dataset.groups}
-    accept_y1 = {g: 0.0 for g in dataset.groups}  # sum of dp over Y=1 records
-    accept_y0 = {g: 0.0 for g in dataset.groups}
-    accept_times_y = {g: 0.0 for g in dataset.groups}  # sum of dp * y
-    reject_times_y = {g: 0.0 for g in dataset.groups}  # sum of (1 - dp) * y
     stratum_size: dict[tuple[tuple[str, ...], str], int] = {}
-    stratum_accept: dict[tuple[tuple[str, ...], str], float] = {}
+    stratum_positive_rate: dict[tuple[tuple[str, ...], str], float | None] = {}
+    if dataset.legit_names:
+        codes, strata = dataset.strata(dataset.legit_names)
+        cell = codes * k + g
+        sizes, accepts = _sums(cell, len(strata) * k), _sums(cell, len(strata) * k, dp)
+        for key, c in sorted(((strata[c // k], groups[c % k]), c) for c in set(cell.tolist())):
+            stratum_size[key] = sizes[c]
+            stratum_positive_rate[key] = _rate(accepts[c], sizes[c])
 
-    for rec in dataset.records:
-        g = rec.group
-        dp = decision_probability(rule, rec.score, g, rec.legit)
-        size[g] += 1
-        label_count[(g, rec.label)] += 1
-        accept[g] += dp
-        if rec.label == 1:
-            accept_y1[g] += dp
-            accept_times_y[g] += dp
-            reject_times_y[g] += 1.0 - dp
-        else:
-            accept_y0[g] += dp
-        if dataset.legit_names:
-            key = (dataset.stratum_of(rec), g)
-            stratum_size[key] = stratum_size.get(key, 0) + 1
-            stratum_accept[key] = stratum_accept.get(key, 0.0) + dp
-
-    def _rate(num: float, den: float) -> float | None:
-        return num / den if den > 0 else None
-
-    positive_rate = {g: _rate(accept[g], size[g]) for g in dataset.groups}
-    tpr = {g: _rate(accept_y1[g], label_count[(g, 1)]) for g in dataset.groups}
-    fpr = {g: _rate(accept_y0[g], label_count[(g, 0)]) for g in dataset.groups}
-    ppv = {g: _rate(accept_times_y[g], accept[g]) for g in dataset.groups}
-    for_rate = {g: _rate(reject_times_y[g], size[g] - accept[g]) for g in dataset.groups}
-    stratum_positive_rate = {
-        key: _rate(stratum_accept[key], stratum_size[key]) for key in sorted(stratum_size)
-    }
-
+    per_group = lambda values: dict(zip(groups, values))
     return GroupRates(
-        groups=dataset.groups,
-        size=size,
-        label_count=label_count,
-        expected_accepts=accept,
-        positive_rate=positive_rate,
-        tpr=tpr,
-        fpr=fpr,
-        ppv=ppv,
-        for_rate=for_rate,
+        groups=groups,
+        size=per_group(size),
+        label_count=dict(zip(itertools.product(groups, (0, 1)), counts)),
+        expected_accepts=per_group(accept),
+        positive_rate=per_group(map(_rate, accept, size)),
+        tpr=per_group(map(_rate, accepted[1::2], counts[1::2])),
+        fpr=per_group(map(_rate, accepted[0::2], counts[0::2])),
+        ppv=per_group(map(_rate, accepted[1::2], accept)),
+        for_rate=per_group(map(_rate, rejected[1::2], [n - a for n, a in zip(size, accept)])),
         legit_names=dataset.legit_names,
         stratum_positive_rate=stratum_positive_rate,
-        stratum_size={key: stratum_size[key] for key in sorted(stratum_size)},
+        stratum_size=stratum_size,
     )
 
 
@@ -217,14 +214,19 @@ def decision_maker_utility(
     dataset: Dataset, rule: DecisionRule, utility: UtilityMatrix
 ) -> float:
     """Mean expected payoff of the rule: with the accuracy matrix, the accuracy."""
-    if not dataset.records:
+    if not len(dataset):
         raise ValueError("cannot compute utility on an empty dataset")
     dataset.require_scores()
-    total = 0.0
-    for rec in dataset.records:
-        dp = decision_probability(rule, rec.score, rec.group, rec.legit)
-        total += dp * utility.u(1, rec.label) + (1.0 - dp) * utility.u(0, rec.label)
-    return total / len(dataset.records)
+    dp = decision_probabilities(rule, dataset)
+    y = dataset.columns.labels
+    payoff = dp * _by_outcome(y, utility.u, 1) + (1.0 - dp) * _by_outcome(y, utility.u, 0)
+    (total,) = _sums(np.zeros(len(y), dtype=np.intp), 1, payoff)
+    return total / len(y)
+
+
+def _by_outcome(labels: np.ndarray, cell, d: int) -> np.ndarray:
+    """``cell(d, y)`` for every record's outcome y."""
+    return np.array([cell(d, 0), cell(d, 1)])[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -270,74 +272,34 @@ def fec_check(
     no justifier compares unconditional expectations.
     """
     dataset.require_scores()
-    by_group = dataset.by_group()
+    dp = decision_probabilities(rule, dataset)
+    groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
+    everyone, ones = np.ones(len(y), dtype=bool), np.ones(len(y))
+    # Realized benefit of each record: its decision is random, its outcome known.
+    realized = dp * _by_outcome(y, benefit.b, 1) + (1.0 - dp) * _by_outcome(y, benefit.b, 0)
 
-    def expected(records: list, weight_fn) -> tuple[float | None, float]:
-        total_w = 0.0
-        total_b = 0.0
-        for rec in records:
-            dp = decision_probability(rule, rec.score, rec.group, rec.legit)
-            w, b = weight_fn(rec, dp)
-            total_w += w
-            total_b += b
-        if total_w == 0.0:
-            return None, 0.0
-        return total_b / total_w, total_w
-
-    entries: list[FecEntry] = []
+    # (justifier value, records in its cells, weight, weighted benefit) per value.
     kind = assessment.justifier
     if kind is JustifierKind.OUTCOME:
-        for j in sorted(assessment.relevant_values):
-            for g in dataset.groups:
-                subset = [r for r in by_group[g] if r.label == j]
-                value, support = expected(
-                    subset,
-                    lambda rec, dp, j=j: (1.0, dp * benefit.b(1, j) + (1.0 - dp) * benefit.b(0, j)),
-                )
-                entries.append(FecEntry(g, j, value, support))
+        parts = [(j, y == j, ones, realized) for j in sorted(assessment.relevant_values)]
     elif kind is JustifierKind.DECISION:
+        parts = []
         for j in sorted(assessment.relevant_values):
-            for g in dataset.groups:
-                value, support = expected(
-                    by_group[g],
-                    lambda rec, dp, j=j: (
-                        dp if j == 1 else 1.0 - dp,
-                        (dp if j == 1 else 1.0 - dp) * benefit.b(j, rec.label),
-                    ),
-                )
-                entries.append(FecEntry(g, j, value, support))
+            weight = dp if j == 1 else 1.0 - dp
+            parts.append((j, everyone, weight, weight * _by_outcome(y, benefit.b, j)))
     elif kind is JustifierKind.LEGITIMATE:
-        strata = sorted(
-            {
-                tuple(rec.legit[name] for name in assessment.justifier_names)
-                for rec in dataset.records
-            }
-        )
-        for stratum in strata:
-            for g in dataset.groups:
-                subset = [
-                    r
-                    for r in by_group[g]
-                    if tuple(r.legit[name] for name in assessment.justifier_names) == stratum
-                ]
-                value, support = expected(
-                    subset,
-                    lambda rec, dp: (
-                        1.0,
-                        dp * benefit.b(1, rec.label) + (1.0 - dp) * benefit.b(0, rec.label),
-                    ),
-                )
-                entries.append(FecEntry(g, "/".join(stratum), value, support))
+        codes, strata = dataset.strata(assessment.justifier_names)
+        parts = [("/".join(s), codes == i, ones, realized) for i, s in enumerate(strata)]
     else:
-        for g in dataset.groups:
-            value, support = expected(
-                by_group[g],
-                lambda rec, dp: (
-                    1.0,
-                    dp * benefit.b(1, rec.label) + (1.0 - dp) * benefit.b(0, rec.label),
-                ),
-            )
-            entries.append(FecEntry(g, None, value, support))
+        parts = [(None, everyone, ones, realized)]
+
+    entries: list[FecEntry] = []
+    for j, rows, weight, weighted in parts:
+        support = _sums(g[rows], len(groups), weight[rows])
+        total = _sums(g[rows], len(groups), weighted[rows])
+        for i, group in enumerate(groups):
+            value = total[i] / support[i] if support[i] != 0.0 else None
+            entries.append(FecEntry(group, j, value, support[i]))
 
     max_disparity: float | None = None
     values_by_j: dict[object, list[float]] = {}

@@ -3,11 +3,24 @@
 All types are immutable after construction and every operation here is a pure
 function, so everything in this module is safe to share across threads.
 
+Records are the stored and ingest form of a dataset. ``Dataset.columns`` is
+a view of them as arrays in record order, built once on first use: float
+scores, labels and group codes that index ``Dataset.groups``.
+``Dataset.strata`` adds stratum codes for any tuple of legitimate attribute
+names. Computations over a whole dataset read these columns.
+
 Decision rules map a risk score (an estimate of the probability that the
 outcome is 1) to a decision probability. Deterministic rules yield 0 or 1
 everywhere except at threshold boundaries, where an explicit randomization
 probability splits the score atom. Scores are compared with exact equality:
 inputs are decimal text, so two records either share an atom or they do not.
+
+One kernel, ``(score > tau) + (score == tau) * boundary``, compares scores
+with cuts, on a float or elementwise on arrays; an upper-bound interval is
+the same kernel on -score and -high. A rule only picks the cut of each cell
+(its group, or its group and stratum). ``decision_probability`` evaluates a
+rule for one record, ``decision_probabilities`` for every record of a
+dataset, and the two agree exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +28,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 
 class CoverageError(KeyError):
@@ -47,6 +63,18 @@ class Record:
 
 
 @dataclass(frozen=True)
+class Columns:
+    """Record fields as arrays in record order; ``group_codes`` index the groups.
+
+    A record without a score has a NaN score.
+    """
+
+    scores: np.ndarray
+    labels: np.ndarray
+    group_codes: np.ndarray
+
+
+@dataclass(frozen=True)
 class Dataset:
     """An ordered collection of records with declared groups and attributes."""
 
@@ -67,6 +95,9 @@ class Dataset:
                     raise ValueError(
                         f"record {rec.id} carries undeclared legitimate attribute {name!r}"
                     )
+            if len(rec.legit) != len(self.legit_names):
+                missing = [name for name in self.legit_names if name not in rec.legit]
+                raise ValueError(f"record {rec.id} misses legitimate attribute(s) {missing}")
         missing = declared - seen
         if missing:
             raise ValueError(f"declared groups without records: {sorted(missing)}")
@@ -84,23 +115,39 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_group(self) -> dict[str, list[Record]]:
-        out: dict[str, list[Record]] = {g: [] for g in self.groups}
-        for rec in self.records:
-            out[rec.group].append(rec)
-        return out
+    @cached_property
+    def columns(self) -> Columns:
+        code = {g: i for i, g in enumerate(self.groups)}
+        return Columns(
+            scores=np.array(
+                [np.nan if r.score is None else r.score for r in self.records], dtype=float
+            ),
+            labels=np.array([r.label for r in self.records], dtype=np.int64),
+            group_codes=np.array([code[r.group] for r in self.records], dtype=np.intp),
+        )
+
+    @cached_property
+    def _strata(self) -> dict:
+        return {}
+
+    def strata(self, names: Sequence[str]) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+        """Stratum code of every record for the named attributes, and the strata.
+
+        The strata are the distinct value tuples, sorted, in ``names`` order;
+        each code indexes them.
+        """
+        names = tuple(names)
+        if names not in self._strata:
+            keys = [tuple(r.legit[name] for name in names) for r in self.records]
+            strata = tuple(sorted(set(keys)))
+            code = {s: i for i, s in enumerate(strata)}
+            self._strata[names] = (np.array([code[k] for k in keys], dtype=np.intp), strata)
+        return self._strata[names]
 
     def require_scores(self) -> None:
-        for rec in self.records:
-            if rec.score is None:
-                raise ValueError(f"record {rec.id} has no score")
-
-    def stratum_of(self, record: Record) -> tuple[str, ...]:
-        """Legitimate-attribute value tuple of a record, in declared name order."""
-        try:
-            return tuple(record.legit[name] for name in self.legit_names)
-        except KeyError as exc:
-            raise ValueError(f"record {record.id} misses legitimate attribute {exc}") from exc
+        missing = np.flatnonzero(np.isnan(self.columns.scores))
+        if len(missing):
+            raise ValueError(f"record {self.records[missing[0]].id} has no score")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +264,67 @@ def _check_unit(value: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
+def _accept(score, tau, boundary):
+    """Acceptance probability of a cut: 1 above tau, ``boundary`` at it, else 0.
+
+    The one comparison of scores with cuts, on floats or elementwise on arrays.
+    """
+    return (score > tau) + (score == tau) * boundary
+
+
+def _cell_columns(codes: np.ndarray, cells: Sequence, pick: Callable) -> np.ndarray:
+    """Per-row values of ``pick(cell)``, called once for each cell code in ``codes``.
+
+    ``pick`` returns a tuple of floats; the result has one row per tuple entry.
+    """
+    present, inverse = np.unique(codes, return_inverse=True)
+    table = np.array([pick(cells[c]) for c in present], dtype=float)
+    return table[inverse].T
+
+
+class _CutRule:
+    """A rule that applies one cut per cell: a group, or a group and stratum.
+
+    ``_cell_cut`` picks a cell's cut as (sign, tau, boundary), a threshold
+    on sign * score; by default it is the group's entry of ``cuts``.
+    """
+
+    def _stratum_names(self) -> tuple[str, ...]:
+        return ()
+
+    def _cell_cut(self, group: str, stratum: tuple[str, ...]) -> tuple[float, float, float]:
+        try:
+            cut = self.cuts[group]
+        except KeyError:
+            raise CoverageError(f"rule does not cover group {group!r}") from None
+        return cut.signed_cut()
+
+    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
+        try:
+            stratum = tuple(legit[name] for name in self._stratum_names())
+        except KeyError as exc:
+            raise CoverageError(
+                f"group {group!r}: record misses legitimate attribute {exc}"
+            ) from None
+        sign, tau, boundary = self._cell_cut(group, stratum)
+        return float(_accept(sign * score, tau, boundary))
+
+    def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        try:
+            stratum_codes, strata = dataset.strata(self._stratum_names())
+        except KeyError as exc:
+            raise CoverageError(f"records miss legitimate attribute {exc}") from None
+        cols = dataset.columns
+        sign, tau, boundary = _cell_columns(
+            cols.group_codes[rows] * len(strata) + stratum_codes[rows],
+            [(g, s) for g in dataset.groups for s in strata],
+            lambda cell: self._cell_cut(*cell),
+        )
+        return _accept(sign * cols.scores[rows], tau, boundary)
+
+
 @dataclass(frozen=True)
-class SingleThreshold:
+class SingleThreshold(_CutRule):
     """Accept scores above tau; at tau accept with probability ``boundary``.
 
     The default boundary of 1 gives closed acceptance (score >= tau).
@@ -231,12 +337,8 @@ class SingleThreshold:
         _check_unit(self.tau, "threshold")
         _check_unit(self.boundary, "boundary probability")
 
-    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
-        if score > self.tau:
-            return 1.0
-        if score == self.tau:
-            return self.boundary
-        return 0.0
+    def _cell_cut(self, group: str, stratum: tuple[str, ...]) -> tuple[float, float, float]:
+        return 1.0, self.tau, self.boundary
 
 
 @dataclass(frozen=True)
@@ -250,26 +352,15 @@ class GroupCut:
         _check_unit(self.tau, "threshold")
         _check_unit(self.boundary, "boundary probability")
 
+    def signed_cut(self) -> tuple[float, float, float]:
+        return 1.0, self.tau, self.boundary
+
 
 @dataclass(frozen=True)
-class GroupThreshold:
+class GroupThreshold(_CutRule):
     """Group-specific thresholds: accept score > tau_g, split the atom at tau_g."""
 
     cuts: Mapping[str, GroupCut]
-
-    def _cut(self, group: str) -> GroupCut:
-        try:
-            return self.cuts[group]
-        except KeyError:
-            raise CoverageError(f"rule does not cover group {group!r}") from None
-
-    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
-        cut = self._cut(group)
-        if score > cut.tau:
-            return 1.0
-        if score == cut.tau:
-            return cut.boundary
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -301,64 +392,42 @@ class IntervalCut:
     def is_lower_form(self) -> bool:
         return self.high == 1.0
 
-    def probability(self, score: float) -> float:
+    def signed_cut(self) -> tuple[float, float, float]:
+        """(sign, tau, boundary) of the same cut on sign * score: -1 for upper bounds."""
         if self.is_lower_form:
-            if score > self.low:
-                return 1.0
-            if score == self.low:
-                return self.boundary
-            return 0.0
-        if score < self.high:
-            return 1.0
-        if score == self.high:
-            return self.boundary
-        return 0.0
+            return 1.0, self.low, self.boundary
+        return -1.0, -self.high, self.boundary
+
+    def probability(self, score: float) -> float:
+        sign, tau, boundary = self.signed_cut()
+        return float(_accept(sign * score, tau, boundary))
 
 
 @dataclass(frozen=True)
-class GroupInterval:
+class GroupInterval(_CutRule):
     """Group-specific lower- or upper-bound interval rules."""
 
     cuts: Mapping[str, IntervalCut]
 
-    def _cut(self, group: str) -> IntervalCut:
-        try:
-            return self.cuts[group]
-        except KeyError:
-            raise CoverageError(f"rule does not cover group {group!r}") from None
-
-    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
-        return self._cut(group).probability(score)
-
 
 @dataclass(frozen=True)
-class StratifiedGroupThreshold:
+class StratifiedGroupThreshold(_CutRule):
     """Thresholds per (group, legitimate-attribute stratum)."""
 
     legit_names: tuple[str, ...]
     cuts: Mapping[tuple[str, tuple[str, ...]], GroupCut]
 
-    def _cut(self, group: str, legit: Mapping[str, str]) -> GroupCut:
+    def _stratum_names(self) -> tuple[str, ...]:
+        return self.legit_names
+
+    def _cell_cut(self, group: str, stratum: tuple[str, ...]) -> tuple[float, float, float]:
         try:
-            stratum = tuple(legit[name] for name in self.legit_names)
-        except KeyError as exc:
-            raise CoverageError(
-                f"group {group!r}: record misses legitimate attribute {exc}"
-            ) from None
-        try:
-            return self.cuts[(group, stratum)]
+            cut = self.cuts[(group, stratum)]
         except KeyError:
             raise CoverageError(
                 f"rule does not cover group {group!r} in stratum {stratum!r}"
             ) from None
-
-    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
-        cut = self._cut(group, legit)
-        if score > cut.tau:
-            return 1.0
-        if score == cut.tau:
-            return cut.boundary
-        return 0.0
+        return cut.signed_cut()
 
 
 @dataclass(frozen=True)
@@ -386,6 +455,17 @@ class Mixture:
         p2 = self.second.probability(score, group, legit) if w < 1.0 else 0.0
         return w * p1 + (1.0 - w) * p2
 
+    def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        (w,) = _cell_columns(
+            dataset.columns.group_codes[rows], dataset.groups, lambda g: (self._weight(g),)
+        )
+        p1, p2 = np.zeros(len(rows)), np.zeros(len(rows))
+        # A sub-rule only sees the rows it can decide, as in ``probability``.
+        for p, rule, used in ((p1, self.first, w > 0.0), (p2, self.second, w < 1.0)):
+            if used.any():
+                p[used] = rule.probabilities(dataset, rows[used])
+        return w * p1 + (1.0 - w) * p2
+
 
 DecisionRule = (
     SingleThreshold | GroupThreshold | GroupInterval | StratifiedGroupThreshold | Mixture
@@ -399,6 +479,11 @@ def decision_probability(
 ) -> float:
     """Probability that the rule decides 1, taken over its randomization."""
     return rule.probability(score, group, legit)
+
+
+def decision_probabilities(rule: DecisionRule, dataset: Dataset) -> np.ndarray:
+    """``decision_probability`` of every record of the dataset, in record order."""
+    return rule.probabilities(dataset, np.arange(len(dataset)))
 
 
 def decide(

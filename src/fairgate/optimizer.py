@@ -32,10 +32,11 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .metrics import _family_ratio
 from .model import (
     CriterionKind,
     Dataset,
@@ -46,7 +47,6 @@ from .model import (
     GroupThreshold,
     IntervalCut,
     Mixture,
-    Record,
     SingleThreshold,
     StratifiedGroupThreshold,
     UtilityMatrix,
@@ -101,19 +101,22 @@ class OptimizationProblem:
             raise ValueError("fairness optimization needs at least two groups")
         self.dataset.require_scores()
 
-    def candidate_grid(self) -> dict[str, tuple[float, ...]]:
-        """Per-group distinct scores, ascending, with bracketing sentinels."""
-        grids: dict[str, tuple[float, ...]] = {}
-        for group, records in self.dataset.by_group().items():
-            scores = sorted({r.score for r in records})
-            lo, hi = scores[0], scores[-1]
-            grid = list(scores)
-            if lo > 0.0:
-                grid.insert(0, lo / 2.0)
-            if hi < 1.0:
-                grid.append((hi + 1.0) / 2.0)
-            grids[group] = tuple(grid)
-        return grids
+
+def _stratum_group_rows(
+    dataset: Dataset, names: Sequence[str]
+) -> Iterator[tuple[tuple[str, ...], dict[str, np.ndarray]]]:
+    """Each stratum, sorted, with the row indices of every group present in it.
+
+    Groups come in order of their first record in the stratum.
+    """
+    stratum_codes, strata = dataset.strata(names)
+    group_codes = dataset.columns.group_codes
+    for i, stratum in enumerate(strata):
+        rows = np.flatnonzero(stratum_codes == i)
+        present, first = np.unique(group_codes[rows], return_index=True)
+        yield stratum, {
+            dataset.groups[c]: rows[group_codes[rows] == c] for c in present[np.argsort(first)]
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +141,35 @@ class _Ladder:
     def n_neg(self) -> int:
         return self.n - self.n_pos
 
+    def _edge(self, j: int, q: float) -> tuple[float, float]:
+        """Cut score and boundary probability accepting j full atoms plus fraction q."""
+        if q == 0.0:
+            if j == 0:
+                return float(self.scores[0]), 0.0
+            return float(self.scores[j - 1]), 1.0
+        if j >= len(self.scores):
+            raise ValueError("fractional acceptance beyond the last atom")
+        return float(self.scores[j]), float(q)
+
     def cut(self, j: int, q: float) -> GroupCut:
         """Threshold cut accepting j full atoms plus fraction q of the next."""
         if not self.descending:
             raise ValueError("threshold cuts only exist on descending ladders")
-        k = len(self.scores)
-        if q == 0.0:
-            if j == 0:
-                return GroupCut(tau=float(self.scores[0]), boundary=0.0)
-            return GroupCut(tau=float(self.scores[j - 1]), boundary=1.0)
-        if j >= k:
-            raise ValueError("fractional acceptance beyond the last atom")
-        return GroupCut(tau=float(self.scores[j]), boundary=float(q))
+        return GroupCut(*self._edge(j, q))
 
     def interval_cut(self, j: int, q: float) -> IntervalCut:
         """Interval cut for this ladder's branch (lower form if descending)."""
-        k = len(self.scores)
-        if q == 0.0:
-            if j == 0:
-                edge, boundary = float(self.scores[0]), 0.0
-            else:
-                edge, boundary = float(self.scores[j - 1]), 1.0
-        elif j >= k:
-            raise ValueError("fractional acceptance beyond the last atom")
-        else:
-            edge, boundary = float(self.scores[j]), float(q)
+        edge, boundary = self._edge(j, q)
         if self.descending:
             return IntervalCut(low=edge, high=1.0, boundary=boundary)
         return IntervalCut(low=0.0, high=edge, boundary=boundary)
 
 
 def _build_ladder(
-    group: str, records: Sequence[Record], utility: UtilityMatrix, descending: bool = True
+    group: str, dataset: Dataset, rows: np.ndarray, utility: UtilityMatrix, descending: bool = True
 ) -> _Ladder:
-    scores = np.array([r.score for r in records], dtype=float)
-    labels = np.array([r.label for r in records], dtype=float)
+    scores = dataset.columns.scores[rows]
+    labels = dataset.columns.labels[rows].astype(float)
     du = np.where(
         labels == 1.0, utility.u(1, 1) - utility.u(0, 1), utility.u(1, 0) - utility.u(0, 0)
     )
@@ -192,9 +189,20 @@ def _build_ladder(
         cum_count=np.concatenate([zero, np.cumsum(atom_count)]),
         cum_pos=np.concatenate([zero, np.cumsum(atom_pos)]),
         cum_du=np.concatenate([zero, np.cumsum(atom_du)]),
-        n=len(records),
+        n=len(rows),
         n_pos=int(round(float(labels.sum()))),
     )
+
+
+def _ladders(
+    dataset: Dataset, utility: UtilityMatrix, descending: bool = True
+) -> dict[str, _Ladder]:
+    """The ladder of every group, in the order of ``dataset.groups``."""
+    codes = dataset.columns.group_codes
+    return {
+        g: _build_ladder(g, dataset, np.flatnonzero(codes == i), utility, descending)
+        for i, g in enumerate(dataset.groups)
+    }
 
 
 def _family_rates(ladder: _Ladder, family: str) -> np.ndarray | None:
@@ -307,24 +315,6 @@ class _FamilyPath:
         return _PathChoice(idx, 0.0, float(self.rates[idx]), float(self.utils[idx]))
 
 
-def _choice_to_cut(ladder: _Ladder, choice: _PathChoice) -> GroupCut:
-    if choice.q == 0.0:
-        return ladder.cut(choice.j, 0.0)
-    if choice.q == 1.0:
-        return ladder.cut(choice.j + 1, 0.0)
-    return ladder.cut(choice.j, choice.q)
-
-
-def _rates_ratio(rates: Iterable[float]) -> float:
-    values = list(rates)
-    lo, hi = min(values), max(values)
-    if hi == 0.0:
-        return 1.0
-    if lo == 0.0:
-        return 0.0
-    return lo / hi
-
-
 def _sweep_single_family(
     constrained: Mapping[str, _FamilyPath],
     free_utility: float,
@@ -360,7 +350,7 @@ def _sweep_single_family(
         if not feasible:
             continue
         total = free_utility + sum(c.util for c in choices.values())
-        achieved = _rates_ratio(c.rate for c in choices.values())
+        achieved = _family_ratio(c.rate for c in choices.values())
         n_random = sum(0 if c.deterministic else 1 for c in choices.values())
         rate_sum = sum(c.rate for c in choices.values())
         key = (total, achieved, -n_random, rate_sum)
@@ -408,21 +398,21 @@ def optimize_unconstrained(dataset: Dataset | None, utility: UtilityMatrix) -> D
 def _threshold_rule_from_choices(
     ladders: Mapping[str, _Ladder], choices: Mapping[str, _PathChoice]
 ) -> GroupThreshold:
-    return GroupThreshold({g: _choice_to_cut(ladders[g], choices[g]) for g in sorted(choices)})
+    return GroupThreshold(
+        {g: ladders[g].cut(choices[g].j, choices[g].q) for g in sorted(choices)}
+    )
 
 
 def optimize_independence(problem: OptimizationProblem) -> DecisionRule:
     """Group thresholds maximizing utility with positive rates within gamma."""
-    dataset, utility = problem.dataset, problem.utility
-    ladders = {g: _build_ladder(g, recs, utility) for g, recs in dataset.by_group().items()}
+    ladders = _ladders(problem.dataset, problem.utility)
     paths = {g: _FamilyPath.build(ladder, "positive_rate") for g, ladder in ladders.items()}
     _, choices = _sweep_single_family(paths, 0.0, problem.criterion.gamma)
     return _threshold_rule_from_choices(ladders, choices)
 
 
 def _single_sided_separation(problem: OptimizationProblem, family: str) -> DecisionRule:
-    dataset, utility = problem.dataset, problem.utility
-    ladders = {g: _build_ladder(g, recs, utility) for g, recs in dataset.by_group().items()}
+    ladders = _ladders(problem.dataset, problem.utility)
     constrained: dict[str, _FamilyPath] = {}
     free_utility = 0.0
     free_choices: dict[str, _PathChoice] = {}
@@ -563,14 +553,6 @@ def _decompose_on_path(path: np.ndarray, target: np.ndarray) -> list[tuple[int, 
     raise RuntimeError("could not realize the target point as two threshold rules")
 
 
-def _cut_from_segment(ladder: _Ladder, seg: int, q: float) -> GroupCut:
-    if q == 0.0:
-        return ladder.cut(seg, 0.0)
-    if q == 1.0:
-        return ladder.cut(seg + 1, 0.0)
-    return ladder.cut(seg, q)
-
-
 def optimize_separation(
     problem: OptimizationProblem, relaxation: str | None = None
 ) -> DecisionRule:
@@ -594,9 +576,8 @@ def optimize_separation(
     if relaxation != "both":
         raise ValueError(f"unknown separation relaxation {relaxation!r}")
 
-    dataset, utility = problem.dataset, problem.utility
     gamma = problem.criterion.gamma
-    ladders = {g: _build_ladder(g, recs, utility) for g, recs in dataset.by_group().items()}
+    ladders = _ladders(problem.dataset, problem.utility)
     groups = sorted(ladders)
 
     if gamma == 0.0:
@@ -618,14 +599,14 @@ def optimize_separation(
         parts = _decompose_on_path(path, np.asarray(targets[g], dtype=float))
         if len(parts) == 1:
             seg, q, _ = parts[0]
-            cut = _cut_from_segment(ladder, seg, q)
+            cut = ladder.cut(seg, q)
             cuts_first[g] = cut
             cuts_second[g] = cut
             mix_weights[g] = 1.0
         else:
             (seg_a, q_a, w_a), (seg_b, q_b, _) = parts
-            cuts_first[g] = _cut_from_segment(ladder, seg_a, q_a)
-            cuts_second[g] = _cut_from_segment(ladder, seg_b, q_b)
+            cuts_first[g] = ladder.cut(seg_a, q_a)
+            cuts_second[g] = ladder.cut(seg_b, q_b)
             mix_weights[g] = float(w_a)
             randomized = True
     if not randomized:
@@ -1025,16 +1006,12 @@ def _family_sweep_values(
 
 
 def _interval_rule(choices: Mapping[str, _IntervalChoice]) -> GroupInterval:
-    cuts: dict[str, IntervalCut] = {}
-    for g in sorted(choices):
-        ch = choices[g]
-        if ch.q == 0.0:
-            cuts[g] = ch.branch.ladder.interval_cut(ch.j, 0.0)
-        elif ch.q == 1.0:
-            cuts[g] = ch.branch.ladder.interval_cut(ch.j + 1, 0.0)
-        else:
-            cuts[g] = ch.branch.ladder.interval_cut(ch.j, ch.q)
-    return GroupInterval(cuts)
+    return GroupInterval(
+        {
+            g: choices[g].branch.ladder.interval_cut(choices[g].j, choices[g].q)
+            for g in sorted(choices)
+        }
+    )
 
 
 def optimize_sufficiency(
@@ -1057,15 +1034,12 @@ def optimize_sufficiency(
         }[problem.criterion.kind]
     if relaxation not in ("both", "ppv_only", "for_only"):
         raise ValueError(f"unknown sufficiency relaxation {relaxation!r}")
-    dataset, utility = problem.dataset, problem.utility
     gamma = problem.criterion.gamma
 
+    ascending = _ladders(problem.dataset, problem.utility, descending=False)
     branches_by_group: dict[str, list[_Branch]] = {
-        g: [
-            _Branch.build(_build_ladder(g, recs, utility, descending=True)),
-            _Branch.build(_build_ladder(g, recs, utility, descending=False)),
-        ]
-        for g, recs in dataset.by_group().items()
+        g: [_Branch.build(ladder), _Branch.build(ascending[g])]
+        for g, ladder in _ladders(problem.dataset, problem.utility).items()
     }
 
     if gamma == 0.0:
@@ -1188,16 +1162,10 @@ def optimize_conditional_parity(
     dataset, utility = problem.dataset, problem.utility
     gamma = problem.criterion.gamma
 
-    strata: dict[tuple[str, ...], dict[str, list[Record]]] = {}
-    for rec in dataset.records:
-        stratum = tuple(rec.legit[name] for name in names)
-        strata.setdefault(stratum, {}).setdefault(rec.group, []).append(rec)
-
     cuts: dict[tuple[str, tuple[str, ...]], GroupCut] = {}
     any_constrained = False
-    for stratum in sorted(strata):
-        groups_here = strata[stratum]
-        ladders = {g: _build_ladder(g, recs, utility) for g, recs in groups_here.items()}
+    for stratum, groups_here in _stratum_group_rows(dataset, names):
+        ladders = {g: _build_ladder(g, dataset, rows, utility) for g, rows in groups_here.items()}
         counts_ok = all(
             len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups
         )
@@ -1219,7 +1187,7 @@ def optimize_conditional_parity(
                 for g, ladder in ladders.items()
             }
         for g, choice in choices.items():
-            cuts[(g, stratum)] = _choice_to_cut(ladders[g], choice)
+            cuts[(g, stratum)] = ladders[g].cut(choice.j, choice.q)
     if not any_constrained:
         raise DegenerateStratificationError(
             f"every stratum is below min_count={problem.min_count}; "
@@ -1244,9 +1212,3 @@ def optimize(problem: OptimizationProblem) -> DecisionRule:
         return optimize_separation(problem)
     return optimize_sufficiency(problem)
 
-
-def brute_force_oracle(problem: OptimizationProblem) -> DecisionRule:
-    """Reference search re-exported from the oracle module; see its docstring."""
-    from .oracle import brute_force_oracle as _oracle
-
-    return _oracle(problem)

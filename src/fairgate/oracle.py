@@ -10,23 +10,23 @@ only; refuses datasets beyond the size guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .model import (
     CriterionKind,
+    Dataset,
     DecisionRule,
     GroupCut,
     GroupInterval,
     GroupThreshold,
     IntervalCut,
     Mixture,
-    Record,
     StratifiedGroupThreshold,
     UtilityMatrix,
 )
-from .optimizer import InfeasibleConstraintError, OptimizationProblem
+from .optimizer import InfeasibleConstraintError, OptimizationProblem, _stratum_group_rows
 
 MAX_ORACLE_RECORDS = 500
 
@@ -44,9 +44,11 @@ class _GroupData:
     taus: np.ndarray  # candidate thresholds: distinct scores plus sentinels
 
     @classmethod
-    def build(cls, group: str, records: Sequence[Record], utility: UtilityMatrix) -> "_GroupData":
-        scores = np.array([r.score for r in records], dtype=float)
-        labels = np.array([r.label for r in records], dtype=int)
+    def build(
+        cls, group: str, dataset: Dataset, rows: np.ndarray, utility: UtilityMatrix
+    ) -> "_GroupData":
+        scores = dataset.columns.scores[rows]
+        labels = dataset.columns.labels[rows]
         du = np.where(
             labels == 1, utility.u(1, 1) - utility.u(0, 1), utility.u(1, 0) - utility.u(0, 0)
         )
@@ -471,17 +473,19 @@ def _oracle_sufficiency(
 def brute_force_oracle(problem: OptimizationProblem) -> DecisionRule:
     """Feasible utility-max rule found by exhaustive grid enumeration."""
     dataset = problem.dataset
-    if len(dataset.records) > MAX_ORACLE_RECORDS:
+    if len(dataset) > MAX_ORACLE_RECORDS:
         raise OracleSizeError(
             f"oracle refuses datasets over {MAX_ORACLE_RECORDS} records "
-            f"(got {len(dataset.records)})"
+            f"(got {len(dataset)})"
         )
     utility = problem.utility
     gamma = problem.criterion.gamma
     kind = problem.criterion.kind
     qs = _q_grid(problem.grid_step)
+    codes = dataset.columns.group_codes
     groups_data = {
-        g: _GroupData.build(g, recs, utility) for g, recs in dataset.by_group().items()
+        g: _GroupData.build(g, dataset, np.flatnonzero(codes == i), utility)
+        for i, g in enumerate(dataset.groups)
     }
 
     if kind is CriterionKind.INDEPENDENCE:
@@ -507,14 +511,9 @@ def _oracle_conditional_parity(problem: OptimizationProblem, qs: np.ndarray) -> 
     dataset, utility = problem.dataset, problem.utility
     names = problem.criterion.legit_names
     gamma = problem.criterion.gamma
-    strata: dict[tuple[str, ...], dict[str, list[Record]]] = {}
-    for rec in dataset.records:
-        stratum = tuple(rec.legit[name] for name in names)
-        strata.setdefault(stratum, {}).setdefault(rec.group, []).append(rec)
     cuts: dict[tuple[str, tuple[str, ...]], GroupCut] = {}
-    for stratum in sorted(strata):
-        groups_here = strata[stratum]
-        data = {g: _GroupData.build(g, recs, utility) for g, recs in groups_here.items()}
+    for stratum, groups_here in _stratum_group_rows(dataset, names):
+        data = {g: _GroupData.build(g, dataset, rows, utility) for g, rows in groups_here.items()}
         constrained = (
             all(len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups)
             and len(data) >= 2

@@ -63,16 +63,19 @@ class LogisticModel:
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic stratified split preserving group proportions.
 
-    Each group is shuffled with the seeded generator and cut at
-    round(n_g * fraction), clamped so both sides keep at least one record;
-    record order within each split follows the original dataset.
+    Each group's record positions are shuffled with the seeded generator and
+    cut at round(n_g * fraction), clamped so both sides keep at least one
+    record; record order within each split follows the original dataset.
+    Membership goes by position, so records that share an id split like any
+    others.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
     rng = random.Random(seed)
-    train_ids: set[str] = set()
-    for group in dataset.groups:
-        members = [r for r in dataset.records if r.group == group]
+    in_train = np.zeros(len(dataset), dtype=bool)
+    codes = dataset.columns.group_codes
+    for i, group in enumerate(dataset.groups):
+        members = np.flatnonzero(codes == i).tolist()
         if len(members) < 2:
             raise ValueError(
                 f"group {group!r} has {len(members)} record(s); need at least 2 to split"
@@ -80,9 +83,9 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
         rng.shuffle(members)
         take = round(len(members) * train_fraction)
         take = min(max(take, 1), len(members) - 1)
-        train_ids.update(r.id for r in members[:take])
-    train = [r for r in dataset.records if r.id in train_ids]
-    test = [r for r in dataset.records if r.id not in train_ids]
+        in_train[members[:take]] = True
+    train = [r for r, t in zip(dataset.records, in_train) if t]
+    test = [r for r, t in zip(dataset.records, in_train) if not t]
     make = lambda records: Dataset(
         tuple(records), dataset.groups, dataset.legit_names, dataset.feature_names
     )
@@ -112,7 +115,7 @@ def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
     """
     if not train.records:
         raise ValueError("cannot fit on an empty dataset")
-    labels = np.array([r.label for r in train.records], dtype=float)
+    labels = train.columns.labels.astype(float)
     if labels.min() == labels.max():
         raise ValueError("training data must contain both outcome classes")
     group_values = tuple(train.groups) if config.include_group else ()
@@ -135,26 +138,16 @@ def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
         group_values[i - n_source] for i in range(n_source, raw.shape[1]) if keep_mask[i]
     )
     x = (raw[:, keep_mask] - means_all[keep_mask]) / stds_all[keep_mask]
-    n, d = x.shape
-
-    w = np.zeros(d)
+    w = np.zeros(x.shape[1])
     b = 0.0
     losses = []
     for _ in range(config.iterations):
-        z = np.clip(x @ w + b, -30.0, 30.0)
-        p = 1.0 / (1.0 + np.exp(-z))
-        loss = (
-            -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-            + 0.5 * config.l2 * float(w @ w)
-        )
+        loss, grad_w, grad_b = logistic_loss_and_gradient(x, labels, w, b, config.l2)
         if not np.isfinite(loss):
             raise DivergenceError(
                 "training loss became non-finite; try a smaller learning rate"
             )
         losses.append(loss)
-        err = p - labels
-        grad_w = x.T @ err / n + config.l2 * w
-        grad_b = float(err.mean())
         w -= config.learning_rate * grad_w
         b -= config.learning_rate * grad_b
     tail = losses[-max(config.iterations // 10, 2) :]
@@ -174,25 +167,18 @@ def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
     )
 
 
-def logistic_gradient(
+def logistic_loss_and_gradient(
     x: np.ndarray, labels: np.ndarray, w: np.ndarray, b: float, l2: float
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the regularized loss at (w, b), for verification."""
+) -> tuple[float, np.ndarray, float]:
+    """L2-regularized mean log-loss at (w, b), with its gradient in w and in b."""
     z = np.clip(x @ w + b, -30.0, 30.0)
     p = 1.0 / (1.0 + np.exp(-z))
-    err = p - labels
-    return x.T @ err / len(labels) + l2 * w, float(err.mean())
-
-
-def logistic_loss(
-    x: np.ndarray, labels: np.ndarray, w: np.ndarray, b: float, l2: float
-) -> float:
-    z = np.clip(x @ w + b, -30.0, 30.0)
-    p = 1.0 / (1.0 + np.exp(-z))
-    return float(
+    loss = (
         -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
         + 0.5 * l2 * float(w @ w)
     )
+    err = p - labels
+    return float(loss), x.T @ err / len(labels) + l2 * w, float(err.mean())
 
 
 def predict(model: LogisticModel, record: Record) -> float:

@@ -89,6 +89,13 @@ def test_output_matches_golden(name, tmp_path):
         assert (out / file_name).read_bytes() == (expected / file_name).read_bytes(), file_name
 
 
+def test_fit_output_loads_back(tmp_path):
+    assert main(["fit", "--input", str(INPUT), "--out", str(tmp_path / "fit")]) == 0
+    scored = tmp_path / "fit" / "scored.csv"
+    argv = ["optimize", "--input", str(scored), "--score-col", "score"]
+    assert main([*argv, "--criterion", "independence", "--out", str(tmp_path / "opt")]) == 0
+
+
 def _regenerate() -> None:
     scratch = GOLDEN / "_scratch"
     scratch.mkdir(exist_ok=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from fairgate.model import (
     BenefitMatrix,
     CoverageError,
     CriterionKind,
+    Dataset,
     FairnessCriterion,
     GroupCut,
     GroupInterval,
@@ -20,6 +22,7 @@ from fairgate.model import (
     StratifiedGroupThreshold,
     UtilityMatrix,
     decide,
+    decision_probabilities,
     decision_probability,
     read_rule_file,
     rule_from_dict,
@@ -248,3 +251,82 @@ class TestValidation:
     def test_mixture_weight_range(self):
         with pytest.raises(ValueError):
             Mixture(weights={"a": 1.2}, first=always_accept(), second=always_reject())
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation against the per-record reference
+# ---------------------------------------------------------------------------
+
+GROUPS = ("a", "b", "c")
+LEGIT = ("job", "site")
+STRATA = list(itertools.product(("x", "y"), ("n", "s")))
+
+
+def random_records(rng, atoms, n=120):
+    """Records on the given score atoms, every group and stratum present."""
+    cells = list(itertools.product(GROUPS, STRATA))
+    records = []
+    for i in range(n):
+        group, stratum = cells[i] if i < len(cells) else rng.choice(cells)
+        legit = dict(zip(LEGIT, stratum))
+        records.append(Record(str(i), rng.randint(0, 1), group, rng.choice(atoms), legit))
+    rng.shuffle(records)
+    return records
+
+
+def rules_of_every_kind(rng, atoms):
+    """One rule of each kind whose cuts sit on score atoms, plus nested mixtures."""
+    inner = [a for a in atoms if 0.0 < a < 1.0]
+    boundary = lambda: rng.choice([0.0, 1.0, rng.random()])
+    cut = lambda: GroupCut(rng.choice(atoms), boundary())
+    single = SingleThreshold(rng.choice(atoms), boundary())
+    group = GroupThreshold({g: cut() for g in GROUPS})
+    lower = GroupInterval({g: IntervalCut(rng.choice(inner), 1.0, boundary()) for g in GROUPS})
+    upper = GroupInterval({g: IntervalCut(0.0, rng.choice(inner), boundary()) for g in GROUPS})
+    mixed_forms = GroupInterval({"a": lower.cuts["a"], "b": upper.cuts["b"], "c": lower.cuts["c"]})
+    stratified = StratifiedGroupThreshold(LEGIT, {(g, s): cut() for g in GROUPS for s in STRATA})
+    # Weight 0 never consults ``first`` for group a and weight 1 never consults
+    # ``second`` for group b, so those sub-rules may leave the group uncovered.
+    partial = GroupThreshold({"b": cut(), "c": cut()})
+    edge_weights = Mixture({"a": 0.0, "b": 1.0, "c": rng.random()}, partial, group)
+    nested = Mixture(
+        {g: rng.choice([0.0, 1.0, rng.random()]) for g in GROUPS},
+        Mixture({g: rng.random() for g in GROUPS}, stratified, mixed_forms),
+        Mixture({"a": 1.0, "b": 0.0, "c": 0.5}, single, upper),
+    )
+    return [single, group, lower, upper, mixed_forms, stratified, edge_weights, nested]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_array_evaluation_equals_per_record_probability(seed):
+    rng = random.Random(seed)
+    atoms = sorted({round(rng.random(), 2) for _ in range(6)} | {0.0, 1.0})
+    dataset = Dataset.from_records(random_records(rng, atoms), legit_names=LEGIT)
+    for rule in rules_of_every_kind(rng, atoms):
+        expected = [
+            decision_probability(rule, r.score, r.group, r.legit) for r in dataset.records
+        ]
+        assert decision_probabilities(rule, dataset).tolist() == expected, rule
+
+
+def test_uncovered_cell_raises_on_both_paths():
+    rng = random.Random(3)
+    dataset = Dataset.from_records(random_records(rng, [0.2, 0.5, 0.8]), legit_names=LEGIT)
+    two_groups = {"a": GroupCut(0.5), "b": GroupCut(0.5)}
+    uncovered = [
+        GroupThreshold(two_groups),
+        GroupInterval({"a": IntervalCut(0.5, 1.0), "b": IntervalCut(0.0, 0.5)}),
+        StratifiedGroupThreshold(
+            LEGIT, {(g, s): GroupCut(0.5) for g in GROUPS for s in STRATA[1:]}
+        ),
+        StratifiedGroupThreshold(("job",), {(g, ("x",)): GroupCut(0.5) for g in GROUPS}),
+        StratifiedGroupThreshold(("shift",), {}),
+        Mixture({"a": 0.5, "b": 0.5}, SingleThreshold(0.5), SingleThreshold(0.2)),
+        Mixture({g: 0.5 for g in GROUPS}, GroupThreshold(two_groups), SingleThreshold(0.2)),
+    ]
+    for rule in uncovered:
+        with pytest.raises(CoverageError):
+            decision_probabilities(rule, dataset)
+        with pytest.raises(CoverageError):
+            for r in dataset.records:
+                decision_probability(rule, r.score, r.group, r.legit)

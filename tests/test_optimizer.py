@@ -389,14 +389,6 @@ class TestCrossCuttingProperties:
             r2 = optimize(OptimizationProblem(shuffled, ACC, crit, grid_step=0.01))
             assert r1 == r2
 
-    def test_candidate_grid_has_bracketing_sentinels(self):
-        prob = problem(INDEP_ROWS, CriterionKind.INDEPENDENCE, 1.0)
-        grids = prob.candidate_grid()
-        for group, grid in grids.items():
-            scores = sorted(r.score for r in prob.dataset.records if r.group == group)
-            assert grid[0] < scores[0] and grid[-1] > scores[-1]
-            assert list(grid) == sorted(set(grid))
-
     def test_needs_two_groups(self):
         rows = [(0.9, 1, "A"), (0.1, 0, "A")]
         with pytest.raises(ValueError):

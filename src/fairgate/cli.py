@@ -46,7 +46,7 @@ from .model import (
     read_rule_file,
     write_rule_file,
 )
-from .optimizer import OptimizationProblem, default_grid_step, optimize, optimize_unconstrained
+from .optimizer import OptimizationProblem, optimize, optimize_unconstrained
 from .oracle import MAX_ORACLE_RECORDS, OracleSizeError, brute_force_oracle
 from .scorer import FitConfig, fit, load_model, save_model, score_dataset, split
 

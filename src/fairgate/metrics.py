@@ -100,7 +100,7 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
         codes, strata = dataset.strata(dataset.legit_names)
         cell = codes * k + g
         sizes, accepts = _sums(cell, len(strata) * k), _sums(cell, len(strata) * k, dp)
-        for key, c in sorted(((strata[c // k], groups[c % k]), c) for c in set(cell.tolist())):
+        for key, c in sorted(((strata[c // k], groups[c % k]), c) for c in np.unique(cell).tolist()):
             stratum_size[key] = sizes[c]
             stratum_positive_rate[key] = _rate(accepts[c], sizes[c])
 
@@ -224,9 +224,9 @@ def decision_maker_utility(
     return total / len(y)
 
 
-def _by_outcome(labels: np.ndarray, cell, d: int) -> np.ndarray:
-    """``cell(d, y)`` for every record's outcome y."""
-    return np.array([cell(d, 0), cell(d, 1)])[labels]
+def _by_outcome(labels: np.ndarray, payoff, d: int) -> np.ndarray:
+    """``payoff(d, y)`` for every record's outcome y."""
+    return np.array([payoff(d, 0), payoff(d, 1)])[labels]
 
 
 # ---------------------------------------------------------------------------

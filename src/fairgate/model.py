@@ -7,7 +7,9 @@ Records are the stored and ingest form of a dataset. ``Dataset.columns`` is
 a view of them as arrays in record order, built once on first use: float
 scores, labels and group codes that index ``Dataset.groups``.
 ``Dataset.strata`` adds stratum codes for any tuple of legitimate attribute
-names. Computations over a whole dataset read these columns.
+names. Computations over a whole dataset read these columns. The views are
+derived from the immutable records, so two threads that build one at the
+same time build equal arrays.
 
 Decision rules map a risk score (an estimate of the probability that the
 outcome is 1) to a decision probability. Deterministic rules yield 0 or 1
@@ -300,6 +302,7 @@ class _CutRule:
         return cut.signed_cut()
 
     def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
+        """Probability of deciding 1 for one record."""
         try:
             stratum = tuple(legit[name] for name in self._stratum_names())
         except KeyError as exc:
@@ -310,6 +313,7 @@ class _CutRule:
         return float(_accept(sign * score, tau, boundary))
 
     def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        """Probability of deciding 1 for each record of ``dataset`` at ``rows``."""
         try:
             stratum_codes, strata = dataset.strata(self._stratum_names())
         except KeyError as exc:

@@ -1211,4 +1211,3 @@ def optimize(problem: OptimizationProblem) -> DecisionRule:
     if kind in (CriterionKind.SEPARATION, CriterionKind.TPR_PARITY, CriterionKind.FPR_PARITY):
         return optimize_separation(problem)
     return optimize_sufficiency(problem)
-

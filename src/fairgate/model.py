@@ -98,8 +98,8 @@ class Dataset:
                         f"record {rec.id} carries undeclared legitimate attribute {name!r}"
                     )
             if len(rec.legit) != len(self.legit_names):
-                missing = [name for name in self.legit_names if name not in rec.legit]
-                raise ValueError(f"record {rec.id} misses legitimate attribute(s) {missing}")
+                absent = [name for name in self.legit_names if name not in rec.legit]
+                raise ValueError(f"record {rec.id} misses legitimate attribute(s) {absent}")
         missing = declared - seen
         if missing:
             raise ValueError(f"declared groups without records: {sorted(missing)}")

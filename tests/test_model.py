@@ -252,6 +252,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Mixture(weights={"a": 1.2}, first=always_accept(), second=always_reject())
 
+    def test_record_must_carry_every_declared_attribute(self):
+        records = [Record("r", 1, "a", 0.5, {"job": "x"}), Record("s", 0, "a", 0.5, {})]
+        with pytest.raises(ValueError, match="record s misses"):
+            Dataset.from_records(records, legit_names=("job",))
+
 
 # ---------------------------------------------------------------------------
 # Array evaluation against the per-record reference

@@ -279,9 +279,11 @@ def _cell_columns(codes: np.ndarray, cells: Sequence, pick: Callable) -> np.ndar
 
     ``pick`` returns a tuple of floats; the result has one row per tuple entry.
     """
-    present, inverse = np.unique(codes, return_inverse=True)
+    present = np.flatnonzero(np.bincount(codes, minlength=len(cells)))
+    slot = np.zeros(len(cells), dtype=np.intp)
+    slot[present] = np.arange(len(present))
     table = np.array([pick(cells[c]) for c in present], dtype=float)
-    return table[inverse].T
+    return table[slot[codes]].T
 
 
 class _CutRule:

@@ -22,7 +22,9 @@ realized as a mixture of at most two threshold rules (every point in the
 convex hull of a connected curve is a combination of two curve points).
 PPV and FOR are ratios of prefix quantities, so their parity windows become
 linear inequalities in the boundary randomization and the per-window search
-stays exact; window positions are scanned over all vertex and grid values.
+stays exact. The window positions are not all scanned: the candidates are
+vertex and q-grid values, subsampled to the caps named at the top of the
+sufficiency section, so a sufficiency result is exact only below the caps.
 """
 
 from __future__ import annotations
@@ -741,10 +743,31 @@ def _project_to_family(ladder: _Ladder, family: str, value: float) -> tuple[floa
 # Sufficiency: interval rules searched over PPV / FOR windows
 # ---------------------------------------------------------------------------
 
+# Window positions are the upper edges u of windows [gamma * u, u]. The
+# candidates are every vertex value and every q-grid value (steps of
+# grid_step) of every branch, together with each of them divided by gamma;
+# past a cap, an evenly spaced subsample of the sorted candidates is scanned.
+_SINGLE_FAMILY_CAP = 4096  # PPV-only or FOR-only parity
+_JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
+_SINGLE_FAMILY_GAMMA_CAP = 512  # per step of the max-gamma bisection
+_JOINT_GAMMA_CAP = 40
+_GAMMA_BISECTION_STEPS = 25
+# When grid points per segment times the largest branch's vertex count exceeds
+# this, the q-grid falls back to the 63 interior points of a 65-point grid.
+_GRID_POINT_LIMIT = 500_000
+_COARSE_GRID_POINTS = 65
+# Elements per block of designation rows in the edge-crossing sweep, which
+# bounds its memory independently of the number of designations.
+_SWEEP_BLOCK_ELEMENTS = 65_536
+
 
 @dataclass
 class _Branch:
-    """One interval-rule branch of a group with its prefix quantities."""
+    """One interval-rule branch of a group with its prefix quantities.
+
+    Segment j runs from vertex j to vertex j + 1; accepting the fraction q of
+    it adds q times the segment's step to each prefix quantity.
+    """
 
     ladder: _Ladder
     ep: np.ndarray  # expected accepts at each vertex
@@ -764,6 +787,14 @@ class _Branch:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
 
+    def segments(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(num0, dnum, den0, dden): PPV or FOR is num / den, both linear in q."""
+        ep0, dep = self.ep[:-1], np.diff(self.ep)
+        epy0, depy = self.epy[:-1], np.diff(self.epy)
+        if which == "ppv":
+            return epy0, depy, ep0, dep
+        return self.ladder.n_pos - epy0, -depy, self.ladder.n - ep0, -dep
+
 
 @dataclass
 class _IntervalChoice:
@@ -771,12 +802,79 @@ class _IntervalChoice:
     j: int
     q: float
     util: float
-    ppv: float
-    forr: float
 
-    @property
-    def deterministic(self) -> bool:
-        return self.q in (0.0, 1.0)
+
+_Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # (qlo, qhi, dead) per segment
+
+
+def _window_bounds(branch: _Branch, which: str, windows: np.ndarray) -> _Bounds:
+    """Feasible q-interval of every segment within every window of one family.
+
+    ``windows`` holds one (low, high) row per window. Each window edge is one
+    linear inequality coef * q >= bound in the segment fraction q. The
+    result's arrays have shape (windows, segments).
+    """
+    num0, dnum, den0, dden = branch.segments(which)
+    lo, hi = windows[:, :1], windows[:, 1:]
+    qlo = np.zeros((len(windows), len(den0)))
+    qhi = np.ones_like(qlo)
+    dead = np.zeros(qlo.shape, dtype=bool)
+    constraints = ((dnum - lo * dden, lo * den0 - num0), (hi * dden - dnum, num0 - hi * den0))
+    for coef, bound in constraints:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(coef != 0.0, bound / np.where(coef != 0.0, coef, 1.0), 0.0)
+        qlo = np.where(coef > 0, np.maximum(qlo, ratio), qlo)
+        qhi = np.where(coef < 0, np.minimum(qhi, ratio), qhi)
+        dead |= (coef == 0.0) & (bound > 0.0)
+    tiny = 1e-12
+    ep0, dep = branch.ep[:-1], np.diff(branch.ep)
+    if which == "ppv":
+        qlo = np.where(ep0 == 0.0, np.maximum(qlo, tiny), qlo)  # PPV needs mass
+    else:
+        full = ep0 + dep >= branch.ladder.n
+        qhi = np.where(full, np.minimum(qhi, 1.0 - tiny), qhi)  # FOR needs rejects
+    return qlo, qhi, dead
+
+
+def _intersect(a: _Bounds, b: _Bounds) -> _Bounds:
+    """Bounds under both of two windows.
+
+    The PPV and FOR windows of a pair constrain q independently, so this is
+    exact: the same as applying all their inequalities one after another.
+    """
+    return np.maximum(a[0], b[0]), np.minimum(a[1], b[1]), a[2] | b[2]
+
+
+def _nonempty(bounds: _Bounds) -> np.ndarray:
+    qlo, qhi, dead = bounds
+    return ~dead & (qlo <= qhi + 1e-15)
+
+
+def _endpoint_utilities(
+    branch: _Branch,
+    bounds: _Bounds,
+    ppv: bool,
+    forr: bool,
+    cols: np.ndarray | slice = slice(None),
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, utility) at the lower and upper end of each segment's q-interval.
+
+    The bounds cover the segments ``cols``. Both results have the shape of
+    the bounds plus a trailing axis of 2 (lower end first). Utility is -inf
+    where the interval is empty, or where the end leaves a constrained ratio
+    without a denominator.
+    """
+    qlo, qhi, _ = bounds
+    ep0, dep = branch.ep[:-1][cols], np.diff(branch.ep)[cols]
+    u0, du = branch.util[:-1][cols], np.diff(branch.util)[cols]
+    q = np.clip(np.stack([qlo, qhi], axis=-1), 0.0, 1.0)
+    e = ep0[:, None] + q * dep[:, None]
+    ok = _nonempty(bounds)[..., None]
+    if ppv:
+        ok = ok & (e > 0.0)
+    if forr:
+        ok = ok & (branch.ladder.n - e > 0.0)
+    return q, np.where(ok, u0[:, None] + q * du[:, None], -np.inf)
 
 
 def _branch_best_in_windows(
@@ -786,69 +884,23 @@ def _branch_best_in_windows(
 ) -> _IntervalChoice | None:
     """Exact max-utility point of one branch within PPV and/or FOR windows.
 
-    PPV and FOR are ratios of quantities linear in the per-segment fraction
-    q, so each window bound is one linear inequality in q; utility is linear
-    in q, so only the endpoints of the feasible q-interval matter.
+    Utility is linear in q, so only the ends of each segment's feasible
+    q-interval matter. Among equal utilities a deterministic end (q = 0 or 1)
+    wins, then the first in (segment, lower end, upper end) order.
     """
-    ep, epy, util = branch.ep, branch.epy, branch.util
-    n, npos = branch.ladder.n, branch.ladder.n_pos
-    k = len(ep) - 1
-    if k == 0:
+    k = len(branch.ep) - 1
+    bounds = (np.zeros((1, k)), np.ones((1, k)), np.zeros((1, k), dtype=bool))
+    for which, window in (("ppv", ppv_window), ("for", for_window)):
+        if window is not None:
+            bounds = _intersect(bounds, _window_bounds(branch, which, np.array([window])))
+    q, util = _endpoint_utilities(branch, bounds, ppv_window is not None, for_window is not None)
+    q, util = q.ravel(), util.ravel()
+    if not util.size or util.max() == -np.inf:
         return None
-    ep0, dep = ep[:-1], np.diff(ep)
-    epy0, depy = epy[:-1], np.diff(epy)
-    u0, du = util[:-1], np.diff(util)
-
-    qlo = np.zeros(k)
-    qhi = np.ones(k)
-    dead = np.zeros(k, dtype=bool)
-
-    def apply(coef: np.ndarray, bound: np.ndarray) -> None:
-        # Intersect the q-set of coef * q >= bound into [qlo, qhi].
-        nonlocal qlo, qhi, dead
-        pos = coef > 0
-        neg = coef < 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(coef != 0.0, bound / np.where(coef != 0.0, coef, 1.0), 0.0)
-        qlo = np.where(pos, np.maximum(qlo, ratio), qlo)
-        qhi = np.where(neg, np.minimum(qhi, ratio), qhi)
-        dead |= (~pos & ~neg) & (bound > 0.0)
-
-    tiny = 1e-12
-    if ppv_window is not None:
-        p_lo, p_hi = ppv_window
-        apply(depy - p_lo * dep, p_lo * ep0 - epy0)
-        apply(p_hi * dep - depy, epy0 - p_hi * ep0)
-        qlo = np.where(ep0 == 0.0, np.maximum(qlo, tiny), qlo)  # PPV needs mass
-    if for_window is not None:
-        f_lo, f_hi = for_window
-        rej0, drej = n - ep0, -dep
-        ry0, dry = npos - epy0, -depy
-        apply(dry - f_lo * drej, f_lo * rej0 - ry0)
-        apply(f_hi * drej - dry, ry0 - f_hi * rej0)
-        full = ep0 + dep >= n
-        qhi = np.where(full, np.minimum(qhi, 1.0 - tiny), qhi)  # FOR needs rejects
-
-    feasible = ~dead & (qlo <= qhi + 1e-15)
-    if not feasible.any():
-        return None
-    best: _IntervalChoice | None = None
-    for j in np.nonzero(feasible)[0]:
-        for q in (float(qlo[j]), float(qhi[j])):
-            q = min(max(q, 0.0), 1.0)
-            e = ep0[j] + q * dep[j]
-            if e <= 0.0 and ppv_window is not None:
-                continue
-            if n - e <= 0.0 and for_window is not None:
-                continue
-            value = u0[j] + q * du[j]
-            ey = epy0[j] + q * depy[j]
-            p = ey / e if e > 0.0 else float("nan")
-            f = (npos - ey) / (n - e) if n - e > 0.0 else float("nan")
-            cand = _IntervalChoice(branch, int(j), q, float(value), float(p), float(f))
-            if best is None or (cand.util, cand.deterministic) > (best.util, best.deterministic):
-                best = cand
-    return best
+    top = util == util.max()
+    deterministic = top & ((q == 0.0) | (q == 1.0))
+    i = int(np.argmax(deterministic if deterministic.any() else top))
+    return _IntervalChoice(branch, i // 2, float(q[i]), float(util[i]))
 
 
 def _group_best_in_windows(
@@ -877,27 +929,35 @@ def _branch_point_values(branch: _Branch, which: str, qs: np.ndarray) -> np.ndar
     return np.concatenate(out)
 
 
-def _designations(
-    branches_by_group: Mapping[str, Sequence[_Branch]],
-    which: str,
-    gamma: float,
-    grid_step: float,
-    cap: int,
+def _candidate_base(
+    branches_by_group: Mapping[str, Sequence[_Branch]], which: str, grid_step: float
 ) -> np.ndarray:
-    """Candidate window upper bounds for one family across all groups."""
+    """Sorted distinct vertex and q-grid values of one family over all branches.
+
+    It does not depend on gamma, so a solve builds it once per family.
+    """
     qs = np.arange(grid_step, 1.0, grid_step)
-    if len(qs) * max(len(b.ep) for bs in branches_by_group.values() for b in bs) > 500_000:
-        qs = np.linspace(0.0, 1.0, 65)[1:-1]
-    values = [
-        _branch_point_values(branch, which, qs)
-        for branches in branches_by_group.values()
-        for branch in branches
-    ]
-    merged = np.unique(np.concatenate(values))
+    vertices = max(len(b.ep) for bs in branches_by_group.values() for b in bs)
+    if len(qs) * vertices > _GRID_POINT_LIMIT:
+        qs = np.linspace(0.0, 1.0, _COARSE_GRID_POINTS)[1:-1]
+    return np.unique(
+        np.concatenate(
+            [
+                _branch_point_values(branch, which, qs)
+                for branches in branches_by_group.values()
+                for branch in branches
+            ]
+        )
+    )
+
+
+def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
+    """Candidate window upper bounds at level gamma, at most ``cap`` of them."""
+    merged = base
     if gamma > 0.0:
-        scaled = merged / gamma
-        merged = np.unique(np.concatenate([merged, scaled[scaled <= 1.0]]))
-    merged = merged[(merged >= 0.0) & (merged <= 1.0)]
+        scaled = base / gamma  # sorted, as base is
+        merged = np.unique(np.concatenate([base, scaled[: np.searchsorted(scaled, 1.0, "right")]]))
+    merged = merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
     if len(merged) > cap:
         take = np.unique(np.linspace(0, len(merged) - 1, cap).astype(int))
         merged = merged[take]
@@ -912,9 +972,9 @@ def _family_sweep_values(
 ) -> np.ndarray:
     """Best total utility for each window [gamma*u, u]; -inf where infeasible.
 
-    Vectorized: edge crossings are solved in one batch per group (the q at
-    which the family value hits an edge is a linear solve), and vertex maxima
-    use a monotone deque over the ascending windows.
+    Vectorized: edge crossings are solved in batches of designation rows per
+    group (the q at which the family value hits an edge is a linear solve),
+    and vertex maxima use a monotone deque over the ascending windows.
     """
     d = len(uppers)
     totals = np.zeros(d)
@@ -923,56 +983,52 @@ def _family_sweep_values(
     for branches in branches_by_group.values():
         group_best = np.full(d, -np.inf)
         for branch in branches:
-            ep, epy, util = branch.ep, branch.epy, branch.util
-            n, npos = branch.ladder.n, branch.ladder.n_pos
-            k = len(ep) - 1
-            vertex_vals = branch.values(which, ep, epy)
+            util = branch.util
+            k = len(branch.ep) - 1
+            vertex_vals = branch.values(which, branch.ep, branch.epy)
             # Vertex maxima via a sliding monotone deque over ascending windows.
             order = np.argsort(vertex_vals, kind="stable")
             order = order[~np.isnan(vertex_vals[order])]
-            sorted_vals = vertex_vals[order]
-            sorted_utils = util[order]
+            sorted_vals = vertex_vals[order].tolist()
+            sorted_utils = util[order].tolist()
             dq: deque[int] = deque()
             add = 0
             drop = 0
-            dropped: set[int] = set()
             vertex_best = np.full(d, -np.inf)
-            for di in range(d):
-                hi, lo = uppers[di], lowers[di]
+            for di, (hi, lo) in enumerate(zip(uppers.tolist(), lowers.tolist())):
                 while add < len(sorted_vals) and sorted_vals[add] <= hi:
                     while dq and sorted_utils[dq[-1]] <= sorted_utils[add]:
                         dq.pop()
                     dq.append(add)
                     add += 1
                 while drop < len(sorted_vals) and sorted_vals[drop] < lo:
-                    dropped.add(drop)
                     drop += 1
-                while dq and dq[0] in dropped:
+                while dq and dq[0] < drop:
                     dq.popleft()
                 if dq:
                     vertex_best[di] = sorted_utils[dq[0]]
             group_best = np.maximum(group_best, vertex_best)
             if k == 0:
                 continue
-            ep0, dep = ep[:-1], np.diff(ep)
-            epy0, depy = epy[:-1], np.diff(epy)
             u0, du = util[:-1], np.diff(util)
-            if which == "ppv":
-                num0, dnum, den0, dden = epy0, depy, ep0, dep
-            else:
-                num0, dnum = npos - epy0, -depy
-                den0, dden = n - ep0, -dep
-            # Edge crossings: q solving value(q) = edge, batched over segments.
+            num0, dnum, den0, dden = branch.segments(which)
+            # Edge crossings: q solving value(q) = edge, batched over segments
+            # and over blocks of designation rows.
+            rows = max(1, _SWEEP_BLOCK_ELEMENTS // k)
             for edges in (lowers, uppers):
-                e_col = edges[:, None]
-                denom = dnum[None, :] - e_col * dden[None, :]
-                numer = e_col * den0[None, :] - num0[None, :]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    q = np.where(denom != 0.0, numer / np.where(denom != 0.0, denom, 1.0), np.nan)
-                den_at_q = den0[None, :] + q * dden[None, :]
-                valid = (q >= 0.0) & (q <= 1.0) & (den_at_q > 0.0)
-                crossing_util = np.where(valid, u0[None, :] + q * du[None, :], -np.inf)
-                group_best = np.maximum(group_best, crossing_util.max(axis=1))
+                for start in range(0, d, rows):
+                    e_col = edges[start : start + rows, None]
+                    denom = dnum[None, :] - e_col * dden[None, :]
+                    numer = e_col * den0[None, :] - num0[None, :]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        q = np.where(
+                            denom != 0.0, numer / np.where(denom != 0.0, denom, 1.0), np.nan
+                        )
+                    den_at_q = den0[None, :] + q * dden[None, :]
+                    valid = (q >= 0.0) & (q <= 1.0) & (den_at_q > 0.0)
+                    crossing_util = np.where(valid, u0[None, :] + q * du[None, :], -np.inf)
+                    block = group_best[start : start + rows]
+                    np.maximum(block, crossing_util.max(axis=1), out=block)
             # Segments with a constant value have no crossing; they serve the
             # whole designation range [v, v/gamma] at their best endpoint
             # utility (open endpoints count: the value holds arbitrarily close).
@@ -1020,11 +1076,16 @@ def optimize_sufficiency(
     """Optimal interval rules with PPV and/or FOR parity at level gamma.
 
     For each candidate window position the per-group search is exact (window
-    edges become linear inequalities in the boundary randomization). Window
-    positions are scanned over every vertex and grid rate value, so the
-    result dominates a grid search at the configured resolution. Joint
-    PPV+FOR parity can be genuinely infeasible; the error then reports the
-    highest achievable gamma found.
+    edges become linear inequalities in the boundary randomization). The
+    candidate positions are every vertex and q-grid value (steps of
+    ``grid_step``, or 63 points when that grid would exceed 500 000 points
+    per branch) and each divided by gamma; only an evenly spaced subsample of
+    at most 4096 of them is scanned for PPV-only or FOR-only parity, and of
+    56 per family (56 x 56 pairs) for joint parity. So the result is exact
+    only when no cap is reached. Joint PPV+FOR parity can be genuinely
+    infeasible; the error then reports the highest achievable gamma found by
+    a 25-step bisection that scans at most 512 positions (one family) or 40
+    per family (joint) at each step.
     """
     if relaxation is None:
         relaxation = {
@@ -1051,12 +1112,17 @@ def optimize_sufficiency(
 
     use_ppv = relaxation in ("both", "ppv_only")
     use_for = relaxation in ("both", "for_only")
+    bases = {
+        which: _candidate_base(branches_by_group, which, problem.grid_step)
+        for which, used in (("ppv", use_ppv), ("for", use_for))
+        if used
+    }
 
     if use_ppv and use_for:
-        windows = _best_joint_windows(branches_by_group, gamma, problem.grid_step)
+        windows = _best_joint_windows(branches_by_group, bases, gamma, _JOINT_CAP)
     else:
-        which = "ppv" if use_ppv else "for"
-        uppers = _designations(branches_by_group, which, gamma, problem.grid_step, cap=4096)
+        (which, base), = bases.items()
+        uppers = _designations(base, gamma, _SINGLE_FAMILY_CAP)
         values = _family_sweep_values(branches_by_group, which, gamma, uppers)
         order = np.argsort(values, kind="stable")
         best_di = int(order[-1])
@@ -1067,9 +1133,7 @@ def optimize_sufficiency(
             windows = ((gamma * up, up) if use_ppv else None, (gamma * up, up) if use_for else None)
 
     if windows is None:
-        max_gamma = _max_achievable_sufficiency_gamma(
-            branches_by_group, use_ppv, use_for, problem.grid_step
-        )
+        max_gamma = _max_achievable_sufficiency_gamma(branches_by_group, bases)
         raise InfeasibleConstraintError(
             f"no interval rule reaches gamma = {gamma:g}; "
             f"highest achievable level found: {max_gamma:.6f}",
@@ -1087,53 +1151,74 @@ def optimize_sufficiency(
 
 def _best_joint_windows(
     branches_by_group: Mapping[str, Sequence[_Branch]],
+    bases: Mapping[str, np.ndarray],
     gamma: float,
-    grid_step: float,
-    cap: int = 56,
+    cap: int,
 ) -> tuple[tuple[float, float], tuple[float, float]] | None:
-    """Best (PPV window, FOR window) pair for joint parity; None if infeasible."""
-    p_des = _designations(branches_by_group, "ppv", gamma, grid_step, cap=cap)
-    f_des = _designations(branches_by_group, "for", gamma, grid_step, cap=cap)
-    best_key: tuple | None = None
+    """Best (PPV window, FOR window) pair for joint parity; None if infeasible.
+
+    Each branch's q-bounds are built once per family; one PPV window at a
+    time is then combined with every FOR window at once. Ties go to the first
+    pair in (PPV, FOR) order.
+    """
+    p_up = _designations(bases["ppv"], gamma, cap)
+    f_up = _designations(bases["for"], gamma, cap)
+
+    p_windows = np.column_stack([gamma * p_up, p_up])
+    f_windows = np.column_stack([gamma * f_up, f_up])
+
+    def prepared(branch: _Branch) -> tuple[_Branch, np.ndarray, _Bounds, _Bounds]:
+        p_bounds = _window_bounds(branch, "ppv", p_windows)
+        f_bounds = _window_bounds(branch, "for", f_windows)
+        # A segment empty under one window stays empty under every pair
+        # containing it, so each PPV window only combines its live segments.
+        live = _nonempty(p_bounds) & _nonempty(f_bounds).any(axis=0)
+        return branch, live, p_bounds, f_bounds
+
+    groups = [[prepared(b) for b in branches] for branches in branches_by_group.values()]
+    best_total = -np.inf
     best: tuple[tuple[float, float], tuple[float, float]] | None = None
-    for p_up in p_des:
-        pw = (gamma * float(p_up), float(p_up))
-        for f_up in f_des:
-            fw = (gamma * float(f_up), float(f_up))
-            total = 0.0
-            ok = True
-            for branches in branches_by_group.values():
-                cand = _group_best_in_windows(branches, pw, fw)
-                if cand is None:
-                    ok = False
-                    break
-                total += cand.util
-            if ok and (best_key is None or total > best_key):
-                best_key = total
-                best = (pw, fw)
+    for pi, p in enumerate(p_up):
+        totals = np.zeros(len(f_up))
+        for group in groups:
+            group_best = np.full(len(f_up), -np.inf)
+            for branch, live, p_bounds, f_bounds in group:
+                cols = np.flatnonzero(live[pi])
+                if cols.size == 0:
+                    continue
+                pair = _intersect(
+                    tuple(b[pi, cols] for b in p_bounds), tuple(b[:, cols] for b in f_bounds)
+                )
+                _, util = _endpoint_utilities(branch, pair, True, True, cols)
+                np.maximum(group_best, util.max(axis=(1, 2)), out=group_best)
+            totals += group_best
+        fi = int(np.argmax(totals))
+        if totals[fi] > best_total:
+            best_total = totals[fi]
+            best = ((gamma * float(p), float(p)), (gamma * float(f_up[fi]), float(f_up[fi])))
     return best
 
 
 def _max_achievable_sufficiency_gamma(
-    branches_by_group: Mapping[str, Sequence[_Branch]],
-    use_ppv: bool,
-    use_for: bool,
-    grid_step: float,
+    branches_by_group: Mapping[str, Sequence[_Branch]], bases: Mapping[str, np.ndarray]
 ) -> float:
+    """Highest gamma with a feasible window, to the bisection's resolution."""
+
     def feasible(g_val: float) -> bool:
         if g_val <= 0.0:
             return True
-        if use_ppv and use_for:
-            return _best_joint_windows(branches_by_group, g_val, grid_step, cap=40) is not None
-        which = "ppv" if use_ppv else "for"
-        uppers = _designations(branches_by_group, which, g_val, grid_step, cap=512)
+        if len(bases) == 2:
+            best = _best_joint_windows(branches_by_group, bases, g_val, _JOINT_GAMMA_CAP)
+            return best is not None
+        (which, base), = bases.items()
+        uppers = _designations(base, g_val, _SINGLE_FAMILY_GAMMA_CAP)
         values = _family_sweep_values(branches_by_group, which, g_val, uppers)
         return bool(np.isfinite(values).any())
 
     lo, hi = 0.0, 1.0
     if feasible(1.0):
         return 1.0
-    for _ in range(25):
+    for _ in range(_GAMMA_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
         if feasible(mid):
             lo = mid

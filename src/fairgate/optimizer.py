@@ -17,9 +17,13 @@ finitely many breakpoints where a window edge crosses a path vertex, so
 scanning breakpoints is exact.
 
 Joint TPR+FPR constraints are solved as a linear program over weights on
-the per-group ROC staircase vertices; the achieved per-group target is then
-realized as a mixture of at most two threshold rules (every point in the
-convex hull of a connected curve is a combination of two curve points).
+the vertices of each group's ROC convex hull: per group, utility is linear
+in (FPR, TPR), so no other staircase vertex can improve the optimum. A small
+dense simplex (Bland's rule) solves it in-process, starting from every group
+at reject-all, which is feasible at any gamma. Each group's optimal point is
+then realized as one threshold cut, or as a mixture of two: every point in
+the convex hull of a connected curve is a combination of two curve points,
+and an O(k) angle sweep along the staircase finds them.
 PPV and FOR are ratios of prefix quantities, so their parity windows become
 linear inequalities in the boundary randomization and the per-window search
 stays exact. The window positions are not all scanned: the candidates are
@@ -440,118 +444,127 @@ def _single_sided_separation(problem: OptimizationProblem, family: str) -> Decis
 
 
 # ---------------------------------------------------------------------------
-# Joint TPR+FPR constraints (separation): LP over staircase vertices
+# Joint TPR+FPR constraints (separation): LP over ROC hull vertices
 # ---------------------------------------------------------------------------
 
 
-def _staircase(ladder: _Ladder) -> tuple[np.ndarray, np.ndarray]:
-    """(fpr, tpr) of every prefix cut; degenerate classes map to zeros."""
+def _staircase(ladder: _Ladder) -> np.ndarray:
+    """(fpr, tpr) of every prefix cut, one row each; degenerate classes map to zeros."""
     fpr = (
         (ladder.cum_count - ladder.cum_pos) / ladder.n_neg
         if ladder.n_neg > 0
         else np.zeros_like(ladder.cum_count)
     )
     tpr = ladder.cum_pos / ladder.n_pos if ladder.n_pos > 0 else np.zeros_like(ladder.cum_count)
-    return fpr, tpr
+    return np.column_stack([fpr, tpr])
 
 
-def _hull_chains(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper convex hull chains of a 2-D point set, sorted by x.
+def _hull_chains(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Path indices of the lower and upper convex hull chains of a staircase.
 
-    Vertical hull edges are collapsed so each chain holds one point per x:
-    the minimum y on the lower chain, the maximum on the upper. The chains
-    then define the y-range of the hull at any x in its span.
+    A staircase is sorted by (fpr, tpr), so Andrew's monotone chain runs in
+    path order. Both chains run from the first to the last index and drop
+    collinear points; together they hold every vertex of the hull.
     """
+    xs, ys = path[:, 0].tolist(), path[:, 1].tolist()
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def chain(order: range) -> list[int]:
+        out: list[int] = []
+        for i in order:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o]) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
 
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-
-    def dedupe(chain: list[np.ndarray], keep_max: bool) -> np.ndarray:
-        by_x: dict[float, float] = {}
-        for p in chain:
-            x, y = float(p[0]), float(p[1])
-            if x not in by_x or (y > by_x[x]) == keep_max:
-                by_x[x] = y
-        return np.array(sorted(by_x.items()))
-
-    return dedupe(lower, keep_max=False), dedupe(upper[::-1], keep_max=True)
+    last = len(xs) - 1
+    return np.array(chain(range(last + 1))), np.array(chain(range(last, -1, -1))[::-1])
 
 
-def _chain_value(chain: np.ndarray, x: float) -> float:
-    xs = chain[:, 0]
-    pos = int(np.searchsorted(xs, x))
-    if pos < len(xs) and xs[pos] == x:
-        return float(chain[pos, 1])
-    lo, hi = chain[pos - 1], chain[pos]
-    t = (x - lo[0]) / (hi[0] - lo[0])
-    return float(lo[1] + t * (hi[1] - lo[1]))
+def _chain_value(path: np.ndarray, chain: np.ndarray, x: float, highest: bool) -> float:
+    """y of a hull chain at x, taking the highest or lowest y on a vertical edge.
+
+    Only the upper chain's first edge and the lower chain's last edge can be
+    vertical, so keeping the last point per x (upper) or the first (lower)
+    leaves the chain's extreme y there.
+    """
+    xs, ys = path[chain, 0], path[chain, 1]
+    step = xs[1:] != xs[:-1]
+    keep = np.r_[step, True] if highest else np.r_[True, step]
+    return float(np.interp(x, xs[keep], ys[keep]))
 
 
-def _decompose_on_path(path: np.ndarray, target: np.ndarray) -> list[tuple[int, float, float]]:
+def _simplex_max(
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]
+) -> np.ndarray:
+    """Maximize ``cost @ x`` subject to ``matrix @ x = rhs`` and ``x >= 0``.
+
+    A dense simplex with Bland's rule (lowest-index entering column,
+    lowest-index basic variable among tied ratios), which cannot cycle on the
+    heavily degenerate separation program. ``basis`` must be a feasible start
+    and is updated in place. Each pivot rebuilds the tableau from the
+    original rows through the current basis matrix, so rounding cannot
+    accumulate over the many degenerate pivots into noise entries that pass
+    as pivots.
+    """
+    scaled = cost / max(1.0, float(np.abs(cost).max()))
+    for _ in range(50 * sum(matrix.shape)):
+        basis_matrix = matrix[:, basis]
+        tableau = np.linalg.solve(basis_matrix, matrix)
+        values = np.maximum(np.linalg.solve(basis_matrix, rhs), 0.0)
+        reduced = scaled - scaled[basis] @ tableau
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced > 1e-12)
+        if not len(entering):
+            x = np.zeros(matrix.shape[1])
+            x[basis] = values
+            return x
+        column = tableau[:, entering[0]]
+        candidates = np.flatnonzero(column > 1e-9)
+        ratios = values[candidates] / column[candidates]
+        tied = candidates[ratios <= ratios.min() + 1e-12]
+        basis[min(tied, key=lambda i: basis[i])] = int(entering[0])
+    raise RuntimeError("separation simplex did not terminate")
+
+
+def _realize_on_path(path: np.ndarray, target: np.ndarray) -> list[tuple[int, float, float]]:
     """Express a hull point as a convex mix of at most two path points.
 
-    Returns [(segment index, fraction along segment, mixture weight), ...].
-    The path is the monotone staircase; a point strictly inside its hull lies
-    on a chord from one staircase vertex through the target to another path
-    point, so anchoring one end at each vertex in turn always succeeds.
+    Returns [(j, q, weight), ...], where a path point accepts j full atoms
+    plus fraction q of the next. A target on the path is one (possibly
+    randomized) cut. Otherwise, seen from the target, each segment subtends
+    less than pi while the vertices span at least pi (the target lies in
+    their hull). So along the path the unwrapped angle first moves pi away
+    from its running minimum or maximum, at vertex m, on some segment; the
+    point of that segment opposite m through the target completes the pair.
     """
-    # On-path check first: a single (possibly randomized) cut suffices.
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        seg = b - a
-        if abs(seg[0]) >= abs(seg[1]):
-            if seg[0] == 0.0:
-                if np.allclose(a, target, atol=1e-12):
-                    return [(i, 0.0, 1.0)]
-                continue
-            q = (target[0] - a[0]) / seg[0]
-        else:
-            q = (target[1] - a[1]) / seg[1]
-        if -1e-12 <= q <= 1.0 + 1e-12:
-            q = min(max(q, 0.0), 1.0)
-            if np.allclose(a + q * seg, target, atol=1e-9):
-                return [(i, float(q), 1.0)]
-    # Chord search: anchor one end at a vertex, intersect the ray through the
-    # target with the rest of the path.
-    for anchor in range(len(path)):
-        a = path[anchor]
-        d = target - a
-        if float(np.hypot(d[0], d[1])) < 1e-14:
-            seg_idx = min(anchor, len(path) - 2)
-            return [(seg_idx, 1.0 if seg_idx < anchor else 0.0, 1.0)]
-        for i in range(len(path) - 1):
-            p, e = path[i], path[i + 1] - path[i]
-            denom = d[0] * e[1] - d[1] * e[0]
-            if abs(denom) < 1e-15:
-                continue
-            rel = p - a
-            t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-            u = (rel[0] * d[1] - rel[1] * d[0]) / denom
-            if t < 1.0 - 1e-9 or not -1e-9 <= u <= 1.0 + 1e-9:
-                continue
-            u = min(max(u, 0.0), 1.0)
-            other = p + u * e
-            weight_other = 1.0 / t
-            achieved = (1.0 - weight_other) * a + weight_other * other
-            if np.allclose(achieved, target, atol=1e-9):
-                anchor_seg = min(anchor, len(path) - 2)
-                anchor_q = 0.0 if anchor < len(path) - 1 else 1.0
-                return [
-                    (anchor_seg, anchor_q, 1.0 - weight_other),
-                    (i, float(u), weight_other),
-                ]
+    start, seg = path[:-1], np.diff(path, axis=0)
+    q = np.clip(np.einsum("ij,ij->i", target - start, seg) / np.einsum("ij,ij->i", seg, seg), 0, 1)
+    on_path = np.flatnonzero(np.abs(start + q[:, None] * seg - target).max(axis=1) <= 1e-9)
+    if len(on_path):
+        i = int(on_path[0])
+        return [(i, float(q[i]), 1.0)]
+
+    rel = path - target
+    angle = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
+    low, high = np.minimum.accumulate(angle), np.maximum.accumulate(angle)
+    rise, fall = angle[1:] - low[:-1], high[:-1] - angle[1:]
+    hits = np.flatnonzero(np.maximum(rise, fall) >= np.pi - 1e-12)
+    if len(hits):
+        j = int(hits[0]) + 1
+        extreme = low[j - 1] if rise[j - 1] >= fall[j - 1] else high[j - 1]
+        m = int(np.flatnonzero(angle[:j] == extreme)[0])
+        # path[m] + s * d = path[j - 1] + u * e, with s >= 1 beyond the target.
+        d, e, r = target - path[m], seg[j - 1], path[j - 1] - path[m]
+        denom = d[0] * e[1] - d[1] * e[0]
+        s = (r[0] * e[1] - r[1] * e[0]) / denom
+        u = min(max((r[0] * d[1] - r[1] * d[0]) / denom, 0.0), 1.0)
+        w = 1.0 / s
+        achieved = (1.0 - w) * path[m] + w * (path[j - 1] + u * e)
+        if 0.0 < w <= 1.0 and np.abs(achieved - target).max() <= 1e-9:
+            return [(m, 0.0, 1.0 - w), (j - 1, float(u), w)]
     raise RuntimeError("could not realize the target point as two threshold rules")
 
 
@@ -562,8 +575,13 @@ def optimize_separation(
 
     ``tpr_only`` and ``fpr_only`` constrain a single family and reduce to the
     exact window sweep. ``both`` needs per-group randomization between two
-    thresholds because TPR parity does not imply FPR parity; it is solved as
-    an LP over the per-group ROC staircase vertices.
+    thresholds because TPR parity does not imply FPR parity. Per group,
+    utility is linear in (FPR, TPR) and the reachable points are the convex
+    hull of the ROC staircase, so the program is a linear one over weights
+    on each group's hull vertices, solved in-process by a dense simplex. At
+    gamma = 1 the solution is snapped to one shared point, so parity is
+    exact. Each group's point is then realized as one threshold cut, or as
+    a mix of two, found in O(k) by an angle sweep along the staircase.
     """
     if relaxation is None:
         relaxation = {
@@ -596,19 +614,17 @@ def optimize_separation(
     randomized = False
     for g in groups:
         ladder = ladders[g]
-        fpr, tpr = _staircase(ladder)
-        path = np.column_stack([fpr, tpr])
-        parts = _decompose_on_path(path, np.asarray(targets[g], dtype=float))
+        parts = _realize_on_path(_staircase(ladder), np.asarray(targets[g], dtype=float))
         if len(parts) == 1:
-            seg, q, _ = parts[0]
-            cut = ladder.cut(seg, q)
+            j, q, _ = parts[0]
+            cut = ladder.cut(j, q)
             cuts_first[g] = cut
             cuts_second[g] = cut
             mix_weights[g] = 1.0
         else:
-            (seg_a, q_a, w_a), (seg_b, q_b, _) = parts
-            cuts_first[g] = ladder.cut(seg_a, q_a)
-            cuts_second[g] = ladder.cut(seg_b, q_b)
+            (j_a, q_a, w_a), (j_b, q_b, _) = parts
+            cuts_first[g] = ladder.cut(j_a, q_a)
+            cuts_second[g] = ladder.cut(j_b, q_b)
             mix_weights[g] = float(w_a)
             randomized = True
     if not randomized:
@@ -623,10 +639,15 @@ def optimize_separation(
 def _separation_lp_targets(
     ladders: Mapping[str, _Ladder], groups: Sequence[str], gamma: float
 ) -> dict[str, tuple[float, float]]:
-    """Per-group (FPR, TPR) targets solving the joint parity program."""
-    from scipy.optimize import linprog
+    """Per-group (FPR, TPR) targets solving the joint parity program.
 
-    staircases = {g: _staircase(ladders[g]) for g in groups}
+    Variables are each group's weights on its hull vertices (summing to 1)
+    and one slack per ordered group pair and family, for the row
+    ``gamma * rate_h - rate_g + slack = 0``. Every group at its reject-all
+    vertex, with every slack basic, is a feasible start for any gamma: all
+    rates are 0 there, so no phase 1 is needed.
+    """
+    paths = {g: _staircase(ladders[g]) for g in groups}
     tpr_groups = [g for g in groups if ladders[g].n_pos > 0]
     fpr_groups = [g for g in groups if ladders[g].n_neg > 0]
     for g in groups:
@@ -639,85 +660,65 @@ def _separation_lp_targets(
                 stacklevel=3,
             )
 
-    sizes = [len(ladders[g].cum_du) for g in groups]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = int(offsets[-1])
-    c = -np.concatenate([ladders[g].cum_du for g in groups])
-
-    a_eq = np.zeros((len(groups), total))
-    for gi in range(len(groups)):
-        a_eq[gi, offsets[gi] : offsets[gi + 1]] = 1.0
-    b_eq = np.ones(len(groups))
-
+    hulls = {g: _hull_chains(paths[g]) for g in groups}
+    indices = {g: np.union1d(*hulls[g]) for g in groups}  # starts at reject-all, (0, 0)
+    vertices = {g: paths[g][indices[g]] for g in groups}
+    offsets = np.cumsum([0] + [len(indices[g]) for g in groups])
+    n_weights = int(offsets[-1])
+    pairs = [
+        (axis, gi, hi)
+        for axis, members in ((1, tpr_groups), (0, fpr_groups))
+        for gi in map(groups.index, members)
+        for hi in map(groups.index, members)
+        if gi != hi
+    ]
     exact = gamma >= 1.0 - 1e-9
-    # A small margin keeps solver tolerance from leaking below gamma.
-    gamma_lp = 1.0 if exact else min(gamma + 1e-6, 1.0)
+    gamma_lp = 1.0 if exact else gamma
 
-    rows = []
-    for family, members in (("tpr", tpr_groups), ("fpr", fpr_groups)):
-        coef = {
-            g: (staircases[g][1] if family == "tpr" else staircases[g][0]) for g in members
-        }
-        for g in members:
-            for h in members:
-                if g == h:
-                    continue
-                row = np.zeros(total)
-                gi, hi = groups.index(g), groups.index(h)
-                row[offsets[gi] : offsets[gi + 1]] = -coef[g]
-                row[offsets[hi] : offsets[hi + 1]] = gamma_lp * coef[h]
-                rows.append(row)
-    a_ub = np.array(rows) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-
-    result = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not result.success:
-        raise InfeasibleConstraintError(f"separation program failed: {result.message}")
-
-    achieved: dict[str, tuple[float, float]] = {}
+    matrix = np.zeros((len(groups) + len(pairs), n_weights + len(pairs)))
     for gi, g in enumerate(groups):
-        w = result.x[offsets[gi] : offsets[gi + 1]]
-        fpr, tpr = staircases[g]
-        achieved[g] = (float(w @ fpr), float(w @ tpr))
-
-    if not exact:
-        return achieved
-
-    # Snap to one shared target so parity is exact rather than within solver
-    # tolerance. The diagonal point (f, f) lies in every hull (reject-all and
-    # accept-all are common staircase vertices), so the window never empties.
-    both = [g for g in groups if g in tpr_groups and g in fpr_groups]
-    anchor = both if both else list(groups)
-    f_star = min(max(float(np.mean([achieved[g][0] for g in anchor])), 0.0), 1.0)
-    lo, hi = 0.0, 1.0
-    for g in anchor:
-        fpr, tpr = staircases[g]
-        lower, upper = _hull_chains(np.column_stack([fpr, tpr]))
-        lo = max(lo, _chain_value(lower, f_star))
-        hi = min(hi, _chain_value(upper, f_star))
-    lo, hi = min(lo, f_star), max(hi, f_star)
-    t_star = min(max(float(np.mean([achieved[g][1] for g in anchor])), lo), hi)
+        matrix[gi, offsets[gi] : offsets[gi + 1]] = 1.0
+    for row, (axis, gi, hi) in enumerate(pairs, start=len(groups)):
+        matrix[row, offsets[gi] : offsets[gi + 1]] = -vertices[groups[gi]][:, axis]
+        matrix[row, offsets[hi] : offsets[hi + 1]] = gamma_lp * vertices[groups[hi]][:, axis]
+        matrix[row, n_weights + row - len(groups)] = 1.0
+    rhs = np.concatenate([np.ones(len(groups)), np.zeros(len(pairs))])
+    cost = np.concatenate([*(ladders[g].cum_du[indices[g]] for g in groups), np.zeros(len(pairs))])
+    basis = [int(o) for o in offsets[:-1]] + list(range(n_weights, n_weights + len(pairs)))
+    x = _simplex_max(matrix, rhs, cost, basis)
 
     targets: dict[str, tuple[float, float]] = {}
-    for g in groups:
-        if g in both:
-            targets[g] = (f_star, t_star)
-        elif g in fpr_groups:
-            targets[g] = _project_to_family(ladders[g], "fpr", f_star)
-        else:
-            targets[g] = _project_to_family(ladders[g], "tpr", t_star)
+    for gi, g in enumerate(groups):
+        w = x[offsets[gi] : offsets[gi + 1]]
+        w = np.where(w > 1e-12, w, 0.0)
+        fpr, tpr = (w / w.sum()) @ vertices[g]
+        targets[g] = (float(fpr), float(tpr))
+
+    if exact:
+        # Snap to one shared target so parity is exact rather than within
+        # rounding. The diagonal point (f, f) lies in every hull (reject-all
+        # and accept-all are common staircase vertices), so the window never
+        # empties.
+        both = [g for g in groups if g in tpr_groups and g in fpr_groups]
+        f_star = min(max(float(np.mean([targets[g][0] for g in fpr_groups or groups])), 0.0), 1.0)
+        lo, hi = 0.0, 1.0
+        for g in both:
+            lower, upper = hulls[g]
+            lo = max(lo, _chain_value(paths[g], lower, f_star, highest=False))
+            hi = min(hi, _chain_value(paths[g], upper, f_star, highest=True))
+        lo, hi = min(lo, f_star), max(hi, f_star)
+        t_star = min(max(float(np.mean([targets[g][1] for g in tpr_groups or groups])), lo), hi)
+        for g in groups:
+            if g in both:
+                targets[g] = (f_star, t_star)
+            elif g in fpr_groups:
+                targets[g] = _project_to_family(ladders[g], "fpr", f_star)
+            else:
+                targets[g] = _project_to_family(ladders[g], "tpr", t_star)
+
+    for axis, members, family in ((1, tpr_groups, "tpr"), (0, fpr_groups, "fpr")):
+        if members and _family_ratio(targets[g][axis] for g in members) < gamma - 1e-12:
+            raise RuntimeError(f"separation program returned a {family} ratio below {gamma}")
     return targets
 
 
@@ -729,7 +730,7 @@ def _project_to_family(ladder: _Ladder, family: str, value: float) -> tuple[floa
         raise InfeasibleConstraintError(
             f"group {ladder.group!r} cannot reach {family} = {value}"
         )
-    fpr, tpr = _staircase(ladder)
+    fpr, tpr = _staircase(ladder).T
     j, q = choice.j, choice.q
     if q == 0.0:
         return float(fpr[j]), float(tpr[j])

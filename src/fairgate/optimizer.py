@@ -24,11 +24,16 @@ at reject-all, which is feasible at any gamma. Each group's optimal point is
 then realized as one threshold cut, or as a mixture of two: every point in
 the convex hull of a connected curve is a combination of two curve points,
 and an O(k) angle sweep along the staircase finds them.
-PPV and FOR are ratios of prefix quantities, so their parity windows become
-linear inequalities in the boundary randomization and the per-window search
-stays exact. The window positions are not all scanned: the candidates are
-vertex and q-grid values, subsampled to the caps named at the top of the
-sufficiency section, so a sufficiency result is exact only below the caps.
+PPV and FOR are ratios of prefix quantities, monotone in the boundary
+randomization along each segment of a group's path, so one edge rule gives
+each segment's feasible interval in a window: an end whose value lies within
+1e-12 of the window stays, an end outside moves to where the value crosses
+the edge. One scan values every combination of candidate windows, for one
+family or both, under that rule, and the winning rule is rebuilt under it,
+so the search within a window is exact. The window positions are not all
+scanned: the candidates are vertex and q-grid values, subsampled to the caps
+named at the top of the sufficiency section, so a sufficiency result is
+exact only below the caps.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 import bisect
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -568,13 +572,11 @@ def _realize_on_path(path: np.ndarray, target: np.ndarray) -> list[tuple[int, fl
     raise RuntimeError("could not realize the target point as two threshold rules")
 
 
-def optimize_separation(
-    problem: OptimizationProblem, relaxation: str | None = None
-) -> DecisionRule:
+def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
     """Optimal rule with TPR and/or FPR parity at level gamma.
 
-    ``tpr_only`` and ``fpr_only`` constrain a single family and reduce to the
-    exact window sweep. ``both`` needs per-group randomization between two
+    TPR parity and FPR parity constrain a single family and reduce to the
+    exact window sweep. Separation needs per-group randomization between two
     thresholds because TPR parity does not imply FPR parity. Per group,
     utility is linear in (FPR, TPR) and the reachable points are the convex
     hull of the ROC staircase, so the program is a linear one over weights
@@ -583,18 +585,13 @@ def optimize_separation(
     exact. Each group's point is then realized as one threshold cut, or as
     a mix of two, found in O(k) by an angle sweep along the staircase.
     """
-    if relaxation is None:
-        relaxation = {
-            CriterionKind.SEPARATION: "both",
-            CriterionKind.TPR_PARITY: "tpr_only",
-            CriterionKind.FPR_PARITY: "fpr_only",
-        }[problem.criterion.kind]
-    if relaxation == "tpr_only":
-        return _single_sided_separation(problem, "tpr")
-    if relaxation == "fpr_only":
-        return _single_sided_separation(problem, "fpr")
-    if relaxation != "both":
-        raise ValueError(f"unknown separation relaxation {relaxation!r}")
+    family = {
+        CriterionKind.SEPARATION: None,
+        CriterionKind.TPR_PARITY: "tpr",
+        CriterionKind.FPR_PARITY: "fpr",
+    }[problem.criterion.kind]
+    if family is not None:
+        return _single_sided_separation(problem, family)
 
     gamma = problem.criterion.gamma
     ladders = _ladders(problem.dataset, problem.utility)
@@ -757,8 +754,8 @@ _GAMMA_BISECTION_STEPS = 25
 # this, the q-grid falls back to the 63 interior points of a 65-point grid.
 _GRID_POINT_LIMIT = 500_000
 _COARSE_GRID_POINTS = 65
-# Elements per block of designation rows in the edge-crossing sweep, which
-# bounds its memory independently of the number of designations.
+# Elements per block of the window scan (window combinations times segments),
+# which bounds its memory independently of the number of windows.
 _SWEEP_BLOCK_ELEMENTS = 65_536
 
 
@@ -811,71 +808,61 @@ _Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # (qlo, qhi, dead) per segm
 def _window_bounds(branch: _Branch, which: str, windows: np.ndarray) -> _Bounds:
     """Feasible q-interval of every segment within every window of one family.
 
-    ``windows`` holds one (low, high) row per window. Each window edge is one
-    linear inequality coef * q >= bound in the segment fraction q. The
-    result's arrays have shape (windows, segments).
+    ``windows`` holds one (low, high) row per window; the result's arrays
+    have shape (windows, segments). The family value is monotone in q along
+    a segment, so the segment's ends decide. An end is inside a window when
+    its value lies within 1e-12 of it: the candidate windows are built from
+    vertex values, so a vertex on an edge is the normal case and must not
+    depend on the last bit of a quotient. An end inside stays; an end
+    outside moves to the q where the value crosses the edge it lies beyond.
+    A segment whose values all lie beyond one edge is dead. An open end (PPV
+    without accepts, FOR without rejects) has its segment's constant value
+    and is nudged 1e-12 into the segment.
     """
+    tol = 1e-12
     num0, dnum, den0, dden = branch.segments(which)
+    vertex = branch.values(which, branch.ep, branch.epy)
+    v0, v1 = vertex[:-1], vertex[1:]
+    v0, v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
+    vmin, vmax = np.minimum(v0, v1), np.maximum(v0, v1)
     lo, hi = windows[:, :1], windows[:, 1:]
-    qlo = np.zeros((len(windows), len(den0)))
-    qhi = np.ones_like(qlo)
-    dead = np.zeros(qlo.shape, dtype=bool)
-    constraints = ((dnum - lo * dden, lo * den0 - num0), (hi * dden - dnum, num0 - hi * den0))
-    for coef, bound in constraints:
+    dead = (vmax < lo - tol) | (vmin > hi + tol)
+    qlo, qhi = np.zeros(dead.shape), np.ones(dead.shape)
+    # Only a live segment that crosses an edge has an end outside.
+    w, j = np.nonzero(~dead & ((vmin < lo - tol) | (vmax > hi + tol)))
+    lo, hi = lo[w, 0], hi[w, 0]
+    for q, v in ((qlo, v0[j]), (qhi, v1[j])):
+        edge = np.clip(v, lo, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(coef != 0.0, bound / np.where(coef != 0.0, coef, 1.0), 0.0)
-        qlo = np.where(coef > 0, np.maximum(qlo, ratio), qlo)
-        qhi = np.where(coef < 0, np.minimum(qhi, ratio), qhi)
-        dead |= (coef == 0.0) & (bound > 0.0)
-    tiny = 1e-12
-    ep0, dep = branch.ep[:-1], np.diff(branch.ep)
+            cross = (edge * den0[j] - num0[j]) / (dnum[j] - edge * dden[j])
+        out = (v < lo - tol) | (v > hi + tol)
+        q[w[out], j[out]] = np.clip(cross[out], 0.0, 1.0)
     if which == "ppv":
-        qlo = np.where(ep0 == 0.0, np.maximum(qlo, tiny), qlo)  # PPV needs mass
+        open_end = branch.ep[:-1] == 0.0
+        qlo[:, open_end] = np.maximum(qlo[:, open_end], tol)
     else:
-        full = ep0 + dep >= branch.ladder.n
-        qhi = np.where(full, np.minimum(qhi, 1.0 - tiny), qhi)  # FOR needs rejects
+        open_end = branch.ep[1:] >= branch.ladder.n
+        qhi[:, open_end] = np.minimum(qhi[:, open_end], 1.0 - tol)
     return qlo, qhi, dead
 
 
 def _intersect(a: _Bounds, b: _Bounds) -> _Bounds:
     """Bounds under both of two windows.
 
-    The PPV and FOR windows of a pair constrain q independently, so this is
-    exact: the same as applying all their inequalities one after another.
+    Each window's feasible set on a segment is an interval in q, so the set
+    under both is exactly the intersection of the two intervals.
     """
     return np.maximum(a[0], b[0]), np.minimum(a[1], b[1]), a[2] | b[2]
 
 
 def _nonempty(bounds: _Bounds) -> np.ndarray:
+    """Segments with a feasible point.
+
+    Under both families, the PPV and the FOR crossing of one point can come
+    out an ulp apart in q; the slack keeps that point.
+    """
     qlo, qhi, dead = bounds
     return ~dead & (qlo <= qhi + 1e-15)
-
-
-def _endpoint_utilities(
-    branch: _Branch,
-    bounds: _Bounds,
-    ppv: bool,
-    forr: bool,
-    cols: np.ndarray | slice = slice(None),
-) -> tuple[np.ndarray, np.ndarray]:
-    """(q, utility) at the lower and upper end of each segment's q-interval.
-
-    The bounds cover the segments ``cols``. Both results have the shape of
-    the bounds plus a trailing axis of 2 (lower end first). Utility is -inf
-    where the interval is empty, or where the end leaves a constrained ratio
-    without a denominator.
-    """
-    qlo, qhi, _ = bounds
-    ep0, dep = branch.ep[:-1][cols], np.diff(branch.ep)[cols]
-    u0, du = branch.util[:-1][cols], np.diff(branch.util)[cols]
-    q = np.clip(np.stack([qlo, qhi], axis=-1), 0.0, 1.0)
-    e = ep0[:, None] + q * dep[:, None]
-    ok = _nonempty(bounds)[..., None]
-    if ppv:
-        ok = ok & (e > 0.0)
-    if forr:
-        ok = ok & (branch.ladder.n - e > 0.0)
-    return q, np.where(ok, u0[:, None] + q * du[:, None], -np.inf)
 
 
 def _branch_best_in_windows(
@@ -885,17 +872,21 @@ def _branch_best_in_windows(
 ) -> _IntervalChoice | None:
     """Exact max-utility point of one branch within PPV and/or FOR windows.
 
+    The one-window case of ``_best_windows``, which also returns the point.
     Utility is linear in q, so only the ends of each segment's feasible
     q-interval matter. Among equal utilities a deterministic end (q = 0 or 1)
     wins, then the first in (segment, lower end, upper end) order.
     """
     k = len(branch.ep) - 1
-    bounds = (np.zeros((1, k)), np.ones((1, k)), np.zeros((1, k), dtype=bool))
+    bounds = (np.zeros(k), np.ones(k), np.zeros(k, dtype=bool))
     for which, window in (("ppv", ppv_window), ("for", for_window)):
         if window is not None:
-            bounds = _intersect(bounds, _window_bounds(branch, which, np.array([window])))
-    q, util = _endpoint_utilities(branch, bounds, ppv_window is not None, for_window is not None)
-    q, util = q.ravel(), util.ravel()
+            one = _window_bounds(branch, which, np.array([window]))
+            bounds = _intersect(bounds, tuple(b[0] for b in one))
+    q = np.stack(bounds[:2], axis=-1)
+    util = branch.util[:-1, None] + q * np.diff(branch.util)[:, None]
+    util = np.where(_nonempty(bounds)[:, None], util, -np.inf).ravel()
+    q = q.ravel()
     if not util.size or util.max() == -np.inf:
         return None
     top = util == util.max()
@@ -965,101 +956,72 @@ def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
     return merged
 
 
-def _family_sweep_values(
+def _best_windows(
     branches_by_group: Mapping[str, Sequence[_Branch]],
-    which: str,
+    bases: Mapping[str, np.ndarray],
     gamma: float,
-    uppers: np.ndarray,
-) -> np.ndarray:
-    """Best total utility for each window [gamma*u, u]; -inf where infeasible.
+    cap: int,
+) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
+    """Best (PPV window, FOR window) at level gamma; None if none is feasible.
 
-    Vectorized: edge crossings are solved in batches of designation rows per
-    group (the q at which the family value hits an edge is a linear solve),
-    and vertex maxima use a monotone deque over the ascending windows.
+    ``bases`` holds the candidate base of each constrained family, one or
+    both; the window of an unconstrained family is None. Every combination
+    of one window per family is scanned: the first family's windows in
+    blocks of rows, each row against every window of the second family or,
+    with one family, against none. A group's value in a combination is its
+    best segment, taken at the better end of its feasible q-interval:
+    utility is linear in q, so the other end never wins. Ties go to the last
+    of equal totals in (PPV, FOR) order.
     """
-    d = len(uppers)
-    totals = np.zeros(d)
-    feasible = np.ones(d, dtype=bool)
-    lowers = gamma * uppers
-    for branches in branches_by_group.values():
-        group_best = np.full(d, -np.inf)
-        for branch in branches:
-            util = branch.util
-            k = len(branch.ep) - 1
-            vertex_vals = branch.values(which, branch.ep, branch.epy)
-            # Vertex maxima via a sliding monotone deque over ascending windows.
-            order = np.argsort(vertex_vals, kind="stable")
-            order = order[~np.isnan(vertex_vals[order])]
-            sorted_vals = vertex_vals[order].tolist()
-            sorted_utils = util[order].tolist()
-            dq: deque[int] = deque()
-            add = 0
-            drop = 0
-            vertex_best = np.full(d, -np.inf)
-            for di, (hi, lo) in enumerate(zip(uppers.tolist(), lowers.tolist())):
-                while add < len(sorted_vals) and sorted_vals[add] <= hi:
-                    while dq and sorted_utils[dq[-1]] <= sorted_utils[add]:
-                        dq.pop()
-                    dq.append(add)
-                    add += 1
-                while drop < len(sorted_vals) and sorted_vals[drop] < lo:
-                    drop += 1
-                while dq and dq[0] < drop:
-                    dq.popleft()
-                if dq:
-                    vertex_best[di] = sorted_utils[dq[0]]
-            group_best = np.maximum(group_best, vertex_best)
-            if k == 0:
-                continue
-            u0, du = util[:-1], np.diff(util)
-            num0, dnum, den0, dden = branch.segments(which)
-            # Edge crossings: q solving value(q) = edge, batched over segments
-            # and over blocks of designation rows.
-            rows = max(1, _SWEEP_BLOCK_ELEMENTS // k)
-            for edges in (lowers, uppers):
-                for start in range(0, d, rows):
-                    e_col = edges[start : start + rows, None]
-                    denom = dnum[None, :] - e_col * dden[None, :]
-                    numer = e_col * den0[None, :] - num0[None, :]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        q = np.where(
-                            denom != 0.0, numer / np.where(denom != 0.0, denom, 1.0), np.nan
-                        )
-                    den_at_q = den0[None, :] + q * dden[None, :]
-                    valid = (q >= 0.0) & (q <= 1.0) & (den_at_q > 0.0)
-                    crossing_util = np.where(valid, u0[None, :] + q * du[None, :], -np.inf)
-                    block = group_best[start : start + rows]
-                    np.maximum(block, crossing_util.max(axis=1), out=block)
-            # Segments with a constant value have no crossing; they serve the
-            # whole designation range [v, v/gamma] at their best endpoint
-            # utility (open endpoints count: the value holds arbitrarily close).
-            flat = dnum * den0 == num0 * dden
-            den1 = den0 + dden
-            end0_ok = (den0 > 0.0) | (dden > 0.0)
-            end1_ok = (den1 > 0.0) | (dden < 0.0)
-            for j in np.nonzero(flat)[0]:
-                cands = []
-                if end0_ok[j]:
-                    cands.append(u0[j])
-                if end1_ok[j]:
-                    cands.append(u0[j] + du[j])
-                if not cands:
+    windows = {}
+    for which, base in bases.items():
+        uppers = _designations(base, gamma, cap)
+        windows[which] = np.column_stack([gamma * uppers, uppers])
+    (first, outer), *second = windows.items()
+    n_inner = len(second[0][1]) if second else 1
+
+    def prepared(branch: _Branch) -> tuple[_Branch, _Bounds, np.ndarray]:
+        k = len(branch.ep) - 1
+        inner = (np.zeros((1, k)), np.ones((1, k)), np.zeros((1, k), dtype=bool))
+        for which, inner_windows in second:
+            inner = _window_bounds(branch, which, inner_windows)
+        return branch, inner, _nonempty(inner).any(axis=0)
+
+    groups = [[prepared(b) for b in branches] for branches in branches_by_group.values()]
+    k_max = max(len(b.ep) - 1 for branches in branches_by_group.values() for b in branches)
+    rows = max(1, _SWEEP_BLOCK_ELEMENTS // (n_inner * k_max))
+    best_total, best = -np.inf, None
+    for start in range(0, len(outer), rows):
+        block = outer[start : start + rows]
+        totals = np.zeros((len(block), n_inner))
+        for group in groups:
+            group_best = np.full(totals.shape, -np.inf)
+            for branch, inner, inner_live in group:
+                outer_bounds = _window_bounds(branch, first, block)
+                # Only segments live under some window of each family can
+                # be live under a combination of them.
+                cols = np.flatnonzero(_nonempty(outer_bounds).any(axis=0) & inner_live)
+                if cols.size == 0:
                     continue
-                probe_q = 0.5 if den0[j] + 0.5 * dden[j] > 0.0 else (0.0 if den0[j] > 0 else 1.0)
-                den_probe = den0[j] + probe_q * dden[j]
-                if den_probe <= 0.0:
-                    continue
-                v = (num0[j] + probe_q * dnum[j]) / den_probe
-                lo_i = int(np.searchsorted(uppers, v, side="left"))
-                hi_i = int(np.searchsorted(uppers, v / gamma, side="right"))
-                if lo_i < hi_i:
-                    seg_util = max(cands)
-                    np.maximum(
-                        group_best[lo_i:hi_i], seg_util, out=group_best[lo_i:hi_i]
-                    )
-        totals += np.where(np.isfinite(group_best), group_best, 0.0)
-        feasible &= np.isfinite(group_best)
-    return np.where(feasible, totals, -np.inf)
+                bounds = _intersect(
+                    tuple(b[:, None, cols] for b in outer_bounds),
+                    tuple(b[None, :, cols] for b in inner),
+                )
+                du = np.diff(branch.util)[cols]
+                q = np.where(du > 0.0, bounds[1], bounds[0])
+                util = np.where(_nonempty(bounds), branch.util[cols] + q * du, -np.inf)
+                np.maximum(group_best, util.max(axis=-1), out=group_best)
+            totals += group_best
+        flat = totals.ravel()
+        i = flat.size - 1 - int(np.argmax(flat[::-1]))
+        if flat[i] > -np.inf and flat[i] >= best_total:
+            best_total = flat[i]
+            r, c = divmod(i, n_inner)
+            chosen = {first: block[r], **{which: w[c] for which, w in second}}
+            best = tuple(
+                tuple(map(float, chosen[w])) if w in chosen else None for w in ("ppv", "for")
+            )
+    return best
 
 
 def _interval_rule(choices: Mapping[str, _IntervalChoice]) -> GroupInterval:
@@ -1071,31 +1033,33 @@ def _interval_rule(choices: Mapping[str, _IntervalChoice]) -> GroupInterval:
     )
 
 
-def optimize_sufficiency(
-    problem: OptimizationProblem, relaxation: str | None = None
-) -> DecisionRule:
+def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     """Optimal interval rules with PPV and/or FOR parity at level gamma.
 
-    For each candidate window position the per-group search is exact (window
-    edges become linear inequalities in the boundary randomization). The
-    candidate positions are every vertex and q-grid value (steps of
-    ``grid_step``, or 63 points when that grid would exceed 500 000 points
-    per branch) and each divided by gamma; only an evenly spaced subsample of
-    at most 4096 of them is scanned for PPV-only or FOR-only parity, and of
-    56 per family (56 x 56 pairs) for joint parity. So the result is exact
-    only when no cap is reached. Joint PPV+FOR parity can be genuinely
+    Sufficiency constrains both families, PPV parity and FOR parity one
+    each. One scan (``_best_windows``) picks the window of every constrained
+    family, and each group's best point in those windows is then rebuilt
+    under the same edge rule (``_window_bounds``). Within a window the
+    search is exact: along a segment each family value is monotone in the
+    boundary randomization, so the feasible part is an interval between
+    segment ends and edge crossings, and a vertex within 1e-12 of an edge
+    counts as inside.
+
+    The candidate window positions are every vertex and q-grid value (steps
+    of ``grid_step``, or 63 points when that grid would exceed 500 000
+    points per branch) and each divided by gamma; only an evenly spaced
+    subsample of at most 4096 of them is scanned for one family, and of 56
+    per family (56 x 56 pairs) for joint parity. So the result is exact only
+    when no cap is reached. Joint PPV+FOR parity can be genuinely
     infeasible; the error then reports the highest achievable gamma found by
-    a 25-step bisection that scans at most 512 positions (one family) or 40
-    per family (joint) at each step.
+    a 25-step bisection over the same scan, with at most 512 positions (one
+    family) or 40 per family (joint) at each step.
     """
-    if relaxation is None:
-        relaxation = {
-            CriterionKind.SUFFICIENCY: "both",
-            CriterionKind.PPV_PARITY: "ppv_only",
-            CriterionKind.FOR_PARITY: "for_only",
-        }[problem.criterion.kind]
-    if relaxation not in ("both", "ppv_only", "for_only"):
-        raise ValueError(f"unknown sufficiency relaxation {relaxation!r}")
+    families = {
+        CriterionKind.SUFFICIENCY: ("ppv", "for"),
+        CriterionKind.PPV_PARITY: ("ppv",),
+        CriterionKind.FOR_PARITY: ("for",),
+    }[problem.criterion.kind]
     gamma = problem.criterion.gamma
 
     ascending = _ladders(problem.dataset, problem.utility, descending=False)
@@ -1104,45 +1068,23 @@ def optimize_sufficiency(
         for g, ladder in _ladders(problem.dataset, problem.utility).items()
     }
 
-    if gamma == 0.0:
-        choices = {
-            g: _group_best_in_windows(branches, None, None)
-            for g, branches in branches_by_group.items()
+    windows = None, None
+    if gamma > 0.0:
+        bases = {
+            which: _candidate_base(branches_by_group, which, problem.grid_step)
+            for which in families
         }
-        return _interval_rule(choices)
-
-    use_ppv = relaxation in ("both", "ppv_only")
-    use_for = relaxation in ("both", "for_only")
-    bases = {
-        which: _candidate_base(branches_by_group, which, problem.grid_step)
-        for which, used in (("ppv", use_ppv), ("for", use_for))
-        if used
-    }
-
-    if use_ppv and use_for:
-        windows = _best_joint_windows(branches_by_group, bases, gamma, _JOINT_CAP)
-    else:
-        (which, base), = bases.items()
-        uppers = _designations(base, gamma, _SINGLE_FAMILY_CAP)
-        values = _family_sweep_values(branches_by_group, which, gamma, uppers)
-        order = np.argsort(values, kind="stable")
-        best_di = int(order[-1])
-        if not np.isfinite(values[best_di]):
-            windows = None
-        else:
-            up = float(uppers[best_di])
-            windows = ((gamma * up, up) if use_ppv else None, (gamma * up, up) if use_for else None)
-
-    if windows is None:
-        max_gamma = _max_achievable_sufficiency_gamma(branches_by_group, bases)
-        raise InfeasibleConstraintError(
-            f"no interval rule reaches gamma = {gamma:g}; "
-            f"highest achievable level found: {max_gamma:.6f}",
-            max_achievable_gamma=max_gamma,
-        )
-    ppv_window, for_window = windows
+        cap = _SINGLE_FAMILY_CAP if len(bases) == 1 else _JOINT_CAP
+        windows = _best_windows(branches_by_group, bases, gamma, cap)
+        if windows is None:
+            max_gamma = _max_achievable_sufficiency_gamma(branches_by_group, bases)
+            raise InfeasibleConstraintError(
+                f"no interval rule reaches gamma = {gamma:g}; "
+                f"highest achievable level found: {max_gamma:.6f}",
+                max_achievable_gamma=max_gamma,
+            )
     choices = {
-        g: _group_best_in_windows(branches, ppv_window, for_window)
+        g: _group_best_in_windows(branches, *windows)
         for g, branches in branches_by_group.items()
     }
     if any(c is None for c in choices.values()):
@@ -1150,71 +1092,14 @@ def optimize_sufficiency(
     return _interval_rule(choices)
 
 
-def _best_joint_windows(
-    branches_by_group: Mapping[str, Sequence[_Branch]],
-    bases: Mapping[str, np.ndarray],
-    gamma: float,
-    cap: int,
-) -> tuple[tuple[float, float], tuple[float, float]] | None:
-    """Best (PPV window, FOR window) pair for joint parity; None if infeasible.
-
-    Each branch's q-bounds are built once per family; one PPV window at a
-    time is then combined with every FOR window at once. Ties go to the first
-    pair in (PPV, FOR) order.
-    """
-    p_up = _designations(bases["ppv"], gamma, cap)
-    f_up = _designations(bases["for"], gamma, cap)
-
-    p_windows = np.column_stack([gamma * p_up, p_up])
-    f_windows = np.column_stack([gamma * f_up, f_up])
-
-    def prepared(branch: _Branch) -> tuple[_Branch, np.ndarray, _Bounds, _Bounds]:
-        p_bounds = _window_bounds(branch, "ppv", p_windows)
-        f_bounds = _window_bounds(branch, "for", f_windows)
-        # A segment empty under one window stays empty under every pair
-        # containing it, so each PPV window only combines its live segments.
-        live = _nonempty(p_bounds) & _nonempty(f_bounds).any(axis=0)
-        return branch, live, p_bounds, f_bounds
-
-    groups = [[prepared(b) for b in branches] for branches in branches_by_group.values()]
-    best_total = -np.inf
-    best: tuple[tuple[float, float], tuple[float, float]] | None = None
-    for pi, p in enumerate(p_up):
-        totals = np.zeros(len(f_up))
-        for group in groups:
-            group_best = np.full(len(f_up), -np.inf)
-            for branch, live, p_bounds, f_bounds in group:
-                cols = np.flatnonzero(live[pi])
-                if cols.size == 0:
-                    continue
-                pair = _intersect(
-                    tuple(b[pi, cols] for b in p_bounds), tuple(b[:, cols] for b in f_bounds)
-                )
-                _, util = _endpoint_utilities(branch, pair, True, True, cols)
-                np.maximum(group_best, util.max(axis=(1, 2)), out=group_best)
-            totals += group_best
-        fi = int(np.argmax(totals))
-        if totals[fi] > best_total:
-            best_total = totals[fi]
-            best = ((gamma * float(p), float(p)), (gamma * float(f_up[fi]), float(f_up[fi])))
-    return best
-
-
 def _max_achievable_sufficiency_gamma(
     branches_by_group: Mapping[str, Sequence[_Branch]], bases: Mapping[str, np.ndarray]
 ) -> float:
     """Highest gamma with a feasible window, to the bisection's resolution."""
+    cap = _SINGLE_FAMILY_GAMMA_CAP if len(bases) == 1 else _JOINT_GAMMA_CAP
 
     def feasible(g_val: float) -> bool:
-        if g_val <= 0.0:
-            return True
-        if len(bases) == 2:
-            best = _best_joint_windows(branches_by_group, bases, g_val, _JOINT_GAMMA_CAP)
-            return best is not None
-        (which, base), = bases.items()
-        uppers = _designations(base, g_val, _SINGLE_FAMILY_GAMMA_CAP)
-        values = _family_sweep_values(branches_by_group, which, g_val, uppers)
-        return bool(np.isfinite(values).any())
+        return g_val <= 0.0 or _best_windows(branches_by_group, bases, g_val, cap) is not None
 
     lo, hi = 0.0, 1.0
     if feasible(1.0):

@@ -128,7 +128,7 @@ class TestSeparation:
         rows = [(0.9, 1, "A"), (0.7, 0, "A"), (0.6, 1, "A"), (0.2, 0, "A"),
                 (0.8, 1, "B"), (0.5, 0, "B"), (0.4, 1, "B"), (0.1, 0, "B")]
         prob = problem(rows, CriterionKind.FPR_PARITY, 1.0)
-        rule = optimize_separation(prob, "fpr_only")
+        rule = optimize_separation(prob)
         rates = compute_rates(prob.dataset, rule)
         assert rates.fpr["A"] == pytest.approx(rates.fpr["B"], abs=1e-9)
 
@@ -136,10 +136,10 @@ class TestSeparation:
         rows = [(s, y, g) for g in ("A", "B")
                 for s, y in [(0.9, 1), (0.8, 1), (0.6, 0), (0.3, 0), (0.7, 1), (0.2, 0)]]
         prob = problem(rows, CriterionKind.SEPARATION, 1.0)
-        rule = optimize_separation(prob, "both")
+        rule = optimize_separation(prob)
         free = problem(rows, CriterionKind.SEPARATION, 0.0)
         assert utility_of(prob, rule) == pytest.approx(
-            utility_of(free, optimize_separation(free, "both")), abs=1e-9
+            utility_of(free, optimize_separation(free)), abs=1e-9
         )
 
     def test_twelve_record_instance_hits_known_optimum(self):
@@ -150,7 +150,7 @@ class TestSeparation:
                 (0.85, 1, "B"), (0.75, 1, "B"), (0.55, 0, "B"), (0.45, 1, "B"),
                 (0.35, 0, "B"), (0.15, 0, "B")]
         prob = problem(rows, CriterionKind.SEPARATION, 1.0)
-        rule = optimize_separation(prob, "both")
+        rule = optimize_separation(prob)
         assert utility_of(prob, rule) == pytest.approx(5.0 / 6.0, abs=1e-9)
         assert ratio_of(prob, rule) >= 1.0 - 1e-9
 
@@ -158,7 +158,7 @@ class TestSeparation:
         rows = [(0.9, 1, "A"), (0.7, 0, "A"), (0.5, 1, "A"), (0.2, 0, "A"),
                 (0.8, 1, "B"), (0.6, 0, "B"), (0.4, 1, "B"), (0.1, 0, "B")]
         prob = problem(rows, CriterionKind.SEPARATION, 1.0)
-        rule = optimize_separation(prob, "both")
+        rule = optimize_separation(prob)
         best = utility_of(prob, rule)
         feasible_baselines = [
             SingleThreshold(0.0, boundary=1.0),  # accept all: tpr = fpr = 1
@@ -172,7 +172,7 @@ class TestSeparation:
                 (0.8, 0, "B"), (0.4, 0, "B"), (0.1, 0, "B")]
         prob = problem(rows, CriterionKind.TPR_PARITY, 1.0)
         with pytest.warns(MissingClassWarning):
-            rule = optimize_separation(prob, "tpr_only")
+            rule = optimize_separation(prob)
         assert set(rule.cuts) == {"A", "B"}
 
     def test_mixture_when_parity_needs_randomization(self):
@@ -183,7 +183,7 @@ class TestSeparation:
                 ds, ACC, FairnessCriterion(CriterionKind.SEPARATION, gamma=1.0),
                 grid_step=0.01,
             )
-            rule = optimize_separation(prob, "both")
+            rule = optimize_separation(prob)
             assert isinstance(rule, (GroupThreshold, Mixture))
             assert ratio_of(prob, rule) >= 1.0 - 1e-7
             if isinstance(rule, Mixture):
@@ -202,14 +202,14 @@ class TestSufficiency:
         # Accept A's top two and B's top one: all accepted are positive, so
         # both PPVs equal exactly 1; eight of ten decisions are correct.
         prob = problem(PPV_ROWS, CriterionKind.PPV_PARITY, 1.0)
-        rule = optimize_sufficiency(prob, "ppv_only")
+        rule = optimize_sufficiency(prob)
         assert utility_of(prob, rule) == pytest.approx(0.8, abs=1e-9)
         rates = compute_rates(prob.dataset, rule)
         assert rates.ppv == {"A": 1.0, "B": 1.0}
 
     def test_gamma_zero_matches_unconstrained(self):
         prob = problem(PPV_ROWS, CriterionKind.PPV_PARITY, 0.0)
-        rule = optimize_sufficiency(prob, "ppv_only")
+        rule = optimize_sufficiency(prob)
         free = optimize_unconstrained(prob.dataset, ACC)
         assert utility_of(prob, rule) >= utility_of(prob, free) - 1e-12
 
@@ -217,15 +217,15 @@ class TestSufficiency:
         rows = [(s, y, g) for g in ("A", "B")
                 for s, y in [(0.9, 1), (0.7, 1), (0.5, 0), (0.3, 0), (0.2, 0)]]
         prob = problem(rows, CriterionKind.SUFFICIENCY, 1.0, step=0.02)
-        rule = optimize_sufficiency(prob, "both")
+        rule = optimize_sufficiency(prob)
         free = problem(rows, CriterionKind.SUFFICIENCY, 0.0, step=0.02)
         assert utility_of(prob, rule) == pytest.approx(
-            utility_of(free, optimize_sufficiency(free, "both")), abs=1e-9
+            utility_of(free, optimize_sufficiency(free)), abs=1e-9
         )
 
     def test_interval_shapes_respect_canonical_forms(self):
         prob = problem(PPV_ROWS, CriterionKind.PPV_PARITY, 0.7)
-        rule = optimize_sufficiency(prob, "ppv_only")
+        rule = optimize_sufficiency(prob)
         assert isinstance(rule, GroupInterval)
         for cut in rule.cuts.values():
             lower_form = 0.0 < cut.low < cut.high == 1.0
@@ -237,7 +237,7 @@ class TestSufficiency:
                 (0.9, 1, "B"), (0.5, 0, "B"), (0.4, 0, "B"), (0.3, 0, "B")]
         prob = problem(rows, CriterionKind.SUFFICIENCY, 1.0, step=0.02)
         with pytest.raises(InfeasibleConstraintError) as info:
-            optimize_sufficiency(prob, "both")
+            optimize_sufficiency(prob)
         # Group B's PPV cannot exceed 1/4 while FORs stay tied at 1.
         assert info.value.max_achievable_gamma == pytest.approx(0.25, abs=1e-3)
 

@@ -49,6 +49,6 @@ from .optimizer import (
     optimize_unconstrained,
 )
 from .oracle import brute_force_oracle
-from .scorer import FitConfig, LogisticModel, fit, predict, score_dataset, split
+from .scorer import FitConfig, LogisticModel, fit, score_dataset, split
 
 __version__ = "0.1.0"

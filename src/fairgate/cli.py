@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import assessment as assess_mod
 from .assessment import (
     MoralAssessment,
@@ -26,12 +28,12 @@ from .assessment import (
     load_assessment,
     map_assessment,
     run_wizard,
-    save_assessment,
 )
 from .frontier import DEFAULT_GAMMA_GRID, emit_frontier, sweep
-from .metrics import UndefinedCellWarning, compute_rates, decision_maker_utility, metric_report
+from .metrics import UndefinedCellWarning, decision_maker_utility, metric_report
 from .model import (
     BenefitMatrix,
+    Columns,
     CriterionKind,
     Dataset,
     DecisionRule,
@@ -39,16 +41,16 @@ from .model import (
     GroupInterval,
     GroupThreshold,
     Mixture,
-    Record,
     SingleThreshold,
     StratifiedGroupThreshold,
     UtilityMatrix,
+    encode,
     read_rule_file,
     write_rule_file,
 )
 from .optimizer import OptimizationProblem, optimize, optimize_unconstrained
 from .oracle import MAX_ORACLE_RECORDS, OracleSizeError, brute_force_oracle
-from .scorer import FitConfig, fit, load_model, save_model, score_dataset, split
+from .scorer import FitConfig, fit, save_model, score_dataset, split
 
 FEATURE_PREFIX = "x_"
 LEGIT_PREFIX = "l_"
@@ -91,32 +93,55 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header, and each data row with the line it ends on; blank lines are skipped."""
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        fieldnames = next(reader, None)
+        if fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
         rows = []
-        for row in reader:
-            if None in row or any(v is None for v in row.values()):
+        for values in reader:
+            if len(values) != len(fieldnames):
+                if not values:
+                    continue
                 raise ValueError(f"{path}: malformed row at line {reader.line_num}")
-            rows.append((reader.line_num, dict(row)))
-    return list(reader.fieldnames), rows
+            rows.append((reader.line_num, values))
+    return fieldnames, rows
 
 
-def _parse_binary(raw: str, line: int, column: str) -> int:
+def _check_row(line: int, row: dict, roles: ColumnRoles, features: Sequence[str]) -> None:
+    """Raise the first error of one row: its label, then its score, then its features."""
+    raw = row[roles.label]
     try:
-        value = float(raw)
+        binary = float(raw) in (0.0, 1.0)
     except ValueError:
-        raise ValueError(f"line {line}: {column} must be 0 or 1, got {raw!r}") from None
-    if value not in (0.0, 1.0):
-        raise ValueError(f"line {line}: {column} must be 0 or 1, got {raw!r}")
-    return int(value)
+        binary = False
+    if not binary:
+        raise ValueError(f"line {line}: {roles.label} must be 0 or 1, got {raw!r}")
+    if roles.score is not None:
+        raw = row[roles.score]
+        try:
+            score = float(raw)
+        except ValueError:
+            message = f"line {line}: score must be a decimal in [0, 1], got {raw!r}"
+            raise ValueError(message) from None
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"line {line}: score {score} outside [0, 1]")
+    try:
+        [float(row[name]) for name in features]
+    except ValueError as exc:
+        raise ValueError(f"line {line}: bad feature value ({exc})") from None
 
 
 def dataset_from_rows(
-    fieldnames: Sequence[str], rows: Sequence[tuple[int, dict[str, str]]], roles: ColumnRoles
+    fieldnames: Sequence[str], rows: Sequence[tuple[int, list[str]]], roles: ColumnRoles
 ) -> Dataset:
+    """The dataset of rows as ``_read_rows`` returns them, converted column by column.
+
+    The arrays are checked once, by ``Dataset``. Only when a check fails are
+    the rows parsed one by one, to name the first bad line.
+    """
     for required in (roles.group, roles.label):
         if required not in fieldnames:
             raise ValueError(f"missing column {required!r}")
@@ -124,48 +149,50 @@ def dataset_from_rows(
         raise ValueError(f"missing score column {roles.score!r}")
     feature_names = tuple(c for c in fieldnames if c.startswith(FEATURE_PREFIX))
     legit_names = tuple(c[len(LEGIT_PREFIX) :] for c in fieldnames if c.startswith(LEGIT_PREFIX))
-    records = []
-    for line, row in rows:
-        label = _parse_binary(row[roles.label], line, roles.label)
-        score = None
-        if roles.score is not None:
-            try:
-                score = float(row[roles.score])
-            except ValueError:
-                raise ValueError(
-                    f"line {line}: score must be a decimal in [0, 1], got {row[roles.score]!r}"
-                ) from None
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"line {line}: score {score} outside [0, 1]")
-        features = None
-        if feature_names:
-            try:
-                features = tuple(float(row[c]) for c in feature_names)
-            except ValueError as exc:
-                raise ValueError(f"line {line}: bad feature value ({exc})") from None
-        legit = {name: row[LEGIT_PREFIX + name] for name in legit_names}
-        rec_id = row[roles.id] if roles.id is not None else str(line)
-        records.append(
-            Record(
-                id=rec_id,
-                label=label,
-                group=row[roles.group],
-                score=score,
-                legit=legit,
-                features=features,
-            )
-        )
-    if not records:
+    if not rows:
         raise ValueError("no data rows")
-    return Dataset.from_records(records, legit_names=legit_names, feature_names=feature_names)
+    position = {name: i for i, name in enumerate(fieldnames)}
+
+    def column(name: str) -> list[str]:
+        i = position[name]
+        return [values[i] for _, values in rows]
+
+    floats = lambda name: np.fromiter(map(float, column(name)), float, len(rows))
+    (groups, *legit_values), codes = encode(
+        [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit_names)]
+    )
+    ids = column(roles.id) if roles.id is not None else [str(line) for line, _ in rows]
+    try:
+        # A label other than 0 or 1, or a NaN given as a score, becomes -1, which
+        # Dataset rejects.
+        labels = floats(roles.label)
+        scores = np.full(len(rows), np.nan)
+        if roles.score is not None:
+            scores = floats(roles.score)
+            scores[np.isnan(scores)] = -1.0
+        features = [floats(name) for name in feature_names]
+        columns = Columns(
+            ids=np.array(ids, dtype=object),
+            labels=np.where((labels == 0.0) | (labels == 1.0), labels, -1.0).astype(np.int64),
+            scores=scores,
+            group_codes=codes[:, 0],
+            legit_codes=codes[:, 1:],
+            legit_values=tuple(legit_values),
+            features=np.column_stack(features) if features else None,
+        )
+        return Dataset(columns, tuple(groups), legit_names, feature_names)
+    except ValueError:
+        for line, row in rows:  # a check failed: name the first bad line
+            _check_row(line, dict(zip(fieldnames, row)), roles, feature_names)
+        raise
 
 
 def load_csv(path: str | Path, roles: ColumnRoles) -> Dataset:
-    """Parse a UTF-8 CSV with a header row into a Dataset.
+    """Parse a UTF-8 CSV with a header row into a Dataset, one array per column.
 
     Columns prefixed ``x_`` become features and ``l_`` legitimate
-    attributes; ids default to file line numbers. Malformed rows raise with
-    their line number.
+    attributes; ids default to file line numbers. A malformed or invalid row
+    raises with its line number.
     """
     fieldnames, rows = _read_rows(Path(path))
     return dataset_from_rows(fieldnames, rows, roles)
@@ -233,20 +260,10 @@ def _resolve_criterion(
 def _benefit_for(assessment: MoralAssessment) -> BenefitMatrix:
     if assessment.benefit_matrix is not None:
         return assessment.benefit_matrix
+    # Benefit 1 in each cell (d, y) where the benefit source, d or y, has the benefit value.
+    by_decision = assessment.benefit_source is assess_mod.BenefitSource.DECISION
     v = assessment.benefit_value
-    if assessment.benefit_source is assess_mod.BenefitSource.DECISION:
-        return BenefitMatrix(
-            b00=1.0 if v == 0 else 0.0,
-            b01=1.0 if v == 0 else 0.0,
-            b10=1.0 if v == 1 else 0.0,
-            b11=1.0 if v == 1 else 0.0,
-        )
-    return BenefitMatrix(
-        b00=1.0 if v == 0 else 0.0,
-        b01=1.0 if v == 1 else 0.0,
-        b10=1.0 if v == 0 else 0.0,
-        b11=1.0 if v == 1 else 0.0,
-    )
+    return BenefitMatrix(*(float((d if by_decision else y) == v) for d in (0, 1) for y in (0, 1)))
 
 
 def describe_rule(rule: DecisionRule, indent: str = "") -> str:
@@ -277,6 +294,10 @@ def describe_rule(rule: DecisionRule, indent: str = "") -> str:
             f"{describe_rule(rule.second, indent + '  ')}"
         )
     return f"{indent}{rule!r}"
+
+
+def _problem(config: RunConfig, train: Dataset, crit: FairnessCriterion) -> OptimizationProblem:
+    return OptimizationProblem(train, config.utility, crit, min_count=config.min_count)
 
 
 def _split_scored(config: RunConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
@@ -314,11 +335,10 @@ def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
         raise ValueError(f"no {FEATURE_PREFIX}-prefixed feature columns found")
     train, _ = split(dataset, config.train_fraction, config.seed)
     model = fit(train, config.fit_config)
-    scored = score_dataset(model, dataset)
+    scores = score_dataset(model, dataset).columns.scores.tolist()
 
-    buffer = [",".join(list(fieldnames) + ["score"])]
-    for (_, row), rec in zip(rows, scored.records):
-        buffer.append(",".join([row[c] for c in fieldnames] + [repr(float(rec.score))]))
+    buffer = [",".join(fieldnames + ["score"])]
+    buffer += [",".join(values + [repr(score)]) for (_, values), score in zip(rows, scores)]
     out.out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out.out_dir / "model.json"
     save_model(model_path, model)
@@ -331,21 +351,14 @@ def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
 def _load_scored(config: RunConfig) -> Dataset:
     if config.roles is None or config.roles.score is None:
         raise ValueError("--score-col is required here (run fit first)")
-    dataset = load_csv(config.input, config.roles)
-    dataset.require_scores()
-    return dataset
+    return load_csv(config.input, config.roles)  # every row has a valid score
 
 
 def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
     dataset = _load_scored(config)
     criterion, assessment = _resolve_criterion(config, dataset)
     train, _ = split(dataset, config.train_fraction, config.seed)
-    problem = OptimizationProblem(
-        dataset=train,
-        utility=config.utility,
-        criterion=criterion,
-        min_count=config.min_count,
-    )
+    problem = _problem(config, train, criterion)
     rule = optimize(problem)
     rule_path = out.out_dir / "rule.json"
     out.out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,12 +424,7 @@ def cmd_sweep(config: RunConfig, out: _OutputTracker) -> int:
     dataset = _load_scored(config)
     criterion, _ = _resolve_criterion(config, dataset)
     train, test = split(dataset, config.train_fraction, config.seed)
-    problem = OptimizationProblem(
-        dataset=train,
-        utility=config.utility,
-        criterion=criterion,
-        min_count=config.min_count,
-    )
+    problem = _problem(config, train, criterion)
     grid = config.gammas if config.gammas is not None else DEFAULT_GAMMA_GRID
     points = sweep(problem, grid, test_dataset=test)
     out.write_text("frontier.csv", emit_frontier(points, "csv"))
@@ -437,8 +445,7 @@ def _rule_thresholds(rule: DecisionRule) -> dict[str, float] | None:
 
 def run_report(config: RunConfig) -> dict:
     """Multi-seed pipeline behind cmd_report; returns the aggregate document."""
-    fieldnames, rows = _read_rows(config.input)
-    dataset = dataset_from_rows(fieldnames, rows, config.roles)
+    dataset = load_csv(config.input, config.roles)
     criterion, assessment = _resolve_criterion(config, dataset)
     benefit = _benefit_for(assessment) if assessment is not None else None
     four_fifths = dataclasses.replace(criterion, gamma=0.8)
@@ -447,12 +454,7 @@ def run_report(config: RunConfig) -> dict:
     for seed in config.seed_list:
         train, test = _split_scored(config, dataset, seed)
         unconstrained = optimize_unconstrained(train, config.utility)
-        problem = OptimizationProblem(
-            dataset=train,
-            utility=config.utility,
-            criterion=criterion,
-            min_count=config.min_count,
-        )
+        problem = _problem(config, train, criterion)
         fair_rule = optimize(problem)
         ff_rule = optimize(dataclasses.replace(problem, criterion=four_fifths))
         entry: dict = {"seed": seed}
@@ -587,7 +589,7 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool = True) ->
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    utility_cells = tuple(float(v) for v in args.utility.split(","))
+    utility_cells = tuple(float(v) for v in getattr(args, "utility", "1,0,0,1").split(","))
     if len(utility_cells) != 4:
         raise ValueError("--utility needs four comma-separated numbers")
     roles = None
@@ -615,9 +617,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         rule_path=getattr(args, "rule", None),
         gamma=getattr(args, "gamma", None),
         utility=UtilityMatrix(*utility_cells),
-        seed=args.seed,
-        seeds=args.seeds,
-        train_fraction=args.train_fraction,
+        seed=getattr(args, "seed", 0),
+        seeds=getattr(args, "seeds", 1),
+        train_fraction=getattr(args, "train_fraction", 2.0 / 3.0),
         out=args.out,
         answers=getattr(args, "answers", None),
         verify=getattr(args, "verify", False),
@@ -638,10 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--answers", type=Path, default=None,
                           help="file of scripted answers, one per line")
     p_assess.add_argument("--out", type=Path, default=Path("."))
-    p_assess.add_argument("--seed", type=int, default=0)
-    p_assess.add_argument("--seeds", type=int, default=1)
-    p_assess.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
-    p_assess.add_argument("--utility", default="1,0,0,1")
     p_assess.set_defaults(func=cmd_assess)
 
     p_fit = sub.add_parser("fit", help="train the logistic scorer and score the data")

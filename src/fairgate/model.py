@@ -3,13 +3,12 @@
 All types are immutable after construction and every operation here is a pure
 function, so everything in this module is safe to share across threads.
 
-Records are the stored and ingest form of a dataset. ``Dataset.columns`` is
-a view of them as arrays in record order, built once on first use: float
-scores, labels and group codes that index ``Dataset.groups``.
-``Dataset.strata`` adds stratum codes for any tuple of legitimate attribute
-names. Computations over a whole dataset read these columns. The views are
-derived from the immutable records, so two threads that build one at the
-same time build equal arrays.
+Columns are the stored form of a dataset: ``Dataset.columns`` holds one array
+per record field in record order, and CSV ingest builds them directly.
+``Dataset.strata`` derives stratum codes for a tuple of legitimate attribute
+names once per tuple; two threads that build one at the same time build equal
+arrays. ``Record`` is the per-individual form: ``Dataset.from_records`` turns
+records into columns and ``Dataset.records`` turns columns back into records.
 
 Decision rules map a risk score (an estimate of the probability that the
 outcome is 1) to a decision probability. Deterministic rules yield 0 or 1
@@ -28,7 +27,7 @@ dataset, and the two agree exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -64,45 +63,72 @@ class Record:
             raise ValueError(f"score must be in [0, 1], got {self.score!r} (record {self.id})")
 
 
-@dataclass(frozen=True)
-class Columns:
-    """Record fields as arrays in record order; ``group_codes`` index the groups.
+def encode(columns: Sequence[Sequence[str]]) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Each column's sorted distinct values, and the rank of every value among them.
 
-    A record without a score has a NaN score.
+    Row i, column j of the ranks is the rank of the i-th value of column j.
+    """
+    vocabularies, codes = [], []
+    for values in columns:
+        vocabulary = tuple(sorted(set(values)))
+        index = {v: i for i, v in enumerate(vocabulary)}
+        vocabularies.append(vocabulary)
+        codes.append(np.fromiter(map(index.__getitem__, values), np.intp, len(values)))
+    return vocabularies, np.array(codes, dtype=np.intp).T
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """The records of a dataset as arrays in record order: its stored form.
+
+    ``ids`` holds strings. A record without a score has a NaN score.
+    ``group_codes`` index ``Dataset.groups``. ``legit_codes`` has a column
+    per name of ``Dataset.legit_names`` whose codes index that attribute's
+    sorted ``legit_values``. ``features`` has a column per name of
+    ``Dataset.feature_names``, or is None.
     """
 
-    scores: np.ndarray
+    ids: np.ndarray
     labels: np.ndarray
+    scores: np.ndarray
     group_codes: np.ndarray
+    legit_codes: np.ndarray
+    legit_values: tuple[tuple[str, ...], ...]
+    features: np.ndarray | None
+
+    def take(self, rows: np.ndarray) -> "Columns":
+        """The records at ``rows``, in that order."""
+        arrays = {k: v[rows] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return replace(self, **arrays)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of records with declared groups and attributes."""
+    """Columns of records with their declared groups and attribute names.
 
-    records: tuple[Record, ...]
+    Construction checks the columns as arrays: labels in {0, 1}, scores in
+    [0, 1] or absent and every declared group present. The first record that
+    fails is named in the error.
+    """
+
+    columns: Columns
     groups: tuple[str, ...]
     legit_names: tuple[str, ...] = ()
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        declared = set(self.groups)
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.group not in declared:
-                raise ValueError(f"record {rec.id} references undeclared group {rec.group!r}")
-            seen.add(rec.group)
-            for name in rec.legit:
-                if name not in self.legit_names:
-                    raise ValueError(
-                        f"record {rec.id} carries undeclared legitimate attribute {name!r}"
-                    )
-            if len(rec.legit) != len(self.legit_names):
-                absent = [name for name in self.legit_names if name not in rec.legit]
-                raise ValueError(f"record {rec.id} misses legitimate attribute(s) {absent}")
-        missing = declared - seen
+        cols = self.columns
+        # A NaN score (no score) compares False.
+        bad = (cols.labels != 0) & (cols.labels != 1) | (cols.scores < 0.0) | (cols.scores > 1.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            score = cols.scores[row].item()
+            # The record of that row rejects its label or score in its own words.
+            Record(cols.ids[row], cols.labels[row].item(), "", None if np.isnan(score) else score)
+        counts = np.bincount(cols.group_codes, minlength=len(self.groups))
+        missing = sorted(g for g, n in zip(self.groups, counts) if n == 0)
         if missing:
-            raise ValueError(f"declared groups without records: {sorted(missing)}")
+            raise ValueError(f"declared groups without records: {missing}")
 
     @classmethod
     def from_records(
@@ -111,21 +137,48 @@ class Dataset:
         legit_names: Sequence[str] = (),
         feature_names: Sequence[str] = (),
     ) -> "Dataset":
-        groups = tuple(sorted({r.group for r in records}))
-        return cls(tuple(records), groups, tuple(legit_names), tuple(feature_names))
+        """The dataset of these records, with their groups in sorted order."""
+        legit_names = tuple(legit_names)
+        for rec in records:
+            for name in rec.legit:
+                if name not in legit_names:
+                    raise ValueError(
+                        f"record {rec.id} carries undeclared legitimate attribute {name!r}"
+                    )
+            if len(rec.legit) != len(legit_names):
+                absent = [name for name in legit_names if name not in rec.legit]
+                raise ValueError(f"record {rec.id} misses legitimate attribute(s) {absent}")
+        (groups, *legit_values), codes = encode(
+            [[r.group for r in records], *([r.legit[n] for r in records] for n in legit_names)]
+        )
+        with_features = any(r.features is not None for r in records)
+        columns = Columns(
+            ids=np.array([r.id for r in records], dtype=object),
+            labels=np.array([r.label for r in records], dtype=np.int64),
+            scores=np.array([np.nan if r.score is None else r.score for r in records], float),
+            group_codes=codes[:, 0],
+            legit_codes=codes[:, 1:],
+            legit_values=tuple(legit_values),
+            features=np.array([r.features for r in records], float) if with_features else None,
+        )
+        return cls(columns, groups, legit_names, tuple(feature_names))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns.labels)
 
-    @cached_property
-    def columns(self) -> Columns:
-        code = {g: i for i, g in enumerate(self.groups)}
-        return Columns(
-            scores=np.array(
-                [np.nan if r.score is None else r.score for r in self.records], dtype=float
-            ),
-            labels=np.array([r.label for r in self.records], dtype=np.int64),
-            group_codes=np.array([code[r.group] for r in self.records], dtype=np.intp),
+    @property
+    def records(self) -> tuple[Record, ...]:
+        """The records, built from the columns at each access."""
+        cols, names, values = self.columns, self.legit_names, self.columns.legit_values
+        features = [None] * len(self) if cols.features is None else cols.features.tolist()
+        return tuple(
+            Record(i, y, self.groups[g], None if s != s else s,  # NaN: no score
+                   {n: v[c] for n, v, c in zip(names, values, codes)},
+                   None if f is None else tuple(f))
+            for i, y, g, s, codes, f in zip(
+                cols.ids.tolist(), cols.labels.tolist(), cols.group_codes.tolist(),
+                cols.scores.tolist(), cols.legit_codes.tolist(), features,
+            )
         )
 
     @cached_property
@@ -140,16 +193,19 @@ class Dataset:
         """
         names = tuple(names)
         if names not in self._strata:
-            keys = [tuple(r.legit[name] for name in names) for r in self.records]
-            strata = tuple(sorted(set(keys)))
-            code = {s: i for i, s in enumerate(strata)}
-            self._strata[names] = (np.array([code[k] for k in keys], dtype=np.intp), strata)
+            position = {name: j for j, name in enumerate(self.legit_names)}
+            which = [position[name] for name in names]  # KeyError for an unknown name
+            cols = self.columns
+            keys, codes = np.unique(cols.legit_codes[:, which], axis=0, return_inverse=True)
+            values = [cols.legit_values[j] for j in which]
+            strata = tuple(tuple(v[c] for v, c in zip(values, key)) for key in keys.tolist())
+            self._strata[names] = (codes.reshape(-1).astype(np.intp), strata)
         return self._strata[names]
 
     def require_scores(self) -> None:
         missing = np.flatnonzero(np.isnan(self.columns.scores))
         if len(missing):
-            raise ValueError(f"record {self.records[missing[0]].id} has no score")
+            raise ValueError(f"record {self.columns.ids[missing[0]]} has no score")
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,8 @@ exact only below the caps.
 from __future__ import annotations
 
 import bisect
-import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -61,9 +60,6 @@ from .model import (
     StratifiedGroupThreshold,
     UtilityMatrix,
 )
-
-GRID_STEP_ENV = "FAIRGATE_GRID_STEP"
-
 
 class InfeasibleConstraintError(ValueError):
     """No rule in the family satisfies the constraint at the requested gamma."""
@@ -85,17 +81,6 @@ class SmallStratumWarning(UserWarning):
     """A stratum below the minimum per-group size is left unconstrained."""
 
 
-def default_grid_step() -> float:
-    """Grid resolution for oracle and mixture enumeration, env-overridable."""
-    raw = os.environ.get(GRID_STEP_ENV)
-    if raw is None:
-        return 1e-3
-    step = float(raw)
-    if not 0.0 < step <= 0.5:
-        raise ValueError(f"{GRID_STEP_ENV} must be in (0, 0.5], got {raw}")
-    return step
-
-
 @dataclass(frozen=True)
 class OptimizationProblem:
     """A constrained utility-maximization instance on a training split."""
@@ -104,7 +89,7 @@ class OptimizationProblem:
     utility: UtilityMatrix
     criterion: FairnessCriterion
     min_count: int = 30
-    grid_step: float = field(default_factory=default_grid_step)
+    grid_step: float = 1e-3
 
     def __post_init__(self) -> None:
         if len(self.dataset.groups) < 2:
@@ -948,7 +933,13 @@ def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
     merged = base
     if gamma > 0.0:
         scaled = base / gamma  # sorted, as base is
-        merged = np.unique(np.concatenate([base, scaled[: np.searchsorted(scaled, 1.0, "right")]]))
+        # Both runs are sorted, so the stable sort (timsort) merges them.
+        merged = np.sort(
+            np.concatenate([base, scaled[: np.searchsorted(scaled, 1.0, "right")]]), kind="stable"
+        )
+        distinct = np.ones(len(merged), dtype=bool)
+        distinct[1:] = merged[1:] != merged[:-1]
+        merged = merged[distinct]
     merged = merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
     if len(merged) > cap:
         take = np.unique(np.linspace(0, len(merged) - 1, cap).astype(int))
@@ -1118,16 +1109,14 @@ def _max_achievable_sufficiency_gamma(
 # ---------------------------------------------------------------------------
 
 
-def optimize_conditional_parity(
-    problem: OptimizationProblem, legit_names: Sequence[str] | None = None
-) -> DecisionRule:
+def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
     """Independence enforced independently within each legitimate stratum.
 
     Strata where any group falls below ``min_count`` records are left
     unconstrained (each group gets its unconstrained stratum threshold) and
     flagged with a warning.
     """
-    names = tuple(legit_names) if legit_names is not None else problem.criterion.legit_names
+    names = problem.criterion.legit_names
     if not names:
         raise ValueError("conditional statistical parity needs legitimate attribute names")
     dataset, utility = problem.dataset, problem.utility

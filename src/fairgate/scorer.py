@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, Record
+from .model import Dataset
 
 
 class DivergenceError(RuntimeError):
@@ -65,9 +65,9 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
 
     Each group's record positions are shuffled with the seeded generator and
     cut at round(n_g * fraction), clamped so both sides keep at least one
-    record; record order within each split follows the original dataset.
-    Membership goes by position, so records that share an id split like any
-    others.
+    record. Each side takes the columns at its sorted row indices, so record
+    order within each split follows the original dataset. Membership goes by
+    position, so records that share an id split like any others.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
@@ -84,27 +84,20 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
         take = round(len(members) * train_fraction)
         take = min(max(take, 1), len(members) - 1)
         in_train[members[:take]] = True
-    train = [r for r, t in zip(dataset.records, in_train) if t]
-    test = [r for r, t in zip(dataset.records, in_train) if not t]
-    make = lambda records: Dataset(
-        tuple(records), dataset.groups, dataset.legit_names, dataset.feature_names
-    )
-    return make(train), make(test)
+    take = lambda rows: dataclasses.replace(dataset, columns=dataset.columns.take(rows))
+    return take(np.flatnonzero(in_train)), take(np.flatnonzero(~in_train))
 
 
-def _design_matrix(
-    dataset: Dataset, records: Sequence[Record], group_values: Sequence[str]
-) -> np.ndarray:
-    for rec in records:
-        if rec.features is None:
-            raise ValueError(f"record {rec.id} has no features")
-    x = np.array([rec.features for rec in records], dtype=float)
-    if group_values:
-        dummies = np.array(
-            [[1.0 if rec.group == g else 0.0 for g in group_values] for rec in records]
-        )
-        x = np.hstack([x, dummies])
-    return x
+def _design_matrix(dataset: Dataset, columns, group_values: Sequence[str]) -> np.ndarray:
+    """The feature ``columns`` (a slice or indices), then one indicator per ``group_values``."""
+    cols = dataset.columns
+    if cols.features is None:
+        raise ValueError(f"record {cols.ids[0]} has no features")
+    x = cols.features[:, columns]
+    if not group_values:
+        return x
+    one_hot = np.array([[float(g == v) for v in group_values] for g in dataset.groups])
+    return np.hstack([x, one_hot[cols.group_codes]])
 
 
 def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
@@ -113,30 +106,27 @@ def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
     Raises DivergenceError when the loss goes non-finite or fails to be
     non-increasing over the last tenth of the iterations.
     """
-    if not train.records:
+    if not len(train):
         raise ValueError("cannot fit on an empty dataset")
     labels = train.columns.labels.astype(float)
     if labels.min() == labels.max():
         raise ValueError("training data must contain both outcome classes")
     group_values = tuple(train.groups) if config.include_group else ()
-    raw = _design_matrix(train, train.records, group_values)
+    raw = _design_matrix(train, slice(None), group_values)
     n_source = len(train.feature_names)
 
     means_all = raw.mean(axis=0)
     stds_all = raw.std(axis=0)
     keep_mask = stds_all > 0.0
-    dropped = [
-        (train.feature_names[i] if i < n_source else f"group:{group_values[i - n_source]}")
-        for i in np.nonzero(~keep_mask)[0]
-    ]
+    names = list(train.feature_names) + [f"group:{g}" for g in group_values]
+    dropped = [name for name, keep in zip(names, keep_mask) if not keep]
     if dropped:
         warnings.warn(
             f"dropping constant feature(s): {dropped}", ConstantFeatureWarning, stacklevel=2
         )
-    kept_source = tuple(i for i in range(n_source) if keep_mask[i])
-    kept_groups = tuple(
-        group_values[i - n_source] for i in range(n_source, raw.shape[1]) if keep_mask[i]
-    )
+    kept = np.flatnonzero(keep_mask).tolist()
+    kept_source = tuple(i for i in kept if i < n_source)
+    kept_groups = tuple(group_values[i - n_source] for i in kept if i >= n_source)
     x = (raw[:, keep_mask] - means_all[keep_mask]) / stds_all[keep_mask]
     w = np.zeros(x.shape[1])
     b = 0.0
@@ -181,67 +171,33 @@ def logistic_loss_and_gradient(
     return float(loss), x.T @ err / len(labels) + l2 * w, float(err.mean())
 
 
-def predict(model: LogisticModel, record: Record) -> float:
-    """Score one record whose feature tuple follows the model's source order."""
-    if record.features is None:
-        raise ValueError(f"record {record.id} has no features")
-    if len(record.features) != len(model.source_feature_names):
-        raise ValueError(
-            f"record {record.id} has {len(record.features)} features, "
-            f"model expects {len(model.source_feature_names)}"
-        )
-    values = [record.features[i] for i in model.kept]
-    if model.group_values:
-        if record.group not in model.group_values:
-            raise ValueError(f"record {record.id}: unknown group {record.group!r}")
-        values.extend(1.0 if record.group == g else 0.0 for g in model.group_values)
-    x = (np.array(values) - np.array(model.means)) / np.array(model.stds)
-    z = float(np.clip(x @ np.array(model.weights) + model.intercept, -30.0, 30.0))
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def score_dataset(model: LogisticModel, dataset: Dataset) -> Dataset:
     """Copy of the dataset with model scores, aligning features by name."""
-    if tuple(dataset.feature_names) != model.source_feature_names:
-        order = []
-        for name in model.source_feature_names:
-            if name not in dataset.feature_names:
-                raise ValueError(f"dataset misses feature {name!r} required by the model")
-            order.append(dataset.feature_names.index(name))
-        realign = lambda rec: dataclasses.replace(
-            rec, features=tuple(rec.features[i] for i in order)
-        )
-    else:
-        realign = lambda rec: rec
-    scored = [
-        dataclasses.replace(rec, score=predict(model, realign(rec))) for rec in dataset.records
-    ]
-    return Dataset(tuple(scored), dataset.groups, dataset.legit_names, dataset.feature_names)
+    for name in model.source_feature_names:
+        if name not in dataset.feature_names:
+            raise ValueError(f"dataset misses feature {name!r} required by the model")
+    if model.group_values:
+        known = np.isin(dataset.groups, model.group_values)[dataset.columns.group_codes]
+        if not known.all():
+            row = int(np.argmin(known))
+            group = dataset.groups[dataset.columns.group_codes[row]]
+            raise ValueError(f"record {dataset.columns.ids[row]}: unknown group {group!r}")
+    order = [dataset.feature_names.index(model.source_feature_names[i]) for i in model.kept]
+    x = (_design_matrix(dataset, order, model.group_values) - model.means) / model.stds
+    # One dot product per row, summed as the dot product of a lone row is: the rows
+    # must be contiguous, as column indexing leaves them strided.
+    x = np.ascontiguousarray(x)
+    z = np.matmul(x[:, None, :], np.array(model.weights)[:, None])[:, 0, 0]
+    scores = 1.0 / (1.0 + np.exp(-np.clip(z + model.intercept, -30.0, 30.0)))
+    columns = dataclasses.replace(dataset.columns, scores=scores)
+    return dataclasses.replace(dataset, columns=columns)
 
 
 def save_model(path: str | Path, model: LogisticModel) -> None:
-    doc = {
-        "source_feature_names": list(model.source_feature_names),
-        "kept": list(model.kept),
-        "group_values": list(model.group_values),
-        "weights": list(model.weights),
-        "intercept": model.intercept,
-        "means": list(model.means),
-        "stds": list(model.stds),
-        "final_loss": model.final_loss,
-    }
+    doc = dataclasses.asdict(model)  # field order; tuples are written as lists
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> LogisticModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return LogisticModel(
-        source_feature_names=tuple(doc["source_feature_names"]),
-        kept=tuple(int(i) for i in doc["kept"]),
-        group_values=tuple(doc["group_values"]),
-        weights=tuple(float(v) for v in doc["weights"]),
-        intercept=float(doc["intercept"]),
-        means=tuple(float(v) for v in doc["means"]),
-        stds=tuple(float(v) for v in doc["stds"]),
-        final_loss=float(doc["final_loss"]),
-    )
+    return LogisticModel(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +255,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             Mixture(weights={"a": 1.2}, first=always_accept(), second=always_reject())
 
+    def test_dataset_checks_its_columns(self):
+        base = Dataset.from_records([Record("r", 1, "a", 0.5), Record("s", 0, "b", 0.25)])
+        bad_columns = {
+            "label must be 0 or 1, got 2 (record s)": {"labels": np.array([1, 2])},
+            "score must be in [0, 1], got 1.5 (record s)": {"scores": np.array([0.5, 1.5])},
+        }
+        for message, change in bad_columns.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Dataset(dataclasses.replace(base.columns, **change), base.groups)
+        with pytest.raises(ValueError, match=re.escape("groups without records: ['c']")):
+            Dataset(base.columns, ("a", "b", "c"))
+
     def test_record_must_carry_every_declared_attribute(self):
         records = [Record("r", 1, "a", 0.5, {"job": "x"}), Record("s", 0, "a", 0.5, {})]
         with pytest.raises(ValueError, match="record s misses"):
@@ -308,7 +323,10 @@ def test_array_evaluation_equals_per_record_probability(seed):
     atoms = sorted({round(rng.random(), 2) for _ in range(6)} | {0.0, 1.0})
     # Group codes follow the declared group order, sorted or not.
     order = GROUPS if seed % 2 else GROUPS[::-1]
-    dataset = Dataset(tuple(random_records(rng, atoms)), order, LEGIT)
+    by_name = Dataset.from_records(random_records(rng, atoms), LEGIT)
+    recode = np.array([order.index(g) for g in by_name.groups])[by_name.columns.group_codes]
+    columns = dataclasses.replace(by_name.columns, group_codes=recode)
+    dataset = Dataset(columns, order, LEGIT)
     for rule in rules_of_every_kind(rng, atoms):
         expected = [
             decision_probability(rule, r.score, r.group, r.legit) for r in dataset.records

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import warnings
 import zlib
@@ -15,6 +14,7 @@ from fairgate.metrics import (
 )
 from fairgate.model import (
     CriterionKind,
+    Dataset,
     FairnessCriterion,
     GroupInterval,
     GroupThreshold,
@@ -393,7 +393,7 @@ class TestCrossCuttingProperties:
         ds = random_instance(rng, n_groups=2, max_records=20)
         records = list(ds.records)
         rng.shuffle(records)
-        shuffled = dataclasses.replace(ds, records=tuple(records))
+        shuffled = Dataset.from_records(records)
         for kind in (CriterionKind.INDEPENDENCE, CriterionKind.FPR_PARITY):
             crit = FairnessCriterion(kind, gamma=0.8)
             r1 = optimize(OptimizationProblem(ds, ACC, crit, grid_step=0.01))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairgate.model import Dataset, Record
-from fairgate.scorer import logistic_loss_and_gradient, split
+from fairgate.scorer import FitConfig, fit, logistic_loss_and_gradient, score_dataset, split
 
 
 def test_gradient_matches_finite_differences():
@@ -29,3 +29,28 @@ def test_split_goes_by_position_when_ids_repeat(id_of):
     assert (len(train), len(test)) == (200, 100)
     for part, size in ((train, 100), (test, 50)):
         assert sorted(r.group for r in part.records) == ["a"] * size + ["b"] * size
+
+
+def predict_one(model, features, group):
+    """Per-record reference: the model's score of one feature tuple and group."""
+    values = [features[i] for i in model.kept]
+    values += [1.0 if group == g else 0.0 for g in model.group_values]
+    x = (np.array(values) - np.array(model.means)) / np.array(model.stds)
+    z = float(np.clip(x @ np.array(model.weights) + model.intercept, -30.0, 30.0))
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+@pytest.mark.parametrize("include_group", [False, True])
+def test_array_scores_equal_the_per_record_reference(include_group):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(600, 6)) * rng.uniform(0.1, 50.0, size=6)
+    labels = (rng.random(600) < 1.0 / (1.0 + np.exp(-x[:, 0] / 50.0))).astype(int)
+    records = [
+        Record(str(i), int(labels[i]), "abc"[i % 3], features=tuple(x[i])) for i in range(600)
+    ]
+    names = tuple(f"x_{j}" for j in range(6))
+    dataset = Dataset.from_records(records, feature_names=names)
+    model = fit(dataset, FitConfig(iterations=50, include_group=include_group))
+    scores = score_dataset(model, dataset).columns.scores.tolist()
+    # Exact equality: the array path must sum each dot product as the per-record one does.
+    assert scores == [predict_one(model, r.features, r.group) for r in dataset.records]

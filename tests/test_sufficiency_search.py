@@ -4,9 +4,12 @@ The references here are plain loops: one over segments for the per-window
 branch search, one over (PPV window, FOR window) pairs for the joint scan.
 The optimizer's batched versions must agree with them exactly. A dense
 q-grid checks the branch search on windows whose edges lie on vertices, and
-the brute-force oracle checks whole solves.
+the brute-force oracle checks whole solves: of the sufficiency family, and of
+independence, TPR, FPR and conditional parity, which share the threshold
+window sweep.
 """
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -301,9 +304,27 @@ def test_branch_best_matches_dense_grid_on_vertex_edges():
     assert checked > 500
 
 
+def solve_matches_oracle(dataset, criterion, min_count=30) -> bool:
+    """Check one solve against the oracle; False when the oracle finds no rule."""
+    problem = OptimizationProblem(dataset, ACC, criterion, min_count=min_count, grid_step=0.05)
+    try:
+        oracle = decision_maker_utility(dataset, brute_force_oracle(problem), ACC)
+    except InfeasibleConstraintError:
+        return False
+    # An InfeasibleConstraintError here fails the test: the oracle has a rule.
+    rule = opt.optimize(problem)
+    assert decision_maker_utility(dataset, rule, ACC) >= oracle - 1e-9
+    ratio = disparity_detail(compute_rates(dataset, rule), criterion).ratio
+    assert ratio >= criterion.gamma - 1e-9
+    return True
+
+
 @pytest.mark.parametrize(
     "kind",
     [
+        CriterionKind.INDEPENDENCE,
+        CriterionKind.TPR_PARITY,
+        CriterionKind.FPR_PARITY,
         CriterionKind.PPV_PARITY,
         CriterionKind.FOR_PARITY,
         pytest.param(
@@ -318,17 +339,32 @@ def test_branch_best_matches_dense_grid_on_vertex_edges():
 )
 def test_never_below_the_oracle(kind):
     rng = random.Random(2024)
+    solved = 0
     for _ in range(150):
         dataset = random_instance(rng, max_records=24)
         for gamma in (0.8, 0.9, 1.0):
-            criterion = FairnessCriterion(kind, gamma=gamma)
-            problem = OptimizationProblem(dataset, ACC, criterion, grid_step=0.05)
-            try:
-                oracle = decision_maker_utility(dataset, brute_force_oracle(problem), ACC)
-            except InfeasibleConstraintError:
-                continue
-            # An InfeasibleConstraintError here fails the test: the oracle has a rule.
-            rule = opt.optimize_sufficiency(problem)
-            assert decision_maker_utility(dataset, rule, ACC) >= oracle - 1e-9
-            ratio = disparity_detail(compute_rates(dataset, rule), criterion).ratio
-            assert ratio >= gamma - 1e-9
+            solved += solve_matches_oracle(dataset, FairnessCriterion(kind, gamma=gamma))
+    assert solved > 300
+
+
+def with_two_strata(dataset):
+    """The dataset with an attribute ``s`` that puts every group into both strata."""
+    position = {g: 0 for g in dataset.groups}
+    records = []
+    for rec in dataset.records:
+        records.append(dataclasses.replace(rec, legit={"s": "s%d" % (position[rec.group] % 2)}))
+        position[rec.group] += 1
+    return Dataset.from_records(records, legit_names=("s",))
+
+
+def test_conditional_parity_never_below_the_oracle():
+    rng = random.Random(2024)
+    solved = 0
+    for _ in range(100):
+        dataset = with_two_strata(random_instance(rng, max_records=24))
+        for gamma in (0.8, 0.9, 1.0):
+            criterion = FairnessCriterion(
+                CriterionKind.CONDITIONAL_STATISTICAL_PARITY, gamma=gamma, legit_names=("s",)
+            )
+            solved += solve_matches_oracle(dataset, criterion, min_count=1)
+    assert solved > 200

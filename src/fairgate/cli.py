@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import statistics
 import sys
@@ -337,13 +338,15 @@ def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
     model = fit(train, config.fit_config)
     scores = score_dataset(model, dataset).columns.scores.tolist()
 
-    buffer = [",".join(fieldnames + ["score"])]
-    buffer += [",".join(values + [repr(score)]) for (_, values), score in zip(rows, scores)]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames + ["score"])
+    writer.writerows(values + [repr(score)] for (_, values), score in zip(rows, scores))
     out.out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out.out_dir / "model.json"
     save_model(model_path, model)
     out.register(model_path)
-    out.write_text("scored.csv", "\n".join(buffer) + "\n")
+    out.write_text("scored.csv", buffer.getvalue())
     print(f"final training loss: {model.final_loss:.6f}")
     return 0
 

@@ -14,7 +14,14 @@ atom cuts. Second, the constraint "worst cross-group rate ratio >= gamma"
 holds iff all group rates fit in a window [gamma * U, U] for some U, and as
 U slides the best total utility is piecewise-linear convex between the
 finitely many breakpoints where a window edge crosses a path vertex, so
-scanning breakpoints is exact.
+scanning breakpoints is exact. The scan is one array pass: the candidate
+uppers U (0, 1, every vertex rate and every rate over gamma up to 1) are
+sorted once; per group, searchsorted places both edges of every window on
+the path, a sparse table answers every window's range-argmax in one gather,
+and the two edge crossings are computed as arrays. The winning window has
+the largest (total utility, achieved ratio, -randomized groups, rate sum),
+the smallest U among equal keys, with sums taken in group order, so the
+rule does not depend on how the windows are batched.
 
 Joint TPR+FPR constraints are solved as a linear program over weights on
 the vertices of each group's ROC convex hull: per group, utility is linear
@@ -38,7 +45,6 @@ exact only below the caps.
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -221,7 +227,13 @@ def _family_rates(ladder: _Ladder, family: str) -> np.ndarray | None:
 
 
 class _RangeArgmax:
-    """Sparse table answering range-argmax queries in O(1), leftmost on ties."""
+    """Sparse table answering batches of range-argmax queries, leftmost on ties.
+
+    Row L of ``table`` holds the leftmost argmax of each run of 2**L values
+    (zero-padded past the last run). A range is covered by two such runs,
+    one from each end, so a whole array of ranges is answered by one gather
+    and one comparison.
+    """
 
     def __init__(self, values: np.ndarray):
         self.values = values
@@ -235,37 +247,22 @@ class _RangeArgmax:
             take_left = values[left] >= values[right]
             levels.append(np.where(take_left, left, right))
             length *= 2
-        self.levels = levels
+        self.table = np.zeros((len(levels), n), dtype=np.intp)
+        for level, row in enumerate(levels):
+            self.table[level, : len(row)] = row
 
-    def query(self, lo: int, hi: int) -> int:
-        """Index of the maximum over the inclusive range [lo, hi]."""
-        span = hi - lo + 1
-        level = span.bit_length() - 1
-        length = 1 << level
-        a = int(self.levels[level][lo])
-        b = int(self.levels[level][hi - length + 1])
-        return a if self.values[a] >= self.values[b] else b
-
-
-@dataclass
-class _PathChoice:
-    """One point on a group's path: j accepted atoms plus fraction q."""
-
-    j: int
-    q: float
-    rate: float
-    util: float
-
-    @property
-    def deterministic(self) -> bool:
-        return self.q in (0.0, 1.0)
+    def query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Index of the maximum over each inclusive range [lo, hi], lo <= hi."""
+        level = np.frexp(hi - lo + 1)[1] - 1
+        a = self.table[level, lo]
+        b = self.table[level, hi - (1 << level) + 1]
+        return np.where(self.values[a] >= self.values[b], a, b)
 
 
 @dataclass
 class _FamilyPath:
     """A group's vertex rates and utilities for one constrained family."""
 
-    ladder: _Ladder
     rates: np.ndarray  # non-decreasing, rates[0] = 0, rates[-1] = 1
     utils: np.ndarray
     argmax: _RangeArgmax
@@ -275,86 +272,90 @@ class _FamilyPath:
         rates = _family_rates(ladder, family)
         if rates is None:
             return None
-        return cls(ladder, rates, ladder.cum_du, _RangeArgmax(ladder.cum_du))
+        return cls(rates, ladder.cum_du, _RangeArgmax(ladder.cum_du))
 
-    def best_in_window(self, lo: float, hi: float) -> _PathChoice | None:
-        """Max-utility path point with rate in [lo, hi]; None if unreachable.
 
-        Utility is linear in the randomization fraction along each segment,
-        so the maximum over the window is attained at a vertex inside it or
-        where a segment crosses a window edge.
-        """
-        rates, utils = self.rates, self.utils
-        candidates: list[_PathChoice] = []
-        left = bisect.bisect_left(rates, lo)
-        right = bisect.bisect_right(rates, hi) - 1
-        if left <= right:
-            idx = self.argmax.query(left, right)
-            candidates.append(_PathChoice(idx, 0.0, float(rates[idx]), float(utils[idx])))
-        for edge in (lo, hi):
-            pos = bisect.bisect_left(rates, edge)
-            if pos < len(rates) and rates[pos] == edge:
-                continue  # a vertex sits exactly on the edge
-            if 0 < pos < len(rates):
-                span = rates[pos] - rates[pos - 1]
-                if span > 0.0:
-                    q = (edge - rates[pos - 1]) / span
-                    util = utils[pos - 1] + q * (utils[pos] - utils[pos - 1])
-                    candidates.append(_PathChoice(pos - 1, float(q), edge, float(util)))
-        if not candidates:
-            return None
-        return max(candidates, key=lambda c: (c.util, c.deterministic, c.rate))
+def _best_in_windows(path: _FamilyPath, lowers: np.ndarray, uppers: np.ndarray) -> tuple:
+    """Max-utility path point with rate in each window [lowers[i], uppers[i]].
 
-    def best_overall(self) -> _PathChoice:
-        idx = self.argmax.query(0, len(self.rates) - 1)
-        return _PathChoice(idx, 0.0, float(self.rates[idx]), float(self.utils[idx]))
+    Returns the arrays (reachable, j, q, rate, util, deterministic), one
+    entry per window; the point accepts j full atoms plus fraction q of the
+    next. Utility is linear in q along each segment, so the maximum over a
+    window is at its best vertex or where a segment crosses one of its
+    edges. Among (vertex, low crossing, high crossing) the largest (util,
+    deterministic, rate) wins, the first of equal keys.
+    """
+    rates, utils = path.rates, path.utils
+    n = len(rates)
+    left = np.searchsorted(rates, lowers, "left")
+    right = np.searchsorted(rates, uppers, "right") - 1
+    reachable = left <= right
+    j = path.argmax.query(np.where(reachable, left, 0), np.where(reachable, right, 0))
+    q, rate, util = np.zeros(len(uppers)), rates[j], utils[j]
+    deterministic = np.ones(len(uppers), dtype=bool)
+    for edge, pos in ((lowers, left), (uppers, np.searchsorted(rates, uppers, "left"))):
+        # A vertex exactly on the edge is already a vertex candidate; any
+        # other edge inside the path falls strictly between two vertices, so
+        # its segment has a positive span.
+        on_vertex = (pos < n) & (rates[np.minimum(pos, n - 1)] == edge)
+        crosses = ~on_vertex & (pos > 0) & (pos < n)
+        hi = np.clip(pos, 1, n - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_e = (edge - rates[hi - 1]) / (rates[hi] - rates[hi - 1])
+        util_e = utils[hi - 1] + q_e * (utils[hi] - utils[hi - 1])
+        det_e = (q_e == 0.0) | (q_e == 1.0)
+        ties = (det_e > deterministic) | ((det_e == deterministic) & (edge > rate))
+        wins = crosses & (~reachable | (util_e > util) | ((util_e == util) & ties))
+        j, q = np.where(wins, hi - 1, j), np.where(wins, q_e, q)
+        rate, util = np.where(wins, edge, rate), np.where(wins, util_e, util)
+        deterministic = np.where(wins, det_e, deterministic)
+        reachable = reachable | crosses
+    return reachable, j, q, rate, util, deterministic
+
+
+def _best_cut(utils: np.ndarray) -> tuple[int, float]:
+    """The unconstrained best prefix cut (j, q = 0), leftmost on ties."""
+    return int(np.argmax(utils)), 0.0
 
 
 def _sweep_single_family(
     constrained: Mapping[str, _FamilyPath],
     free_utility: float,
     gamma: float,
-) -> tuple[float, dict[str, _PathChoice]]:
-    """Exact max over window positions; returns raw utility and choices."""
+) -> tuple[float, dict[str, tuple[int, float]]]:
+    """Exact max over windows [gamma * U, U], as the module docstring describes.
+
+    Returns the raw utility and each group's (j, q).
+    """
     if gamma == 0.0:
-        choices = {g: path.best_overall() for g, path in constrained.items()}
-        total = free_utility + sum(c.util for c in choices.values())
+        choices = {g: _best_cut(path.utils) for g, path in constrained.items()}
+        total = free_utility + sum(float(constrained[g].utils[j]) for g, (j, _) in choices.items())
         return total, choices
 
-    candidates: set[float] = {0.0, 1.0}
-    for path in constrained.values():
-        for r in path.rates:
-            r = float(r)
-            candidates.add(r)
-            scaled = r / gamma
-            if scaled <= 1.0:
-                candidates.add(scaled)
-
-    best_key: tuple | None = None
-    best: tuple[float, dict[str, _PathChoice]] | None = None
-    for upper in sorted(candidates):
-        lower = gamma * upper
-        choices: dict[str, _PathChoice] = {}
-        feasible = True
-        for g, path in constrained.items():
-            choice = path.best_in_window(lower, upper)
-            if choice is None:
-                feasible = False
-                break
-            choices[g] = choice
-        if not feasible:
-            continue
-        total = free_utility + sum(c.util for c in choices.values())
-        achieved = _family_ratio(c.rate for c in choices.values())
-        n_random = sum(0 if c.deterministic else 1 for c in choices.values())
-        rate_sum = sum(c.rate for c in choices.values())
-        key = (total, achieved, -n_random, rate_sum)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (total, choices)
-    if best is None:
+    rates = np.concatenate([path.rates for path in constrained.values()])
+    scaled = rates / gamma
+    uppers = np.unique(np.concatenate([[0.0, 1.0], rates, scaled[scaled <= 1.0]]))
+    lowers = gamma * uppers
+    feasible = np.ones(len(uppers), dtype=bool)
+    util_sum, rate_sum, n_random = np.zeros(len(uppers)), np.zeros(len(uppers)), 0
+    low, high = np.full(len(uppers), np.inf), np.full(len(uppers), -np.inf)
+    points = {}
+    for g, path in constrained.items():
+        reachable, j, q, rate, util, deterministic = _best_in_windows(path, lowers, uppers)
+        feasible &= reachable
+        util_sum, rate_sum = util_sum + util, rate_sum + rate
+        n_random = n_random + ~deterministic
+        low, high = np.minimum(low, rate), np.maximum(high, rate)
+        points[g] = j, q
+    candidates = np.flatnonzero(feasible)
+    if not len(candidates):
         raise InfeasibleConstraintError("no window satisfies the rate-ratio constraint")
-    return best
+    total = free_utility + util_sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = np.where(high == 0.0, 1.0, np.where(low == 0.0, 0.0, low / high))
+    keys = (-rate_sum, n_random, -achieved, -total)  # lexsort: last key first
+    best = candidates[np.lexsort([key[candidates] for key in keys])[0]]
+    return float(total[best]), {g: (int(j[best]), float(q[best])) for g, (j, q) in points.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +392,9 @@ def optimize_unconstrained(dataset: Dataset | None, utility: UtilityMatrix) -> D
 
 
 def _threshold_rule_from_choices(
-    ladders: Mapping[str, _Ladder], choices: Mapping[str, _PathChoice]
+    ladders: Mapping[str, _Ladder], choices: Mapping[str, tuple[int, float]]
 ) -> GroupThreshold:
-    return GroupThreshold(
-        {g: ladders[g].cut(choices[g].j, choices[g].q) for g in sorted(choices)}
-    )
+    return GroupThreshold({g: ladders[g].cut(*choices[g]) for g in sorted(choices)})
 
 
 def optimize_independence(problem: OptimizationProblem) -> DecisionRule:
@@ -410,7 +409,7 @@ def _single_sided_separation(problem: OptimizationProblem, family: str) -> Decis
     ladders = _ladders(problem.dataset, problem.utility)
     constrained: dict[str, _FamilyPath] = {}
     free_utility = 0.0
-    free_choices: dict[str, _PathChoice] = {}
+    free_choices: dict[str, tuple[int, float]] = {}
     for g, ladder in ladders.items():
         path = _FamilyPath.build(ladder, family)
         if path is None:
@@ -420,9 +419,8 @@ def _single_sided_separation(problem: OptimizationProblem, family: str) -> Decis
                 MissingClassWarning,
                 stacklevel=3,
             )
-            fallback = _FamilyPath.build(ladder, "positive_rate")
-            free_choices[g] = fallback.best_overall()
-            free_utility += free_choices[g].util
+            free_choices[g] = _best_cut(ladder.cum_du)
+            free_utility += float(ladder.cum_du[free_choices[g][0]])
             continue
         constrained[g] = path
     if not constrained:
@@ -583,9 +581,7 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
     groups = sorted(ladders)
 
     if gamma == 0.0:
-        choices = {
-            g: _FamilyPath.build(ladders[g], "positive_rate").best_overall() for g in groups
-        }
+        choices = {g: _best_cut(ladders[g].cum_du) for g in groups}
         return _threshold_rule_from_choices(ladders, choices)
 
     targets = _separation_lp_targets(ladders, groups, gamma)
@@ -706,14 +702,14 @@ def _separation_lp_targets(
 
 def _project_to_family(ladder: _Ladder, family: str, value: float) -> tuple[float, float]:
     """Best path point whose constrained-family rate equals ``value`` exactly."""
-    path = _FamilyPath.build(ladder, family)
-    choice = path.best_in_window(value, value)
-    if choice is None:
+    window = np.array([value])
+    reachable, j, q, *_ = _best_in_windows(_FamilyPath.build(ladder, family), window, window)
+    if not reachable[0]:
         raise InfeasibleConstraintError(
             f"group {ladder.group!r} cannot reach {family} = {value}"
         )
     fpr, tpr = _staircase(ladder).T
-    j, q = choice.j, choice.q
+    j, q = int(j[0]), float(q[0])
     if q == 0.0:
         return float(fpr[j]), float(tpr[j])
     return (
@@ -1142,12 +1138,9 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
                 SmallStratumWarning,
                 stacklevel=2,
             )
-            choices = {
-                g: _FamilyPath.build(ladder, "positive_rate").best_overall()
-                for g, ladder in ladders.items()
-            }
+            choices = {g: _best_cut(ladder.cum_du) for g, ladder in ladders.items()}
         for g, choice in choices.items():
-            cuts[(g, stratum)] = ladders[g].cut(choice.j, choice.q)
+            cuts[(g, stratum)] = ladders[g].cut(*choice)
     if not any_constrained:
         raise DegenerateStratificationError(
             f"every stratum is below min_count={problem.min_count}; "

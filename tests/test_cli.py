@@ -10,6 +10,7 @@ byte. To rewrite the golden files after an intended output change, run
 
 from __future__ import annotations
 
+import csv
 import json
 import shutil
 import sys
@@ -92,6 +93,21 @@ def test_output_matches_golden(name, tmp_path):
 def test_fit_output_loads_back(tmp_path):
     assert main(["fit", "--input", str(INPUT), "--out", str(tmp_path / "fit")]) == 0
     scored = tmp_path / "fit" / "scored.csv"
+    argv = ["optimize", "--input", str(scored), "--score-col", "score"]
+    assert main([*argv, "--criterion", "independence", "--out", str(tmp_path / "opt")]) == 0
+
+
+def test_fit_output_quotes_a_field_with_a_comma(tmp_path):
+    lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("r0,")
+    lines[1] = '"r0,x"' + lines[1][2:]
+    source = tmp_path / "input.csv"
+    source.write_text("".join(lines), encoding="utf-8")
+    assert main(["fit", "--input", str(source), "--out", str(tmp_path / "fit")]) == 0
+    scored = tmp_path / "fit" / "scored.csv"
+    with open(scored, newline="", encoding="utf-8") as handle:
+        header, first, *_ = csv.reader(handle)
+    assert first[0] == "r0,x" and len(first) == len(header)
     argv = ["optimize", "--input", str(scored), "--score-col", "score"]
     assert main([*argv, "--criterion", "independence", "--out", str(tmp_path / "opt")]) == 0
 

@@ -1,7 +1,9 @@
+import bisect
 import random
 import warnings
 import zlib
 
+import numpy as np
 import pytest
 
 from conftest import make_dataset, random_instance
@@ -23,6 +25,7 @@ from fairgate.model import (
     UtilityMatrix,
     decision_probability,
 )
+from fairgate import optimizer as opt
 from fairgate.optimizer import (
     DegenerateStratificationError,
     InfeasibleConstraintError,
@@ -404,3 +407,162 @@ class TestCrossCuttingProperties:
         rows = [(0.9, 1, "A"), (0.1, 0, "A")]
         with pytest.raises(ValueError):
             problem(rows, CriterionKind.INDEPENDENCE, 1.0)
+
+
+# The scalar window sweep the array kernel replaced, one window and one group
+# at a time: the reference for exact equality.
+
+
+def reference_best_in_window(rates, utils, lo, hi):
+    """(j, q, rate, util) of the best path point with rate in [lo, hi], or None."""
+    candidates = []
+    left = bisect.bisect_left(rates, lo)
+    right = bisect.bisect_right(rates, hi) - 1
+    if left <= right:
+        idx = max(range(left, right + 1), key=lambda i: utils[i])
+        candidates.append((idx, 0.0, float(rates[idx]), float(utils[idx])))
+    for edge in (lo, hi):
+        pos = bisect.bisect_left(rates, edge)
+        if pos < len(rates) and rates[pos] == edge:
+            continue
+        if 0 < pos < len(rates):
+            span = rates[pos] - rates[pos - 1]
+            if span > 0.0:
+                q = (edge - rates[pos - 1]) / span
+                util = utils[pos - 1] + q * (utils[pos] - utils[pos - 1])
+                candidates.append((pos - 1, float(q), edge, float(util)))
+    if not candidates:
+        return None
+    return max(candidates, key=lambda c: (c[3], c[1] in (0.0, 1.0), c[2]))
+
+
+def reference_sweep(paths, free_utility, gamma):
+    """(total, {group: (j, q)}) over windows [gamma * U, U]; paths maps group to (rates, utils)."""
+    if gamma == 0.0:
+        choices = {}
+        for g, (rates, utils) in paths.items():
+            idx = max(range(len(utils)), key=lambda i: utils[i])
+            choices[g] = (idx, 0.0, float(rates[idx]), float(utils[idx]))
+    else:
+        candidates = {0.0, 1.0}
+        for rates, _ in paths.values():
+            for r in rates:
+                candidates.add(float(r))
+                if float(r) / gamma <= 1.0:
+                    candidates.add(float(r) / gamma)
+        best_key, choices = None, None
+        for upper in sorted(candidates):
+            found = {g: reference_best_in_window(*path, gamma * upper, upper)
+                     for g, path in paths.items()}
+            if any(c is None for c in found.values()):
+                continue
+            rates = [c[2] for c in found.values()]
+            lo, hi = min(rates), max(rates)
+            achieved = 1.0 if hi == 0.0 else 0.0 if lo == 0.0 else lo / hi
+            n_random = sum(c[1] not in (0.0, 1.0) for c in found.values())
+            total = free_utility + sum(c[3] for c in found.values())
+            key = (total, achieved, -n_random, sum(rates))
+            if best_key is None or key > best_key:
+                best_key, choices = key, found
+    total = free_utility + sum(c[3] for c in choices.values())
+    return total, {g: (c[0], c[1]) for g, c in choices.items()}
+
+
+def bits(result):
+    total, choices = result
+    return float(total).hex(), {g: (int(j), float(q).hex()) for g, (j, q) in choices.items()}
+
+
+SWEEP_POOL = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def sweep_instance(rng, n_groups, without_positives=()):
+    """Few atoms, so big atoms and tied utilities; some groups repeat an
+    earlier group's records, so rates are shared; single-class atoms give
+    zero-span TPR and FPR segments."""
+    rows, layouts = [], []
+    for i in range(n_groups):
+        if layouts and rng.random() < 0.3:
+            layout = rng.choice(layouts)
+        else:
+            layout = [(rng.choice(SWEEP_POOL), rng.randint(0, 1)) for _ in range(rng.randint(1, 14))]
+            layouts.append(layout)
+        if i in without_positives:
+            layout = [(s, 0) for s, _ in layout]
+        rows += [(s, y, f"g{i}") for s, y in layout]
+    if without_positives:
+        rows.append((0.9, 1, "g0"))  # some group keeps a defined TPR
+    return make_dataset(rows)
+
+
+class TestWindowSweepKernel:
+    """The array window sweep equals the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("n_groups", [2, 3, 4, 5])
+    def test_sweep_equals_scalar_reference(self, n_groups, gamma):
+        rng = random.Random(100 * n_groups + int(10 * gamma))
+        for _ in range(25):
+            ladders = opt._ladders(sweep_instance(rng, n_groups), ACC)
+            for family in ("positive_rate", "tpr", "fpr"):
+                paths = {g: opt._FamilyPath.build(ladder, family) for g, ladder in ladders.items()}
+                free = 0.0
+                for g in (g for g, path in paths.items() if path is None):
+                    free += float(ladders[g].cum_du.max())
+                constrained = {g: path for g, path in paths.items() if path is not None}
+                if not constrained:
+                    continue
+                got = opt._sweep_single_family(constrained, free, gamma)
+                reference = {g: (path.rates, path.utils) for g, path in constrained.items()}
+                assert bits(got) == bits(reference_sweep(reference, free, gamma))
+
+    def test_windows_with_edges_an_ulp_from_a_vertex(self):
+        rng = np.random.default_rng(11)
+        rounded_to_one = 0
+        # Zero counts give zero-span segments; sums such as 7 or 11 give rates
+        # whose crossing one ulp below a vertex rounds to q = 1.0. The first
+        # path ties that crossing (deterministic) with a vertex in utility.
+        instances = [(np.array([1, 4, 2]), np.array([-0.5, 0.5, 0.5]))]
+        for _ in range(80):
+            counts = rng.integers(0, 5, size=int(rng.integers(1, 6)))
+            counts[-1] += 1
+            instances.append((counts, rng.integers(-2, 3, len(counts)) * 0.5))
+        for counts, steps in instances:
+            rates = np.concatenate([[0.0], np.cumsum(counts) / counts.sum()])
+            utils = np.concatenate([[0.0], np.cumsum(steps)])
+            path = opt._FamilyPath(rates, utils, opt._RangeArgmax(utils))
+            near = [rates, np.nextafter(rates, 0.0), np.nextafter(rates, 1.0)]
+            edges = np.unique(np.clip(np.concatenate(near), 0.0, 1.0))
+            lo, hi = np.meshgrid(edges, edges)
+            lowers, uppers = lo[lo <= hi], hi[lo <= hi]
+            reachable, j, q, rate, util, _ = opt._best_in_windows(path, lowers, uppers)
+            for i in range(len(uppers)):
+                want = reference_best_in_window(rates, utils, float(lowers[i]), float(uppers[i]))
+                assert reachable[i] == (want is not None)
+                if want is not None:
+                    got = (int(j[i]), float(q[i]), float(rate[i]), float(util[i]))
+                    assert [x.hex() if isinstance(x, float) else x for x in got] == [
+                        x.hex() if isinstance(x, float) else x for x in want
+                    ]
+                    rounded_to_one += want[1] == 1.0 and rates[want[0]] != want[2]
+        assert rounded_to_one > 0
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.0])
+    def test_tpr_parity_group_without_positives(self, gamma):
+        rng = random.Random(int(10 * gamma))
+        for n_groups in (2, 3, 4, 5):
+            dataset = sweep_instance(rng, n_groups, without_positives=(n_groups - 1,))
+            with pytest.warns(MissingClassWarning):
+                rule = optimize_separation(problem(dataset, CriterionKind.TPR_PARITY, gamma))
+            ladders = opt._ladders(dataset, ACC)
+            paths = {g: opt._FamilyPath.build(ladder, "tpr") for g, ladder in ladders.items()}
+            free, free_choices = 0.0, {}
+            for g in (g for g, path in paths.items() if path is None):
+                utils = ladders[g].cum_du
+                free_choices[g] = (max(range(len(utils)), key=lambda i: utils[i]), 0.0)
+                free += float(utils[free_choices[g][0]])
+            reference = {g: (p.rates, p.utils) for g, p in paths.items() if p is not None}
+            _, choices = reference_sweep(reference, free, gamma)
+            choices.update(free_choices)
+            cuts = {g: ladders[g].cut(*choices[g]) for g in sorted(choices)}
+            assert rule == GroupThreshold(cuts)

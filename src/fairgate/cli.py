@@ -366,8 +366,7 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
     rule_path = out.out_dir / "rule.json"
     out.out_dir.mkdir(parents=True, exist_ok=True)
     write_rule_file(rule_path, rule, criterion)
-    out.paths.append(rule_path)
-    print(f"wrote {rule_path}")
+    out.register(rule_path)
 
     benefit = _benefit_for(assessment) if assessment is not None else None
     report = metric_report(train, rule, criterion, config.utility, assessment, benefit)
@@ -570,66 +569,53 @@ def cmd_report(config: RunConfig, out: _OutputTracker) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool = True) -> None:
-    if needs_input:
-        parser.add_argument("--input", required=True, type=Path, help="input csv path")
-        parser.add_argument("--group-col", default="group")
-        parser.add_argument("--label-col", default="label")
-        parser.add_argument("--score-col", default=None)
-        parser.add_argument("--id-col", default=None)
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
-    parser.add_argument("--train-fraction", type=float, default=2.0 / 3.0)
-    parser.add_argument("--utility", default="1,0,0,1",
-                        help="u(0,0),u(0,1),u(1,0),u(1,1); default is accuracy")
-    parser.add_argument("--criterion", default=None,
-                        choices=[k.value for k in CriterionKind])
-    parser.add_argument("--assessment", type=Path, default=None, dest="assessment_path")
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--min-count", type=int, default=30)
+# Options copied as given into RunConfig and FitConfig. Subcommand parsers
+# leave out every option that is not on the command line, so the defaults are
+# the dataclass defaults alone.
+_RUN_OPTIONS = (
+    "input", "criterion", "assessment_path", "rule_path", "gamma", "seed", "seeds",
+    "train_fraction", "out", "answers", "verify", "min_count",
+)
+_FIT_OPTIONS = ("learning_rate", "iterations", "l2", "include_group")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, type=Path, help="input csv path")
+    parser.add_argument("--group-col", default="group")
+    parser.add_argument("--label-col", default="label")
+    parser.add_argument("--score-col", default=None)
+    parser.add_argument("--id-col", default=None)
+    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seeds", type=int, help="number of consecutive seeds")
+    parser.add_argument("--train-fraction", type=float)
+    parser.add_argument("--utility", help="u(0,0),u(0,1),u(1,0),u(1,1); default is accuracy")
+    parser.add_argument("--criterion", choices=[k.value for k in CriterionKind])
+    parser.add_argument("--assessment", type=Path, dest="assessment_path")
+    parser.add_argument("--gamma", type=float)
+    parser.add_argument("--min-count", type=int)
     parser.add_argument("--verify", action="store_true")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    utility_cells = tuple(float(v) for v in getattr(args, "utility", "1,0,0,1").split(","))
-    if len(utility_cells) != 4:
-        raise ValueError("--utility needs four comma-separated numbers")
-    roles = None
-    if getattr(args, "input", None) is not None:
-        roles = ColumnRoles(
+    given = vars(args)
+    run = {name: given[name] for name in _RUN_OPTIONS if name in given}
+    if "utility" in given:
+        cells = tuple(float(v) for v in given["utility"].split(","))
+        if len(cells) != 4:
+            raise ValueError("--utility needs four comma-separated numbers")
+        run["utility"] = UtilityMatrix(*cells)
+    if "input" in given:
+        run["roles"] = ColumnRoles(
             group=args.group_col,
             label=args.label_col,
             score=args.score_col,
             id=args.id_col,
         )
-    fit_config = FitConfig(
-        learning_rate=getattr(args, "learning_rate", 0.1),
-        iterations=getattr(args, "iterations", 2000),
-        l2=getattr(args, "l2", 1e-4),
-        include_group=getattr(args, "use_group_feature", False),
-    )
-    gammas = None
-    if getattr(args, "gammas", None):
-        gammas = tuple(float(v) for v in args.gammas.split(","))
-    return RunConfig(
-        input=getattr(args, "input", None),
-        roles=roles,
-        criterion=getattr(args, "criterion", None),
-        assessment_path=getattr(args, "assessment_path", None),
-        rule_path=getattr(args, "rule", None),
-        gamma=getattr(args, "gamma", None),
-        utility=UtilityMatrix(*utility_cells),
-        seed=getattr(args, "seed", 0),
-        seeds=getattr(args, "seeds", 1),
-        train_fraction=getattr(args, "train_fraction", 2.0 / 3.0),
-        out=args.out,
-        answers=getattr(args, "answers", None),
-        verify=getattr(args, "verify", False),
-        min_count=getattr(args, "min_count", 30),
-        fit_config=fit_config,
-        gammas=gammas,
-    )
+    if given.get("gammas"):
+        run["gammas"] = tuple(float(v) for v in args.gammas.split(","))
+    fit_config = FitConfig(**{name: given[name] for name in _FIT_OPTIONS if name in given})
+    return RunConfig(fit_config=fit_config, **run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,39 +625,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_assess = sub.add_parser("assess", help="run the moral assessment questionnaire")
-    p_assess.add_argument("--answers", type=Path, default=None,
+    def command(name: str, summary: str, func) -> argparse.ArgumentParser:
+        # An option left off the command line stays out of the namespace.
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p_assess = command("assess", "run the moral assessment questionnaire", cmd_assess)
+    p_assess.add_argument("--answers", type=Path,
                           help="file of scripted answers, one per line")
-    p_assess.add_argument("--out", type=Path, default=Path("."))
-    p_assess.set_defaults(func=cmd_assess)
+    p_assess.add_argument("--out", type=Path)
 
-    p_fit = sub.add_parser("fit", help="train the logistic scorer and score the data")
+    p_fit = command("fit", "train the logistic scorer and score the data", cmd_fit)
     _add_common(p_fit)
-    p_fit.add_argument("--learning-rate", type=float, default=0.1)
-    p_fit.add_argument("--iterations", type=int, default=2000)
-    p_fit.add_argument("--l2", type=float, default=1e-4)
-    p_fit.add_argument("--use-group-feature", action="store_true",
+    p_fit.add_argument("--learning-rate", type=float)
+    p_fit.add_argument("--iterations", type=int)
+    p_fit.add_argument("--l2", type=float)
+    p_fit.add_argument("--use-group-feature", action="store_true", dest="include_group",
                        help="one-hot encode the group column into the features")
-    p_fit.set_defaults(func=cmd_fit)
 
-    p_opt = sub.add_parser("optimize", help="derive the optimal constrained rule")
-    _add_common(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
+    _add_common(command("optimize", "derive the optimal constrained rule", cmd_optimize))
 
-    p_eval = sub.add_parser("evaluate", help="apply a rule file and report metrics")
+    p_eval = command("evaluate", "apply a rule file and report metrics", cmd_evaluate)
     _add_common(p_eval)
-    p_eval.add_argument("--rule", type=Path, required=True)
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.add_argument("--rule", type=Path, required=True, dest="rule_path", metavar="RULE")
 
-    p_sweep = sub.add_parser("sweep", help="trace the performance-fairness frontier")
+    p_sweep = command("sweep", "trace the performance-fairness frontier", cmd_sweep)
     _add_common(p_sweep)
-    p_sweep.add_argument("--gammas", default=None,
-                         help="comma-separated levels; default 0..1 step 0.05")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--gammas", help="comma-separated levels; default 0..1 step 0.05")
 
-    p_report = sub.add_parser("report", help="full multi-seed pipeline summary")
-    _add_common(p_report)
-    p_report.set_defaults(func=cmd_report)
+    _add_common(command("report", "full multi-seed pipeline summary", cmd_report))
     return parser
 
 

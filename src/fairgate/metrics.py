@@ -100,7 +100,8 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
         codes, strata = dataset.strata(dataset.legit_names)
         cell = codes * k + g
         sizes, accepts = _sums(cell, len(strata) * k), _sums(cell, len(strata) * k, dp)
-        for key, c in sorted(((strata[c // k], groups[c % k]), c) for c in np.unique(cell).tolist()):
+        present = (c for c, count in enumerate(sizes) if count)
+        for key, c in sorted(((strata[c // k], groups[c % k]), c) for c in present):
             stratum_size[key] = sizes[c]
             stratum_positive_rate[key] = _rate(accepts[c], sizes[c])
 

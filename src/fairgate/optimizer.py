@@ -6,6 +6,13 @@ separation and their relaxations, possibly mixed per group for joint
 TPR/FPR constraints) and group-specific lower- or upper-bound intervals
 (sufficiency and its relaxations).
 
+Every search takes one per-group form, the ladder (``_Ladder``): prefix
+sums of count, positives and utility gain over the group's distinct scores
+in acceptance order. A descending ladder serves thresholds and lower-bound
+intervals, an ascending one upper-bound intervals. Its ``rates`` are the
+vertex rates of a threshold family and its PPV and FOR ``values`` those of
+an interval family; the ROC staircase is its FPR and TPR rates.
+
 The single-family optimizers are exact over the continuum of rules. They
 rest on two observations. First, per group the achievable (rate, utility)
 pairs form a piecewise-linear path whose vertices are the distinct score
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -125,9 +133,48 @@ def _stratum_group_rows(
 # ---------------------------------------------------------------------------
 
 
+class _RangeArgmax:
+    """Sparse table answering batches of range-argmax queries, leftmost on ties.
+
+    Row L of ``table`` holds the leftmost argmax of each run of 2**L values
+    (zero-padded past the last run). A range is covered by two such runs,
+    one from each end, so a whole array of ranges is answered by one gather
+    and one comparison.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        n = len(values)
+        levels = [np.arange(n)]
+        length = 1
+        while 2 * length <= n:
+            prev = levels[-1]
+            left = prev[: n - 2 * length + 1]
+            right = prev[length : n - length + 1]
+            take_left = values[left] >= values[right]
+            levels.append(np.where(take_left, left, right))
+            length *= 2
+        self.table = np.zeros((len(levels), n), dtype=np.intp)
+        for level, row in enumerate(levels):
+            self.table[level, : len(row)] = row
+
+    def query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Index of the maximum over each inclusive range [lo, hi], lo <= hi."""
+        level = np.frexp(hi - lo + 1)[1] - 1
+        a = self.table[level, lo]
+        b = self.table[level, hi - (1 << level) + 1]
+        return np.where(self.values[a] >= self.values[b], a, b)
+
+
 @dataclass
 class _Ladder:
-    """Cumulative counts and payoffs when accepting the first j score atoms."""
+    """Cumulative counts and payoffs when accepting the first j score atoms.
+
+    The one per-group form every search receives. Vertex j accepts the
+    first j atoms; segment j runs from vertex j to vertex j + 1, and
+    accepting the fraction q of it adds q times the segment's step to each
+    prefix quantity.
+    """
 
     group: str
     scores: np.ndarray  # distinct scores in acceptance order
@@ -141,6 +188,42 @@ class _Ladder:
     @property
     def n_neg(self) -> int:
         return self.n - self.n_pos
+
+    def rates(self, family: str) -> np.ndarray | None:
+        """Vertex rates of one threshold family; None when the family is undefined."""
+        if family == "positive_rate":
+            return self.cum_count / self.n
+        if family == "tpr":
+            if self.n_pos == 0:
+                return None
+            return self.cum_pos / self.n_pos
+        if family == "fpr":
+            if self.n_neg == 0:
+                return None
+            return (self.cum_count - self.cum_pos) / self.n_neg
+        raise ValueError(f"unknown rate family {family!r}")
+
+    @cached_property
+    def argmax(self) -> _RangeArgmax:
+        """Range-argmax table over ``cum_du``, built when a threshold sweep first asks."""
+        return _RangeArgmax(self.cum_du)
+
+    def values(self, which: str, accepts: np.ndarray, positives: np.ndarray) -> np.ndarray:
+        """PPV or FOR for arbitrary (expected accepts, accepted positives)."""
+        if which == "ppv":
+            num, den = positives, accepts
+        else:
+            num, den = self.n_pos - positives, self.n - accepts
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
+
+    def segments(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(num0, dnum, den0, dden): PPV or FOR is num / den, both linear in q."""
+        ep0, dep = self.cum_count[:-1], np.diff(self.cum_count)
+        epy0, depy = self.cum_pos[:-1], np.diff(self.cum_pos)
+        if which == "ppv":
+            return epy0, depy, ep0, dep
+        return self.n_pos - epy0, -depy, self.n - ep0, -dep
 
     def _edge(self, j: int, q: float) -> tuple[float, float]:
         """Cut score and boundary probability accepting j full atoms plus fraction q."""
@@ -206,91 +289,30 @@ def _ladders(
     }
 
 
-def _family_rates(ladder: _Ladder, family: str) -> np.ndarray | None:
-    """Vertex rates of one family along the ladder; None when undefined."""
-    if family == "positive_rate":
-        return ladder.cum_count / ladder.n
-    if family == "tpr":
-        if ladder.n_pos == 0:
-            return None
-        return ladder.cum_pos / ladder.n_pos
-    if family == "fpr":
-        if ladder.n_neg == 0:
-            return None
-        return (ladder.cum_count - ladder.cum_pos) / ladder.n_neg
-    raise ValueError(f"unknown rate family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # Exact single-family window sweep
 # ---------------------------------------------------------------------------
 
 
-class _RangeArgmax:
-    """Sparse table answering batches of range-argmax queries, leftmost on ties.
-
-    Row L of ``table`` holds the leftmost argmax of each run of 2**L values
-    (zero-padded past the last run). A range is covered by two such runs,
-    one from each end, so a whole array of ranges is answered by one gather
-    and one comparison.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        n = len(values)
-        levels = [np.arange(n)]
-        length = 1
-        while 2 * length <= n:
-            prev = levels[-1]
-            left = prev[: n - 2 * length + 1]
-            right = prev[length : n - length + 1]
-            take_left = values[left] >= values[right]
-            levels.append(np.where(take_left, left, right))
-            length *= 2
-        self.table = np.zeros((len(levels), n), dtype=np.intp)
-        for level, row in enumerate(levels):
-            self.table[level, : len(row)] = row
-
-    def query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Index of the maximum over each inclusive range [lo, hi], lo <= hi."""
-        level = np.frexp(hi - lo + 1)[1] - 1
-        a = self.table[level, lo]
-        b = self.table[level, hi - (1 << level) + 1]
-        return np.where(self.values[a] >= self.values[b], a, b)
-
-
-@dataclass
-class _FamilyPath:
-    """A group's vertex rates and utilities for one constrained family."""
-
-    rates: np.ndarray  # non-decreasing, rates[0] = 0, rates[-1] = 1
-    utils: np.ndarray
-    argmax: _RangeArgmax
-
-    @classmethod
-    def build(cls, ladder: _Ladder, family: str) -> "_FamilyPath | None":
-        rates = _family_rates(ladder, family)
-        if rates is None:
-            return None
-        return cls(rates, ladder.cum_du, _RangeArgmax(ladder.cum_du))
-
-
-def _best_in_windows(path: _FamilyPath, lowers: np.ndarray, uppers: np.ndarray) -> tuple:
-    """Max-utility path point with rate in each window [lowers[i], uppers[i]].
+def _best_in_windows(
+    ladder: _Ladder, rates: np.ndarray, lowers: np.ndarray, uppers: np.ndarray
+) -> tuple:
+    """Max-utility ladder point with family rate in each window [lowers[i], uppers[i]].
 
     Returns the arrays (reachable, j, q, rate, util, deterministic), one
     entry per window; the point accepts j full atoms plus fraction q of the
     next. Utility is linear in q along each segment, so the maximum over a
     window is at its best vertex or where a segment crosses one of its
     edges. Among (vertex, low crossing, high crossing) the largest (util,
-    deterministic, rate) wins, the first of equal keys.
+    deterministic, rate) wins, the first of equal keys. ``rates`` are the
+    ladder's vertex rates of the constrained family.
     """
-    rates, utils = path.rates, path.utils
+    utils = ladder.cum_du
     n = len(rates)
     left = np.searchsorted(rates, lowers, "left")
     right = np.searchsorted(rates, uppers, "right") - 1
     reachable = left <= right
-    j = path.argmax.query(np.where(reachable, left, 0), np.where(reachable, right, 0))
+    j = ladder.argmax.query(np.where(reachable, left, 0), np.where(reachable, right, 0))
     q, rate, util = np.zeros(len(uppers)), rates[j], utils[j]
     deterministic = np.ones(len(uppers), dtype=bool)
     for edge, pos in ((lowers, left), (uppers, np.searchsorted(rates, uppers, "left"))):
@@ -319,29 +341,34 @@ def _best_cut(utils: np.ndarray) -> tuple[int, float]:
 
 
 def _sweep_single_family(
-    constrained: Mapping[str, _FamilyPath],
+    ladders: Mapping[str, _Ladder],
+    family: str,
     free_utility: float,
     gamma: float,
 ) -> tuple[float, dict[str, tuple[int, float]]]:
     """Exact max over windows [gamma * U, U], as the module docstring describes.
 
-    Returns the raw utility and each group's (j, q).
+    Every ladder must have the family defined. Returns the raw utility,
+    ``free_utility`` included, and each group's (j, q).
     """
     if gamma == 0.0:
-        choices = {g: _best_cut(path.utils) for g, path in constrained.items()}
-        total = free_utility + sum(float(constrained[g].utils[j]) for g, (j, _) in choices.items())
+        choices = {g: _best_cut(ladder.cum_du) for g, ladder in ladders.items()}
+        total = free_utility + sum(float(ladders[g].cum_du[j]) for g, (j, _) in choices.items())
         return total, choices
 
-    rates = np.concatenate([path.rates for path in constrained.values()])
-    scaled = rates / gamma
-    uppers = np.unique(np.concatenate([[0.0, 1.0], rates, scaled[scaled <= 1.0]]))
+    rates = {g: ladder.rates(family) for g, ladder in ladders.items()}
+    vertices = np.concatenate(list(rates.values()))
+    scaled = vertices / gamma
+    uppers = np.unique(np.concatenate([[0.0, 1.0], vertices, scaled[scaled <= 1.0]]))
     lowers = gamma * uppers
     feasible = np.ones(len(uppers), dtype=bool)
     util_sum, rate_sum, n_random = np.zeros(len(uppers)), np.zeros(len(uppers)), 0
     low, high = np.full(len(uppers), np.inf), np.full(len(uppers), -np.inf)
     points = {}
-    for g, path in constrained.items():
-        reachable, j, q, rate, util, deterministic = _best_in_windows(path, lowers, uppers)
+    for g, ladder in ladders.items():
+        reachable, j, q, rate, util, deterministic = _best_in_windows(
+            ladder, rates[g], lowers, uppers
+        )
         feasible &= reachable
         util_sum, rate_sum = util_sum + util, rate_sum + rate
         n_random = n_random + ~deterministic
@@ -387,47 +414,48 @@ def optimize_unconstrained(dataset: Dataset | None, utility: UtilityMatrix) -> D
 
 
 # ---------------------------------------------------------------------------
-# Independence and single-sided separation
+# Threshold families: independence, TPR or FPR parity, conditional parity
 # ---------------------------------------------------------------------------
 
 
-def _threshold_rule_from_choices(
-    ladders: Mapping[str, _Ladder], choices: Mapping[str, tuple[int, float]]
-) -> GroupThreshold:
-    return GroupThreshold({g: ladders[g].cut(*choices[g]) for g in sorted(choices)})
+def _threshold_cuts(
+    ladders: Mapping[str, _Ladder], family: str, gamma: float
+) -> dict[str, GroupCut]:
+    """Each group's cut, utility-maximal with the family's rates within gamma.
 
-
-def optimize_independence(problem: OptimizationProblem) -> DecisionRule:
-    """Group thresholds maximizing utility with positive rates within gamma."""
-    ladders = _ladders(problem.dataset, problem.utility)
-    paths = {g: _FamilyPath.build(ladder, "positive_rate") for g, ladder in ladders.items()}
-    _, choices = _sweep_single_family(paths, 0.0, problem.criterion.gamma)
-    return _threshold_rule_from_choices(ladders, choices)
-
-
-def _single_sided_separation(problem: OptimizationProblem, family: str) -> DecisionRule:
-    ladders = _ladders(problem.dataset, problem.utility)
-    constrained: dict[str, _FamilyPath] = {}
+    The one threshold-family solver: independence, TPR or FPR parity, and
+    conditional parity within a stratum. A group without records of the
+    family's conditioning outcome is warned about and left at its best cut;
+    the others are swept. Cuts come in the order of ``ladders``.
+    """
+    free: dict[str, tuple[int, float]] = {}
     free_utility = 0.0
-    free_choices: dict[str, tuple[int, float]] = {}
     for g, ladder in ladders.items():
-        path = _FamilyPath.build(ladder, family)
-        if path is None:
+        if ladder.rates(family) is None:
             warnings.warn(
                 f"group {g!r} has no records with the conditioning outcome; "
                 f"{family} constraint skipped for it",
                 MissingClassWarning,
                 stacklevel=3,
             )
-            free_choices[g] = _best_cut(ladder.cum_du)
-            free_utility += float(ladder.cum_du[free_choices[g][0]])
-            continue
-        constrained[g] = path
+            free[g] = _best_cut(ladder.cum_du)
+            free_utility += float(ladder.cum_du[free[g][0]])
+    constrained = {g: ladder for g, ladder in ladders.items() if g not in free}
     if not constrained:
         raise InfeasibleConstraintError(f"no group has a defined {family}")
-    _, choices = _sweep_single_family(constrained, free_utility, problem.criterion.gamma)
-    choices.update(free_choices)
-    return _threshold_rule_from_choices(ladders, choices)
+    _, choices = _sweep_single_family(constrained, family, free_utility, gamma)
+    choices.update(free)
+    return {g: ladder.cut(*choices[g]) for g, ladder in ladders.items()}
+
+
+def _group_threshold(cuts: Mapping[str, GroupCut]) -> GroupThreshold:
+    return GroupThreshold({g: cuts[g] for g in sorted(cuts)})
+
+
+def optimize_independence(problem: OptimizationProblem) -> DecisionRule:
+    """Group thresholds maximizing utility with positive rates within gamma."""
+    ladders = _ladders(problem.dataset, problem.utility)
+    return _group_threshold(_threshold_cuts(ladders, "positive_rate", problem.criterion.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +464,9 @@ def _single_sided_separation(problem: OptimizationProblem, family: str) -> Decis
 
 
 def _staircase(ladder: _Ladder) -> np.ndarray:
-    """(fpr, tpr) of every prefix cut, one row each; degenerate classes map to zeros."""
-    fpr = (
-        (ladder.cum_count - ladder.cum_pos) / ladder.n_neg
-        if ladder.n_neg > 0
-        else np.zeros_like(ladder.cum_count)
-    )
-    tpr = ladder.cum_pos / ladder.n_pos if ladder.n_pos > 0 else np.zeros_like(ladder.cum_count)
-    return np.column_stack([fpr, tpr])
+    """(fpr, tpr) of every prefix cut, one row each; an undefined family maps to zeros."""
+    columns = (ladder.rates(family) for family in ("fpr", "tpr"))
+    return np.column_stack([np.zeros_like(ladder.cum_count) if c is None else c for c in columns])
 
 
 def _hull_chains(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -573,16 +596,14 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
         CriterionKind.TPR_PARITY: "tpr",
         CriterionKind.FPR_PARITY: "fpr",
     }[problem.criterion.kind]
-    if family is not None:
-        return _single_sided_separation(problem, family)
-
     gamma = problem.criterion.gamma
     ladders = _ladders(problem.dataset, problem.utility)
+    if family is not None:
+        return _group_threshold(_threshold_cuts(ladders, family, gamma))
     groups = sorted(ladders)
 
     if gamma == 0.0:
-        choices = {g: _best_cut(ladders[g].cum_du) for g in groups}
-        return _threshold_rule_from_choices(ladders, choices)
+        return _group_threshold({g: ladders[g].cut(*_best_cut(ladders[g].cum_du)) for g in groups})
 
     targets = _separation_lp_targets(ladders, groups, gamma)
 
@@ -703,7 +724,7 @@ def _separation_lp_targets(
 def _project_to_family(ladder: _Ladder, family: str, value: float) -> tuple[float, float]:
     """Best path point whose constrained-family rate equals ``value`` exactly."""
     window = np.array([value])
-    reachable, j, q, *_ = _best_in_windows(_FamilyPath.build(ladder, family), window, window)
+    reachable, j, q, *_ = _best_in_windows(ladder, ladder.rates(family), window, window)
     if not reachable[0]:
         raise InfeasibleConstraintError(
             f"group {ladder.group!r} cannot reach {family} = {value}"
@@ -740,53 +761,10 @@ _COARSE_GRID_POINTS = 65
 _SWEEP_BLOCK_ELEMENTS = 65_536
 
 
-@dataclass
-class _Branch:
-    """One interval-rule branch of a group with its prefix quantities.
-
-    Segment j runs from vertex j to vertex j + 1; accepting the fraction q of
-    it adds q times the segment's step to each prefix quantity.
-    """
-
-    ladder: _Ladder
-    ep: np.ndarray  # expected accepts at each vertex
-    epy: np.ndarray  # expected accepted positives
-    util: np.ndarray
-
-    @classmethod
-    def build(cls, ladder: _Ladder) -> "_Branch":
-        return cls(ladder, ladder.cum_count, ladder.cum_pos, ladder.cum_du)
-
-    def values(self, which: str, ep: np.ndarray, epy: np.ndarray) -> np.ndarray:
-        """PPV or FOR for arbitrary (expected accepts, accepted positives)."""
-        if which == "ppv":
-            num, den = epy, ep
-        else:
-            num, den = self.ladder.n_pos - epy, self.ladder.n - ep
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-
-    def segments(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(num0, dnum, den0, dden): PPV or FOR is num / den, both linear in q."""
-        ep0, dep = self.ep[:-1], np.diff(self.ep)
-        epy0, depy = self.epy[:-1], np.diff(self.epy)
-        if which == "ppv":
-            return epy0, depy, ep0, dep
-        return self.ladder.n_pos - epy0, -depy, self.ladder.n - ep0, -dep
-
-
-@dataclass
-class _IntervalChoice:
-    branch: _Branch
-    j: int
-    q: float
-    util: float
-
-
 _Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # (qlo, qhi, dead) per segment
 
 
-def _window_bounds(branch: _Branch, which: str, windows: np.ndarray) -> _Bounds:
+def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
     """Feasible q-interval of every segment within every window of one family.
 
     ``windows`` holds one (low, high) row per window; the result's arrays
@@ -801,8 +779,8 @@ def _window_bounds(branch: _Branch, which: str, windows: np.ndarray) -> _Bounds:
     and is nudged 1e-12 into the segment.
     """
     tol = 1e-12
-    num0, dnum, den0, dden = branch.segments(which)
-    vertex = branch.values(which, branch.ep, branch.epy)
+    num0, dnum, den0, dden = ladder.segments(which)
+    vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
     v0, v1 = vertex[:-1], vertex[1:]
     v0, v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
     vmin, vmax = np.minimum(v0, v1), np.maximum(v0, v1)
@@ -819,10 +797,10 @@ def _window_bounds(branch: _Branch, which: str, windows: np.ndarray) -> _Bounds:
         out = (v < lo - tol) | (v > hi + tol)
         q[w[out], j[out]] = np.clip(cross[out], 0.0, 1.0)
     if which == "ppv":
-        open_end = branch.ep[:-1] == 0.0
+        open_end = ladder.cum_count[:-1] == 0.0
         qlo[:, open_end] = np.maximum(qlo[:, open_end], tol)
     else:
-        open_end = branch.ep[1:] >= branch.ladder.n
+        open_end = ladder.cum_count[1:] >= ladder.n
         qhi[:, open_end] = np.minimum(qhi[:, open_end], 1.0 - tol)
     return qlo, qhi, dead
 
@@ -847,25 +825,25 @@ def _nonempty(bounds: _Bounds) -> np.ndarray:
 
 
 def _branch_best_in_windows(
-    branch: _Branch,
+    ladder: _Ladder,
     ppv_window: tuple[float, float] | None,
     for_window: tuple[float, float] | None,
-) -> _IntervalChoice | None:
-    """Exact max-utility point of one branch within PPV and/or FOR windows.
+) -> tuple[int, float, float] | None:
+    """Exact max-utility point (j, q, util) of one branch within PPV and/or FOR windows.
 
     The one-window case of ``_best_windows``, which also returns the point.
     Utility is linear in q, so only the ends of each segment's feasible
     q-interval matter. Among equal utilities a deterministic end (q = 0 or 1)
     wins, then the first in (segment, lower end, upper end) order.
     """
-    k = len(branch.ep) - 1
+    k = len(ladder.scores)
     bounds = (np.zeros(k), np.ones(k), np.zeros(k, dtype=bool))
     for which, window in (("ppv", ppv_window), ("for", for_window)):
         if window is not None:
-            one = _window_bounds(branch, which, np.array([window]))
+            one = _window_bounds(ladder, which, np.array([window]))
             bounds = _intersect(bounds, tuple(b[0] for b in one))
     q = np.stack(bounds[:2], axis=-1)
-    util = branch.util[:-1, None] + q * np.diff(branch.util)[:, None]
+    util = ladder.cum_du[:-1, None] + q * np.diff(ladder.cum_du)[:, None]
     util = np.where(_nonempty(bounds)[:, None], util, -np.inf).ravel()
     q = q.ravel()
     if not util.size or util.max() == -np.inf:
@@ -873,52 +851,52 @@ def _branch_best_in_windows(
     top = util == util.max()
     deterministic = top & ((q == 0.0) | (q == 1.0))
     i = int(np.argmax(deterministic if deterministic.any() else top))
-    return _IntervalChoice(branch, i // 2, float(q[i]), float(util[i]))
+    return i // 2, float(q[i]), float(util[i])
 
 
 def _group_best_in_windows(
-    branches: Sequence[_Branch],
+    branches: Sequence[_Ladder],
     ppv_window: tuple[float, float] | None,
     for_window: tuple[float, float] | None,
-) -> _IntervalChoice | None:
-    best: _IntervalChoice | None = None
-    for branch in branches:
-        cand = _branch_best_in_windows(branch, ppv_window, for_window)
-        if cand is not None and (best is None or cand.util > best.util):
-            best = cand
+) -> tuple[float, IntervalCut] | None:
+    """(utility, cut) of a group's best point over its branches; the first wins ties."""
+    best: tuple[float, IntervalCut] | None = None
+    for ladder in branches:
+        point = _branch_best_in_windows(ladder, ppv_window, for_window)
+        if point is not None and (best is None or point[2] > best[0]):
+            best = point[2], ladder.interval_cut(*point[:2])
     return best
 
 
-def _branch_point_values(branch: _Branch, which: str, qs: np.ndarray) -> np.ndarray:
+def _branch_point_values(ladder: _Ladder, which: str, qs: np.ndarray) -> np.ndarray:
     """Family values at every vertex and every grid point of every segment."""
-    vertex = branch.values(which, branch.ep, branch.epy)
+    vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
     out = [vertex[~np.isnan(vertex)]]
-    k = len(branch.ep) - 1
-    if k > 0 and len(qs) > 0:
-        ep = branch.ep[:-1, None] + np.diff(branch.ep)[:, None] * qs[None, :]
-        epy = branch.epy[:-1, None] + np.diff(branch.epy)[:, None] * qs[None, :]
-        grid = branch.values(which, ep, epy)
+    if len(ladder.scores) > 0 and len(qs) > 0:
+        ep = ladder.cum_count[:-1, None] + np.diff(ladder.cum_count)[:, None] * qs[None, :]
+        epy = ladder.cum_pos[:-1, None] + np.diff(ladder.cum_pos)[:, None] * qs[None, :]
+        grid = ladder.values(which, ep, epy)
         out.append(grid[~np.isnan(grid)].ravel())
     return np.concatenate(out)
 
 
 def _candidate_base(
-    branches_by_group: Mapping[str, Sequence[_Branch]], which: str, grid_step: float
+    branches: Mapping[str, Sequence[_Ladder]], which: str, grid_step: float
 ) -> np.ndarray:
     """Sorted distinct vertex and q-grid values of one family over all branches.
 
     It does not depend on gamma, so a solve builds it once per family.
     """
     qs = np.arange(grid_step, 1.0, grid_step)
-    vertices = max(len(b.ep) for bs in branches_by_group.values() for b in bs)
+    vertices = max(len(ladder.cum_count) for pair in branches.values() for ladder in pair)
     if len(qs) * vertices > _GRID_POINT_LIMIT:
         qs = np.linspace(0.0, 1.0, _COARSE_GRID_POINTS)[1:-1]
     return np.unique(
         np.concatenate(
             [
-                _branch_point_values(branch, which, qs)
-                for branches in branches_by_group.values()
-                for branch in branches
+                _branch_point_values(ladder, which, qs)
+                for pair in branches.values()
+                for ladder in pair
             ]
         )
     )
@@ -944,7 +922,7 @@ def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
 
 
 def _best_windows(
-    branches_by_group: Mapping[str, Sequence[_Branch]],
+    branches: Mapping[str, Sequence[_Ladder]],
     bases: Mapping[str, np.ndarray],
     gamma: float,
     cap: int,
@@ -967,15 +945,15 @@ def _best_windows(
     (first, outer), *second = windows.items()
     n_inner = len(second[0][1]) if second else 1
 
-    def prepared(branch: _Branch) -> tuple[_Branch, _Bounds, np.ndarray]:
-        k = len(branch.ep) - 1
+    def prepared(ladder: _Ladder) -> tuple[_Ladder, _Bounds, np.ndarray]:
+        k = len(ladder.scores)
         inner = (np.zeros((1, k)), np.ones((1, k)), np.zeros((1, k), dtype=bool))
         for which, inner_windows in second:
-            inner = _window_bounds(branch, which, inner_windows)
-        return branch, inner, _nonempty(inner).any(axis=0)
+            inner = _window_bounds(ladder, which, inner_windows)
+        return ladder, inner, _nonempty(inner).any(axis=0)
 
-    groups = [[prepared(b) for b in branches] for branches in branches_by_group.values()]
-    k_max = max(len(b.ep) - 1 for branches in branches_by_group.values() for b in branches)
+    groups = [[prepared(ladder) for ladder in pair] for pair in branches.values()]
+    k_max = max(len(ladder.scores) for pair in branches.values() for ladder in pair)
     rows = max(1, _SWEEP_BLOCK_ELEMENTS // (n_inner * k_max))
     best_total, best = -np.inf, None
     for start in range(0, len(outer), rows):
@@ -983,8 +961,8 @@ def _best_windows(
         totals = np.zeros((len(block), n_inner))
         for group in groups:
             group_best = np.full(totals.shape, -np.inf)
-            for branch, inner, inner_live in group:
-                outer_bounds = _window_bounds(branch, first, block)
+            for ladder, inner, inner_live in group:
+                outer_bounds = _window_bounds(ladder, first, block)
                 # Only segments live under some window of each family can
                 # be live under a combination of them.
                 cols = np.flatnonzero(_nonempty(outer_bounds).any(axis=0) & inner_live)
@@ -994,9 +972,9 @@ def _best_windows(
                     tuple(b[:, None, cols] for b in outer_bounds),
                     tuple(b[None, :, cols] for b in inner),
                 )
-                du = np.diff(branch.util)[cols]
+                du = np.diff(ladder.cum_du)[cols]
                 q = np.where(du > 0.0, bounds[1], bounds[0])
-                util = np.where(_nonempty(bounds), branch.util[cols] + q * du, -np.inf)
+                util = np.where(_nonempty(bounds), ladder.cum_du[cols] + q * du, -np.inf)
                 np.maximum(group_best, util.max(axis=-1), out=group_best)
             totals += group_best
         flat = totals.ravel()
@@ -1009,15 +987,6 @@ def _best_windows(
                 tuple(map(float, chosen[w])) if w in chosen else None for w in ("ppv", "for")
             )
     return best
-
-
-def _interval_rule(choices: Mapping[str, _IntervalChoice]) -> GroupInterval:
-    return GroupInterval(
-        {
-            g: choices[g].branch.ladder.interval_cut(choices[g].j, choices[g].q)
-            for g in sorted(choices)
-        }
-    )
 
 
 def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
@@ -1050,43 +1019,37 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     gamma = problem.criterion.gamma
 
     ascending = _ladders(problem.dataset, problem.utility, descending=False)
-    branches_by_group: dict[str, list[_Branch]] = {
-        g: [_Branch.build(ladder), _Branch.build(ascending[g])]
+    branches = {
+        g: (ladder, ascending[g])
         for g, ladder in _ladders(problem.dataset, problem.utility).items()
     }
 
     windows = None, None
     if gamma > 0.0:
-        bases = {
-            which: _candidate_base(branches_by_group, which, problem.grid_step)
-            for which in families
-        }
+        bases = {which: _candidate_base(branches, which, problem.grid_step) for which in families}
         cap = _SINGLE_FAMILY_CAP if len(bases) == 1 else _JOINT_CAP
-        windows = _best_windows(branches_by_group, bases, gamma, cap)
+        windows = _best_windows(branches, bases, gamma, cap)
         if windows is None:
-            max_gamma = _max_achievable_sufficiency_gamma(branches_by_group, bases)
+            max_gamma = _max_achievable_sufficiency_gamma(branches, bases)
             raise InfeasibleConstraintError(
                 f"no interval rule reaches gamma = {gamma:g}; "
                 f"highest achievable level found: {max_gamma:.6f}",
                 max_achievable_gamma=max_gamma,
             )
-    choices = {
-        g: _group_best_in_windows(branches, *windows)
-        for g, branches in branches_by_group.items()
-    }
-    if any(c is None for c in choices.values()):
+    best = {g: _group_best_in_windows(pair, *windows) for g, pair in branches.items()}
+    if any(b is None for b in best.values()):
         raise InfeasibleConstraintError("window reconstruction failed")  # pragma: no cover
-    return _interval_rule(choices)
+    return GroupInterval({g: best[g][1] for g in sorted(best)})
 
 
 def _max_achievable_sufficiency_gamma(
-    branches_by_group: Mapping[str, Sequence[_Branch]], bases: Mapping[str, np.ndarray]
+    branches: Mapping[str, Sequence[_Ladder]], bases: Mapping[str, np.ndarray]
 ) -> float:
     """Highest gamma with a feasible window, to the bisection's resolution."""
     cap = _SINGLE_FAMILY_GAMMA_CAP if len(bases) == 1 else _JOINT_GAMMA_CAP
 
     def feasible(g_val: float) -> bool:
-        return g_val <= 0.0 or _best_windows(branches_by_group, bases, g_val, cap) is not None
+        return g_val <= 0.0 or _best_windows(branches, bases, g_val, cap) is not None
 
     lo, hi = 0.0, 1.0
     if feasible(1.0):
@@ -1122,25 +1085,21 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
     any_constrained = False
     for stratum, groups_here in _stratum_group_rows(dataset, names):
         ladders = {g: _build_ladder(g, dataset, rows, utility) for g, rows in groups_here.items()}
-        counts_ok = all(
+        constrained = len(ladders) >= 2 and all(
             len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups
         )
-        if counts_ok and len(ladders) >= 2:
-            paths = {
-                g: _FamilyPath.build(ladder, "positive_rate") for g, ladder in ladders.items()
-            }
-            _, choices = _sweep_single_family(paths, 0.0, gamma)
-            any_constrained = True
-        else:
+        if not constrained:
             warnings.warn(
                 f"stratum {'/'.join(stratum)!r} below min_count={problem.min_count} "
                 "for some group; left unconstrained",
                 SmallStratumWarning,
                 stacklevel=2,
             )
-            choices = {g: _best_cut(ladder.cum_du) for g, ladder in ladders.items()}
-        for g, choice in choices.items():
-            cuts[(g, stratum)] = ladders[g].cut(*choice)
+        any_constrained |= constrained
+        # Gamma 0 leaves every group of an unconstrained stratum at its best cut.
+        level = gamma if constrained else 0.0
+        for g, cut in _threshold_cuts(ladders, "positive_rate", level).items():
+            cuts[(g, stratum)] = cut
     if not any_constrained:
         raise DegenerateStratificationError(
             f"every stratum is below min_count={problem.min_count}; "

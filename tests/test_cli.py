@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from fairgate.cli import main
+from fairgate.cli import ColumnRoles, RunConfig, _build_config, build_parser, main
+from fairgate.model import UtilityMatrix
+from fairgate.scorer import FitConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 INPUT = GOLDEN / "input.csv"
@@ -110,6 +112,42 @@ def test_fit_output_quotes_a_field_with_a_comma(tmp_path):
     assert first[0] == "r0,x" and len(first) == len(header)
     argv = ["optimize", "--input", str(scored), "--score-col", "score"]
     assert main([*argv, "--criterion", "independence", "--out", str(tmp_path / "opt")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["assess"], RunConfig()),
+        (
+            ["optimize", "--input", "in.csv"],
+            RunConfig(input=Path("in.csv"), roles=ColumnRoles("group", "label")),
+        ),
+        (
+            ["fit", "--input", "in.csv", "--seed", "3", "--l2", "0.5", "--use-group-feature"],
+            RunConfig(
+                input=Path("in.csv"),
+                roles=ColumnRoles("group", "label"),
+                seed=3,
+                fit_config=FitConfig(l2=0.5, include_group=True),
+            ),
+        ),
+        (
+            ["sweep", "--input", "in.csv", "--utility", "2,0,0,1", "--gammas", "0.5,1",
+             "--train-fraction", "0.5", "--min-count", "5", "--seeds", "2"],
+            RunConfig(
+                input=Path("in.csv"),
+                roles=ColumnRoles("group", "label"),
+                utility=UtilityMatrix(2.0, 0.0, 0.0, 1.0),
+                gammas=(0.5, 1.0),
+                train_fraction=0.5,
+                min_count=5,
+                seeds=2,
+            ),
+        ),
+    ],
+)
+def test_options_left_out_take_the_config_defaults(argv, expected):
+    assert _build_config(build_parser().parse_args(argv)) == expected
 
 
 def _regenerate() -> None:

@@ -72,6 +72,17 @@ class TestComputeRates:
         assert rates.stratum_positive_rate[(("x",), "a")] == 1.0
         assert rates.stratum_positive_rate[(("y",), "b")] == 0.0
 
+    def test_empty_stratum_cell_is_left_out(self):
+        rows = [
+            (0.9, 1, "a", {"job": "x"}),
+            (0.1, 0, "a", {"job": "y"}),
+            (0.8, 1, "b", {"job": "x"}),
+        ]
+        rates = compute_rates(make_dataset(rows, legit_names=("job",)), SingleThreshold(0.5))
+        cells = [(("x",), "a"), (("x",), "b"), (("y",), "a")]
+        assert list(rates.stratum_size) == list(rates.stratum_positive_rate) == cells
+        assert list(rates.stratum_size.values()) == [1, 1, 1]
+
     def test_permutation_and_duplication_invariance(self):
         rng = random.Random(7)
         rows = [(round(rng.random(), 2), rng.randint(0, 1), rng.choice("ab")) for _ in range(30)]

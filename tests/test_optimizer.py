@@ -1,4 +1,5 @@
 import bisect
+import inspect
 import random
 import warnings
 import zlib
@@ -294,6 +295,23 @@ class TestConditionalParity:
             rule = optimize_conditional_parity(prob)
         assert ("A", ("tiny",)) in rule.cuts
 
+    def test_small_stratum_groups_keep_their_best_cut(self):
+        # In "tiny" accuracy is best with A accepting all and B none, which
+        # parity at gamma 1 would forbid.
+        rows = [(s, y, g, {"j": "big"}) for s, y, g in INDEP_ROWS * 2]
+        rows += [(0.9, 1, "A", {"j": "tiny"}), (0.8, 1, "A", {"j": "tiny"}),
+                 (0.3, 0, "B", {"j": "tiny"}), (0.2, 0, "B", {"j": "tiny"})]
+        ds = make_dataset(rows, legit_names=("j",))
+        prob = problem(
+            ds, CriterionKind.CONDITIONAL_STATISTICAL_PARITY, 1.0,
+            legit_names=("j",), min_count=3,
+        )
+        with pytest.warns(SmallStratumWarning, match="'tiny'"):
+            rule = optimize_conditional_parity(prob)
+        rates = compute_rates(ds, rule).stratum_positive_rate
+        assert rates[(("tiny",), "A")] == 1.0 and rates[(("tiny",), "B")] == 0.0
+        assert rates[(("big",), "A")] == rates[(("big",), "B")]
+
     def test_all_strata_too_small_is_degenerate(self):
         rows = [
             (0.9, 1, "A", {"j": "x"}), (0.2, 0, "A", {"j": "y"}),
@@ -476,7 +494,7 @@ def bits(result):
 SWEEP_POOL = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def sweep_instance(rng, n_groups, without_positives=()):
+def sweep_instance(rng, n_groups, without_positives=(), without_negatives=()):
     """Few atoms, so big atoms and tied utilities; some groups repeat an
     earlier group's records, so rates are shared; single-class atoms give
     zero-span TPR and FPR segments."""
@@ -489,10 +507,21 @@ def sweep_instance(rng, n_groups, without_positives=()):
             layouts.append(layout)
         if i in without_positives:
             layout = [(s, 0) for s, _ in layout]
+        if i in without_negatives:
+            layout = [(s, 1) for s, _ in layout]
         rows += [(s, y, f"g{i}") for s, y in layout]
     if without_positives:
         rows.append((0.9, 1, "g0"))  # some group keeps a defined TPR
+    if without_negatives:
+        rows.append((0.1, 0, "g0"))  # and a defined FPR
     return make_dataset(rows)
+
+
+def utility_ladder(utils):
+    """A ladder holding ``utils`` as its prefix utilities; the window kernel
+    takes the rates separately and reads no other prefix sum."""
+    zeros = np.zeros(len(utils))
+    return opt._Ladder("a", np.arange(len(utils) - 1.0), True, zeros, zeros, utils, 0, 0)
 
 
 class TestWindowSweepKernel:
@@ -505,15 +534,15 @@ class TestWindowSweepKernel:
         for _ in range(25):
             ladders = opt._ladders(sweep_instance(rng, n_groups), ACC)
             for family in ("positive_rate", "tpr", "fpr"):
-                paths = {g: opt._FamilyPath.build(ladder, family) for g, ladder in ladders.items()}
+                paths = {g: ladder.rates(family) for g, ladder in ladders.items()}
                 free = 0.0
                 for g in (g for g, path in paths.items() if path is None):
                     free += float(ladders[g].cum_du.max())
-                constrained = {g: path for g, path in paths.items() if path is not None}
+                constrained = {g: ladders[g] for g, path in paths.items() if path is not None}
                 if not constrained:
                     continue
-                got = opt._sweep_single_family(constrained, free, gamma)
-                reference = {g: (path.rates, path.utils) for g, path in constrained.items()}
+                got = opt._sweep_single_family(constrained, family, free, gamma)
+                reference = {g: (paths[g], ladder.cum_du) for g, ladder in constrained.items()}
                 assert bits(got) == bits(reference_sweep(reference, free, gamma))
 
     def test_windows_with_edges_an_ulp_from_a_vertex(self):
@@ -530,12 +559,12 @@ class TestWindowSweepKernel:
         for counts, steps in instances:
             rates = np.concatenate([[0.0], np.cumsum(counts) / counts.sum()])
             utils = np.concatenate([[0.0], np.cumsum(steps)])
-            path = opt._FamilyPath(rates, utils, opt._RangeArgmax(utils))
+            ladder = utility_ladder(utils)
             near = [rates, np.nextafter(rates, 0.0), np.nextafter(rates, 1.0)]
             edges = np.unique(np.clip(np.concatenate(near), 0.0, 1.0))
             lo, hi = np.meshgrid(edges, edges)
             lowers, uppers = lo[lo <= hi], hi[lo <= hi]
-            reachable, j, q, rate, util, _ = opt._best_in_windows(path, lowers, uppers)
+            reachable, j, q, rate, util, _ = opt._best_in_windows(ladder, rates, lowers, uppers)
             for i in range(len(uppers)):
                 want = reference_best_in_window(rates, utils, float(lowers[i]), float(uppers[i]))
                 assert reachable[i] == (want is not None)
@@ -552,17 +581,49 @@ class TestWindowSweepKernel:
         rng = random.Random(int(10 * gamma))
         for n_groups in (2, 3, 4, 5):
             dataset = sweep_instance(rng, n_groups, without_positives=(n_groups - 1,))
-            with pytest.warns(MissingClassWarning):
-                rule = optimize_separation(problem(dataset, CriterionKind.TPR_PARITY, gamma))
-            ladders = opt._ladders(dataset, ACC)
-            paths = {g: opt._FamilyPath.build(ladder, "tpr") for g, ladder in ladders.items()}
-            free, free_choices = 0.0, {}
-            for g in (g for g, path in paths.items() if path is None):
-                utils = ladders[g].cum_du
-                free_choices[g] = (max(range(len(utils)), key=lambda i: utils[i]), 0.0)
-                free += float(utils[free_choices[g][0]])
-            reference = {g: (p.rates, p.utils) for g, p in paths.items() if p is not None}
-            _, choices = reference_sweep(reference, free, gamma)
-            choices.update(free_choices)
-            cuts = {g: ladders[g].cut(*choices[g]) for g in sorted(choices)}
-            assert rule == GroupThreshold(cuts)
+            assert_missing_class_rule(dataset, CriterionKind.TPR_PARITY, "tpr", gamma)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.0])
+    def test_fpr_parity_group_without_negatives(self, gamma):
+        rng = random.Random(50 + int(10 * gamma))
+        for n_groups in (2, 3, 4, 5):
+            dataset = sweep_instance(rng, n_groups, without_negatives=(n_groups - 1,))
+            assert_missing_class_rule(dataset, CriterionKind.FPR_PARITY, "fpr", gamma)
+
+    @pytest.mark.parametrize(
+        "kind, family, label",
+        [(CriterionKind.TPR_PARITY, "tpr", 0), (CriterionKind.FPR_PARITY, "fpr", 1)],
+    )
+    def test_no_group_has_the_conditioning_class(self, kind, family, label):
+        rows = [(s, label, g) for g in ("A", "B", "C") for s in (0.2, 0.5, 0.8)]
+        with pytest.warns(MissingClassWarning) as caught:
+            with pytest.raises(InfeasibleConstraintError, match=f"no group has a defined {family}"):
+                optimize_separation(problem(rows, kind, 0.9))
+        assert len(caught) == 3
+
+
+def assert_missing_class_rule(dataset, kind, family, gamma):
+    """The rule leaves each group without the family's class at its best cut
+    and equals the reference sweep over the other groups; the warning names
+    the group and points at the caller of ``optimize_separation``."""
+    with pytest.warns(MissingClassWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        rule = optimize_separation(problem(dataset, kind, gamma))
+    ladders = opt._ladders(dataset, ACC)
+    paths = {g: ladder.rates(family) for g, ladder in ladders.items()}
+    free, free_choices = 0.0, {}
+    for g in (g for g, path in paths.items() if path is None):
+        utils = ladders[g].cum_du
+        free_choices[g] = (max(range(len(utils)), key=lambda i: utils[i]), 0.0)
+        free += float(utils[free_choices[g][0]])
+    assert [str(w.message) for w in caught] == [
+        f"group {g!r} has no records with the conditioning outcome; "
+        f"{family} constraint skipped for it"
+        for g in free_choices
+    ]
+    assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
+    reference = {g: (p, ladders[g].cum_du) for g, p in paths.items() if p is not None}
+    _, choices = reference_sweep(reference, free, gamma)
+    choices.update(free_choices)
+    cuts = {g: ladders[g].cut(*choices[g]) for g in sorted(choices)}
+    assert rule == GroupThreshold(cuts)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from fairgate.model import Dataset, Record
-from fairgate.scorer import FitConfig, fit, logistic_loss_and_gradient, score_dataset, split
+from fairgate.scorer import (
+    FitConfig,
+    fit,
+    load_model,
+    logistic_loss_and_gradient,
+    save_model,
+    score_dataset,
+    split,
+)
 
 
 def test_gradient_matches_finite_differences():
@@ -54,3 +62,24 @@ def test_array_scores_equal_the_per_record_reference(include_group):
     scores = score_dataset(model, dataset).columns.scores.tolist()
     # Exact equality: the array path must sum each dot product as the per-record one does.
     assert scores == [predict_one(model, r.features, r.group) for r in dataset.records]
+
+
+@pytest.mark.parametrize("include_group", [False, True])
+def test_saved_model_loads_back(tmp_path, include_group):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(90, 3))
+    x[:, 1] = 2.5  # constant: dropped, so ``kept`` skips an index
+    labels = (rng.random(90) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(int)
+    records = [
+        Record(str(i), int(labels[i]), "abc"[i % 3], features=tuple(x[i])) for i in range(90)
+    ]
+    dataset = Dataset.from_records(records, feature_names=("x_0", "x_1", "x_2"))
+    with pytest.warns(UserWarning, match="dropping constant feature"):
+        model = fit(dataset, FitConfig(iterations=40, include_group=include_group))
+    assert bool(model.group_values) == include_group
+    save_model(tmp_path / "model.json", model)
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded == model  # lists read back as tuples, or this fails
+    assert score_dataset(loaded, dataset).columns.scores.tolist() == (
+        score_dataset(model, dataset).columns.scores.tolist()
+    )

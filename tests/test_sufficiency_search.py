@@ -23,6 +23,8 @@ from fairgate.model import (
     CriterionKind,
     Dataset,
     FairnessCriterion,
+    GroupInterval,
+    IntervalCut,
     Record,
     UtilityMatrix,
 )
@@ -36,10 +38,7 @@ GRID_STEP = 0.01
 
 def branches_of(dataset):
     ascending = opt._ladders(dataset, ACC, descending=False)
-    return {
-        g: [opt._Branch.build(ladder), opt._Branch.build(ascending[g])]
-        for g, ladder in opt._ladders(dataset, ACC).items()
-    }
+    return {g: [ladder, ascending[g]] for g, ladder in opt._ladders(dataset, ACC).items()}
 
 
 def bases_of(branches):
@@ -52,8 +51,8 @@ def loop_branch_best(branch, ppv_window, for_window):
     A segment end whose family value lies within 1e-12 of a window stays;
     an end outside moves to the q where the value crosses the edge beyond it.
     """
-    ep, epy, util = branch.ep, branch.epy, branch.util
-    n, npos = branch.ladder.n, branch.ladder.n_pos
+    ep, epy, util = branch.cum_count, branch.cum_pos, branch.cum_du
+    n, npos = branch.n, branch.n_pos
     tol = 1e-12
     best = None
     for j in range(len(ep) - 1):
@@ -109,7 +108,7 @@ def loop_joint_windows(branches, bases, gamma, cap):
                 cand = opt._group_best_in_windows(group, pw, fw)
                 if cand is None:
                     break
-                total += cand.util
+                total += cand[0]
             else:
                 if best_total is None or total >= best_total:
                     best_total, best = total, (pw, fw)
@@ -151,9 +150,17 @@ def test_branch_search_matches_segment_loop():
                     if want is None:
                         assert got is None
                     else:
-                        assert (got.j, got.q, got.util) == want
+                        assert got == want
                         checked += 1
     assert checked > 200
+
+
+def test_lower_bound_branch_wins_a_tie():
+    # Accepting everyone is best, and both branches of each group reach it.
+    dataset = make_dataset([(s, 1, g) for g in ("a", "b") for s in (0.2, 0.6)])
+    criterion = FairnessCriterion(CriterionKind.PPV_PARITY, gamma=0.0)
+    rule = opt.optimize(OptimizationProblem(dataset, ACC, criterion))
+    assert rule == GroupInterval({g: IntervalCut(0.2, 1.0, boundary=1.0) for g in ("a", "b")})
 
 
 def test_joint_scan_matches_pair_loop(monkeypatch):
@@ -225,13 +232,13 @@ def dense_best(branch, ppv_window, for_window, steps=2000, tol=1e-12):
     """Best utility over a dense q-grid of every segment whose family values
     lie within the windows, to ``tol``; None if no grid point does."""
     q = np.linspace(0.0, 1.0, steps + 1)
-    ep = branch.ep[:-1, None] + np.diff(branch.ep)[:, None] * q
-    epy = branch.epy[:-1, None] + np.diff(branch.epy)[:, None] * q
-    util = branch.util[:-1, None] + np.diff(branch.util)[:, None] * q
+    ep = branch.cum_count[:-1, None] + np.diff(branch.cum_count)[:, None] * q
+    epy = branch.cum_pos[:-1, None] + np.diff(branch.cum_pos)[:, None] * q
+    util = branch.cum_du[:-1, None] + np.diff(branch.cum_du)[:, None] * q
     ok = np.ones(util.shape, dtype=bool)
     for num, den, window in (
         (epy, ep, ppv_window),
-        (branch.ladder.n_pos - epy, branch.ladder.n - ep, for_window),
+        (branch.n_pos - epy, branch.n - ep, for_window),
     ):
         if window is not None:
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -241,9 +248,9 @@ def dense_best(branch, ppv_window, for_window, steps=2000, tol=1e-12):
 
 
 def point_values(branch, j, q):
-    ep = branch.ep[j] + q * (branch.ep[j + 1] - branch.ep[j])
-    epy = branch.epy[j] + q * (branch.epy[j + 1] - branch.epy[j])
-    n, npos = branch.ladder.n, branch.ladder.n_pos
+    ep = branch.cum_count[j] + q * (branch.cum_count[j + 1] - branch.cum_count[j])
+    epy = branch.cum_pos[j] + q * (branch.cum_pos[j + 1] - branch.cum_pos[j])
+    n, npos = branch.n, branch.n_pos
     return epy / ep if ep > 0 else None, (npos - epy) / (n - ep) if n - ep > 0 else None
 
 
@@ -253,8 +260,9 @@ def assert_matches_dense(branch, ppv_window, for_window):
     if want is None:
         return False
     assert got is not None
-    assert got.util >= want - 1e-9
-    for value, window in zip(point_values(branch, got.j, got.q), (ppv_window, for_window)):
+    j, q, util = got
+    assert util >= want - 1e-9
+    for value, window in zip(point_values(branch, j, q), (ppv_window, for_window)):
         if window is not None:
             assert window[0] - 1e-9 <= value <= window[1] + 1e-9
     return True
@@ -263,7 +271,7 @@ def assert_matches_dense(branch, ppv_window, for_window):
 def single_group_branch(labels):
     """Descending branch of one group whose records, by falling score, carry ``labels``."""
     dataset = make_dataset([(0.99 - 0.01 * i, y, "a") for i, y in enumerate(labels)])
-    return opt._Branch.build(opt._ladders(dataset, ACC)["a"])
+    return opt._ladders(dataset, ACC)["a"]
 
 
 def test_vertex_on_window_edge_is_inside():
@@ -272,7 +280,7 @@ def test_vertex_on_window_edge_is_inside():
     # only segment ending there, so the vertex was lost.
     branch = single_group_branch([1] * 11 + [0] * 3 + [1])
     got = opt._branch_best_in_windows(branch, (0.8, 0.8), None)
-    assert got is not None and got.util == branch.util[15]
+    assert got is not None and got[2] == branch.cum_du[15]
     assert_matches_dense(branch, (0.8, 0.8), None)
     # FOR 4/9 at vertex 2 is the path's minimum; a window one ulp below it,
     # the same value computed another way, must still contain it.
@@ -280,7 +288,7 @@ def test_vertex_on_window_edge_is_inside():
     edge = float(np.nextafter(4 / 9, 0.0))
     assert edge == 0.44444444444444436
     got = opt._branch_best_in_windows(branch, None, (edge, edge))
-    assert got is not None and got.util == branch.util[2]
+    assert got is not None and got[2] == branch.cum_du[2]
     assert_matches_dense(branch, None, (edge, edge))
 
 
@@ -294,7 +302,7 @@ def test_branch_best_matches_dense_grid_on_vertex_edges():
         for branch in branches:
             for which in ("ppv", "for"):
                 source = rng.choice(branches)
-                vertex = source.values(which, source.ep, source.epy)
+                vertex = source.values(which, source.cum_count, source.cum_pos)
                 values = sorted(set(vertex[~np.isnan(vertex)]))
                 for v in rng.sample(values, min(3, len(values))):
                     gamma = rng.choice(GAMMAS)

@@ -238,7 +238,7 @@ def _json_text(data) -> str:
 
 
 def _resolve_criterion(
-    config: RunConfig, dataset: Dataset | None
+    config: RunConfig, dataset: Dataset
 ) -> tuple[FairnessCriterion, MoralAssessment | None]:
     if (config.criterion is None) == (config.assessment_path is None):
         raise ValueError("exactly one of --criterion and --assessment is required")
@@ -248,12 +248,10 @@ def _resolve_criterion(
     else:
         assessment = None
         kind = CriterionKind(config.criterion)
-        legit = dataset.legit_names if dataset is not None else ()
+        legit = dataset.legit_names if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY else ()
         if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY and not legit:
             raise ValueError("conditional statistical parity needs l_-prefixed columns")
-        criterion = FairnessCriterion(
-            kind, legit_names=legit if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY else ()
-        )
+        criterion = FairnessCriterion(kind, legit_names=legit)
     gamma = config.gamma if config.gamma is not None else 1.0
     return dataclasses.replace(criterion, gamma=gamma), assessment
 
@@ -579,22 +577,32 @@ _RUN_OPTIONS = (
 _FIT_OPTIONS = ("learning_rate", "iterations", "l2", "include_group")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, type=Path, help="input csv path")
-    parser.add_argument("--group-col", default="group")
-    parser.add_argument("--label-col", default="label")
-    parser.add_argument("--score-col", default=None)
-    parser.add_argument("--id-col", default=None)
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    parser.add_argument("--train-fraction", type=float)
-    parser.add_argument("--utility", help="u(0,0),u(0,1),u(1,0),u(1,1); default is accuracy")
-    parser.add_argument("--criterion", choices=[k.value for k in CriterionKind])
-    parser.add_argument("--assessment", type=Path, dest="assessment_path")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--min-count", type=int)
-    parser.add_argument("--verify", action="store_true")
+# The options of the data commands, each given to the commands that read it.
+_DATA_OPTIONS = {
+    "--input": dict(required=True, type=Path, help="input csv path"),
+    "--group-col": dict(default="group"),
+    "--label-col": dict(default="label"),
+    "--score-col": dict(default=None),
+    "--id-col": dict(default=None),
+    "--out": dict(type=Path, help="output directory"),
+    "--seed": dict(type=int),
+    "--seeds": dict(type=int, help="number of consecutive seeds"),
+    "--train-fraction": dict(type=float),
+    "--utility": dict(help="u(0,0),u(0,1),u(1,0),u(1,1); default is accuracy"),
+    "--criterion": dict(choices=[k.value for k in CriterionKind]),
+    "--assessment": dict(type=Path, dest="assessment_path"),
+    "--gamma": dict(type=float),
+    "--min-count": dict(type=int),
+    "--verify": dict(action="store_true"),
+}
+_IN_OUT = ("--input", "--group-col", "--label-col", "--score-col", "--id-col", "--out")
+_SPLIT = ("--seed", "--train-fraction")
+_CRITERION = ("--utility", "--criterion", "--assessment")
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_DATA_OPTIONS[flag])
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -626,8 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, func) -> argparse.ArgumentParser:
-        # An option left off the command line stays out of the namespace.
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        # An option left off the command line stays out of the namespace. No
+        # abbreviations: sweep's --gammas would otherwise take --gamma.
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -637,24 +647,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--out", type=Path)
 
     p_fit = command("fit", "train the logistic scorer and score the data", cmd_fit)
-    _add_common(p_fit)
+    _add_options(p_fit, *_IN_OUT, *_SPLIT)
     p_fit.add_argument("--learning-rate", type=float)
     p_fit.add_argument("--iterations", type=int)
     p_fit.add_argument("--l2", type=float)
     p_fit.add_argument("--use-group-feature", action="store_true", dest="include_group",
                        help="one-hot encode the group column into the features")
 
-    _add_common(command("optimize", "derive the optimal constrained rule", cmd_optimize))
+    p_opt = command("optimize", "derive the optimal constrained rule", cmd_optimize)
+    _add_options(p_opt, *_IN_OUT, *_SPLIT, *_CRITERION, "--gamma", "--min-count", "--verify")
 
     p_eval = command("evaluate", "apply a rule file and report metrics", cmd_evaluate)
-    _add_common(p_eval)
+    _add_options(p_eval, *_IN_OUT, *_CRITERION, "--gamma")
     p_eval.add_argument("--rule", type=Path, required=True, dest="rule_path", metavar="RULE")
 
     p_sweep = command("sweep", "trace the performance-fairness frontier", cmd_sweep)
-    _add_common(p_sweep)
+    _add_options(p_sweep, *_IN_OUT, *_SPLIT, *_CRITERION, "--min-count")
     p_sweep.add_argument("--gammas", help="comma-separated levels; default 0..1 step 0.05")
 
-    _add_common(command("report", "full multi-seed pipeline summary", cmd_report))
+    p_report = command("report", "full multi-seed pipeline summary", cmd_report)
+    _add_options(p_report, *_IN_OUT, *_SPLIT, "--seeds", *_CRITERION, "--gamma", "--min-count")
     return parser
 
 

@@ -14,22 +14,11 @@ from .metrics import (
     decision_maker_utility,
     disparity_detail,
 )
-from .model import CriterionKind, Dataset, DecisionRule, FairnessCriterion
+from .model import Dataset, DecisionRule, FairnessCriterion
 from .optimizer import InfeasibleConstraintError, OptimizationProblem, optimize
 
 # 0.8 is the four-fifths rule level; the 0.05 grid passes through it.
 DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(21))
-
-_HEADLINE_FAMILIES = {
-    CriterionKind.INDEPENDENCE: ("positive_rate",),
-    CriterionKind.CONDITIONAL_STATISTICAL_PARITY: ("positive_rate",),
-    CriterionKind.SEPARATION: ("tpr", "fpr"),
-    CriterionKind.TPR_PARITY: ("tpr",),
-    CriterionKind.FPR_PARITY: ("fpr",),
-    CriterionKind.SUFFICIENCY: ("ppv", "for_rate"),
-    CriterionKind.PPV_PARITY: ("ppv",),
-    CriterionKind.FOR_PARITY: ("for_rate",),
-}
 
 
 @dataclass(frozen=True)
@@ -48,9 +37,7 @@ class FrontierPoint:
 
 
 def headline_rate_names(criterion: FairnessCriterion, groups: Sequence[str]) -> list[str]:
-    return [
-        f"{family}_{g}" for family in _HEADLINE_FAMILIES[criterion.kind] for g in groups
-    ]
+    return [f"{family}_{g}" for family in criterion.kind.families for g in groups]
 
 
 def sweep(
@@ -82,10 +69,9 @@ def sweep(
                     achieved_ratio=None,
                     utility_train=None,
                     utility_test=None,
-                    headline_rates={
-                        name: None
-                        for name in headline_rate_names(criterion, problem.dataset.groups)
-                    },
+                    headline_rates=dict.fromkeys(
+                        headline_rate_names(criterion, problem.dataset.groups)
+                    ),
                     note=str(exc),
                 )
             )
@@ -103,11 +89,9 @@ def sweep(
 
             ratio_train = ratio_or_none(train_rates)
             ratio_eval = ratio_or_none(eval_rates)
-        headline: dict[str, float | None] = {}
-        for family in _HEADLINE_FAMILIES[criterion.kind]:
-            values = getattr(eval_rates, family)
-            for g in evaluation.groups:
-                headline[f"{family}_{g}"] = values[g]
+        groups = evaluation.groups
+        values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
+        headline = dict(zip(headline_rate_names(criterion, groups), values))
         points.append(
             FrontierPoint(
                 gamma=gamma,

@@ -55,7 +55,9 @@ class GroupRates:
     A rate is ``None`` when its conditioning cell is empty. ``expected_accepts``
     is the expected number of positive decisions (the PPV denominator) and
     ``label_count[(g, y)]`` the count behind the TPR/FPR denominators.
-    ``stratum_positive_rate`` holds P(D=1 | L=l, G=g) keyed by (stratum, group).
+    ``stratum_positive_rate`` holds P(D=1 | L=l, G=g) keyed by (stratum, group),
+    with the count and the expected accepts behind it in ``stratum_size`` and
+    ``stratum_accepts``; a stratum is a value tuple of all of ``legit_names``.
     """
 
     groups: tuple[str, ...]
@@ -70,6 +72,7 @@ class GroupRates:
     legit_names: tuple[str, ...] = ()
     stratum_positive_rate: Mapping[tuple[tuple[str, ...], str], float | None] = None  # type: ignore[assignment]
     stratum_size: Mapping[tuple[tuple[str, ...], str], int] = None  # type: ignore[assignment]
+    stratum_accepts: Mapping[tuple[tuple[str, ...], str], float] = None  # type: ignore[assignment]
 
 
 def _sums(codes: np.ndarray, cells: int, weights: np.ndarray | None = None) -> list:
@@ -95,6 +98,7 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
     counts, accepted, rejected = (_sums(2 * g + y, 2 * k, w) for w in (None, dp, 1.0 - dp))
 
     stratum_size: dict[tuple[tuple[str, ...], str], int] = {}
+    stratum_accepts: dict[tuple[tuple[str, ...], str], float] = {}
     stratum_positive_rate: dict[tuple[tuple[str, ...], str], float | None] = {}
     if dataset.legit_names:
         codes, strata = dataset.strata(dataset.legit_names)
@@ -102,7 +106,7 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
         sizes, accepts = _sums(cell, len(strata) * k), _sums(cell, len(strata) * k, dp)
         present = (c for c, count in enumerate(sizes) if count)
         for key, c in sorted(((strata[c // k], groups[c % k]), c) for c in present):
-            stratum_size[key] = sizes[c]
+            stratum_size[key], stratum_accepts[key] = sizes[c], accepts[c]
             stratum_positive_rate[key] = _rate(accepts[c], sizes[c])
 
     per_group = lambda values: dict(zip(groups, values))
@@ -119,37 +123,39 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
         legit_names=dataset.legit_names,
         stratum_positive_rate=stratum_positive_rate,
         stratum_size=stratum_size,
+        stratum_accepts=stratum_accepts,
     )
 
 
 def _criterion_families(
     rates: GroupRates, criterion: FairnessCriterion
 ) -> list[tuple[str, Mapping[str, float | None]]]:
-    kind = criterion.kind
-    if kind is CriterionKind.INDEPENDENCE:
-        return [("positive_rate", rates.positive_rate)]
-    if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
-        strata = sorted({stratum for (stratum, _g) in rates.stratum_positive_rate})
-        families = []
-        for stratum in strata:
-            values = {
-                g: rates.stratum_positive_rate.get((stratum, g)) for g in rates.groups
-            }
-            families.append((f"positive_rate@{'/'.join(stratum)}", values))
-        if not families:
-            raise UndefinedMetricError("no legitimate-attribute strata present in the data")
-        return families
-    if kind is CriterionKind.SEPARATION:
-        return [("tpr", rates.tpr), ("fpr", rates.fpr)]
-    if kind is CriterionKind.TPR_PARITY:
-        return [("tpr", rates.tpr)]
-    if kind is CriterionKind.FPR_PARITY:
-        return [("fpr", rates.fpr)]
-    if kind is CriterionKind.SUFFICIENCY:
-        return [("ppv", rates.ppv), ("for_rate", rates.for_rate)]
-    if kind is CriterionKind.PPV_PARITY:
-        return [("ppv", rates.ppv)]
-    return [("for_rate", rates.for_rate)]
+    """The criterion's rate families, each a value per group (None if undefined).
+
+    Conditional statistical parity has one family per stratum of the
+    criterion's own legitimate attributes; a cell's rate adds up the counts
+    and expected accepts of the (stratum, group) cells of ``rates`` in it.
+    """
+    if criterion.kind is not CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
+        return [(family, getattr(rates, family)) for family in criterion.kind.families]
+    missing = [name for name in criterion.legit_names if name not in rates.legit_names]
+    if missing:
+        raise ValueError(f"the data has no legitimate attribute(s) {missing} to condition on")
+    which = [rates.legit_names.index(name) for name in criterion.legit_names]
+    size: dict[tuple[tuple[str, ...], str], int] = {}
+    accepts: dict[tuple[tuple[str, ...], str], float] = {}
+    for (stratum, g), count in rates.stratum_size.items():
+        cell = tuple(stratum[j] for j in which), g
+        size[cell] = size.get(cell, 0) + count
+        accepts[cell] = accepts.get(cell, 0.0) + rates.stratum_accepts[(stratum, g)]
+    return [
+        (
+            f"positive_rate@{'/'.join(stratum)}",
+            {g: _rate(accepts.get((stratum, g), 0.0), size.get((stratum, g), 0))
+             for g in rates.groups},
+        )
+        for stratum in sorted({stratum for stratum, _g in size})
+    ]
 
 
 def _family_ratio(values: Iterable[float]) -> float:
@@ -177,6 +183,7 @@ class DisparityDetail:
 
 
 def disparity_detail(rates: GroupRates, criterion: FairnessCriterion) -> DisparityDetail:
+    """Per-family ratios and the minimum; conditional parity compares within its own strata."""
     per_family: dict[str, float | None] = {}
     skipped: list[str] = []
     for name, values in _criterion_families(rates, criterion):
@@ -205,8 +212,9 @@ def disparity_ratio(rates: GroupRates, criterion: FairnessCriterion) -> float:
     """Worst cross-group rate ratio for the criterion's families, in [0, 1].
 
     Separation and sufficiency take the minimum over both of their rate
-    families; conditional statistical parity takes the minimum across strata.
-    A value of 1 means exact parity on every applicable family.
+    families; conditional statistical parity takes the minimum across the
+    strata of its criterion's legitimate attributes. A value of 1 means
+    exact parity on every applicable family.
     """
     return disparity_detail(rates, criterion).ratio
 

@@ -10,6 +10,12 @@ names once per tuple; two threads that build one at the same time build equal
 arrays. ``Record`` is the per-individual form: ``Dataset.from_records`` turns
 records into columns and ``Dataset.records`` turns columns back into records.
 
+``CriterionKind.families`` is the one mapping from a fairness criterion to
+the group rates it equalizes across groups (``GroupRates`` field names:
+``positive_rate``, ``tpr``, ``fpr``, ``ppv``, ``for_rate``); conditional
+statistical parity equalizes them within strata. The metrics, the frontier
+columns, the optimizer and the oracle all read it.
+
 Decision rules map a risk score (an estimate of the probability that the
 outcome is 1) to a decision probability. Deterministic rules yield 0 or 1
 everywhere except at threshold boundaries, where an explicit randomization
@@ -268,14 +274,23 @@ class BenefitMatrix:
 
 
 class CriterionKind(str, Enum):
-    INDEPENDENCE = "independence"
-    CONDITIONAL_STATISTICAL_PARITY = "conditional_statistical_parity"
-    SEPARATION = "separation"
-    TPR_PARITY = "tpr_parity"
-    FPR_PARITY = "fpr_parity"
-    SUFFICIENCY = "sufficiency"
-    PPV_PARITY = "ppv_parity"
-    FOR_PARITY = "for_parity"
+    """A fairness criterion with ``families``, the ``GroupRates`` fields it equalizes."""
+
+    families: tuple[str, ...]
+
+    INDEPENDENCE = "independence", ("positive_rate",)
+    CONDITIONAL_STATISTICAL_PARITY = "conditional_statistical_parity", ("positive_rate",)
+    SEPARATION = "separation", ("tpr", "fpr")
+    TPR_PARITY = "tpr_parity", ("tpr",)
+    FPR_PARITY = "fpr_parity", ("fpr",)
+    SUFFICIENCY = "sufficiency", ("ppv", "for_rate")
+    PPV_PARITY = "ppv_parity", ("ppv",)
+    FOR_PARITY = "for_parity", ("for_rate",)
+
+    def __new__(cls, value: str, families: tuple[str, ...]) -> "CriterionKind":
+        kind = str.__new__(cls, value)
+        kind._value_, kind.families = value, families
+        return kind
 
 
 @dataclass(frozen=True)

@@ -591,15 +591,11 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
     exact. Each group's point is then realized as one threshold cut, or as
     a mix of two, found in O(k) by an angle sweep along the staircase.
     """
-    family = {
-        CriterionKind.SEPARATION: None,
-        CriterionKind.TPR_PARITY: "tpr",
-        CriterionKind.FPR_PARITY: "fpr",
-    }[problem.criterion.kind]
+    families = problem.criterion.kind.families
     gamma = problem.criterion.gamma
     ladders = _ladders(problem.dataset, problem.utility)
-    if family is not None:
-        return _group_threshold(_threshold_cuts(ladders, family, gamma))
+    if len(families) == 1:
+        return _group_threshold(_threshold_cuts(ladders, families[0], gamma))
     groups = sorted(ladders)
 
     if gamma == 0.0:
@@ -838,7 +834,7 @@ def _branch_best_in_windows(
     """
     k = len(ladder.scores)
     bounds = (np.zeros(k), np.ones(k), np.zeros(k, dtype=bool))
-    for which, window in (("ppv", ppv_window), ("for", for_window)):
+    for which, window in (("ppv", ppv_window), ("for_rate", for_window)):
         if window is not None:
             one = _window_bounds(ladder, which, np.array([window]))
             bounds = _intersect(bounds, tuple(b[0] for b in one))
@@ -984,7 +980,7 @@ def _best_windows(
             r, c = divmod(i, n_inner)
             chosen = {first: block[r], **{which: w[c] for which, w in second}}
             best = tuple(
-                tuple(map(float, chosen[w])) if w in chosen else None for w in ("ppv", "for")
+                tuple(map(float, chosen[w])) if w in chosen else None for w in ("ppv", "for_rate")
             )
     return best
 
@@ -1011,11 +1007,7 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     a 25-step bisection over the same scan, with at most 512 positions (one
     family) or 40 per family (joint) at each step.
     """
-    families = {
-        CriterionKind.SUFFICIENCY: ("ppv", "for"),
-        CriterionKind.PPV_PARITY: ("ppv",),
-        CriterionKind.FOR_PARITY: ("for",),
-    }[problem.criterion.kind]
+    families = problem.criterion.kind.families
     gamma = problem.criterion.gamma
 
     ascending = _ladders(problem.dataset, problem.utility, descending=False)
@@ -1076,8 +1068,6 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
     flagged with a warning.
     """
     names = problem.criterion.legit_names
-    if not names:
-        raise ValueError("conditional statistical parity needs legitimate attribute names")
     dataset, utility = problem.dataset, problem.utility
     gamma = problem.criterion.gamma
 
@@ -1114,12 +1104,12 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
 
 
 def optimize(problem: OptimizationProblem) -> DecisionRule:
-    """Solve the problem with the optimizer matching its criterion kind."""
+    """Solve the problem with the optimizer for its criterion's rate families."""
     kind = problem.criterion.kind
-    if kind is CriterionKind.INDEPENDENCE:
-        return optimize_independence(problem)
     if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
         return optimize_conditional_parity(problem)
-    if kind in (CriterionKind.SEPARATION, CriterionKind.TPR_PARITY, CriterionKind.FPR_PARITY):
+    if kind.families == ("positive_rate",):
+        return optimize_independence(problem)
+    if set(kind.families) <= {"tpr", "fpr"}:
         return optimize_separation(problem)
     return optimize_sufficiency(problem)

@@ -347,7 +347,7 @@ def _oracle_separation_both(
 @dataclass
 class _IntervalPoints:
     ppv: np.ndarray
-    forr: np.ndarray
+    for_rate: np.ndarray
     utils: np.ndarray
     lower_branch: np.ndarray  # bool
     tau_values: np.ndarray
@@ -369,12 +369,12 @@ def _interval_points(data: _GroupData, qs: np.ndarray) -> _IntervalPoints:
         with np.errstate(invalid="ignore", divide="ignore"):
             ppv = np.where(ep > 0, epy / np.where(ep > 0, ep, 1.0), np.nan)
             rej = data.n - ep
-            forr = np.where(rej > 0, (data.n_pos - epy) / np.where(rej > 0, rej, 1.0), np.nan)
+            for_rate = np.where(rej > 0, (data.n_pos - epy) / np.where(rej > 0, rej, 1.0), np.nan)
         t_count, q_count = ep.shape
         parts.append(
             (
                 ppv.ravel(),
-                forr.ravel(),
+                for_rate.ravel(),
                 util.ravel(),
                 np.full(t_count * q_count, lower),
                 np.repeat(taus, q_count),
@@ -395,7 +395,7 @@ def _interval_cut(points: _IntervalPoints, idx: int) -> IntervalCut:
 
 def _oracle_sufficiency(
     groups_data: Mapping[str, _GroupData],
-    relaxation: str,
+    families: tuple[str, ...],
     gamma: float,
     qs: np.ndarray,
 ) -> GroupInterval:
@@ -409,11 +409,10 @@ def _oracle_sufficiency(
             cuts[g] = _interval_cut(points[g], idx)
         return GroupInterval(cuts)
 
-    if relaxation in ("ppv_only", "for_only"):
-        key = "ppv" if relaxation == "ppv_only" else "forr"
+    if len(families) == 1:
         sets = {}
         for g in groups:
-            vals = getattr(points[g], key)
+            vals = getattr(points[g], families[0])
             keep = ~np.isnan(vals)
             sets[g] = (_PointSet(vals[keep], points[g].utils[keep], None, None), np.nonzero(keep)[0])
         found = _window_search({g: sets[g][0] for g in groups}, gamma)
@@ -430,18 +429,18 @@ def _oracle_sufficiency(
         )
     ga, gb = groups
     pa, pb = points[ga], points[gb]
-    keep_a = ~np.isnan(pa.ppv) & ~np.isnan(pa.forr)
-    keep_b = ~np.isnan(pb.ppv) & ~np.isnan(pb.forr)
+    keep_a = ~np.isnan(pa.ppv) & ~np.isnan(pa.for_rate)
+    keep_b = ~np.isnan(pb.ppv) & ~np.isnan(pb.for_rate)
     idx_a = np.nonzero(keep_a)[0]
     idx_b = np.nonzero(keep_b)[0]
     if len(idx_a) * len(idx_b) > 40_000_000:
         raise OracleSizeError("too many interval pairs for joint enumeration")
     best_util = -np.inf
     best_pair: tuple[int, int] | None = None
-    ppv_b, for_b, util_b = pb.ppv[idx_b], pb.forr[idx_b], pb.utils[idx_b]
+    ppv_b, for_b, util_b = pb.ppv[idx_b], pb.for_rate[idx_b], pb.utils[idx_b]
     for a_pos in range(len(idx_a)):
         a_idx = int(idx_a[a_pos])
-        p_a, f_a, u_a = pa.ppv[a_idx], pa.forr[a_idx], pa.utils[a_idx]
+        p_a, f_a, u_a = pa.ppv[a_idx], pa.for_rate[a_idx], pa.utils[a_idx]
         ok = (
             (ppv_b >= gamma * p_a)
             & (p_a >= gamma * ppv_b)
@@ -488,23 +487,13 @@ def brute_force_oracle(problem: OptimizationProblem) -> DecisionRule:
         for i, g in enumerate(dataset.groups)
     }
 
-    if kind is CriterionKind.INDEPENDENCE:
-        return _oracle_single_family(groups_data, "positive_rate", gamma, qs)
-    if kind is CriterionKind.TPR_PARITY:
-        return _oracle_single_family(groups_data, "tpr", gamma, qs)
-    if kind is CriterionKind.FPR_PARITY:
-        return _oracle_single_family(groups_data, "fpr", gamma, qs)
-    if kind is CriterionKind.SEPARATION:
-        return _oracle_separation_both(groups_data, gamma)
-    if kind is CriterionKind.SUFFICIENCY:
-        return _oracle_sufficiency(groups_data, "both", gamma, qs)
-    if kind is CriterionKind.PPV_PARITY:
-        return _oracle_sufficiency(groups_data, "ppv_only", gamma, qs)
-    if kind is CriterionKind.FOR_PARITY:
-        return _oracle_sufficiency(groups_data, "for_only", gamma, qs)
     if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
         return _oracle_conditional_parity(problem, qs)
-    raise ValueError(f"unsupported criterion {kind}")
+    if set(kind.families) <= {"ppv", "for_rate"}:
+        return _oracle_sufficiency(groups_data, kind.families, gamma, qs)
+    if kind.families == ("tpr", "fpr"):
+        return _oracle_separation_both(groups_data, gamma)
+    return _oracle_single_family(groups_data, kind.families[0], gamma, qs)
 
 
 def _oracle_conditional_parity(problem: OptimizationProblem, qs: np.ndarray) -> DecisionRule:
@@ -518,13 +507,8 @@ def _oracle_conditional_parity(problem: OptimizationProblem, qs: np.ndarray) -> 
             all(len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups)
             and len(data) >= 2
         )
-        if constrained:
-            rule = _oracle_single_family(data, "positive_rate", gamma, qs)
-            for g, cut in rule.cuts.items():
-                cuts[(g, stratum)] = cut
-        else:
-            for g, gd in data.items():
-                pts = _threshold_points(gd, "positive_rate", qs)
-                idx = int(np.argmax(pts.utils))
-                cuts[(g, stratum)] = _cut_for_point(gd, pts, idx)
+        # At gamma 0 every group of an unconstrained stratum takes its best cut.
+        rule = _oracle_single_family(data, "positive_rate", gamma if constrained else 0.0, qs)
+        for g, cut in rule.cuts.items():
+            cuts[(g, stratum)] = cut
     return StratifiedGroupThreshold(legit_names=names, cuts=cuts)

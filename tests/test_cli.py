@@ -133,7 +133,7 @@ def test_fit_output_quotes_a_field_with_a_comma(tmp_path):
         ),
         (
             ["sweep", "--input", "in.csv", "--utility", "2,0,0,1", "--gammas", "0.5,1",
-             "--train-fraction", "0.5", "--min-count", "5", "--seeds", "2"],
+             "--train-fraction", "0.5", "--min-count", "5"],
             RunConfig(
                 input=Path("in.csv"),
                 roles=ColumnRoles("group", "label"),
@@ -141,13 +141,41 @@ def test_fit_output_quotes_a_field_with_a_comma(tmp_path):
                 gammas=(0.5, 1.0),
                 train_fraction=0.5,
                 min_count=5,
-                seeds=2,
             ),
+        ),
+        (
+            ["report", "--input", "in.csv", "--seeds", "2"],
+            RunConfig(input=Path("in.csv"), roles=ColumnRoles("group", "label"), seeds=2),
         ),
     ],
 )
 def test_options_left_out_take_the_config_defaults(argv, expected):
     assert _build_config(build_parser().parse_args(argv)) == expected
+
+
+# Options a command would parse and then ignore; its parser does not take them.
+UNREAD_OPTIONS = {
+    "fit": ("--criterion independence", "--assessment a.json", "--gamma 0.8", "--min-count 5",
+            "--verify", "--seeds 2", "--utility 1,0,0,1"),
+    "evaluate": ("--seed 1", "--seeds 2", "--train-fraction 0.5", "--min-count 5", "--verify"),
+    "sweep": ("--gamma 0.8", "--seeds 2", "--verify"),
+    "optimize": ("--seeds 2",),
+    "report": ("--verify",),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in UNREAD_OPTIONS.items() for option in options],
+)
+def test_a_command_rejects_an_option_it_does_not_read(command, option, capsys):
+    argv = [command, "--input", "in.csv", *option.split()]
+    if command == "evaluate":
+        argv += ["--rule", "rule.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + option.split()[0] in capsys.readouterr().err
 
 
 def _regenerate() -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_dataset
 from fairgate.assessment import BenefitSource, JustifierKind, MoralAssessment
+from fairgate.frontier import headline_rate_names
 from fairgate.metrics import (
     UndefinedCellWarning,
     UndefinedMetricError,
@@ -24,6 +25,7 @@ from fairgate.model import (
     SingleThreshold,
     UtilityMatrix,
 )
+from fairgate.optimizer import OptimizationProblem, optimize
 
 FOUR_RECORDS = [
     (0.9, 1, "a"),
@@ -297,3 +299,74 @@ def test_metric_report_is_json_ready(accuracy):
     assert "disparity_ratio" in text
     assert report["disparity_ratio"] == 1.0
     assert report["fec"]["max_disparity"] is not None
+
+
+# Each group has both outcomes accepted and rejected in both tiers, so every
+# rate of every cell is defined under a threshold at 0.5.
+TIERED = [
+    (score, label, group, {"tier": tier})
+    for group in ("a", "b")
+    for tier in ("hi", "lo")
+    for score, label in ((0.9, 1), (0.8, 0), (0.3, 1), (0.2, 0))
+]
+
+
+@pytest.mark.parametrize(
+    "kind, per_family, headline",
+    [
+        (CriterionKind.INDEPENDENCE, ["positive_rate"], ["positive_rate"]),
+        (
+            CriterionKind.CONDITIONAL_STATISTICAL_PARITY,
+            ["positive_rate@hi", "positive_rate@lo"],
+            ["positive_rate"],
+        ),
+        (CriterionKind.SEPARATION, ["tpr", "fpr"], ["tpr", "fpr"]),
+        (CriterionKind.TPR_PARITY, ["tpr"], ["tpr"]),
+        (CriterionKind.FPR_PARITY, ["fpr"], ["fpr"]),
+        (CriterionKind.SUFFICIENCY, ["ppv", "for_rate"], ["ppv", "for_rate"]),
+        (CriterionKind.PPV_PARITY, ["ppv"], ["ppv"]),
+        (CriterionKind.FOR_PARITY, ["for_rate"], ["for_rate"]),
+    ],
+)
+def test_family_names_of_every_criterion(kind, per_family, headline):
+    legit = ("tier",) if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY else ()
+    criterion = FairnessCriterion(kind, legit_names=legit)
+    rates = compute_rates(make_dataset(TIERED, legit_names=("tier",)), SingleThreshold(0.5))
+    assert list(disparity_detail(rates, criterion).per_family) == per_family
+    assert headline_rate_names(criterion, ("a", "b")) == [
+        f"{family}_{g}" for family in headline for g in ("a", "b")
+    ]
+
+
+def _two_attribute_dataset():
+    """2,000 records with a tier and a region; acceptance odds differ by both."""
+    rng = random.Random(11)
+    rows = []
+    for _ in range(2000):
+        group, tier, region = rng.choice("ab"), rng.choice(("high", "low")), rng.choice("ns")
+        base = 0.25 + 0.3 * (tier == "high") + 0.15 * (region == "n") * (group == "a")
+        score = round(min(max(rng.gauss(base, 0.2), 0.0), 1.0), 2)
+        rows.append((score, int(rng.random() < score), group, {"tier": tier, "region": region}))
+    return make_dataset(rows, legit_names=("tier", "region"))
+
+
+def test_conditional_parity_is_measured_within_its_own_strata(accuracy):
+    dataset = _two_attribute_dataset()
+    criterion = FairnessCriterion(
+        CriterionKind.CONDITIONAL_STATISTICAL_PARITY, gamma=0.9, legit_names=("tier",)
+    )
+    rule = optimize(OptimizationProblem(dataset, accuracy, criterion))
+    report = metric_report(dataset, rule, criterion, accuracy)
+    assert list(report["disparity_per_family"]) == ["positive_rate@high", "positive_rate@low"]
+    assert report["disparity_ratio"] >= 0.9 - 1e-12
+    # The per-cell rows still list every (tier, region) stratum of the dataset.
+    assert {row["stratum"] for row in report["strata"]} == {"high/n", "high/s", "low/n", "low/s"}
+
+
+def test_conditional_parity_on_an_attribute_the_data_lacks(accuracy):
+    rates = compute_rates(_two_attribute_dataset(), SingleThreshold(0.5))
+    criterion = FairnessCriterion(
+        CriterionKind.CONDITIONAL_STATISTICAL_PARITY, legit_names=("age",)
+    )
+    with pytest.raises(ValueError, match="age"):
+        disparity_detail(rates, criterion)

@@ -42,7 +42,7 @@ def branches_of(dataset):
 
 
 def bases_of(branches):
-    return {w: opt._candidate_base(branches, w, GRID_STEP) for w in ("ppv", "for")}
+    return {w: opt._candidate_base(branches, w, GRID_STEP) for w in ("ppv", "for_rate")}
 
 
 def loop_branch_best(branch, ppv_window, for_window):
@@ -57,7 +57,7 @@ def loop_branch_best(branch, ppv_window, for_window):
     best = None
     for j in range(len(ep) - 1):
         qlo, qhi, live = 0.0, 1.0, True
-        for which, window in (("ppv", ppv_window), ("for", for_window)):
+        for which, window in (("ppv", ppv_window), ("for_rate", for_window)):
             if window is None:
                 continue
             lo, hi = window
@@ -82,7 +82,7 @@ def loop_branch_best(branch, ppv_window, for_window):
             qlo, qhi = max(qlo, moved(v0, 0.0)), min(qhi, moved(v1, 1.0))
             if which == "ppv" and c == 0.0:
                 qlo = max(qlo, tol)
-            if which == "for" and c + d <= 0.0:
+            if which == "for_rate" and c + d <= 0.0:
                 qhi = min(qhi, 1.0 - tol)
         if not live or qlo > qhi + 1e-15:
             continue
@@ -101,7 +101,7 @@ def loop_joint_windows(branches, bases, gamma, cap):
     best_total, best = None, None
     for p_up in opt._designations(bases["ppv"], gamma, cap):
         pw = (gamma * float(p_up), float(p_up))
-        for f_up in opt._designations(bases["for"], gamma, cap):
+        for f_up in opt._designations(bases["for_rate"], gamma, cap):
             fw = (gamma * float(f_up), float(f_up))
             total = 0.0
             for group in branches.values():
@@ -187,7 +187,7 @@ def test_sweep_blocks_do_not_change_values(monkeypatch):
     for dataset in instances(8, 5):
         branches = branches_of(dataset)
         bases = bases_of(branches)
-        for families in (("ppv",), ("for",), ("ppv", "for")):
+        for families in (("ppv",), ("for_rate",), ("ppv", "for_rate")):
             scanned = {which: bases[which] for which in families}
             cap = 100 if len(families) == 1 else 20
             for gamma in GAMMAS:
@@ -300,7 +300,7 @@ def test_branch_best_matches_dense_grid_on_vertex_edges():
     for dataset in instances(40, 29):
         branches = [b for group in branches_of(dataset).values() for b in group]
         for branch in branches:
-            for which in ("ppv", "for"):
+            for which in ("ppv", "for_rate"):
                 source = rng.choice(branches)
                 vertex = source.values(which, source.cum_count, source.cum_pos)
                 values = sorted(set(vertex[~np.isnan(vertex)]))

@@ -199,8 +199,12 @@ class Dataset:
         """
         names = tuple(names)
         if names not in self._strata:
-            position = {name: j for j, name in enumerate(self.legit_names)}
-            which = [position[name] for name in names]  # KeyError for an unknown name
+            missing = [name for name in names if name not in self.legit_names]
+            if missing:
+                raise ValueError(
+                    f"the data has no legitimate attribute(s) {missing} to condition on"
+                )
+            which = [self.legit_names.index(name) for name in names]
             cols = self.columns
             keys, codes = np.unique(cols.legit_codes[:, which], axis=0, return_inverse=True)
             values = [cols.legit_values[j] for j in which]
@@ -387,10 +391,11 @@ class _CutRule:
 
     def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
         """Probability of deciding 1 for each record of ``dataset`` at ``rows``."""
-        try:
-            stratum_codes, strata = dataset.strata(self._stratum_names())
-        except KeyError as exc:
-            raise CoverageError(f"records miss legitimate attribute {exc}") from None
+        names = self._stratum_names()
+        missing = [name for name in names if name not in dataset.legit_names]
+        if missing:
+            raise CoverageError(f"records miss legitimate attribute {missing[0]!r}")
+        stratum_codes, strata = dataset.strata(names)
         cols = dataset.columns
         sign, tau, boundary = _cell_columns(
             cols.group_codes[rows] * len(strata) + stratum_codes[rows],

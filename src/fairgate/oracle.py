@@ -5,6 +5,14 @@ bracketing sentinels, boundary randomization and mixture weights on a
 configurable grid) and evaluated directly from record masks, independently
 of the optimizer's prefix algebra. Intended for tests and --verify runs
 only; refuses datasets beyond the size guard.
+
+The single-family criteria (independence, TPR, FPR, PPV and FOR parity, and
+each stratum of conditional parity) share one window search. It visits every
+candidate value M as the top of the window [gamma * M, M] and sums each
+group's best point inside it. The values M are scanned in array blocks of
+``_SCAN_BLOCK``, and window maxima come from a range-max table built one
+level at a time, so memory stays at the point sets plus O(block) and two
+table levels. The search uses none of the optimizer's code.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .model import (
 from .optimizer import InfeasibleConstraintError, OptimizationProblem, _stratum_group_rows
 
 MAX_ORACLE_RECORDS = 500
+_SCAN_BLOCK = 1 << 16  # designations per block of the window search
 
 
 class OracleSizeError(ValueError):
@@ -127,8 +136,16 @@ def _window_search(
     """Exhaustive max utility over grid tuples with rate ratios >= gamma.
 
     A tuple is feasible iff all chosen values fit in [gamma * M, M] for some
-    M; scanning M over every candidate value with per-group sliding maxima
-    visits the best feasible tuple exactly.
+    M, so the search visits every candidate value M (a designation) and takes
+    each group's best point in its window. The designations are walked in
+    sorted blocks of ``_SCAN_BLOCK``; within a block, a group's windows are
+    index ranges of its sorted values and their maxima come from
+    ``_window_maxima``. Groups add up in sorted order from 0.0, and the first
+    designation whose total beats every earlier one wins. A group's pick is the
+    last of the equal maxima in its window, in sorted order. Besides the
+    sorted copies of the points, memory holds O(block) arrays and two levels
+    of one group's range-max table. Everything here works on the point sets
+    alone and shares no code with the optimizer.
     """
     groups = sorted(point_sets)
     orders = {g: np.argsort(point_sets[g].values, kind="stable") for g in groups}
@@ -145,38 +162,56 @@ def _window_search(
             total += float(point_sets[g].utils[idx])
         return total, picks
 
-    from collections import deque
-
-    state = {g: {"dq": deque(), "add": 0, "drop": 0} for g in groups}
     best_total: float | None = None
-    best_picks: dict[str, int] | None = None
-    for m in designations:
-        lo = gamma * m
-        feasible = True
-        total = 0.0
+    best_m = 0.0
+    for start in range(0, len(designations), _SCAN_BLOCK):
+        block = designations[start : start + _SCAN_BLOCK]
+        lows = gamma * block
+        totals = np.zeros(len(block))
+        feasible = np.ones(len(block), dtype=bool)
         for g in groups:
-            st = state[g]
-            vals, utils = sorted_vals[g], sorted_utils[g]
-            dq = st["dq"]
-            while st["add"] < len(vals) and vals[st["add"]] <= m:
-                while dq and utils[dq[-1]] <= utils[st["add"]]:
-                    dq.pop()
-                dq.append(st["add"])
-                st["add"] += 1
-            while st["drop"] < len(vals) and vals[st["drop"]] < lo:
-                st["drop"] += 1
-            while dq and dq[0] < st["drop"]:
-                dq.popleft()
-            if not dq:
-                feasible = False
-                break
-            total += float(utils[dq[0]])
-        if feasible and (best_total is None or total > best_total):
-            best_total = total
-            best_picks = {g: int(orders[g][state[g]["dq"][0]]) for g in groups}
+            lo = np.searchsorted(sorted_vals[g], lows, "left")
+            hi = np.searchsorted(sorted_vals[g], block, "right")
+            feasible &= hi > lo
+            totals += _window_maxima(sorted_utils[g], lo, hi)
+        candidates = np.flatnonzero(feasible)
+        if len(candidates) == 0:
+            continue
+        i = candidates[np.argmax(totals[candidates])]
+        if best_total is None or totals[i] > best_total:
+            best_total, best_m = float(totals[i]), block[i]
     if best_total is None:
         return None
-    return best_total, best_picks
+    picks = {}
+    for g in groups:
+        lo = int(np.searchsorted(sorted_vals[g], gamma * best_m, "left"))
+        hi = int(np.searchsorted(sorted_vals[g], best_m, "right"))
+        last_best = hi - 1 - int(np.argmax(sorted_utils[g][lo:hi][::-1]))
+        picks[g] = int(orders[g][last_best])
+    return best_total, picks
+
+
+def _window_maxima(utils: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(utils[lo:hi]) of each window, 0.0 where a window is empty.
+
+    ``lo`` and ``hi`` are nondecreasing. A range-max table over the span the
+    windows cover is built one level at a time: level k holds the max of
+    every run of 2**k values, and a window whose length is in [2**k, 2**(k+1))
+    reads two overlapping runs at level k. Only that level and the next are
+    alive at once.
+    """
+    maxima = np.zeros(len(lo))
+    level_of = np.frexp(np.maximum(hi - lo, 0))[1] - 1  # floor(log2(length)); -1 if empty
+    base = int(lo[0])
+    table = utils[base : max(int(hi[-1]), base)]
+    lo, hi = lo - base, hi - base
+    for level in range(int(level_of.max()) + 1):
+        if level:
+            half = 1 << (level - 1)
+            table = np.maximum(table[:-half], table[half:])
+        at = np.flatnonzero(level_of == level)
+        maxima[at] = np.maximum(table[lo[at]], table[hi[at] - (1 << level)])
+    return maxima
 
 
 def _cut_for_point(data: _GroupData, points: _PointSet, idx: int) -> GroupCut:

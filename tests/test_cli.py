@@ -178,6 +178,19 @@ def test_a_command_rejects_an_option_it_does_not_read(command, option, capsys):
     assert "unrecognized arguments: " + option.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_a_justifier_the_data_lacks_is_named(command, tmp_path, capsys):
+    assessment = tmp_path / "assessment.json"
+    assessment.write_text(
+        json.dumps({**ASSESSMENTS["legitimate"], "justifier_names": ["age"]}), encoding="utf-8"
+    )
+    argv = [command, *SCORED, "--assessment", str(assessment), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the data has no legitimate attribute(s) ['age'] to condition on\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _regenerate() -> None:
     scratch = GOLDEN / "_scratch"
     scratch.mkdir(exist_ok=True)

@@ -124,6 +124,13 @@ def test_groups_and_strata_are_sorted(tmp_path):
     ]
 
 
+def test_strata_of_an_attribute_the_data_lacks(tmp_path):
+    dataset = load_text(tmp_path, HEADER + "r1,b,1,0.5,1,z\n")
+    message = r"^the data has no legitimate attribute\(s\) \['age'\] to condition on$"
+    with pytest.raises(ValueError, match=message):
+        dataset.strata(("tier", "age"))
+
+
 def test_load_csv_builds_no_record(tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("load_csv built a Record")

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 import warnings
+from collections import deque
 
+import numpy as np
 import pytest
 
 from conftest import make_dataset, random_instance
@@ -18,6 +21,7 @@ from fairgate.optimizer import (
     OptimizationProblem,
     optimize_unconstrained,
 )
+from fairgate import oracle
 from fairgate.oracle import MAX_ORACLE_RECORDS, OracleSizeError, brute_force_oracle
 
 ACC = UtilityMatrix.accuracy()
@@ -109,3 +113,120 @@ def test_conditional_parity_oracle_agrees_with_per_stratum_search():
     )
     rule = brute_force_oracle(prob)
     assert decision_maker_utility(ds, rule, ACC) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The window search against the sliding-maximum loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def deque_window_search(point_sets, gamma):
+    """The oracle's former window search: one deque step per designation."""
+    groups = sorted(point_sets)
+    orders = {g: np.argsort(point_sets[g].values, kind="stable") for g in groups}
+    sorted_vals = {g: point_sets[g].values[orders[g]] for g in groups}
+    sorted_utils = {g: point_sets[g].utils[orders[g]] for g in groups}
+    designations = np.unique(np.concatenate([sorted_vals[g] for g in groups]))
+
+    if gamma == 0.0:
+        picks = {}
+        total = 0.0
+        for g in groups:
+            idx = int(np.argmax(point_sets[g].utils))
+            picks[g] = idx
+            total += float(point_sets[g].utils[idx])
+        return total, picks
+
+    state = {g: {"dq": deque(), "add": 0, "drop": 0} for g in groups}
+    best_total = None
+    best_picks = None
+    for m in designations:
+        lo = gamma * m
+        feasible = True
+        total = 0.0
+        for g in groups:
+            st = state[g]
+            vals, utils = sorted_vals[g], sorted_utils[g]
+            dq = st["dq"]
+            while st["add"] < len(vals) and vals[st["add"]] <= m:
+                while dq and utils[dq[-1]] <= utils[st["add"]]:
+                    dq.pop()
+                dq.append(st["add"])
+                st["add"] += 1
+            while st["drop"] < len(vals) and vals[st["drop"]] < lo:
+                st["drop"] += 1
+            while dq and dq[0] < st["drop"]:
+                dq.popleft()
+            if not dq:
+                feasible = False
+                break
+            total += float(utils[dq[0]])
+        if feasible and (best_total is None or total > best_total):
+            best_total = total
+            best_picks = {g: int(orders[g][state[g]["dq"][0]]) for g in groups}
+    if best_total is None:
+        return None
+    return best_total, best_picks
+
+
+def random_point_sets(rng):
+    """2-4 groups of tied values and tied utilities; some groups sit apart."""
+    sets = {}
+    apart = rng.random() < 0.2  # one group's values far below the others'
+    for i in range(rng.randint(2, 4)):
+        size = rng.randint(1, 30)
+        decimals = rng.choice((1, 2))
+        top = 0.15 if apart and i == 0 else 1.0
+        low = 0.0 if apart and i == 0 else (0.5 if apart else 0.0)
+        values = np.round(np.array([rng.uniform(low, top) for _ in range(size)]), decimals)
+        utils = np.round(np.array([rng.uniform(-3.0, 3.0) for _ in range(size)]), rng.choice((0, 1)))
+        sets[f"g{i}"] = oracle._PointSet(values, utils)
+    return sets
+
+
+@pytest.mark.parametrize("block", [7, oracle._SCAN_BLOCK])
+def test_window_search_equals_the_deque_loop(block, monkeypatch):
+    monkeypatch.setattr(oracle, "_SCAN_BLOCK", block)
+    rng = random.Random(4242)
+    infeasible = later_block = 0
+    for _ in range(1000):
+        sets = random_point_sets(rng)
+        for gamma in (0.3, 0.8, 0.9, 1.0):
+            expected = deque_window_search(sets, gamma)
+            found = oracle._window_search(sets, gamma)
+            if expected is None:
+                assert found is None
+                infeasible += 1
+                continue
+            assert found is not None
+            assert found[0] == expected[0]
+            assert found[1] == expected[1]
+            designations = np.unique(np.concatenate([p.values for p in sets.values()]))
+            top = max(sets[g].values[i] for g, i in expected[1].items())
+            later_block += int(np.searchsorted(designations, top)) >= 7
+    assert infeasible >= 500
+    assert later_block >= 1000
+
+
+def test_window_search_memory_is_bounded():
+    # About 200k points per group: 400 records of three-decimal scores at grid step 1e-3.
+    rng = random.Random(7)
+    ds = make_dataset(
+        [(round(rng.uniform(0.0, 1.0), 3), rng.randint(0, 1), "ab"[i % 2]) for i in range(400)]
+    )
+    groups_data = {
+        g: oracle._GroupData.build(g, ds, np.flatnonzero(ds.columns.group_codes == i), ACC)
+        for i, g in enumerate(ds.groups)
+    }
+    qs = oracle._q_grid(1e-3)
+    sets = {g: oracle._threshold_points(d, "positive_rate", qs) for g, d in groups_data.items()}
+    assert min(len(p.values) for p in sets.values()) > 150_000
+    # At gamma 0.3 one block's windows span most of a group's points.
+    for gamma in (0.3, 0.9):
+        tracemalloc.start()
+        try:
+            assert oracle._window_search(sets, gamma) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, gamma

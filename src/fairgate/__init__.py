@@ -34,7 +34,7 @@ from .model import (
     StratifiedGroupThreshold,
     UtilityMatrix,
     decide,
-    decision_probability,
+    decision_probabilities,
     read_rule_file,
     write_rule_file,
 )

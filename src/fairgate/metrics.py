@@ -280,6 +280,8 @@ def fec_check(
     conditioning decision; legitimate justifiers condition on the stratum;
     no justifier compares unconditional expectations.
     """
+    if not len(dataset):
+        raise ValueError("cannot compute expected benefits on an empty dataset")
     dataset.require_scores()
     dp = decision_probabilities(rule, dataset)
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels

@@ -7,8 +7,9 @@ Columns are the stored form of a dataset: ``Dataset.columns`` holds one array
 per record field in record order, and CSV ingest builds them directly.
 ``Dataset.strata`` derives stratum codes for a tuple of legitimate attribute
 names once per tuple; two threads that build one at the same time build equal
-arrays. ``Record`` is the per-individual form: ``Dataset.from_records`` turns
-records into columns and ``Dataset.records`` turns columns back into records.
+arrays. ``Record`` is one individual of a hand-built dataset:
+``Dataset.from_records`` turns records into columns and ``Dataset.records``
+turns columns back into records. No rule is evaluated on a ``Record``.
 
 ``CriterionKind.families`` is the one mapping from a fairness criterion to
 the group rates it equalizes across groups (``GroupRates`` field names:
@@ -22,12 +23,12 @@ everywhere except at threshold boundaries, where an explicit randomization
 probability splits the score atom. Scores are compared with exact equality:
 inputs are decimal text, so two records either share an atom or they do not.
 
-One kernel, ``(score > tau) + (score == tau) * boundary``, compares scores
-with cuts, on a float or elementwise on arrays; an upper-bound interval is
-the same kernel on -score and -high. A rule only picks the cut of each cell
-(its group, or its group and stratum). ``decision_probability`` evaluates a
-rule for one record, ``decision_probabilities`` for every record of a
-dataset, and the two agree exactly.
+One kernel, ``(score > tau) + (score == tau) * boundary``, compares a whole
+dataset's scores with their cuts; an upper-bound interval is the same kernel
+on -score and -high. A rule only picks the cut of each cell (its group, or
+its group and stratum). ``decision_probabilities`` evaluates a rule on every
+record at once and ``decide`` samples every record's decision from one
+uniform draw per record; neither evaluates one record at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ import numpy as np
 
 class CoverageError(KeyError):
     """A rule was asked to decide for a group or stratum it does not cover."""
+
+    # The message as written: ``KeyError`` would print it in quotes.
+    __str__ = Exception.__str__
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +345,6 @@ def _check_unit(value: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
-def _accept(score, tau, boundary):
-    """Acceptance probability of a cut: 1 above tau, ``boundary`` at it, else 0.
-
-    The one comparison of scores with cuts, on floats or elementwise on arrays.
-    """
-    return (score > tau) + (score == tau) * boundary
-
-
 def _cell_columns(codes: np.ndarray, cells: Sequence, pick: Callable) -> np.ndarray:
     """Per-row values of ``pick(cell)``, called once for each cell code in ``codes``.
 
@@ -378,17 +374,6 @@ class _CutRule:
             raise CoverageError(f"rule does not cover group {group!r}") from None
         return cut.signed_cut()
 
-    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
-        """Probability of deciding 1 for one record."""
-        try:
-            stratum = tuple(legit[name] for name in self._stratum_names())
-        except KeyError as exc:
-            raise CoverageError(
-                f"group {group!r}: record misses legitimate attribute {exc}"
-            ) from None
-        sign, tau, boundary = self._cell_cut(group, stratum)
-        return float(_accept(sign * score, tau, boundary))
-
     def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
         """Probability of deciding 1 for each record of ``dataset`` at ``rows``."""
         names = self._stratum_names()
@@ -402,7 +387,8 @@ class _CutRule:
             [(g, s) for g in dataset.groups for s in strata],
             lambda cell: self._cell_cut(*cell),
         )
-        return _accept(sign * cols.scores[rows], tau, boundary)
+        signed = sign * cols.scores[rows]
+        return (signed > tau) + (signed == tau) * boundary  # 1 above tau, ``boundary`` at it
 
 
 @dataclass(frozen=True)
@@ -480,10 +466,6 @@ class IntervalCut:
             return 1.0, self.low, self.boundary
         return -1.0, -self.high, self.boundary
 
-    def probability(self, score: float) -> float:
-        sign, tau, boundary = self.signed_cut()
-        return float(_accept(sign * score, tau, boundary))
-
 
 @dataclass(frozen=True)
 class GroupInterval(_CutRule):
@@ -531,18 +513,17 @@ class Mixture:
         except KeyError:
             raise CoverageError(f"mixture does not cover group {group!r}") from None
 
-    def probability(self, score: float, group: str, legit: Mapping[str, str]) -> float:
-        w = self._weight(group)
-        p1 = self.first.probability(score, group, legit) if w > 0.0 else 0.0
-        p2 = self.second.probability(score, group, legit) if w < 1.0 else 0.0
-        return w * p1 + (1.0 - w) * p2
-
-    def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+    def _row_weights(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        """The weight w_g of each record of ``dataset`` at ``rows``."""
         (w,) = _cell_columns(
             dataset.columns.group_codes[rows], dataset.groups, lambda g: (self._weight(g),)
         )
+        return w
+
+    def probabilities(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        w = self._row_weights(dataset, rows)
         p1, p2 = np.zeros(len(rows)), np.zeros(len(rows))
-        # A sub-rule only sees the rows it can decide, as in ``probability``.
+        # A sub-rule only sees the rows whose weight gives it a share.
         for p, rule, used in ((p1, self.first, w > 0.0), (p2, self.second, w < 1.0)):
             if used.any():
                 p[used] = rule.probabilities(dataset, rows[used])
@@ -553,48 +534,51 @@ DecisionRule = (
     SingleThreshold | GroupThreshold | GroupInterval | StratifiedGroupThreshold | Mixture
 )
 
-_EMPTY: Mapping[str, str] = {}
-
-
-def decision_probability(
-    rule: DecisionRule, score: float, group: str, legit: Mapping[str, str] = _EMPTY
-) -> float:
-    """Probability that the rule decides 1, taken over its randomization."""
-    return rule.probability(score, group, legit)
-
 
 def decision_probabilities(rule: DecisionRule, dataset: Dataset) -> np.ndarray:
-    """``decision_probability`` of every record of the dataset, in record order."""
+    """Probability that the rule decides 1 for each record, taken over its randomization."""
+    if not len(dataset):
+        return np.zeros(0)
     return rule.probabilities(dataset, np.arange(len(dataset)))
 
 
-def decide(
-    rule: DecisionRule,
-    score: float,
-    group: str,
-    legit: Mapping[str, str] = _EMPTY,
-    random_draw: float = 0.0,
-) -> int:
-    """Sample a binary decision using one uniform [0, 1) draw.
+def decide(rule: DecisionRule, dataset: Dataset, draws: np.ndarray) -> np.ndarray:
+    """Each record's sampled decision (True decides 1), from one uniform draw per record.
 
-    The draw selects the branch of a mixture and is rescaled before being
-    passed on, so the sub-rule still sees a uniform draw; for threshold and
-    interval rules it resolves the boundary randomization. With a fixed draw,
-    raising the score never flips a threshold decision from 1 to 0.
+    ``draws`` must hold one draw in [0, 1) per record. A mixture routes a
+    record to ``first`` when its draw is below the weight, then rescales the
+    draw onto [0, 1] for the sub-rule that sees the record. A record decides 1
+    when its draw is below its decision probability; weight 1 always picks
+    ``first`` and probability 1 always decides 1, even for a rescaled draw that
+    rounded up to 1. With fixed draws, a higher score never flips a threshold
+    decision from 1 to 0.
     """
-    if not 0.0 <= random_draw < 1.0:
-        raise ValueError(f"random draw must be in [0, 1), got {random_draw}")
-    if isinstance(rule, Mixture):
-        w = rule._weight(group)
-        if random_draw < w:
-            return decide(rule.first, score, group, legit, random_draw / w)
-        return decide(rule.second, score, group, legit, (random_draw - w) / (1.0 - w))
-    p = rule.probability(score, group, legit)
-    if p == 1.0:
-        return 1
-    if p == 0.0:
-        return 0
-    return 1 if random_draw < p else 0
+    draws = np.asarray(draws, dtype=float)
+    if draws.shape != (len(dataset),):
+        raise ValueError(f"need one random draw per record, got shape {draws.shape}")
+    bad = ~((draws >= 0.0) & (draws < 1.0))  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"random draws must be in [0, 1), got {draws[bad][0]}")
+    return _sample(rule, dataset, np.arange(len(dataset)), draws)
+
+
+def _sample(
+    rule: DecisionRule, dataset: Dataset, rows: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """``decide`` for the records at ``rows``, whose draws are ``draws``."""
+    if not len(rows):
+        return np.zeros(0, dtype=bool)
+    if not isinstance(rule, Mixture):
+        p = rule.probabilities(dataset, rows)
+        return (p == 1.0) | (draws < p)
+    w = rule._row_weights(dataset, rows)
+    first = (draws < w) | (w == 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken may divide by 0
+        rescaled = np.where(first, draws / w, (draws - w) / (1.0 - w))
+    decisions = np.zeros(len(rows), dtype=bool)
+    for sub_rule, routed in ((rule.first, first), (rule.second, ~first)):
+        decisions[routed] = _sample(sub_rule, dataset, rows[routed], rescaled[routed])
+    return decisions
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,39 @@ def test_a_justifier_the_data_lacks_is_named(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+STRATIFIED_BY_JOB = {
+    "kind": "stratified_group_threshold",
+    "legit_names": ["job"],
+    "cuts": [{"group": g, "stratum": ["x"], "tau": 0.5, "boundary": 1.0} for g in "ab"],
+}
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (None, "mixture does not cover group 'c'"),
+        (STRATIFIED_BY_JOB, "records miss legitimate attribute 'job'"),
+    ],
+    ids=["group", "attribute"],
+)
+def test_a_rule_that_does_not_cover_the_data_is_named(rule, message, tmp_path, capsys):
+    # The first record moves to a third group, "c", that the separation rule lacks.
+    lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("r0,a,")
+    lines[1] = "r0,c," + lines[1][len("r0,a,"):]
+    source = tmp_path / "input.csv"
+    source.write_text("".join(lines), encoding="utf-8")
+    rule_path = SEPARATION_RULE
+    if rule is not None:
+        rule_path = tmp_path / "rule.json"
+        doc = {"rule": rule, "criterion": {"kind": "independence"}}
+        rule_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["evaluate", "--input", str(source), "--score-col", "p", "--rule", str(rule_path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _regenerate() -> None:
     scratch = GOLDEN / "_scratch"
     scratch.mkdir(exist_ok=True)

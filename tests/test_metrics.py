@@ -282,6 +282,12 @@ class TestFecCheck:
         table = fec_check(make_dataset(rows), SingleThreshold(0.5), a, benefit)
         assert table.max_disparity == pytest.approx(0.0)  # both groups accept one of two
 
+    def test_empty_dataset_is_rejected(self):
+        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
+        empty = Dataset.from_records([])
+        with pytest.raises(ValueError, match="cannot compute expected benefits on an empty"):
+            fec_check(empty, SingleThreshold(0.5), outcome_assessment(), benefit)
+
 
 def test_metric_report_is_json_ready(accuracy):
     import json

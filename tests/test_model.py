@@ -26,7 +26,6 @@ from fairgate.model import (
     UtilityMatrix,
     decide,
     decision_probabilities,
-    decision_probability,
     read_rule_file,
     rule_from_dict,
     rule_to_dict,
@@ -42,81 +41,111 @@ def always_reject():
     return SingleThreshold(1.0, boundary=0.0)
 
 
+def dataset_of(scores, group="a", legit=None):
+    """One record per score, each in ``group`` with the legitimate attributes ``legit``."""
+    legit = legit or {}
+    records = [Record(str(i), 0, group, score, legit) for i, score in enumerate(scores)]
+    return Dataset.from_records(records, tuple(legit))
+
+
+BELOW_ONE = math.nextafter(1.0, 0.0)  # 1 - 2**-53, the largest valid draw
+
+
 class TestDecide:
     def test_single_threshold_above(self):
-        assert decide(SingleThreshold(0.5), 0.51, "a") == 1
+        assert decide(SingleThreshold(0.5), dataset_of([0.51]), [0.0]).tolist() == [True]
 
     def test_single_threshold_below(self):
-        assert decide(SingleThreshold(0.5), 0.49, "a") == 0
+        assert decide(SingleThreshold(0.5), dataset_of([0.49]), [0.0]).tolist() == [False]
 
     def test_single_threshold_closed_at_boundary(self):
-        assert decide(SingleThreshold(0.5), 0.5, "a", random_draw=0.999) == 1
+        assert decide(SingleThreshold(0.5), dataset_of([0.5]), [0.999]).tolist() == [True]
 
     def test_interval_outside(self):
         rule = GroupInterval({"f": IntervalCut(low=0.0, high=0.3, boundary=1.0)})
-        assert decide(rule, 0.4, "f") == 0
+        assert decide(rule, dataset_of([0.4], "f"), [0.0]).tolist() == [False]
 
     def test_interval_inside(self):
         rule = GroupInterval({"f": IntervalCut(low=0.0, high=0.3, boundary=1.0)})
-        assert decide(rule, 0.2, "f") == 1
+        assert decide(rule, dataset_of([0.2], "f"), [0.0]).tolist() == [True]
 
     def test_group_thresholds_differ(self):
         rule = GroupThreshold({"a": GroupCut(0.51), "c": GroupCut(0.44)})
-        assert decide(rule, 0.47, "c") == 1
-        assert decide(rule, 0.47, "a") == 0
+        dataset = Dataset.from_records([Record("r", 0, "c", 0.47), Record("s", 0, "a", 0.47)])
+        assert decide(rule, dataset, [0.0, 0.0]).tolist() == [True, False]
 
     def test_unknown_group(self):
         rule = GroupThreshold({"a": GroupCut(0.5)})
         with pytest.raises(CoverageError, match="b"):
-            decide(rule, 0.7, "b")
+            decide(rule, dataset_of([0.7], "b"), [0.0])
 
     def test_missing_stratum(self):
         rule = StratifiedGroupThreshold(
             legit_names=("job",), cuts={("a", ("clerk",)): GroupCut(0.5)}
         )
-        assert decide(rule, 0.9, "a", {"job": "clerk"}) == 1
+        assert decide(rule, dataset_of([0.9], "a", {"job": "clerk"}), [0.0]).tolist() == [True]
         with pytest.raises(CoverageError, match="nurse"):
-            decide(rule, 0.9, "a", {"job": "nurse"})
+            decide(rule, dataset_of([0.9], "a", {"job": "nurse"}), [0.0])
 
     def test_boundary_randomization_uses_draw(self):
         rule = GroupThreshold({"a": GroupCut(0.5, boundary=0.25)})
-        assert decide(rule, 0.5, "a", random_draw=0.2) == 1
-        assert decide(rule, 0.5, "a", random_draw=0.3) == 0
+        assert decide(rule, dataset_of([0.5, 0.5]), [0.2, 0.3]).tolist() == [True, False]
 
     def test_bad_draw_rejected(self):
-        with pytest.raises(ValueError):
-            decide(SingleThreshold(0.5), 0.7, "a", random_draw=1.0)
+        dataset = dataset_of([0.7, 0.2])
+        for draws in ([0.5, 1.0], [-0.1, 0.5], [0.5, math.nan], [0.5], [0.5, 0.5, 0.5], 0.5):
+            with pytest.raises(ValueError):
+                decide(SingleThreshold(0.5), dataset, draws)
+
+
+def test_a_rescaled_draw_that_rounds_up_to_one_is_valid():
+    # (draw - w) / (1 - w) rounds up to 1.0 for this weight at the largest draw.
+    rule = Mixture({"a": 0.3}, SingleThreshold(0.5), SingleThreshold(0.2))
+    assert decide(rule, dataset_of([0.4]), [BELOW_ONE]).tolist() == [True]
+    rounded = [w for w in (i / 1000 for i in range(1, 1000)) if (BELOW_ONE - w) / (1 - w) == 1]
+    assert len(rounded) == 84
+    # Past the rounding, weight 1 still picks ``first`` and probability 1 still decides 1.
+    inner = Mixture({"a": 1.0}, SingleThreshold(0.2), SingleThreshold(0.9))
+    for w in rounded:
+        rule = Mixture({"a": w}, SingleThreshold(0.9), inner)
+        assert decide(rule, dataset_of([0.4]), [BELOW_ONE]).tolist() == [True]
+
+
+def test_an_empty_dataset_gives_empty_arrays():
+    empty = Dataset.from_records([])
+    for rule in (SingleThreshold(0.5), Mixture({}, always_accept(), always_reject())):
+        assert decision_probabilities(rule, empty).shape == (0,)
+        assert decide(rule, empty, []).shape == (0,)
 
 
 class TestDecisionProbability:
     def test_boundary(self):
         rule = GroupThreshold({"a": GroupCut(0.5, boundary=0.25)})
-        assert decision_probability(rule, 0.5, "a") == 0.25
+        assert decision_probabilities(rule, dataset_of([0.5])).tolist() == [0.25]
 
     def test_mixture_of_extremes(self):
         rule = Mixture(weights={"a": 0.5}, first=always_accept(), second=always_reject())
-        for score in (0.0, 0.3, 0.99):
-            assert decision_probability(rule, score, "a") == 0.5
+        assert decision_probabilities(rule, dataset_of([0.0, 0.3, 0.99])).tolist() == [0.5] * 3
 
     def test_deterministic_rule_matches_decide_for_every_draw(self):
         rule = GroupThreshold({"a": GroupCut(0.5, boundary=1.0)})
-        for score in (0.2, 0.5, 0.8):
-            p = decision_probability(rule, score, "a")
-            assert p in (0.0, 1.0)
-            for draw in (0.0, 0.31, 0.77, 0.999):
-                assert decide(rule, score, "a", random_draw=draw) == p
+        dataset = dataset_of([0.2, 0.5, 0.8])
+        p = decision_probabilities(rule, dataset)
+        assert set(p.tolist()) <= {0.0, 1.0}
+        for draw in (0.0, 0.31, 0.77, 0.999):
+            assert decide(rule, dataset, np.full(3, draw)).tolist() == (p == 1.0).tolist()
 
     def test_interval_lower_form_boundary(self):
-        cut = IntervalCut(low=0.4, high=1.0, boundary=0.7)
-        assert cut.probability(0.4) == 0.7
-        assert cut.probability(0.41) == 1.0
-        assert cut.probability(0.39) == 0.0
+        rule = GroupInterval({"a": IntervalCut(low=0.4, high=1.0, boundary=0.7)})
+        assert decision_probabilities(rule, dataset_of([0.4, 0.41, 0.39])).tolist() == [
+            0.7, 1.0, 0.0
+        ]
 
     def test_interval_upper_form_boundary(self):
-        cut = IntervalCut(low=0.0, high=0.6, boundary=0.2)
-        assert cut.probability(0.6) == 0.2
-        assert cut.probability(0.59) == 1.0
-        assert cut.probability(0.61) == 0.0
+        rule = GroupInterval({"a": IntervalCut(low=0.0, high=0.6, boundary=0.2)})
+        assert decision_probabilities(rule, dataset_of([0.6, 0.59, 0.61])).tolist() == [
+            0.2, 1.0, 0.0
+        ]
 
 
 MC_RULES = [
@@ -134,11 +163,12 @@ MC_RULES = [
 @pytest.mark.parametrize("rule", MC_RULES, ids=["boundary", "boundary-hi", "mix", "mix-extreme"])
 @pytest.mark.parametrize("score", [0.2, 0.3, 0.5])
 def test_monte_carlo_matches_probability(rule, score):
-    p = decision_probability(rule, score, "a")
-    rng = random.Random(12345)
+    one = dataset_of([score])
+    (p,) = decision_probabilities(rule, one).tolist()
     n = 100_000
-    hits = sum(decide(rule, score, "a", random_draw=rng.random()) for _ in range(n))
-    freq = hits / n
+    copies = Dataset(one.columns.take(np.zeros(n, dtype=np.intp)), one.groups)
+    draws = np.random.default_rng(12345).random(n)
+    freq = decide(rule, copies, draws).mean()
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
     assert abs(freq - p) <= 3.0 * se + 1e-12
 
@@ -153,8 +183,8 @@ def test_monte_carlo_matches_probability(rule, score):
 )
 def test_threshold_decide_monotone_in_score(tau, q, lo, hi, draw):
     rule = GroupThreshold({"a": GroupCut(tau, boundary=q)})
-    s1, s2 = min(lo, hi), max(lo, hi)
-    assert decide(rule, s1, "a", random_draw=draw) <= decide(rule, s2, "a", random_draw=draw)
+    low, high = decide(rule, dataset_of([min(lo, hi), max(lo, hi)]), [draw, draw])
+    assert low <= high
 
 
 RULES_FOR_ROUNDTRIP = st.one_of(
@@ -192,7 +222,8 @@ RULES_FOR_ROUNDTRIP = st.one_of(
 @given(rule=RULES_FOR_ROUNDTRIP, score=st.floats(0, 1))
 def test_serialization_roundtrip_preserves_probabilities(rule, score):
     clone = rule_from_dict(rule_to_dict(rule))
-    assert decision_probability(clone, score, "a") == decision_probability(rule, score, "a")
+    one = dataset_of([score])
+    assert decision_probabilities(clone, one).tolist() == decision_probabilities(rule, one).tolist()
 
 
 def test_rule_file_roundtrip(tmp_path):
@@ -203,9 +234,11 @@ def test_rule_file_roundtrip(tmp_path):
     loaded, crit = read_rule_file(path)
     assert crit == criterion
     grid = [i / 97 for i in range(98)] + [0.5123456789012345]
-    for s in grid:
-        for g in ("a", "c"):
-            assert decision_probability(loaded, s, g) == decision_probability(rule, s, g)
+    dataset = Dataset.from_records(
+        [Record(f"{g}{i}", 0, g, s) for g in ("a", "c") for i, s in enumerate(grid)]
+    )
+    expected = decision_probabilities(rule, dataset).tolist()
+    assert decision_probabilities(loaded, dataset).tolist() == expected
 
 
 def test_stratified_rule_file_roundtrip(tmp_path):
@@ -217,7 +250,7 @@ def test_stratified_rule_file_roundtrip(tmp_path):
     write_rule_file(path, rule)
     loaded, crit = read_rule_file(path)
     assert crit is None
-    assert decision_probability(loaded, 0.4, "a", {"job": "x"}) == 0.5
+    assert decision_probabilities(loaded, dataset_of([0.4], "a", {"job": "x"})).tolist() == [0.5]
 
 
 class TestValidation:
@@ -317,8 +350,72 @@ def rules_of_every_kind(rng, atoms):
     return [single, group, lower, upper, mixed_forms, stratified, edge_weights, nested]
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_array_evaluation_equals_per_record_probability(seed):
+def per_record(dataset):
+    """(score, group, legitimate attributes) of each record, read from the columns."""
+    cols = dataset.columns
+    for i in range(len(dataset)):
+        codes = cols.legit_codes[i].tolist()
+        legit = {n: v[c] for n, v, c in zip(dataset.legit_names, cols.legit_values, codes)}
+        yield cols.scores[i].item(), dataset.groups[cols.group_codes[i]], legit
+
+
+def reference_weight(mixture, group):
+    if group not in mixture.weights:
+        raise CoverageError(f"mixture does not cover group {group!r}")
+    return mixture.weights[group]
+
+
+def reference_probability(rule, score, group, legit):
+    """One record's probability of deciding 1, from the rule's fields alone.
+
+    The per-record reference of the array kernel: it looks up the record's
+    cut and compares one score with it.
+    """
+    if isinstance(rule, Mixture):
+        w = reference_weight(rule, group)
+        p1 = reference_probability(rule.first, score, group, legit) if w > 0.0 else 0.0
+        p2 = reference_probability(rule.second, score, group, legit) if w < 1.0 else 0.0
+        return w * p1 + (1.0 - w) * p2
+    if isinstance(rule, SingleThreshold):
+        cut = rule
+    else:
+        key = group
+        if isinstance(rule, StratifiedGroupThreshold):
+            if not set(rule.legit_names) <= set(legit):
+                raise CoverageError(f"record misses one of {rule.legit_names}")
+            key = (group, tuple(legit[name] for name in rule.legit_names))
+        if key not in rule.cuts:
+            raise CoverageError(f"rule does not cover {key!r}")
+        cut = rule.cuts[key]
+    if isinstance(cut, IntervalCut) and not cut.is_lower_form:
+        # Accept below ``high``, randomize at it.
+        return cut.boundary if score == cut.high else float(score < cut.high)
+    tau = cut.low if isinstance(cut, IntervalCut) else cut.tau
+    return cut.boundary if score == tau else float(score > tau)
+
+
+def reference_decide(rule, score, group, legit, draw):
+    """One record's decision from its draw, as the per-record ``decide`` took it.
+
+    A mixture picks ``first`` below its weight and rescales the draw for the
+    sub-rule. A rescaled draw is not checked again: when it rounds up to 1,
+    weight 1 still picks ``first`` and probability 1 still decides 1.
+    """
+    if isinstance(rule, Mixture):
+        w = reference_weight(rule, group)
+        if draw < w or w == 1.0:
+            return reference_decide(rule.first, score, group, legit, draw / w)
+        return reference_decide(rule.second, score, group, legit, (draw - w) / (1.0 - w))
+    p = reference_probability(rule, score, group, legit)
+    if p == 1.0:
+        return 1
+    if p == 0.0:
+        return 0
+    return 1 if draw < p else 0
+
+
+def seeded_case(seed):
+    """A seed's dataset, its groups declared in sorted order or not, and its rules."""
     rng = random.Random(seed)
     atoms = sorted({round(rng.random(), 2) for _ in range(6)} | {0.0, 1.0})
     # Group codes follow the declared group order, sorted or not.
@@ -326,12 +423,47 @@ def test_array_evaluation_equals_per_record_probability(seed):
     by_name = Dataset.from_records(random_records(rng, atoms), LEGIT)
     recode = np.array([order.index(g) for g in by_name.groups])[by_name.columns.group_codes]
     columns = dataclasses.replace(by_name.columns, group_codes=recode)
-    dataset = Dataset(columns, order, LEGIT)
-    for rule in rules_of_every_kind(rng, atoms):
-        expected = [
-            decision_probability(rule, r.score, r.group, r.legit) for r in dataset.records
-        ]
+    return Dataset(columns, order, LEGIT), rules_of_every_kind(rng, atoms)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_array_evaluation_equals_per_record_probability(seed):
+    dataset, rules = seeded_case(seed)
+    for rule in rules:
+        expected = [reference_probability(rule, *record) for record in per_record(dataset)]
         assert decision_probabilities(rule, dataset).tolist() == expected, rule
+
+
+# Weights w at which the largest draw's (draw - w) / (1 - w) rounds up to 1.
+# Short decimals can; a weight of random bits, as in ``rules_of_every_kind``, never does.
+ROUNDING_WEIGHTS = [
+    w for w in (i / 100 for i in range(1, 100)) if (BELOW_ONE - w) / (1 - w) == 1
+]
+
+
+def with_rounding_weights(rule):
+    """The rule with each mixture weight inside (0, 1) moved to one of ``ROUNDING_WEIGHTS``."""
+    if not isinstance(rule, Mixture):
+        return rule
+    weights = {
+        g: w if w in (0.0, 1.0) else ROUNDING_WEIGHTS[int(w * len(ROUNDING_WEIGHTS))]
+        for g, w in rule.weights.items()
+    }
+    return Mixture(weights, with_rounding_weights(rule.first), with_rounding_weights(rule.second))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_decide_equals_per_record_decide(seed):
+    dataset, rules = seeded_case(seed)
+    rng = np.random.default_rng(seed)
+    n = len(dataset)
+    for rule in rules + [with_rounding_weights(r) for r in rules if isinstance(r, Mixture)]:
+        for draws in (np.zeros(n), np.full(n, BELOW_ONE), rng.random(n)):
+            expected = [
+                reference_decide(rule, *record, draw)
+                for record, draw in zip(per_record(dataset), draws.tolist())
+            ]
+            assert decide(rule, dataset, draws).astype(int).tolist() == expected, rule
 
 
 def test_uncovered_cell_raises_on_both_paths():
@@ -353,5 +485,7 @@ def test_uncovered_cell_raises_on_both_paths():
         with pytest.raises(CoverageError):
             decision_probabilities(rule, dataset)
         with pytest.raises(CoverageError):
-            for r in dataset.records:
-                decision_probability(rule, r.score, r.group, r.legit)
+            decide(rule, dataset, np.zeros(len(dataset)))
+        with pytest.raises(CoverageError):
+            for record in per_record(dataset):
+                reference_probability(rule, *record)

@@ -89,11 +89,10 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
     """All conditional rates of the rule on the dataset, per group and stratum."""
     if not len(dataset):
         raise ValueError("cannot compute rates on an empty dataset")
-    dataset.require_scores()
     dp = decision_probabilities(rule, dataset)
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
     k = len(groups)
-    size, accept = _sums(g, k), _sums(g, k, dp)
+    size, accept, reject = _sums(g, k), _sums(g, k, dp), _sums(g, k, 1.0 - dp)
     # Cells 2 * group + outcome, in (group, outcome) order.
     counts, accepted, rejected = (_sums(2 * g + y, 2 * k, w) for w in (None, dp, 1.0 - dp))
 
@@ -119,7 +118,7 @@ def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
         tpr=per_group(map(_rate, accepted[1::2], counts[1::2])),
         fpr=per_group(map(_rate, accepted[0::2], counts[0::2])),
         ppv=per_group(map(_rate, accepted[1::2], accept)),
-        for_rate=per_group(map(_rate, rejected[1::2], [n - a for n, a in zip(size, accept)])),
+        for_rate=per_group(map(_rate, rejected[1::2], reject)),
         legit_names=dataset.legit_names,
         stratum_positive_rate=stratum_positive_rate,
         stratum_size=stratum_size,
@@ -225,7 +224,6 @@ def decision_maker_utility(
     """Mean expected payoff of the rule: with the accuracy matrix, the accuracy."""
     if not len(dataset):
         raise ValueError("cannot compute utility on an empty dataset")
-    dataset.require_scores()
     dp = decision_probabilities(rule, dataset)
     y = dataset.columns.labels
     payoff = dp * _by_outcome(y, utility.u, 1) + (1.0 - dp) * _by_outcome(y, utility.u, 0)
@@ -282,7 +280,6 @@ def fec_check(
     """
     if not len(dataset):
         raise ValueError("cannot compute expected benefits on an empty dataset")
-    dataset.require_scores()
     dp = decision_probabilities(rule, dataset)
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
     everyone, ones = np.ones(len(y), dtype=bool), np.ones(len(y))

@@ -537,6 +537,7 @@ DecisionRule = (
 
 def decision_probabilities(rule: DecisionRule, dataset: Dataset) -> np.ndarray:
     """Probability that the rule decides 1 for each record, taken over its randomization."""
+    dataset.require_scores()
     if not len(dataset):
         return np.zeros(0)
     return rule.probabilities(dataset, np.arange(len(dataset)))
@@ -545,14 +546,15 @@ def decision_probabilities(rule: DecisionRule, dataset: Dataset) -> np.ndarray:
 def decide(rule: DecisionRule, dataset: Dataset, draws: np.ndarray) -> np.ndarray:
     """Each record's sampled decision (True decides 1), from one uniform draw per record.
 
-    ``draws`` must hold one draw in [0, 1) per record. A mixture routes a
-    record to ``first`` when its draw is below the weight, then rescales the
-    draw onto [0, 1] for the sub-rule that sees the record. A record decides 1
-    when its draw is below its decision probability; weight 1 always picks
-    ``first`` and probability 1 always decides 1, even for a rescaled draw that
-    rounded up to 1. With fixed draws, a higher score never flips a threshold
-    decision from 1 to 0.
+    Every record must have a score, and ``draws`` must hold one draw in
+    [0, 1) per record. A mixture routes a record to ``first`` when its draw
+    is below the weight, then rescales the draw onto [0, 1] for the sub-rule
+    that sees the record. A record decides 1 when its draw is below its
+    decision probability; weight 1 always picks ``first`` and probability 1
+    always decides 1, even for a rescaled draw that rounded up to 1. With
+    fixed draws, a higher score never flips a threshold decision from 1 to 0.
     """
+    dataset.require_scores()
     draws = np.asarray(draws, dtype=float)
     if draws.shape != (len(dataset),):
         raise ValueError(f"need one random draw per record, got shape {draws.shape}")

@@ -42,12 +42,14 @@ PPV and FOR are ratios of prefix quantities, monotone in the boundary
 randomization along each segment of a group's path, so one edge rule gives
 each segment's feasible interval in a window: an end whose value lies within
 1e-12 of the window stays, an end outside moves to where the value crosses
-the edge. One scan values every combination of candidate windows, for one
-family or both, under that rule, and the winning rule is rebuilt under it,
-so the search within a window is exact. The window positions are not all
-scanned: the candidates are vertex and q-grid values, subsampled to the caps
-named at the top of the sufficiency section, so a sufficiency result is
-exact only below the caps.
+the edge widened by 1e-12. One scan values every combination of candidate
+windows, for one family or both, under that rule, and the winning rule is
+rebuilt under it, so the search within a window is exact. The window
+positions are not all scanned: the candidates are vertex and q-grid values,
+subsampled to the caps named at the top of the sufficiency section, so a
+sufficiency result is exact only below the caps. When the scan finds no
+window, the highest level reported is found by bisection with the same scan
+at the same cap, so a solve at that level returns a rule.
 """
 
 from __future__ import annotations
@@ -743,11 +745,9 @@ def _project_to_family(ladder: _Ladder, family: str, value: float) -> tuple[floa
 # candidates are every vertex value and every q-grid value (steps of
 # grid_step) of every branch, together with each of them divided by gamma;
 # past a cap, an evenly spaced subsample of the sorted candidates is scanned.
+# The solve and its highest-level bisection scan at the same cap.
 _SINGLE_FAMILY_CAP = 4096  # PPV-only or FOR-only parity
 _JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
-_SINGLE_FAMILY_GAMMA_CAP = 512  # per step of the max-gamma bisection
-_JOINT_GAMMA_CAP = 40
-_GAMMA_BISECTION_STEPS = 25
 # When grid points per segment times the largest branch's vertex count exceeds
 # this, the q-grid falls back to the 63 interior points of a 65-point grid.
 _GRID_POINT_LIMIT = 500_000
@@ -769,10 +769,12 @@ def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
     its value lies within 1e-12 of it: the candidate windows are built from
     vertex values, so a vertex on an edge is the normal case and must not
     depend on the last bit of a quotient. An end inside stays; an end
-    outside moves to the q where the value crosses the edge it lies beyond.
-    A segment whose values all lie beyond one edge is dead. An open end (PPV
-    without accepts, FOR without rejects) has its segment's constant value
-    and is nudged 1e-12 into the segment.
+    outside moves to the q where the value crosses the edge it lies beyond,
+    widened by the same 1e-12. So under joint parity a point inside both
+    windows keeps a nonempty q-interval, though its PPV and FOR crossings
+    may land an ulp apart. A segment whose values all lie beyond one edge is
+    dead. An open end (PPV without accepts, FOR without rejects) has its
+    segment's constant value and is nudged 1e-12 into the segment.
     """
     tol = 1e-12
     num0, dnum, den0, dden = ladder.segments(which)
@@ -787,7 +789,7 @@ def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
     w, j = np.nonzero(~dead & ((vmin < lo - tol) | (vmax > hi + tol)))
     lo, hi = lo[w, 0], hi[w, 0]
     for q, v in ((qlo, v0[j]), (qhi, v1[j])):
-        edge = np.clip(v, lo, hi)
+        edge = np.clip(v, lo - tol, hi + tol)
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (edge * den0[j] - num0[j]) / (dnum[j] - edge * dden[j])
         out = (v < lo - tol) | (v > hi + tol)
@@ -811,13 +813,9 @@ def _intersect(a: _Bounds, b: _Bounds) -> _Bounds:
 
 
 def _nonempty(bounds: _Bounds) -> np.ndarray:
-    """Segments with a feasible point.
-
-    Under both families, the PPV and the FOR crossing of one point can come
-    out an ulp apart in q; the slack keeps that point.
-    """
+    """Segments with a feasible point."""
     qlo, qhi, dead = bounds
-    return ~dead & (qlo <= qhi + 1e-15)
+    return ~dead & (qlo <= qhi)
 
 
 def _branch_best_in_windows(
@@ -899,17 +897,15 @@ def _candidate_base(
 
 
 def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
-    """Candidate window upper bounds at level gamma, at most ``cap`` of them."""
-    merged = base
-    if gamma > 0.0:
-        scaled = base / gamma  # sorted, as base is
-        # Both runs are sorted, so the stable sort (timsort) merges them.
-        merged = np.sort(
-            np.concatenate([base, scaled[: np.searchsorted(scaled, 1.0, "right")]]), kind="stable"
-        )
-        distinct = np.ones(len(merged), dtype=bool)
-        distinct[1:] = merged[1:] != merged[:-1]
-        merged = merged[distinct]
+    """Candidate window upper bounds at level gamma > 0, at most ``cap`` of them."""
+    scaled = base / gamma  # sorted, as base is
+    # Both runs are sorted, so the stable sort (timsort) merges them.
+    merged = np.sort(
+        np.concatenate([base, scaled[: np.searchsorted(scaled, 1.0, "right")]]), kind="stable"
+    )
+    distinct = np.ones(len(merged), dtype=bool)
+    distinct[1:] = merged[1:] != merged[:-1]
+    merged = merged[distinct]
     merged = merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
     if len(merged) > cap:
         take = np.unique(np.linspace(0, len(merged) - 1, cap).astype(int))
@@ -1002,10 +998,9 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     points per branch) and each divided by gamma; only an evenly spaced
     subsample of at most 4096 of them is scanned for one family, and of 56
     per family (56 x 56 pairs) for joint parity. So the result is exact only
-    when no cap is reached. Joint PPV+FOR parity can be genuinely
-    infeasible; the error then reports the highest achievable gamma found by
-    a 25-step bisection over the same scan, with at most 512 positions (one
-    family) or 40 per family (joint) at each step.
+    when no cap is reached. When the scan finds no window, the error reports
+    the highest level below gamma, to 1e-6, at which the same scan at the
+    same cap finds one; a solve at that level returns a rule.
     """
     families = problem.criterion.kind.families
     gamma = problem.criterion.gamma
@@ -1022,10 +1017,10 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
         cap = _SINGLE_FAMILY_CAP if len(bases) == 1 else _JOINT_CAP
         windows = _best_windows(branches, bases, gamma, cap)
         if windows is None:
-            max_gamma = _max_achievable_sufficiency_gamma(branches, bases)
+            max_gamma = _max_achievable_sufficiency_gamma(branches, bases, gamma, cap)
             raise InfeasibleConstraintError(
                 f"no interval rule reaches gamma = {gamma:g}; "
-                f"highest achievable level found: {max_gamma:.6f}",
+                f"highest achievable level found: {max_gamma!r}",
                 max_achievable_gamma=max_gamma,
             )
     best = {g: _group_best_in_windows(pair, *windows) for g, pair in branches.items()}
@@ -1035,23 +1030,24 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
 
 
 def _max_achievable_sufficiency_gamma(
-    branches: Mapping[str, Sequence[_Ladder]], bases: Mapping[str, np.ndarray]
+    branches: Mapping[str, Sequence[_Ladder]],
+    bases: Mapping[str, np.ndarray],
+    gamma: float,
+    cap: int,
 ) -> float:
-    """Highest gamma with a feasible window, to the bisection's resolution."""
-    cap = _SINGLE_FAMILY_GAMMA_CAP if len(bases) == 1 else _JOINT_GAMMA_CAP
+    """Highest level below an infeasible ``gamma`` at which the solve's scan finds a window.
 
-    def feasible(g_val: float) -> bool:
-        return g_val <= 0.0 or _best_windows(branches, bases, g_val, cap) is not None
-
-    lo, hi = 0.0, 1.0
-    if feasible(1.0):
-        return 1.0
-    for _ in range(_GAMMA_BISECTION_STEPS):
+    Bisects [0, gamma) with ``_best_windows`` at the solve's ``cap`` until the
+    bracket is at most 1e-6 wide. The level returned was found feasible by
+    that scan, or is 0, so a solve at it returns a rule.
+    """
+    lo, hi = 0.0, gamma
+    while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
+        if _best_windows(branches, bases, mid, cap) is None:
             hi = mid
+        else:
+            lo = mid
     return lo
 
 

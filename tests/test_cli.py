@@ -191,6 +191,20 @@ def test_a_justifier_the_data_lacks_is_named(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_the_reported_level_solves(tmp_path, capsys):
+    # The level is printed in full, so passing it back solves at the level
+    # that was checked, not at one rounded above it.
+    argv = ["optimize", *SCORED, "--criterion", "sufficiency"]
+    assert main([*argv, "--gamma", "1.0", "--out", str(tmp_path / "infeasible")]) == 1
+    err = capsys.readouterr().err
+    prefix = "highest achievable level found: "
+    assert prefix in err
+    level = err.split(prefix)[1].strip()
+    assert main([*argv, "--gamma", level, "--out", str(tmp_path / "out")]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics_train.json").read_text(encoding="utf-8"))
+    assert metrics["disparity_ratio"] >= float(level) - 1e-9
+
+
 STRATIFIED_BY_JOB = {
     "kind": "stratified_group_threshold",
     "legit_names": ["job"],

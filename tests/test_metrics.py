@@ -56,6 +56,14 @@ class TestComputeRates:
         # With nobody accepted, FOR equals the group base rate.
         assert rates.for_rate == {"a": 0.5, "b": 0.5}
 
+    def test_for_with_almost_no_rejects_keeps_its_digits(self):
+        # Each group rejects 1e-12 of its lowest record, a positive, so FOR is
+        # exactly 1; n - sum(accepts) would cancel to a few digits.
+        rows = [(0.9, 0, "a"), (0.7, 1, "a"), (0.3, 1, "a"), (0.8, 0, "b"), (0.6, 1, "b")]
+        rule = GroupThreshold({"a": GroupCut(0.3, 1.0 - 1e-12), "b": GroupCut(0.6, 1.0 - 1e-12)})
+        rates = compute_rates(make_dataset(rows), rule)
+        assert rates.for_rate == {"a": 1.0, "b": 1.0}
+
     def test_randomized_rule_uses_analytic_probabilities(self):
         rule = GroupThreshold({"a": GroupCut(0.2, boundary=0.5), "b": GroupCut(0.4, 0.5)})
         rates = compute_rates(make_dataset(FOUR_RECORDS), rule)
@@ -287,6 +295,23 @@ class TestFecCheck:
         empty = Dataset.from_records([])
         with pytest.raises(ValueError, match="cannot compute expected benefits on an empty"):
             fec_check(empty, SingleThreshold(0.5), outcome_assessment(), benefit)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        compute_rates,
+        lambda dataset, rule: decision_maker_utility(dataset, rule, UtilityMatrix.accuracy()),
+        lambda dataset, rule: fec_check(
+            dataset, rule, outcome_assessment(), BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
+        ),
+    ],
+    ids=["compute_rates", "decision_maker_utility", "fec_check"],
+)
+def test_an_unscored_record_is_named(metric):
+    dataset = make_dataset([(None, 1, "a"), (0.3, 0, "a"), (0.6, 1, "b")])
+    with pytest.raises(ValueError, match="^record 0 has no score$"):
+        metric(dataset, SingleThreshold(0.5))
 
 
 def test_metric_report_is_json_ready(accuracy):

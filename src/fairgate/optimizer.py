@@ -32,12 +32,14 @@ rule does not depend on how the windows are batched.
 
 Joint TPR+FPR constraints are solved as a linear program over weights on
 the vertices of each group's ROC convex hull: per group, utility is linear
-in (FPR, TPR), so no other staircase vertex can improve the optimum. A small
-dense simplex (Bland's rule) solves it in-process, starting from every group
-at reject-all, which is feasible at any gamma. Each group's optimal point is
-then realized as one threshold cut, or as a mixture of two: every point in
-the convex hull of a connected curve is a combination of two curve points,
-and an O(k) angle sweep along the staircase finds them.
+in (FPR, TPR), so no other staircase vertex can improve the optimum. The
+ratio constraint takes the same window form, one window [gamma * U, U] per
+family with U a variable of the program, so it has O(G) rows. A small dense
+simplex (Bland's rule) solves it in-process, starting from every group at
+reject-all with U = 0, which is feasible at any gamma. Each group's
+optimal point is then realized as one threshold cut, or as a mixture of
+two: every point in the convex hull of a connected curve is a combination
+of two curve points, and an O(k) angle sweep along the staircase finds them.
 PPV and FOR are ratios of prefix quantities, monotone in the boundary
 randomization along each segment of a group's path, so one edge rule gives
 each segment's feasible interval in a window: an end whose value lies within
@@ -246,9 +248,13 @@ class _Ladder:
     def interval_cut(self, j: int, q: float) -> IntervalCut:
         """Interval cut for this ladder's branch (lower form if descending)."""
         edge, boundary = self._edge(j, q)
-        if self.descending:
-            return IntervalCut(low=edge, high=1.0, boundary=boundary)
-        return IntervalCut(low=0.0, high=edge, boundary=boundary)
+        low, high = (edge, 1.0) if self.descending else (0.0, edge)
+        if (low, high) == (0.0, 1.0) and boundary < 1.0:
+            raise ValueError(
+                f"group {self.group!r}: an interval randomized at score {edge} with "
+                f"boundary {boundary} cannot be written as [0, 1], which names no endpoint"
+            )
+        return IntervalCut(low=low, high=high, boundary=boundary)
 
 
 def _build_ladder(
@@ -495,19 +501,6 @@ def _hull_chains(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(chain(range(last + 1))), np.array(chain(range(last, -1, -1))[::-1])
 
 
-def _chain_value(path: np.ndarray, chain: np.ndarray, x: float, highest: bool) -> float:
-    """y of a hull chain at x, taking the highest or lowest y on a vertical edge.
-
-    Only the upper chain's first edge and the lower chain's last edge can be
-    vertical, so keeping the last point per x (upper) or the first (lower)
-    leaves the chain's extreme y there.
-    """
-    xs, ys = path[chain, 0], path[chain, 1]
-    step = xs[1:] != xs[:-1]
-    keep = np.r_[step, True] if highest else np.r_[True, step]
-    return float(np.interp(x, xs[keep], ys[keep]))
-
-
 def _simplex_max(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]
 ) -> np.ndarray:
@@ -588,10 +581,11 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
     thresholds because TPR parity does not imply FPR parity. Per group,
     utility is linear in (FPR, TPR) and the reachable points are the convex
     hull of the ROC staircase, so the program is a linear one over weights
-    on each group's hull vertices, solved in-process by a dense simplex. At
-    gamma = 1 the solution is snapped to one shared point, so parity is
-    exact. Each group's point is then realized as one threshold cut, or as
-    a mix of two, found in O(k) by an angle sweep along the staircase.
+    on each group's hull vertices, solved in-process by a dense simplex. Each
+    family's rates must share one window [gamma * U, U], with U solved for,
+    and at gamma = 1 every group takes U itself, so parity is exact. Each
+    group's point is then realized as one threshold cut, or as a mix of two,
+    found in O(k) by an angle sweep along the staircase.
     """
     families = problem.criterion.kind.families
     gamma = problem.criterion.gamma
@@ -638,11 +632,16 @@ def _separation_lp_targets(
 ) -> dict[str, tuple[float, float]]:
     """Per-group (FPR, TPR) targets solving the joint parity program.
 
-    Variables are each group's weights on its hull vertices (summing to 1)
-    and one slack per ordered group pair and family, for the row
-    ``gamma * rate_h - rate_g + slack = 0``. Every group at its reject-all
-    vertex, with every slack basic, is a feasible start for any gamma: all
-    rates are 0 there, so no phase 1 is needed.
+    Variables are each group's weights on its hull vertices (summing to 1),
+    one window top U per family and one slack per window row. Each member
+    group of a family has two rows, ``rate_g - U + slack = 0`` and
+    ``gamma * U - rate_g + slack = 0``, so every member's rate lies in
+    [gamma * U, U]: the family's worst ratio is at least gamma iff some U
+    fits. That is G convexity rows and at most 4 * G window rows. Every
+    group at its reject-all vertex with U = 0 and every slack basic is a
+    feasible start for any gamma: all rates are 0 there, so no phase 1 is
+    needed. At gamma = 1 every member takes its family's U as its
+    coordinate, so parity is exact rather than within rounding.
     """
     paths = {g: _staircase(ladders[g]) for g in groups}
     tpr_groups = [g for g in groups if ladders[g].n_pos > 0]
@@ -657,84 +656,54 @@ def _separation_lp_targets(
                 stacklevel=3,
             )
 
-    hulls = {g: _hull_chains(paths[g]) for g in groups}
-    indices = {g: np.union1d(*hulls[g]) for g in groups}  # starts at reject-all, (0, 0)
+    indices = {g: np.union1d(*_hull_chains(paths[g])) for g in groups}  # starts at reject-all
     vertices = {g: paths[g][indices[g]] for g in groups}
     offsets = np.cumsum([0] + [len(indices[g]) for g in groups])
     n_weights = int(offsets[-1])
-    pairs = [
-        (axis, gi, hi)
+    windows = [
+        (axis, [groups.index(g) for g in members])
         for axis, members in ((1, tpr_groups), (0, fpr_groups))
-        for gi in map(groups.index, members)
-        for hi in map(groups.index, members)
-        if gi != hi
+        if members
     ]
     exact = gamma >= 1.0 - 1e-9
     gamma_lp = 1.0 if exact else gamma
 
-    matrix = np.zeros((len(groups) + len(pairs), n_weights + len(pairs)))
-    for gi, g in enumerate(groups):
+    n_slacks = 2 * sum(len(members) for _, members in windows)
+    first_slack = n_weights + len(windows)
+    matrix = np.zeros((len(groups) + n_slacks, first_slack + n_slacks))
+    for gi in range(len(groups)):
         matrix[gi, offsets[gi] : offsets[gi + 1]] = 1.0
-    for row, (axis, gi, hi) in enumerate(pairs, start=len(groups)):
-        matrix[row, offsets[gi] : offsets[gi + 1]] = -vertices[groups[gi]][:, axis]
-        matrix[row, offsets[hi] : offsets[hi + 1]] = gamma_lp * vertices[groups[hi]][:, axis]
-        matrix[row, n_weights + row - len(groups)] = 1.0
-    rhs = np.concatenate([np.ones(len(groups)), np.zeros(len(pairs))])
-    cost = np.concatenate([*(ladders[g].cum_du[indices[g]] for g in groups), np.zeros(len(pairs))])
-    basis = [int(o) for o in offsets[:-1]] + list(range(n_weights, n_weights + len(pairs)))
+    row = len(groups)
+    for f, (axis, members) in enumerate(windows):
+        for gi in members:
+            rates = vertices[groups[gi]][:, axis]
+            matrix[row, offsets[gi] : offsets[gi + 1]] = rates
+            matrix[row, n_weights + f] = -1.0
+            matrix[row + 1, offsets[gi] : offsets[gi + 1]] = -rates
+            matrix[row + 1, n_weights + f] = gamma_lp
+            row += 2
+    matrix[len(groups) :, first_slack:] = np.eye(n_slacks)
+    rhs = np.concatenate([np.ones(len(groups)), np.zeros(n_slacks)])
+    cost = np.concatenate(
+        [*(ladders[g].cum_du[indices[g]] for g in groups), np.zeros(len(windows) + n_slacks)]
+    )
+    basis = [int(o) for o in offsets[:-1]] + list(range(first_slack, first_slack + n_slacks))
     x = _simplex_max(matrix, rhs, cost, basis)
 
     targets: dict[str, tuple[float, float]] = {}
     for gi, g in enumerate(groups):
         w = x[offsets[gi] : offsets[gi + 1]]
         w = np.where(w > 1e-12, w, 0.0)
-        fpr, tpr = (w / w.sum()) @ vertices[g]
-        targets[g] = (float(fpr), float(tpr))
-
-    if exact:
-        # Snap to one shared target so parity is exact rather than within
-        # rounding. The diagonal point (f, f) lies in every hull (reject-all
-        # and accept-all are common staircase vertices), so the window never
-        # empties.
-        both = [g for g in groups if g in tpr_groups and g in fpr_groups]
-        f_star = min(max(float(np.mean([targets[g][0] for g in fpr_groups or groups])), 0.0), 1.0)
-        lo, hi = 0.0, 1.0
-        for g in both:
-            lower, upper = hulls[g]
-            lo = max(lo, _chain_value(paths[g], lower, f_star, highest=False))
-            hi = min(hi, _chain_value(paths[g], upper, f_star, highest=True))
-        lo, hi = min(lo, f_star), max(hi, f_star)
-        t_star = min(max(float(np.mean([targets[g][1] for g in tpr_groups or groups])), lo), hi)
-        for g in groups:
-            if g in both:
-                targets[g] = (f_star, t_star)
-            elif g in fpr_groups:
-                targets[g] = _project_to_family(ladders[g], "fpr", f_star)
-            else:
-                targets[g] = _project_to_family(ladders[g], "tpr", t_star)
+        point = (w / w.sum()) @ vertices[g]
+        for f, (axis, members) in enumerate(windows):
+            if exact and gi in members:
+                point[axis] = x[n_weights + f]
+        targets[g] = (float(point[0]), float(point[1]))
 
     for axis, members, family in ((1, tpr_groups, "tpr"), (0, fpr_groups, "fpr")):
         if members and _family_ratio(targets[g][axis] for g in members) < gamma - 1e-12:
             raise RuntimeError(f"separation program returned a {family} ratio below {gamma}")
     return targets
-
-
-def _project_to_family(ladder: _Ladder, family: str, value: float) -> tuple[float, float]:
-    """Best path point whose constrained-family rate equals ``value`` exactly."""
-    window = np.array([value])
-    reachable, j, q, *_ = _best_in_windows(ladder, ladder.rates(family), window, window)
-    if not reachable[0]:
-        raise InfeasibleConstraintError(
-            f"group {ladder.group!r} cannot reach {family} = {value}"
-        )
-    fpr, tpr = _staircase(ladder).T
-    j, q = int(j[0]), float(q[0])
-    if q == 0.0:
-        return float(fpr[j]), float(tpr[j])
-    return (
-        float(fpr[j] + q * (fpr[j + 1] - fpr[j])),
-        float(tpr[j] + q * (tpr[j + 1] - tpr[j])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +741,9 @@ def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
     outside moves to the q where the value crosses the edge it lies beyond,
     widened by the same 1e-12. So under joint parity a point inside both
     windows keeps a nonempty q-interval, though its PPV and FOR crossings
-    may land an ulp apart. A segment whose values all lie beyond one edge is
+    may land an ulp apart. A zero upper edge is not widened for the
+    crossing: a value of 1e-12 against another group's exact 0 is a ratio
+    of 0, not of 1. A segment whose values all lie beyond one edge is
     dead. An open end (PPV without accepts, FOR without rejects) has its
     segment's constant value and is nudged 1e-12 into the segment.
     """
@@ -789,7 +760,7 @@ def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
     w, j = np.nonzero(~dead & ((vmin < lo - tol) | (vmax > hi + tol)))
     lo, hi = lo[w, 0], hi[w, 0]
     for q, v in ((qlo, v0[j]), (qhi, v1[j])):
-        edge = np.clip(v, lo - tol, hi + tol)
+        edge = np.clip(v, lo - tol, np.where(hi > 0.0, hi + tol, hi))
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (edge * den0[j] - num0[j]) / (dnum[j] - edge * dden[j])
         out = (v < lo - tol) | (v > hi + tol)

@@ -162,6 +162,19 @@ class TestDecisionProbability:
             0.2, 1.0, 0.0
         ]
 
+    @pytest.mark.parametrize(
+        "cut, expected",
+        [
+            (IntervalCut(low=1.0, high=1.0, boundary=0.3), [0.0, 0.0, 0.3]),
+            (IntervalCut(low=0.0, high=0.0, boundary=0.3), [0.3, 0.0, 0.0]),
+            (IntervalCut(low=0.0, high=1.0, boundary=1.0), [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_interval_at_the_unit_ends(self, cut, expected):
+        # A score of exactly 0 or 1 is valid, and so are cuts at it.
+        rule = GroupInterval({"a": cut})
+        assert decision_probabilities(rule, dataset_of([0.0, 0.5, 1.0])).tolist() == expected
+
 
 MC_RULES = [
     GroupThreshold({"a": GroupCut(0.5, boundary=0.25)}),
@@ -281,7 +294,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             IntervalCut(low=0.2, high=0.8, boundary=1.0)  # neither canonical form
         with pytest.raises(ValueError):
-            IntervalCut(low=0.0, high=1.0, boundary=1.0)
+            IntervalCut(low=0.0, high=1.0, boundary=0.5)  # randomized at 0 or at 1?
 
     def test_utility_matrix_must_reward_something(self):
         with pytest.raises(ValueError):

@@ -48,8 +48,8 @@ def random_utility(rng):
 
 
 def random_lp_instance(rng):
-    """2-4 groups on shared scores with ties; some groups have a single class."""
-    n_groups = rng.randint(2, 4)
+    """2-8 groups on shared scores with ties; some groups have a single class."""
+    n_groups = rng.randint(2, 8)
     decimals = rng.choice((2, 3))
     pool = [round(rng.uniform(0.02, 0.98), decimals) for _ in range(rng.randint(3, 80))]
     one_class = rng.randrange(n_groups) if rng.random() < 0.3 else None
@@ -65,7 +65,11 @@ def random_lp_instance(rng):
 
 
 def highs_objective(ladders, groups, gamma):
-    """Optimum of the separation program over every staircase vertex, by HiGHS."""
+    """Optimum of the separation program over every staircase vertex, by HiGHS.
+
+    An independent statement of the program: one ratio row per ordered group
+    pair and family, ``gamma * rate_h - rate_g <= 0``.
+    """
     linprog = pytest.importorskip("scipy.optimize").linprog
     paths = [opt._staircase(ladders[g]) for g in groups]
     offsets = np.cumsum([0] + [len(p) for p in paths])
@@ -131,6 +135,55 @@ def test_separation_program_matches_highs(monkeypatch):
                 assert _family_ratio(targets[g][axis] for g in members) >= gamma - 1e-12
     assert single_class_seen >= 20
     assert max(residuals) <= 1e-12
+
+
+def test_program_has_one_window_per_family(monkeypatch):
+    """Sixteen groups: G convexity rows and at most four window rows per group."""
+    shapes = []
+    solve = opt._simplex_max
+
+    def recorded_solve(matrix, rhs, cost, basis):
+        shapes.append(matrix.shape)
+        return solve(matrix, rhs, cost, basis)
+
+    monkeypatch.setattr(opt, "_simplex_max", recorded_solve)
+    rng = random.Random(16)
+    rows = [
+        (round(rng.uniform(0.02, 0.98), 2), rng.randint(0, 1), f"g{gi:02d}")
+        for gi in range(16)
+        for _ in range(40)
+    ]
+    dataset = make_dataset(rows)
+    criterion = FairnessCriterion(CriterionKind.SEPARATION, gamma=0.9)
+    rule = opt.optimize_separation(
+        opt.OptimizationProblem(dataset, UtilityMatrix.accuracy(), criterion)
+    )
+    assert shapes and all(n_rows <= 5 * 16 for n_rows, _ in shapes)
+    assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= 0.9 - 1e-12
+
+
+def test_low_gamma_three_group_program_terminates():
+    """1,500 three-decimal rows in three groups at gamma 0.05.
+
+    With one ratio row per group pair and family, the simplex runs past its
+    pivot limit on this instance.
+    """
+    rng = np.random.default_rng(26)
+    codes = rng.integers(0, 3, 1500)
+    latent = rng.beta(2.0, 2.0, 1500) * 0.9 + 0.05 + np.linspace(-0.1, 0.1, 3)[codes]
+    score = np.clip(np.round(latent, 3), 0.001, 0.999)
+    label = rng.random(1500) < score
+    dataset = Dataset.from_records(
+        [
+            Record(id=str(i), label=int(label[i]), group="abc"[codes[i]], score=float(score[i]))
+            for i in range(1500)
+        ]
+    )
+    criterion = FairnessCriterion(CriterionKind.SEPARATION, gamma=0.05)
+    rule = opt.optimize_separation(
+        opt.OptimizationProblem(dataset, UtilityMatrix.accuracy(), criterion)
+    )
+    assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= 0.05 - 1e-12
 
 
 def test_separation_matches_the_oracle():

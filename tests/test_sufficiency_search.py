@@ -51,7 +51,7 @@ def loop_branch_best(branch, ppv_window, for_window):
 
     A segment end whose family value lies within 1e-12 of a window stays;
     an end outside moves to the q where the value crosses the edge beyond it,
-    widened by 1e-12.
+    widened by 1e-12 unless it is a zero upper edge.
     """
     ep, epy, util = branch.cum_count, branch.cum_pos, branch.cum_du
     n, npos = branch.n, branch.n_pos
@@ -78,7 +78,7 @@ def loop_branch_best(branch, ppv_window, for_window):
             def moved(v, q_end):
                 if lo - tol <= v <= hi + tol:
                     return q_end
-                edge = lo - tol if v < lo else hi + tol
+                edge = lo - tol if v < lo else (hi + tol if hi > 0.0 else hi)
                 return min(max((edge * c - a) / (b - edge * d), 0.0), 1.0)
 
             qlo, qhi = max(qlo, moved(v0, 0.0)), min(qhi, moved(v1, 1.0))
@@ -298,6 +298,44 @@ def test_a_point_inside_both_windows_is_kept():
     windows = (0.32000000000000006, 0.4), (0.4, 0.5)
     assert opt._branch_best_in_windows(branch, *windows) is not None
     assert assert_matches_dense(branch, *windows)
+
+
+@pytest.mark.parametrize("gamma", [0.8, 0.9, 1.0])
+def test_a_zero_upper_edge_is_not_widened(gamma):
+    # The best window is FOR [0, 0]. Crossing its upper edge widened to
+    # 1e-12 left group a at FOR 1e-12 beside group b's exact 0: a ratio of 0.
+    a = [(0.05, 0), (0.1, 1)] + [(0.2, 1)] * 2 + [(0.7, 0)] * 3 + [(0.7, 1)] * 2
+    a += [(0.9, 0)] * 2 + [(0.95, 0)]
+    b = [(0.1, 1), (0.2, 0)] + [(0.9, 0)] * 3 + [(0.95, 0)]
+    dataset = make_dataset([(s, y, "a") for s, y in a] + [(s, y, "b") for s, y in b])
+    criterion = FairnessCriterion(CriterionKind.FOR_PARITY, gamma=gamma)
+    rule = opt.optimize(OptimizationProblem(dataset, ACC, criterion))
+    assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= gamma - 1e-12
+
+
+@pytest.mark.parametrize(
+    "gamma, rows",
+    [
+        (0.0, [(0.3, 1, "a"), (1.0, 0, "a"), (1.0, 1, "b"), (0.3, 0, "b")]),
+        (1.0, [(0.6, 1, "a"), (1.0, 0, "a"), (0.0, 1, "b"), (0.6, 1, "b")]),
+        (0.0, [(0.3, 1, "a"), (0.3, 1, "a"), (0.3, 0, "b"), (0.0, 1, "b")]),
+    ],
+)
+def test_scores_of_zero_and_one_solve(gamma, rows):
+    # The ladders' cuts [1, 1], [0, 1] with boundary 1 and [0, 0] are rules.
+    dataset = make_dataset(rows)
+    criterion = FairnessCriterion(CriterionKind.PPV_PARITY, gamma=gamma)
+    rule = opt.optimize(OptimizationProblem(dataset, ACC, criterion))
+    assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= gamma - 1e-12
+
+
+@pytest.mark.parametrize("scores", [[0.0, 0.5], [0.5, 1.0]])
+def test_an_interval_randomized_at_zero_or_one_is_named(scores):
+    # [0, 1] below boundary 1 could mean either end; the ladder refuses it.
+    dataset = make_dataset([(s, 1, "g7") for s in scores])
+    ladder = opt._ladders(dataset, ACC, descending=scores[0] == 0.0)["g7"]
+    with pytest.raises(ValueError, match=r"group 'g7'.* score (0\.0|1\.0) "):
+        ladder.interval_cut(1, 0.5)
 
 
 def test_branch_best_matches_dense_grid_on_vertex_edges():

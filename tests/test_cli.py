@@ -56,6 +56,10 @@ COMMANDS: dict[str, tuple[tuple[str, ...], str | None]] = {
         ("optimize", *SCORED, "--criterion", "ppv_parity", "--gamma", "0.9"),
         None,
     ),
+    "optimize_for_parity": (
+        ("optimize", *SCORED, "--criterion", "for_parity", "--gamma", "0.9"),
+        None,
+    ),
     **{
         f"evaluate_{justifier}": (
             ("evaluate", *SCORED, "--rule", str(SEPARATION_RULE)),

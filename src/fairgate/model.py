@@ -435,37 +435,50 @@ class GroupThreshold(_CutRule):
 class IntervalCut:
     """Per-group accept interval [low, high] with boundary randomization.
 
-    Exactly one endpoint is active: either 0 < low <= high = 1 (lower-bound
-    form, randomized at low) or 0 = low <= high < 1 (upper-bound form,
-    randomized at high). [0, 1] names no endpoint, so it is allowed only
-    with boundary 1, where both forms accept every score.
+    Exactly one endpoint is active, and ``form`` names it. A lower-bound cut
+    (high = 1) accepts scores above ``low`` and those at it with probability
+    ``boundary``; an upper-bound cut (low = 0) accepts scores below ``high``
+    and those at it likewise. Left out, the form is read from the endpoints:
+    0 < low <= high = 1 is lower, 0 = low <= high < 1 is upper. [0, 1] names
+    no endpoint, so without a form it is allowed only with boundary 1. There
+    both forms accept every score, and the form is always lower.
     """
 
     low: float
     high: float
     boundary: float = 1.0
+    form: str | None = None  # "lower" or "upper"
 
     def __post_init__(self) -> None:
         _check_unit(self.low, "interval low endpoint")
         _check_unit(self.high, "interval high endpoint")
         _check_unit(self.boundary, "boundary probability")
-        lower_form = 0.0 < self.low <= self.high == 1.0
-        upper_form = 0.0 == self.low <= self.high < 1.0
-        accept_all = (self.low, self.high, self.boundary) == (0.0, 1.0, 1.0)
-        if not (lower_form or upper_form or accept_all):
+        lower, upper = self.high == 1.0, self.low == 0.0
+        form = self.form
+        if lower and upper and self.boundary == 1.0:
+            form = "lower"  # either form accepts every score
+        elif form is None:
+            if lower != upper:
+                form = "lower" if lower else "upper"
+            else:
+                raise ValueError(
+                    f"interval [{self.low}, {self.high}] with boundary {self.boundary} is "
+                    "neither a lower-bound (0 < low <= high = 1) nor an upper-bound "
+                    "(0 = low <= high < 1) form, nor [0, 1] with boundary 1; "
+                    "[0, 1] randomized at 0 or at 1 needs its form named"
+                )
+        elif form not in ("lower", "upper"):
+            raise ValueError(f"unknown interval form {form!r}; expected 'lower' or 'upper'")
+        elif not (lower if form == "lower" else upper):
+            bound = "high = 1" if form == "lower" else "low = 0"
             raise ValueError(
-                f"interval [{self.low}, {self.high}] with boundary {self.boundary} is "
-                "neither a lower-bound (0 < low <= high = 1) nor an upper-bound "
-                "(0 = low <= high < 1) form, nor [0, 1] with boundary 1"
+                f"interval [{self.low}, {self.high}] is not of the {form}-bound form ({bound})"
             )
-
-    @property
-    def is_lower_form(self) -> bool:
-        return self.high == 1.0
+        object.__setattr__(self, "form", form)
 
     def signed_cut(self) -> tuple[float, float, float]:
         """(sign, tau, boundary) of the same cut on sign * score: -1 for upper bounds."""
-        if self.is_lower_form:
+        if self.form == "lower":
             return 1.0, self.low, self.boundary
         return -1.0, -self.high, self.boundary
 
@@ -591,6 +604,14 @@ def _sample(
 # ---------------------------------------------------------------------------
 
 
+def _interval_to_dict(cut: IntervalCut) -> dict:
+    """The cut's fields; the form only where the endpoints do not name it."""
+    out = {"low": cut.low, "high": cut.high, "boundary": cut.boundary}
+    if (cut.low, cut.high) == (0.0, 1.0) and cut.boundary < 1.0:
+        out["form"] = cut.form
+    return out
+
+
 def rule_to_dict(rule: DecisionRule) -> dict:
     if isinstance(rule, SingleThreshold):
         return {"kind": "single_threshold", "tau": rule.tau, "boundary": rule.boundary}
@@ -605,8 +626,7 @@ def rule_to_dict(rule: DecisionRule) -> dict:
         return {
             "kind": "group_interval",
             "groups": {
-                g: {"low": c.low, "high": c.high, "boundary": c.boundary}
-                for g, c in sorted(rule.cuts.items())
+                g: _interval_to_dict(c) for g, c in sorted(rule.cuts.items())
             },
         }
     if isinstance(rule, StratifiedGroupThreshold):
@@ -642,7 +662,9 @@ def rule_from_dict(data: Mapping) -> DecisionRule:
     if kind == "group_interval":
         return GroupInterval(
             {
-                g: IntervalCut(float(c["low"]), float(c["high"]), float(c.get("boundary", 1.0)))
+                g: IntervalCut(
+                    float(c["low"]), float(c["high"]), float(c.get("boundary", 1.0)), c.get("form")
+                )
                 for g, c in data["groups"].items()
             }
         )

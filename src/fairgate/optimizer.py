@@ -44,12 +44,15 @@ PPV and FOR are ratios of prefix quantities, monotone in the boundary
 randomization along each segment of a group's path, so one edge rule gives
 each segment's feasible interval in a window: an end whose value lies within
 1e-12 of the window stays, an end outside moves to where the value crosses
-the edge widened by 1e-12. One scan values every combination of candidate
-windows, for one family or both, under that rule, and the winning rule is
-rebuilt under it, so the search within a window is exact. The window
-positions are not all scanned: the candidates are vertex and q-grid values,
-subsampled to the caps named at the top of the sufficiency section, so a
-sufficiency result is exact only below the caps. When the scan finds no
+the edge widened by 1e-12. A scan values every candidate window under that
+rule, or every pair of windows under joint parity, and the winning rule is
+rebuilt under it, so the search within a window is exact. One family is a
+sweep: a segment whose better end lies inside a window takes that end, a
+range-argmax over the ends sorted by value answers every window, and only
+the pairs where a window edge stabs a segment are valued as crossings. The
+window positions are not all scanned: the candidates are vertex and q-grid
+values, subsampled to the caps named at the top of the sufficiency section,
+so a sufficiency result is exact only below the caps. When the scan finds no
 window, the highest level reported is found by bisection with the same scan
 at the same cap, so a solve at that level returns a rule.
 """
@@ -221,13 +224,10 @@ class _Ladder:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
 
-    def segments(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(num0, dnum, den0, dden): PPV or FOR is num / den, both linear in q."""
-        ep0, dep = self.cum_count[:-1], np.diff(self.cum_count)
-        epy0, depy = self.cum_pos[:-1], np.diff(self.cum_pos)
-        if which == "ppv":
-            return epy0, depy, ep0, dep
-        return self.n_pos - epy0, -depy, self.n - ep0, -dep
+    @cached_property
+    def interval_families(self) -> dict[str, _IntervalFamily]:
+        """PPV and FOR along the segments, built when an interval search first asks."""
+        return {which: _IntervalFamily(self, which) for which in ("ppv", "for_rate")}
 
     def _edge(self, j: int, q: float) -> tuple[float, float]:
         """Cut score and boundary probability accepting j full atoms plus fraction q."""
@@ -248,13 +248,9 @@ class _Ladder:
     def interval_cut(self, j: int, q: float) -> IntervalCut:
         """Interval cut for this ladder's branch (lower form if descending)."""
         edge, boundary = self._edge(j, q)
-        low, high = (edge, 1.0) if self.descending else (0.0, edge)
-        if (low, high) == (0.0, 1.0) and boundary < 1.0:
-            raise ValueError(
-                f"group {self.group!r}: an interval randomized at score {edge} with "
-                f"boundary {boundary} cannot be written as [0, 1], which names no endpoint"
-            )
-        return IntervalCut(low=low, high=high, boundary=boundary)
+        if self.descending:
+            return IntervalCut(low=edge, high=1.0, boundary=boundary, form="lower")
+        return IntervalCut(low=0.0, high=edge, boundary=boundary, form="upper")
 
 
 def _build_ladder(
@@ -714,19 +710,95 @@ def _separation_lp_targets(
 # candidates are every vertex value and every q-grid value (steps of
 # grid_step) of every branch, together with each of them divided by gamma;
 # past a cap, an evenly spaced subsample of the sorted candidates is scanned.
-# The solve and its highest-level bisection scan at the same cap.
+# The solve and its highest-level bisection scan at the same cap. One family
+# is swept in O((W + k) log k + stabbed pairs) per branch, for W windows and
+# k segments, and the stabbed pairs still grow with W: uncapped, a PPV sweep
+# of the 4k-row continuous bench input (seed 7, gamma 0.9) has about 970k
+# windows and 7.3e6 stabbed pairs and takes about 1-1.2 s, against 0.03 s at
+# the cap. Joint parity values every window pair against every segment, in
+# blocks.
 _SINGLE_FAMILY_CAP = 4096  # PPV-only or FOR-only parity
 _JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
 # When grid points per segment times the largest branch's vertex count exceeds
 # this, the q-grid falls back to the 63 interior points of a 65-point grid.
 _GRID_POINT_LIMIT = 500_000
 _COARSE_GRID_POINTS = 65
-# Elements per block of the window scan (window combinations times segments),
-# which bounds its memory independently of the number of windows.
+# Elements per block of a scan (window pairs times segments in the joint scan,
+# stabbed (window, segment) pairs in the one-family sweep), which bounds its
+# memory independently of the number of windows.
 _SWEEP_BLOCK_ELEMENTS = 65_536
+# The edge rule's tolerance: a value this close to a window is inside it.
+_EDGE_TOL = 1e-12
+
+
+class _IntervalFamily:
+    """PPV or FOR along the segments of one ladder, as the edge rule reads them.
+
+    On segment j the value at fraction q is (num0 + q * dnum) / (den0 + q *
+    dden), monotone in q; ``v0`` and ``v1`` are its values at the segment's
+    ends. An open end (PPV without accepts, FOR without rejects) has no
+    value of its own: it takes the segment's constant value, and q stays in
+    [qmin, qmax], ``_EDGE_TOL`` inside the segment.
+    """
+
+    def __init__(self, ladder: _Ladder, which: str):
+        ep0, dep = ladder.cum_count[:-1], np.diff(ladder.cum_count)
+        epy0, depy = ladder.cum_pos[:-1], np.diff(ladder.cum_pos)
+        if which == "ppv":
+            self.num0, self.dnum, self.den0, self.dden = epy0, depy, ep0, dep
+        else:
+            self.num0, self.dnum = ladder.n_pos - epy0, -depy
+            self.den0, self.dden = ladder.n - ep0, -dep
+        vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
+        v0, v1 = vertex[:-1], vertex[1:]
+        self.v0, self.v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
+        self.vmin, self.vmax = np.minimum(self.v0, self.v1), np.maximum(self.v0, self.v1)
+        self.qmin, self.qmax = np.zeros(len(dep)), np.ones(len(dep))
+        if which == "ppv":
+            self.qmin[ep0 == 0.0] = _EDGE_TOL
+        else:
+            self.qmax[ladder.cum_count[1:] >= ladder.n] = 1.0 - _EDGE_TOL
+        self.util0, self.du = ladder.cum_du[:-1], np.diff(ladder.cum_du)
+
+    @cached_property
+    def preferred(self) -> tuple[np.ndarray, np.ndarray, _RangeArgmax]:
+        """Each segment's preferred-end value; those values sorted; their utilities' table.
+
+        Utility is linear in q, so a segment's preferred end is qmax when its
+        utility step is positive and qmin otherwise. The range-argmax table
+        holds the utilities at the preferred ends in the sorted order.
+        """
+        up = self.du > 0.0
+        value = np.where(up, self.v1, self.v0)
+        order = np.argsort(value, kind="stable")
+        util = self.util0 + np.where(up, self.qmax, self.qmin) * self.du
+        return value, value[order], _RangeArgmax(util[order])
 
 
 _Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # (qlo, qhi, dead) per segment
+
+
+def _edge_bounds(
+    family: _IntervalFamily, j: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible q-interval (qlo, qhi) of segment j[i] in window [lo[i], hi[i]], for each i.
+
+    The edge rule, for live pairs: an end whose value lies within
+    ``_EDGE_TOL`` of the window stays; an end outside moves to the q where
+    the value crosses the edge it lies beyond, widened by ``_EDGE_TOL``. A
+    zero upper edge is not widened for the crossing: a value of 1e-12
+    against another group's exact 0 is a ratio of 0, not of 1.
+    """
+    ends = []
+    for v, q_end in ((family.v0[j], 0.0), (family.v1[j], 1.0)):
+        edge = np.clip(v, lo - _EDGE_TOL, np.where(hi > 0.0, hi + _EDGE_TOL, hi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (edge * family.den0[j] - family.num0[j]) / (
+                family.dnum[j] - edge * family.dden[j]
+            )
+        out = (v < lo - _EDGE_TOL) | (v > hi + _EDGE_TOL)
+        ends.append(np.where(out, np.clip(cross, 0.0, 1.0), q_end))
+    return np.maximum(ends[0], family.qmin[j]), np.minimum(ends[1], family.qmax[j])
 
 
 def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
@@ -734,43 +806,23 @@ def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
 
     ``windows`` holds one (low, high) row per window; the result's arrays
     have shape (windows, segments). The family value is monotone in q along
-    a segment, so the segment's ends decide. An end is inside a window when
-    its value lies within 1e-12 of it: the candidate windows are built from
-    vertex values, so a vertex on an edge is the normal case and must not
-    depend on the last bit of a quotient. An end inside stays; an end
-    outside moves to the q where the value crosses the edge it lies beyond,
-    widened by the same 1e-12. So under joint parity a point inside both
-    windows keeps a nonempty q-interval, though its PPV and FOR crossings
-    may land an ulp apart. A zero upper edge is not widened for the
-    crossing: a value of 1e-12 against another group's exact 0 is a ratio
-    of 0, not of 1. A segment whose values all lie beyond one edge is
-    dead. An open end (PPV without accepts, FOR without rejects) has its
-    segment's constant value and is nudged 1e-12 into the segment.
+    a segment, so the segment's ends decide, under ``_edge_bounds``' rule.
+    An end is inside a window when its value lies within 1e-12 of it: the
+    candidate windows are built from vertex values, so a vertex on an edge
+    is the normal case and must not depend on the last bit of a quotient.
+    So under joint parity a point inside both windows keeps a nonempty
+    q-interval, though its PPV and FOR crossings may land an ulp apart. A
+    segment whose values all lie beyond one edge is dead.
     """
-    tol = 1e-12
-    num0, dnum, den0, dden = ladder.segments(which)
-    vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
-    v0, v1 = vertex[:-1], vertex[1:]
-    v0, v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
-    vmin, vmax = np.minimum(v0, v1), np.maximum(v0, v1)
+    family = ladder.interval_families[which]
     lo, hi = windows[:, :1], windows[:, 1:]
-    dead = (vmax < lo - tol) | (vmin > hi + tol)
-    qlo, qhi = np.zeros(dead.shape), np.ones(dead.shape)
+    dead = (family.vmax < lo - _EDGE_TOL) | (family.vmin > hi + _EDGE_TOL)
+    qlo = np.repeat(family.qmin[None, :], len(windows), axis=0)
+    qhi = np.repeat(family.qmax[None, :], len(windows), axis=0)
     # Only a live segment that crosses an edge has an end outside.
-    w, j = np.nonzero(~dead & ((vmin < lo - tol) | (vmax > hi + tol)))
-    lo, hi = lo[w, 0], hi[w, 0]
-    for q, v in ((qlo, v0[j]), (qhi, v1[j])):
-        edge = np.clip(v, lo - tol, np.where(hi > 0.0, hi + tol, hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (edge * den0[j] - num0[j]) / (dnum[j] - edge * dden[j])
-        out = (v < lo - tol) | (v > hi + tol)
-        q[w[out], j[out]] = np.clip(cross[out], 0.0, 1.0)
-    if which == "ppv":
-        open_end = ladder.cum_count[:-1] == 0.0
-        qlo[:, open_end] = np.maximum(qlo[:, open_end], tol)
-    else:
-        open_end = ladder.cum_count[1:] >= ladder.n
-        qhi[:, open_end] = np.minimum(qhi[:, open_end], 1.0 - tol)
+    crossing = (family.vmin < lo - _EDGE_TOL) | (family.vmax > hi + _EDGE_TOL)
+    w, j = np.nonzero(~dead & crossing)
+    qlo[w, j], qhi[w, j] = _edge_bounds(family, j, lo[w, 0], hi[w, 0])
     return qlo, qhi, dead
 
 
@@ -796,7 +848,7 @@ def _branch_best_in_windows(
 ) -> tuple[int, float, float] | None:
     """Exact max-utility point (j, q, util) of one branch within PPV and/or FOR windows.
 
-    The one-window case of ``_best_windows``, which also returns the point.
+    The per-window search of the scans, which also returns the point.
     Utility is linear in q, so only the ends of each segment's feasible
     q-interval matter. Among equal utilities a deterministic end (q = 0 or 1)
     wins, then the first in (segment, lower end, upper end) order.
@@ -884,55 +936,128 @@ def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
     return merged
 
 
+def _branch_window_values(
+    ladder: _Ladder, which: str, lowers: np.ndarray, uppers: np.ndarray
+) -> np.ndarray:
+    """One branch's best utility in every window [lowers[i], uppers[i]]; -inf where none.
+
+    The windows must be sorted by their upper edge. The value is that of the
+    branch's best segment under ``_window_bounds``, taken at the better end
+    of its feasible q-interval, but not every (window, segment) pair is
+    valued. A segment whose preferred end lies inside a window (within
+    ``_EDGE_TOL``) is live there and takes that end. Sorted by that end's
+    value, those segments form one index range per window, so a
+    range-argmax over their utilities answers every window. Any other live
+    pair is stabbed by an edge: the preferred end lies above the upper edge
+    while the segment reaches it, or below the lower edge likewise. As the
+    edges rise with the windows, each segment is stabbed by a contiguous run
+    of upper edges and one of lower edges. Only those pairs are valued, by
+    ``_edge_bounds``, in blocks of at most about ``_SWEEP_BLOCK_ELEMENTS``.
+    """
+    family = ladder.interval_families[which]
+    value, ends, table = family.preferred
+    lo, hi = lowers - _EDGE_TOL, uppers + _EDGE_TOL
+    left = np.searchsorted(ends, lo, "left")
+    right = np.searchsorted(ends, hi, "right") - 1
+    hit = left <= right
+    inside = table.query(np.where(hit, left, 0), np.where(hit, right, 0))
+    best = np.where(hit, table.values[inside], -np.inf)
+
+    starts = np.concatenate(
+        [np.searchsorted(hi, family.vmin, "left"), np.searchsorted(lo, value, "right")]
+    )
+    counts = (
+        np.concatenate(
+            [np.searchsorted(hi, value, "left"), np.searchsorted(lo, family.vmax, "right")]
+        )
+        - starts
+    )
+    segment = np.tile(np.arange(len(value)), 2)
+    total = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        # Runs a..b-1 hold about _SWEEP_BLOCK_ELEMENTS pairs, or one run.
+        done = total[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(total, done + _SWEEP_BLOCK_ELEMENTS, "right")))
+        c = counts[a:b]
+        runs = np.repeat(np.arange(a, b), c)
+        w = starts[runs] + np.arange(total[b - 1] - done) - np.repeat(np.cumsum(c) - c, c)
+        j = segment[runs]
+        qlo, qhi = _edge_bounds(family, j, lowers[w], uppers[w])
+        du = family.du[j]
+        q = np.where(du > 0.0, qhi, qlo)
+        np.maximum.at(best, w, np.where(qlo <= qhi, family.util0[j] + q * du, -np.inf))
+        a = b
+    return best
+
+
+def _best_window(
+    branches: Mapping[str, Sequence[_Ladder]], which: str, base: np.ndarray, gamma: float, cap: int
+) -> tuple[float, float] | None:
+    """Best window of one family at level gamma; None if none is feasible.
+
+    Each group's value in a window is its best branch, by
+    ``_branch_window_values``; totals are summed in group order, and ties go
+    to the last of equal totals.
+    """
+    uppers = _designations(base, gamma, cap)
+    lowers = gamma * uppers
+    totals = np.zeros(len(uppers))
+    for pair in branches.values():
+        group_best = np.full(len(uppers), -np.inf)
+        for ladder in pair:
+            np.maximum(
+                group_best, _branch_window_values(ladder, which, lowers, uppers), out=group_best
+            )
+        totals += group_best
+    i = len(totals) - 1 - int(np.argmax(totals[::-1]))
+    if totals[i] == -np.inf:
+        return None
+    return float(lowers[i]), float(uppers[i])
+
+
 def _best_windows(
     branches: Mapping[str, Sequence[_Ladder]],
     bases: Mapping[str, np.ndarray],
     gamma: float,
     cap: int,
-) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
-    """Best (PPV window, FOR window) at level gamma; None if none is feasible.
+) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """Best (PPV window, FOR window) pair at level gamma; None if none is feasible.
 
-    ``bases`` holds the candidate base of each constrained family, one or
-    both; the window of an unconstrained family is None. Every combination
-    of one window per family is scanned: the first family's windows in
-    blocks of rows, each row against every window of the second family or,
-    with one family, against none. A group's value in a combination is its
+    The joint scan: ``bases`` holds the candidate base of both families.
+    Every pair of windows is scanned, the PPV windows in blocks of rows,
+    each row against every FOR window. A group's value in a pair is its
     best segment, taken at the better end of its feasible q-interval:
-    utility is linear in q, so the other end never wins. Ties go to the last
-    of equal totals in (PPV, FOR) order.
+    utility is linear in q, so the other end never wins. Ties go to the
+    last of equal totals in (PPV, FOR) order.
     """
-    windows = {}
-    for which, base in bases.items():
-        uppers = _designations(base, gamma, cap)
-        windows[which] = np.column_stack([gamma * uppers, uppers])
-    (first, outer), *second = windows.items()
-    n_inner = len(second[0][1]) if second else 1
+    ppv_windows, for_windows = (
+        np.column_stack([gamma * uppers, uppers])
+        for uppers in (_designations(bases[which], gamma, cap) for which in ("ppv", "for_rate"))
+    )
 
     def prepared(ladder: _Ladder) -> tuple[_Ladder, _Bounds, np.ndarray]:
-        k = len(ladder.scores)
-        inner = (np.zeros((1, k)), np.ones((1, k)), np.zeros((1, k), dtype=bool))
-        for which, inner_windows in second:
-            inner = _window_bounds(ladder, which, inner_windows)
+        inner = _window_bounds(ladder, "for_rate", for_windows)
         return ladder, inner, _nonempty(inner).any(axis=0)
 
     groups = [[prepared(ladder) for ladder in pair] for pair in branches.values()]
     k_max = max(len(ladder.scores) for pair in branches.values() for ladder in pair)
-    rows = max(1, _SWEEP_BLOCK_ELEMENTS // (n_inner * k_max))
+    rows = max(1, _SWEEP_BLOCK_ELEMENTS // (len(for_windows) * k_max))
     best_total, best = -np.inf, None
-    for start in range(0, len(outer), rows):
-        block = outer[start : start + rows]
-        totals = np.zeros((len(block), n_inner))
+    for start in range(0, len(ppv_windows), rows):
+        block = ppv_windows[start : start + rows]
+        totals = np.zeros((len(block), len(for_windows)))
         for group in groups:
             group_best = np.full(totals.shape, -np.inf)
             for ladder, inner, inner_live in group:
-                outer_bounds = _window_bounds(ladder, first, block)
+                outer = _window_bounds(ladder, "ppv", block)
                 # Only segments live under some window of each family can
-                # be live under a combination of them.
-                cols = np.flatnonzero(_nonempty(outer_bounds).any(axis=0) & inner_live)
+                # be live under a pair of them.
+                cols = np.flatnonzero(_nonempty(outer).any(axis=0) & inner_live)
                 if cols.size == 0:
                     continue
                 bounds = _intersect(
-                    tuple(b[:, None, cols] for b in outer_bounds),
+                    tuple(b[:, None, cols] for b in outer),
                     tuple(b[None, :, cols] for b in inner),
                 )
                 du = np.diff(ladder.cum_du)[cols]
@@ -944,32 +1069,56 @@ def _best_windows(
         i = flat.size - 1 - int(np.argmax(flat[::-1]))
         if flat[i] > -np.inf and flat[i] >= best_total:
             best_total = flat[i]
-            r, c = divmod(i, n_inner)
-            chosen = {first: block[r], **{which: w[c] for which, w in second}}
-            best = tuple(
-                tuple(map(float, chosen[w])) if w in chosen else None for w in ("ppv", "for_rate")
-            )
+            r, c = divmod(i, len(for_windows))
+            best = tuple(map(float, block[r])), tuple(map(float, for_windows[c]))
     return best
+
+
+def _scan_windows(
+    branches: Mapping[str, Sequence[_Ladder]],
+    bases: Mapping[str, np.ndarray],
+    gamma: float,
+    cap: int,
+) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
+    """Best (PPV window, FOR window) at level gamma; None if none is feasible.
+
+    ``bases`` holds the candidate base of each constrained family: one goes
+    to the one-family sweep (``_best_window``), both to the joint scan. The
+    window of an unconstrained family is None.
+    """
+    if len(bases) == 2:
+        return _best_windows(branches, bases, gamma, cap)
+    ((which, base),) = bases.items()
+    window = _best_window(branches, which, base, gamma, cap)
+    if window is None:
+        return None
+    return (window, None) if which == "ppv" else (None, window)
 
 
 def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     """Optimal interval rules with PPV and/or FOR parity at level gamma.
 
     Sufficiency constrains both families, PPV parity and FOR parity one
-    each. One scan (``_best_windows``) picks the window of every constrained
-    family, and each group's best point in those windows is then rebuilt
-    under the same edge rule (``_window_bounds``). Within a window the
-    search is exact: along a segment each family value is monotone in the
-    boundary randomization, so the feasible part is an interval between
-    segment ends and edge crossings, and a vertex within 1e-12 of an edge
-    counts as inside.
+    each. A scan picks the window of every constrained family, and each
+    group's best point in those windows is then rebuilt under the same edge
+    rule (``_window_bounds``). Within a window the search is exact: along a
+    segment each family value is monotone in the boundary randomization, so
+    the feasible part is an interval between segment ends and edge
+    crossings, and a vertex within 1e-12 of an edge counts as inside.
+
+    One family is swept (``_best_window``): per branch, a range-argmax over
+    the segments' preferred ends, sorted once, answers every window, and
+    only the (window, segment) pairs stabbed by a window edge have their
+    crossings valued, which is O((W + k) log k + stabbed pairs) for W
+    windows and k segments. Joint parity (``_best_windows``) values every
+    pair of windows against every segment, in blocks.
 
     The candidate window positions are every vertex and q-grid value (steps
     of ``grid_step``, or 63 points when that grid would exceed 500 000
     points per branch) and each divided by gamma; only an evenly spaced
-    subsample of at most 4096 of them is scanned for one family, and of 56
-    per family (56 x 56 pairs) for joint parity. So the result is exact only
-    when no cap is reached. When the scan finds no window, the error reports
+    subsample of at most 4096 of them is swept for one family, and of 56
+    per family (56 x 56 pairs) is scanned for joint parity. So the result
+    is exact only when no cap is reached. When the scan finds no window, the error reports
     the highest level below gamma, to 1e-6, at which the same scan at the
     same cap finds one; a solve at that level returns a rule.
     """
@@ -986,7 +1135,7 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     if gamma > 0.0:
         bases = {which: _candidate_base(branches, which, problem.grid_step) for which in families}
         cap = _SINGLE_FAMILY_CAP if len(bases) == 1 else _JOINT_CAP
-        windows = _best_windows(branches, bases, gamma, cap)
+        windows = _scan_windows(branches, bases, gamma, cap)
         if windows is None:
             max_gamma = _max_achievable_sufficiency_gamma(branches, bases, gamma, cap)
             raise InfeasibleConstraintError(
@@ -1008,14 +1157,14 @@ def _max_achievable_sufficiency_gamma(
 ) -> float:
     """Highest level below an infeasible ``gamma`` at which the solve's scan finds a window.
 
-    Bisects [0, gamma) with ``_best_windows`` at the solve's ``cap`` until the
+    Bisects [0, gamma) with ``_scan_windows`` at the solve's ``cap`` until the
     bracket is at most 1e-6 wide. The level returned was found feasible by
     that scan, or is 0, so a solve at it returns a rule.
     """
     lo, hi = 0.0, gamma
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
-        if _best_windows(branches, bases, mid, cap) is None:
+        if _scan_windows(branches, bases, mid, cap) is None:
             hi = mid
         else:
             lo = mid

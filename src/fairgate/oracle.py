@@ -424,8 +424,8 @@ def _interval_cut(points: _IntervalPoints, idx: int) -> IntervalCut:
     tau = float(points.tau_values[idx])
     q = float(points.qs[idx])
     if points.lower_branch[idx]:
-        return IntervalCut(low=tau, high=1.0, boundary=q)
-    return IntervalCut(low=0.0, high=tau, boundary=q)
+        return IntervalCut(low=tau, high=1.0, boundary=q, form="lower")
+    return IntervalCut(low=0.0, high=tau, boundary=q, form="upper")
 
 
 def _oracle_sufficiency(

@@ -295,6 +295,10 @@ class TestValidation:
             IntervalCut(low=0.2, high=0.8, boundary=1.0)  # neither canonical form
         with pytest.raises(ValueError):
             IntervalCut(low=0.0, high=1.0, boundary=0.5)  # randomized at 0 or at 1?
+        with pytest.raises(ValueError):
+            IntervalCut(low=0.2, high=1.0, form="upper")  # an upper bound needs low = 0
+        with pytest.raises(ValueError):
+            IntervalCut(low=0.0, high=1.0, boundary=0.5, form="middle")
 
     def test_utility_matrix_must_reward_something(self):
         with pytest.raises(ValueError):
@@ -415,7 +419,7 @@ def reference_probability(rule, score, group, legit):
         if key not in rule.cuts:
             raise CoverageError(f"rule does not cover {key!r}")
         cut = rule.cuts[key]
-    if isinstance(cut, IntervalCut) and not cut.is_lower_form:
+    if isinstance(cut, IntervalCut) and cut.form == "upper":
         # Accept below ``high``, randomize at it.
         return cut.boundary if score == cut.high else float(score < cut.high)
     tau = cut.low if isinstance(cut, IntervalCut) else cut.tau

@@ -28,6 +28,9 @@ from fairgate.model import (
     IntervalCut,
     Record,
     UtilityMatrix,
+    decision_probabilities,
+    rule_from_dict,
+    rule_to_dict,
 )
 from fairgate.optimizer import InfeasibleConstraintError, OptimizationProblem
 from fairgate.oracle import brute_force_oracle
@@ -185,16 +188,151 @@ def test_sweep_blocks_do_not_change_values(monkeypatch):
     for dataset in instances(8, 5):
         branches = branches_of(dataset)
         bases = bases_of(branches)
-        for families in (("ppv",), ("for_rate",), ("ppv", "for_rate")):
-            scanned = {which: bases[which] for which in families}
-            cap = 100 if len(families) == 1 else 20
-            for gamma in GAMMAS:
-                whole = opt._best_windows(branches, scanned, gamma, cap)
-                # Blocks of one or a few rows, the last one short.
-                monkeypatch.setattr(opt, "_SWEEP_BLOCK_ELEMENTS", 40)
-                rows = opt._best_windows(branches, scanned, gamma, cap)
-                monkeypatch.undo()
-                assert whole == rows
+        for gamma in GAMMAS:
+            whole = opt._best_windows(branches, bases, gamma, 20)
+            # Blocks of one or a few rows, the last one short.
+            monkeypatch.setattr(opt, "_SWEEP_BLOCK_ELEMENTS", 40)
+            rows = opt._best_windows(branches, bases, gamma, 20)
+            monkeypatch.undo()
+            assert whole == rows
+
+
+def dense_window_bounds(ladder, which, windows, tol=1e-12):
+    """(qlo, qhi, dead) of every (window, segment) pair under the edge rule, valued densely."""
+    ep0, dep = ladder.cum_count[:-1], np.diff(ladder.cum_count)
+    epy0, depy = ladder.cum_pos[:-1], np.diff(ladder.cum_pos)
+    if which == "ppv":
+        num0, dnum, den0, dden = epy0, depy, ep0, dep
+    else:
+        num0, dnum, den0, dden = ladder.n_pos - epy0, -depy, ladder.n - ep0, -dep
+    vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
+    v0, v1 = vertex[:-1], vertex[1:]
+    v0, v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
+    vmin, vmax = np.minimum(v0, v1), np.maximum(v0, v1)
+    lo, hi = windows[:, :1], windows[:, 1:]
+    dead = (vmax < lo - tol) | (vmin > hi + tol)
+    qlo, qhi = np.zeros(dead.shape), np.ones(dead.shape)
+    w, j = np.nonzero(~dead & ((vmin < lo - tol) | (vmax > hi + tol)))
+    lo, hi = lo[w, 0], hi[w, 0]
+    for q, v in ((qlo, v0[j]), (qhi, v1[j])):
+        edge = np.clip(v, lo - tol, np.where(hi > 0.0, hi + tol, hi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (edge * den0[j] - num0[j]) / (dnum[j] - edge * dden[j])
+        out = (v < lo - tol) | (v > hi + tol)
+        q[w[out], j[out]] = np.clip(cross[out], 0.0, 1.0)
+    if which == "ppv":
+        open_end = ladder.cum_count[:-1] == 0.0
+        qlo[:, open_end] = np.maximum(qlo[:, open_end], tol)
+    else:
+        open_end = ladder.cum_count[1:] >= ladder.n
+        qhi[:, open_end] = np.minimum(qhi[:, open_end], 1.0 - tol)
+    return qlo, qhi, dead
+
+
+def dense_branch_values(ladder, which, windows):
+    """A branch's best utility in each window: every (window, segment) pair valued."""
+    qlo, qhi, dead = dense_window_bounds(ladder, which, windows)
+    du = np.diff(ladder.cum_du)
+    q = np.where(du > 0.0, qhi, qlo)
+    util = np.where(~dead & (qlo <= qhi), ladder.cum_du[:-1] + q * du, -np.inf)
+    return util.max(axis=-1)
+
+
+def dense_one_family(branches, which, base, gamma, cap):
+    """Per-window totals and the chosen window (the last of equal totals) of the dense scan."""
+    uppers = opt._designations(base, gamma, cap)
+    windows = np.column_stack([gamma * uppers, uppers])
+    totals = np.zeros(len(uppers))
+    for pair in branches.values():
+        group_best = np.full(len(uppers), -np.inf)
+        for ladder in pair:
+            np.maximum(group_best, dense_branch_values(ladder, which, windows), out=group_best)
+        totals += group_best
+    i = len(totals) - 1 - int(np.argmax(totals[::-1]))
+    return totals, (None if totals[i] == -np.inf else tuple(map(float, windows[i])))
+
+
+def dense_max_gamma(branches, which, base, gamma, cap):
+    """Bisection of [0, gamma) to 1e-6 with the dense one-family scan."""
+    lo, hi = 0.0, gamma
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2.0
+        if dense_one_family(branches, which, base, mid, cap)[1] is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def sweep_instance(rng):
+    """2-5 groups of 1-12 records; some groups of one class; scores of exactly 0 and 1."""
+    pool = [0.0, 1.0, 0.25, 0.5, 0.75] if rng.random() < 0.5 else None
+    rows = []
+    for g in range(rng.randint(2, 5)):
+        one_class = rng.choice([None, None, 0, 1])
+        for _ in range(rng.randint(1, 12)):
+            label = rng.randint(0, 1) if one_class is None else one_class
+            score = rng.choice(pool) if pool else rng.choice([0.0, 1.0, round(rng.random(), 2)])
+            rows.append((score, label, "g%d" % g))
+    return make_dataset(rows)
+
+
+def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
+    # Window edges come from vertex values, from those one ulp or the edge
+    # tolerance below and above, and from 0 (the window [0, 0]); caps of 3
+    # and 17 bite, 4096 does not.
+    rng = random.Random(41)
+    utilities = (ACC, UtilityMatrix(0.3, 0.0, 0.0, 1.0))
+    scans = infeasible = 0
+    for _ in range(240):
+        dataset = sweep_instance(rng)
+        utility = rng.choice(utilities)
+        ascending = opt._ladders(dataset, utility, descending=False)
+        branches = {g: [d, ascending[g]] for g, d in opt._ladders(dataset, utility).items()}
+        which = rng.choice(["ppv", "for_rate"])
+        vertex = opt._candidate_base(branches, which, 1.0)
+        base = rng.choice(
+            [
+                vertex,
+                np.nextafter(vertex, 0.0),
+                np.nextafter(vertex, 1.0),
+                np.concatenate([vertex - 1e-12, vertex, vertex + 1e-12]),
+                np.append(0.0, vertex),
+            ]
+        )
+        base = np.unique(np.clip(base, 0.0, 1.0))
+        # Stabbed pairs in blocks of a few, or all at once.
+        monkeypatch.setattr(opt, "_SWEEP_BLOCK_ELEMENTS", rng.choice([5, 65_536]))
+        for gamma in (rng.choice((1e-4, *GAMMAS)), 1.0):
+            cap = rng.choice([3, 17, 4096])
+            totals, window = dense_one_family(branches, which, base, gamma, cap)
+            uppers = opt._designations(base, gamma, cap)
+            lowers = gamma * uppers
+            swept = np.zeros(len(uppers))
+            for pair in branches.values():
+                got = [opt._branch_window_values(b, which, lowers, uppers) for b in pair]
+                windows = np.column_stack([lowers, uppers])
+                for ladder, values in zip(pair, got):
+                    assert hexes(values) == hexes(dense_branch_values(ladder, which, windows))
+                    bounds = opt._window_bounds(ladder, which, windows)
+                    for a, b in zip(bounds, dense_window_bounds(ladder, which, windows)):
+                        assert a.tobytes() == b.tobytes()
+                swept += np.maximum.reduce(got)
+            assert hexes(swept) == hexes(totals)
+            if window is not None:
+                window = (window, None) if which == "ppv" else (None, window)
+            assert opt._scan_windows(branches, {which: base}, gamma, cap) == window
+            scans += 1
+        # The bisection at gamma 1 of the first 20 infeasible instances.
+        if window is None and infeasible < 20:
+            infeasible += 1
+            got_gamma = opt._max_achievable_sufficiency_gamma(branches, {which: base}, 1.0, cap)
+            assert got_gamma.hex() == dense_max_gamma(branches, which, base, 1.0, cap).hex()
+    assert scans == 480 and infeasible == 20
 
 
 def continuous_dataset(n, seed):
@@ -331,11 +469,41 @@ def test_scores_of_zero_and_one_solve(gamma, rows):
 
 @pytest.mark.parametrize("scores", [[0.0, 0.5], [0.5, 1.0]])
 def test_an_interval_randomized_at_zero_or_one_is_named(scores):
-    # [0, 1] below boundary 1 could mean either end; the ladder refuses it.
+    # [0, 1] below boundary 1 could mean either end, so the ladder's cut
+    # names its form, and the rule file keeps it.
     dataset = make_dataset([(s, 1, "g7") for s in scores])
-    ladder = opt._ladders(dataset, ACC, descending=scores[0] == 0.0)["g7"]
-    with pytest.raises(ValueError, match=r"group 'g7'.* score (0\.0|1\.0) "):
-        ladder.interval_cut(1, 0.5)
+    descending = scores[0] == 0.0
+    ladder = opt._ladders(dataset, ACC, descending=descending)["g7"]
+    cut = ladder.interval_cut(1, 0.5)
+    assert cut == IntervalCut(0.0, 1.0, 0.5, form="lower" if descending else "upper")
+    rule = GroupInterval({"g7": cut})
+    expected = [0.5, 1.0] if descending else [1.0, 0.5]
+    assert decision_probabilities(rule, dataset).tolist() == expected
+    assert rule_to_dict(rule)["groups"]["g7"]["form"] == cut.form
+    assert rule_from_dict(rule_to_dict(rule)) == rule
+    with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\] with boundary 0\.5 .* form named"):
+        IntervalCut(0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "kind, gamma, rows",
+    [
+        (CriterionKind.FOR_PARITY, 0.5, [(0.0, 1, "b"), (0.3, 0, "a"), (1.0, 0, "a"), (1.0, 1, "a")]),
+        (
+            CriterionKind.PPV_PARITY,
+            1.0,
+            [(0.6, 1, "b"), (0.0, 0, "a"), (0.6, 1, "b"), (0.6, 0, "b"), (0.6, 1, "a"), (0.0, 0, "b")],
+        ),
+    ],
+)
+def test_a_rule_randomized_at_zero_solves(kind, gamma, rows):
+    # The best rule randomizes a lower-bound cut at score 0: [0, 1] with a
+    # boundary below 1, which once had no form to be written in.
+    dataset = make_dataset(rows)
+    criterion = FairnessCriterion(kind, gamma=gamma)
+    rule = opt.optimize(OptimizationProblem(dataset, ACC, criterion))
+    assert any(c.low == 0.0 and c.high == 1.0 and c.boundary < 1.0 for c in rule.cuts.values())
+    assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= gamma - 1e-9
 
 
 def test_branch_best_matches_dense_grid_on_vertex_edges():

@@ -275,7 +275,9 @@ def describe_rule(rule: DecisionRule, indent: str = "") -> str:
         return f"{indent}group thresholds: " + "; ".join(parts)
     if isinstance(rule, GroupInterval):
         parts = [
-            f"{g}: [{c.low:.6g}, {c.high:.6g}] (q={c.boundary:.6g})"
+            f"{g}: [{c.low:.6g}, {c.high:.6g}]"
+            + (f" {c.form}-bound" if c.form_is_open else "")
+            + f" (q={c.boundary:.6g})"
             for g, c in sorted(rule.cuts.items())
         ]
         return f"{indent}group intervals: " + "; ".join(parts)

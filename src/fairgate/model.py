@@ -476,6 +476,11 @@ class IntervalCut:
             )
         object.__setattr__(self, "form", form)
 
+    @property
+    def form_is_open(self) -> bool:
+        """Whether the endpoints leave the form open: [0, 1] below boundary 1."""
+        return (self.low, self.high) == (0.0, 1.0) and self.boundary < 1.0
+
     def signed_cut(self) -> tuple[float, float, float]:
         """(sign, tau, boundary) of the same cut on sign * score: -1 for upper bounds."""
         if self.form == "lower":
@@ -607,7 +612,7 @@ def _sample(
 def _interval_to_dict(cut: IntervalCut) -> dict:
     """The cut's fields; the form only where the endpoints do not name it."""
     out = {"low": cut.low, "high": cut.high, "boundary": cut.boundary}
-    if (cut.low, cut.high) == (0.0, 1.0) and cut.boundary < 1.0:
+    if cut.form_is_open:
         out["form"] = cut.form
     return out
 

@@ -963,15 +963,9 @@ def _branch_window_values(
     inside = table.query(np.where(hit, left, 0), np.where(hit, right, 0))
     best = np.where(hit, table.values[inside], -np.inf)
 
-    starts = np.concatenate(
-        [np.searchsorted(hi, family.vmin, "left"), np.searchsorted(lo, value, "right")]
-    )
-    counts = (
-        np.concatenate(
-            [np.searchsorted(hi, value, "left"), np.searchsorted(lo, family.vmax, "right")]
-        )
-        - starts
-    )
+    starts = np.concatenate([np.searchsorted(hi, family.vmin), np.searchsorted(lo, value, "right")])
+    stops = np.concatenate([np.searchsorted(hi, value), np.searchsorted(lo, family.vmax, "right")])
+    counts = stops - starts
     segment = np.tile(np.arange(len(value)), 2)
     total = np.cumsum(counts)
     a = 0
@@ -1060,9 +1054,10 @@ def _best_windows(
                     tuple(b[:, None, cols] for b in outer),
                     tuple(b[None, :, cols] for b in inner),
                 )
-                du = np.diff(ladder.cum_du)[cols]
+                family = ladder.interval_families["ppv"]
+                du = family.du[cols]
                 q = np.where(du > 0.0, bounds[1], bounds[0])
-                util = np.where(_nonempty(bounds), ladder.cum_du[cols] + q * du, -np.inf)
+                util = np.where(_nonempty(bounds), family.util0[cols] + q * du, -np.inf)
                 np.maximum(group_best, util.max(axis=-1), out=group_best)
             totals += group_best
         flat = totals.ravel()

@@ -2,7 +2,9 @@
 
 The references here are plain loops: one over segments for the per-window
 branch search, one over (PPV window, FOR window) pairs for the joint scan.
-The optimizer's batched versions must agree with them exactly. A dense
+The one-family sweep is checked against a copy of the dense scan it
+replaced, which values every (window, segment) pair. The optimizer's
+batched versions must agree with them exactly. A dense
 q-grid checks the branch search on windows whose edges lie on vertices, and
 the brute-force oracle checks whole solves: of the sufficiency family, and of
 independence, TPR, FPR and conditional parity, which share the threshold
@@ -19,6 +21,7 @@ import pytest
 
 from conftest import make_dataset, random_instance
 from fairgate import optimizer as opt
+from fairgate.cli import describe_rule
 from fairgate.metrics import compute_rates, decision_maker_utility, disparity_detail
 from fairgate.model import (
     CriterionKind,
@@ -480,6 +483,7 @@ def test_an_interval_randomized_at_zero_or_one_is_named(scores):
     expected = [0.5, 1.0] if descending else [1.0, 0.5]
     assert decision_probabilities(rule, dataset).tolist() == expected
     assert rule_to_dict(rule)["groups"]["g7"]["form"] == cut.form
+    assert f"[0, 1] {cut.form}-bound (q=0.5)" in describe_rule(rule)
     assert rule_from_dict(rule_to_dict(rule)) == rule
     with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\] with boundary 0\.5 .* form named"):
         IntervalCut(0.0, 1.0, 0.5)
@@ -488,11 +492,16 @@ def test_an_interval_randomized_at_zero_or_one_is_named(scores):
 @pytest.mark.parametrize(
     "kind, gamma, rows",
     [
-        (CriterionKind.FOR_PARITY, 0.5, [(0.0, 1, "b"), (0.3, 0, "a"), (1.0, 0, "a"), (1.0, 1, "a")]),
+        (
+            CriterionKind.FOR_PARITY,
+            0.5,
+            [(0.0, 1, "b"), (0.3, 0, "a"), (1.0, 0, "a"), (1.0, 1, "a")],
+        ),
         (
             CriterionKind.PPV_PARITY,
             1.0,
-            [(0.6, 1, "b"), (0.0, 0, "a"), (0.6, 1, "b"), (0.6, 0, "b"), (0.6, 1, "a"), (0.0, 0, "b")],
+            [(0.6, 1, "b"), (0.0, 0, "a"), (0.6, 1, "b")]
+            + [(0.6, 0, "b"), (0.6, 1, "a"), (0.0, 0, "b")],
         ),
     ],
 )

@@ -457,22 +457,14 @@ class IntervalCut:
         form = self.form
         if lower and upper and self.boundary == 1.0:
             form = "lower"  # either form accepts every score
-        elif form is None:
-            if lower != upper:
-                form = "lower" if lower else "upper"
-            else:
-                raise ValueError(
-                    f"interval [{self.low}, {self.high}] with boundary {self.boundary} is "
-                    "neither a lower-bound (0 < low <= high = 1) nor an upper-bound "
-                    "(0 = low <= high < 1) form, nor [0, 1] with boundary 1; "
-                    "[0, 1] randomized at 0 or at 1 needs its form named"
-                )
-        elif form not in ("lower", "upper"):
-            raise ValueError(f"unknown interval form {form!r}; expected 'lower' or 'upper'")
-        elif not (lower if form == "lower" else upper):
-            bound = "high = 1" if form == "lower" else "low = 0"
+        elif form is None and lower != upper:
+            form = "lower" if lower else "upper"
+        if not (form == "lower" and lower or form == "upper" and upper):
             raise ValueError(
-                f"interval [{self.low}, {self.high}] is not of the {form}-bound form ({bound})"
+                f"interval [{self.low}, {self.high}] with boundary {self.boundary} is not "
+                f"{self.form or 'lower- or upper'}-bound: a lower bound has high = 1, "
+                "an upper bound low = 0, and [0, 1] below boundary 1 needs form "
+                "'lower' or 'upper'"
             )
         object.__setattr__(self, "form", form)
 

@@ -714,9 +714,9 @@ def _separation_lp_targets(
 # is swept in O((W + k) log k + stabbed pairs) per branch, for W windows and
 # k segments, and the stabbed pairs still grow with W: uncapped, a PPV sweep
 # of the 4k-row continuous bench input (seed 7, gamma 0.9) has about 970k
-# windows and 7.3e6 stabbed pairs and takes about 1-1.2 s, against 0.03 s at
-# the cap. Joint parity values every window pair against every segment, in
-# blocks.
+# windows and 7.3e6 stabbed pairs and takes about 1-1.2 s on a shared 2-vCPU
+# VM, against 0.03 s at the cap. Joint parity values every window pair
+# against every segment, in blocks.
 _SINGLE_FAMILY_CAP = 4096  # PPV-only or FOR-only parity
 _JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
 # When grid points per segment times the largest branch's vertex count exceeds

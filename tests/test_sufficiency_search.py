@@ -485,7 +485,7 @@ def test_an_interval_randomized_at_zero_or_one_is_named(scores):
     assert rule_to_dict(rule)["groups"]["g7"]["form"] == cut.form
     assert f"[0, 1] {cut.form}-bound (q=0.5)" in describe_rule(rule)
     assert rule_from_dict(rule_to_dict(rule)) == rule
-    with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\] with boundary 0\.5 .* form named"):
+    with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\] with boundary 0\.5 .* needs form"):
         IntervalCut(0.0, 1.0, 0.5)
 
 

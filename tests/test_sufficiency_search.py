@@ -326,9 +326,13 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
                         assert a.tobytes() == b.tobytes()
                 swept += np.maximum.reduce(got)
             assert hexes(swept) == hexes(totals)
-            if window is not None:
-                window = (window, None) if which == "ppv" else (None, window)
-            assert opt._scan_windows(branches, {which: base}, gamma, cap) == window
+            scanned = opt._scan_windows(branches, {which: base}, gamma, cap)
+            if window is None:
+                assert scanned is None
+            else:
+                got = scanned[0] if which == "ppv" else scanned[1]
+                assert scanned[1 if which == "ppv" else 0] is None
+                assert hexes(got) == hexes(window)
             scans += 1
         # The bisection at gamma 1 of the first 20 infeasible instances.
         if window is None and infeasible < 20:

@@ -60,6 +60,10 @@ COMMANDS: dict[str, tuple[tuple[str, ...], str | None]] = {
         ("optimize", *SCORED, "--criterion", "for_parity", "--gamma", "0.9"),
         None,
     ),
+    "optimize_sufficiency": (
+        ("optimize", *SCORED, "--criterion", "sufficiency", "--gamma", "0.8"),
+        None,
+    ),
     **{
         f"evaluate_{justifier}": (
             ("evaluate", *SCORED, "--rule", str(SEPARATION_RULE)),

@@ -41,20 +41,21 @@ optimal point is then realized as one threshold cut, or as a mixture of
 two: every point in the convex hull of a connected curve is a combination
 of two curve points, and an O(k) angle sweep along the staircase finds them.
 PPV and FOR are ratios of prefix quantities, monotone in the boundary
-randomization along each segment of a group's path, so one edge rule gives
-each segment's feasible interval in a window: an end whose value lies within
-1e-12 of the window stays, an end outside moves to where the value crosses
-the edge widened by 1e-12. A scan values every candidate window under that
-rule, or every pair of windows under joint parity, and the winning rule is
-rebuilt under it, so the search within a window is exact. One family is a
-sweep: a segment whose better end lies inside a window takes that end, a
-range-argmax over the ends sorted by value answers every window, and only
-the pairs where a window edge stabs a segment are valued as crossings. The
-window positions are not all scanned: the candidates are vertex and q-grid
-values, subsampled to the caps named at the top of the sufficiency section,
-so a sufficiency result is exact only below the caps. When the scan finds no
-window, the highest level reported is found by bisection with the same scan
-at the same cap, so a solve at that level returns a rule.
+randomization along each segment of a group's path, so one edge rule
+(``_IntervalFamily.bounds``) gives each segment's feasible interval in a
+window: an end whose value lies within 1e-12 of the window stays, an end
+outside moves to where the value crosses the edge widened by 1e-12. A scan
+values every candidate window under that rule, or every pair of windows
+under joint parity, and the winning rule is rebuilt under it, so the search
+within a window is exact. One family is a sweep: a segment whose better end
+lies inside a window takes that end, a range-argmax over the ends sorted by
+value answers every window, and only the pairs where a window edge stabs a
+segment are valued as crossings. The window positions are not all scanned:
+the candidates are vertex and q-grid values, subsampled to the caps named at
+the top of the sufficiency section, so a sufficiency result is exact only
+below the caps. When the scan finds no window, the highest level reported is
+found by bisection with the same scan at the same cap, so a solve at that
+level returns a rule.
 """
 
 from __future__ import annotations
@@ -594,32 +595,18 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
         return _group_threshold({g: ladders[g].cut(*_best_cut(ladders[g].cum_du)) for g in groups})
 
     targets = _separation_lp_targets(ladders, groups, gamma)
-
-    cuts_first: dict[str, GroupCut] = {}
-    cuts_second: dict[str, GroupCut] = {}
-    mix_weights: dict[str, float] = {}
-    randomized = False
-    for g in groups:
-        ladder = ladders[g]
-        parts = _realize_on_path(_staircase(ladder), np.asarray(targets[g], dtype=float))
-        if len(parts) == 1:
-            j, q, _ = parts[0]
-            cut = ladder.cut(j, q)
-            cuts_first[g] = cut
-            cuts_second[g] = cut
-            mix_weights[g] = 1.0
-        else:
-            (j_a, q_a, w_a), (j_b, q_b, _) = parts
-            cuts_first[g] = ladder.cut(j_a, q_a)
-            cuts_second[g] = ladder.cut(j_b, q_b)
-            mix_weights[g] = float(w_a)
-            randomized = True
-    if not randomized:
-        return GroupThreshold(cuts_first)
+    # Each group's (j, q, weight) parts; a one-part group has weight 1.0.
+    parts = {
+        g: _realize_on_path(_staircase(ladders[g]), np.asarray(targets[g], dtype=float))
+        for g in groups
+    }
+    first = GroupThreshold({g: ladders[g].cut(*p[0][:2]) for g, p in parts.items()})
+    if all(len(p) == 1 for p in parts.values()):
+        return first
     return Mixture(
-        weights=mix_weights,
-        first=GroupThreshold(cuts_first),
-        second=GroupThreshold(cuts_second),
+        weights={g: float(p[0][2]) for g, p in parts.items()},
+        first=first,
+        second=GroupThreshold({g: ladders[g].cut(*p[-1][:2]) for g, p in parts.items()}),
     )
 
 
@@ -732,13 +719,14 @@ _EDGE_TOL = 1e-12
 
 
 class _IntervalFamily:
-    """PPV or FOR along the segments of one ladder, as the edge rule reads them.
+    """PPV or FOR along the segments of one ladder, and the edge rule that reads them.
 
     On segment j the value at fraction q is (num0 + q * dnum) / (den0 + q *
-    dden), monotone in q; ``v0`` and ``v1`` are its values at the segment's
-    ends. An open end (PPV without accepts, FOR without rejects) has no
-    value of its own: it takes the segment's constant value, and q stays in
-    [qmin, qmax], ``_EDGE_TOL`` inside the segment.
+    dden), monotone in q. ``vertex`` holds the values at the ladder's
+    vertices, NaN at an open one (PPV without accepts, FOR without
+    rejects); ``v0`` and ``v1`` are the values at each segment's ends. An
+    open end has no value of its own: it takes the segment's constant
+    value, and q stays in [qmin, qmax], ``_EDGE_TOL`` inside the segment.
     """
 
     def __init__(self, ladder: _Ladder, which: str):
@@ -749,8 +737,8 @@ class _IntervalFamily:
         else:
             self.num0, self.dnum = ladder.n_pos - epy0, -depy
             self.den0, self.dden = ladder.n - ep0, -dep
-        vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
-        v0, v1 = vertex[:-1], vertex[1:]
+        self.vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
+        v0, v1 = self.vertex[:-1], self.vertex[1:]
         self.v0, self.v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
         self.vmin, self.vmax = np.minimum(self.v0, self.v1), np.maximum(self.v0, self.v1)
         self.qmin, self.qmax = np.zeros(len(dep)), np.ones(len(dep))
@@ -760,85 +748,55 @@ class _IntervalFamily:
             self.qmax[ladder.cum_count[1:] >= ladder.n] = 1.0 - _EDGE_TOL
         self.util0, self.du = ladder.cum_du[:-1], np.diff(ladder.cum_du)
 
+    def bounds(self, lo, hi, j: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """Feasible q-interval (qlo, qhi) of segments j in windows [lo, hi], and which are live.
+
+        The edge rule. ``lo`` and ``hi`` broadcast against the segments: one
+        window against all of them, a column of windows against the row of
+        segments, or one window per listed segment. The value is monotone in
+        q, so a segment's ends decide. An end whose value lies within
+        ``_EDGE_TOL`` of the window stays: the candidate windows are built
+        from vertex values, so a vertex on an edge is the normal case and
+        must not depend on the last bit of a quotient, and under joint
+        parity a point inside both windows keeps a nonempty q-interval
+        though its PPV and FOR crossings may land an ulp apart. An end
+        outside moves to the q where the value crosses the edge it lies
+        beyond, widened by ``_EDGE_TOL``. A zero upper edge is not widened
+        for the crossing: a value of 1e-12 against another group's exact 0
+        is a ratio of 0, not of 1. A segment whose values all lie beyond one
+        edge is dead, not live, and keeps [qmin, qmax].
+        """
+        low, high = lo - _EDGE_TOL, hi + _EDGE_TOL
+        live = (self.vmax[j] >= low) & (self.vmin[j] <= high)
+        ends = []
+        for v, q_end in ((self.v0[j], 0.0), (self.v1[j], 1.0)):
+            edge = np.clip(v, low, np.where(hi > 0.0, high, hi))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (edge * self.den0[j] - self.num0[j]) / (self.dnum[j] - edge * self.dden[j])
+            out = live & ((v < low) | (v > high))
+            ends.append(np.where(out, np.clip(cross, 0.0, 1.0), q_end))
+        return np.maximum(ends[0], self.qmin[j]), np.minimum(ends[1], self.qmax[j]), live
+
+    def value(self, qlo, qhi, live, j: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Utility of segments j at the better end of [qlo, qhi]; -inf where it is empty.
+
+        Utility is linear in q, so the other end never wins.
+        """
+        du = self.du[j]
+        q = np.where(du > 0.0, qhi, qlo)
+        return np.where(live & (qlo <= qhi), self.util0[j] + q * du, -np.inf)
+
     @cached_property
     def preferred(self) -> tuple[np.ndarray, np.ndarray, _RangeArgmax]:
         """Each segment's preferred-end value; those values sorted; their utilities' table.
 
-        Utility is linear in q, so a segment's preferred end is qmax when its
-        utility step is positive and qmin otherwise. The range-argmax table
-        holds the utilities at the preferred ends in the sorted order.
+        A segment's preferred end is the better end of [qmin, qmax]: qmax
+        when its utility step is positive, qmin otherwise. The range-argmax
+        table holds the utilities at the preferred ends in the sorted order.
         """
-        up = self.du > 0.0
-        value = np.where(up, self.v1, self.v0)
+        value = np.where(self.du > 0.0, self.v1, self.v0)
         order = np.argsort(value, kind="stable")
-        util = self.util0 + np.where(up, self.qmax, self.qmin) * self.du
-        return value, value[order], _RangeArgmax(util[order])
-
-
-_Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]  # (qlo, qhi, dead) per segment
-
-
-def _edge_bounds(
-    family: _IntervalFamily, j: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible q-interval (qlo, qhi) of segment j[i] in window [lo[i], hi[i]], for each i.
-
-    The edge rule, for live pairs: an end whose value lies within
-    ``_EDGE_TOL`` of the window stays; an end outside moves to the q where
-    the value crosses the edge it lies beyond, widened by ``_EDGE_TOL``. A
-    zero upper edge is not widened for the crossing: a value of 1e-12
-    against another group's exact 0 is a ratio of 0, not of 1.
-    """
-    ends = []
-    for v, q_end in ((family.v0[j], 0.0), (family.v1[j], 1.0)):
-        edge = np.clip(v, lo - _EDGE_TOL, np.where(hi > 0.0, hi + _EDGE_TOL, hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (edge * family.den0[j] - family.num0[j]) / (
-                family.dnum[j] - edge * family.dden[j]
-            )
-        out = (v < lo - _EDGE_TOL) | (v > hi + _EDGE_TOL)
-        ends.append(np.where(out, np.clip(cross, 0.0, 1.0), q_end))
-    return np.maximum(ends[0], family.qmin[j]), np.minimum(ends[1], family.qmax[j])
-
-
-def _window_bounds(ladder: _Ladder, which: str, windows: np.ndarray) -> _Bounds:
-    """Feasible q-interval of every segment within every window of one family.
-
-    ``windows`` holds one (low, high) row per window; the result's arrays
-    have shape (windows, segments). The family value is monotone in q along
-    a segment, so the segment's ends decide, under ``_edge_bounds``' rule.
-    An end is inside a window when its value lies within 1e-12 of it: the
-    candidate windows are built from vertex values, so a vertex on an edge
-    is the normal case and must not depend on the last bit of a quotient.
-    So under joint parity a point inside both windows keeps a nonempty
-    q-interval, though its PPV and FOR crossings may land an ulp apart. A
-    segment whose values all lie beyond one edge is dead.
-    """
-    family = ladder.interval_families[which]
-    lo, hi = windows[:, :1], windows[:, 1:]
-    dead = (family.vmax < lo - _EDGE_TOL) | (family.vmin > hi + _EDGE_TOL)
-    qlo = np.repeat(family.qmin[None, :], len(windows), axis=0)
-    qhi = np.repeat(family.qmax[None, :], len(windows), axis=0)
-    # Only a live segment that crosses an edge has an end outside.
-    crossing = (family.vmin < lo - _EDGE_TOL) | (family.vmax > hi + _EDGE_TOL)
-    w, j = np.nonzero(~dead & crossing)
-    qlo[w, j], qhi[w, j] = _edge_bounds(family, j, lo[w, 0], hi[w, 0])
-    return qlo, qhi, dead
-
-
-def _intersect(a: _Bounds, b: _Bounds) -> _Bounds:
-    """Bounds under both of two windows.
-
-    Each window's feasible set on a segment is an interval in q, so the set
-    under both is exactly the intersection of the two intervals.
-    """
-    return np.maximum(a[0], b[0]), np.minimum(a[1], b[1]), a[2] | b[2]
-
-
-def _nonempty(bounds: _Bounds) -> np.ndarray:
-    """Segments with a feasible point."""
-    qlo, qhi, dead = bounds
-    return ~dead & (qlo <= qhi)
+        return value, value[order], _RangeArgmax(self.value(self.qmin, self.qmax, True)[order])
 
 
 def _branch_best_in_windows(
@@ -848,20 +806,21 @@ def _branch_best_in_windows(
 ) -> tuple[int, float, float] | None:
     """Exact max-utility point (j, q, util) of one branch within PPV and/or FOR windows.
 
-    The per-window search of the scans, which also returns the point.
-    Utility is linear in q, so only the ends of each segment's feasible
-    q-interval matter. Among equal utilities a deterministic end (q = 0 or 1)
-    wins, then the first in (segment, lower end, upper end) order.
+    The per-window search of the scans, which also returns the point. Each
+    window's feasible set on a segment is an interval in q, so the set under
+    both is their intersection. Utility is linear in q, so only the ends of
+    that interval matter. Among equal utilities a deterministic end (q = 0
+    or 1) wins, then the first in (segment, lower end, upper end) order.
     """
     k = len(ladder.scores)
-    bounds = (np.zeros(k), np.ones(k), np.zeros(k, dtype=bool))
+    qlo, qhi, live = np.zeros(k), np.ones(k), np.ones(k, dtype=bool)
     for which, window in (("ppv", ppv_window), ("for_rate", for_window)):
         if window is not None:
-            one = _window_bounds(ladder, which, np.array([window]))
-            bounds = _intersect(bounds, tuple(b[0] for b in one))
-    q = np.stack(bounds[:2], axis=-1)
+            lo, hi, ok = ladder.interval_families[which].bounds(*window)
+            qlo, qhi, live = np.maximum(qlo, lo), np.minimum(qhi, hi), live & ok
+    q = np.stack([qlo, qhi], axis=-1)
     util = ladder.cum_du[:-1, None] + q * np.diff(ladder.cum_du)[:, None]
-    util = np.where(_nonempty(bounds)[:, None], util, -np.inf).ravel()
+    util = np.where((live & (qlo <= qhi))[:, None], util, -np.inf).ravel()
     q = q.ravel()
     if not util.size or util.max() == -np.inf:
         return None
@@ -887,7 +846,7 @@ def _group_best_in_windows(
 
 def _branch_point_values(ladder: _Ladder, which: str, qs: np.ndarray) -> np.ndarray:
     """Family values at every vertex and every grid point of every segment."""
-    vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
+    vertex = ladder.interval_families[which].vertex
     out = [vertex[~np.isnan(vertex)]]
     if len(ladder.scores) > 0 and len(qs) > 0:
         ep = ladder.cum_count[:-1, None] + np.diff(ladder.cum_count)[:, None] * qs[None, :]
@@ -942,8 +901,9 @@ def _branch_window_values(
     """One branch's best utility in every window [lowers[i], uppers[i]]; -inf where none.
 
     The windows must be sorted by their upper edge. The value is that of the
-    branch's best segment under ``_window_bounds``, taken at the better end
-    of its feasible q-interval, but not every (window, segment) pair is
+    branch's best segment under the edge rule (``_IntervalFamily.bounds``),
+    taken at the better end of its feasible q-interval
+    (``_IntervalFamily.value``), but not every (window, segment) pair is
     valued. A segment whose preferred end lies inside a window (within
     ``_EDGE_TOL``) is live there and takes that end. Sorted by that end's
     value, those segments form one index range per window, so a
@@ -951,8 +911,8 @@ def _branch_window_values(
     pair is stabbed by an edge: the preferred end lies above the upper edge
     while the segment reaches it, or below the lower edge likewise. As the
     edges rise with the windows, each segment is stabbed by a contiguous run
-    of upper edges and one of lower edges. Only those pairs are valued, by
-    ``_edge_bounds``, in blocks of at most about ``_SWEEP_BLOCK_ELEMENTS``.
+    of upper edges and one of lower edges. Only those pairs are valued, in
+    blocks of at most about ``_SWEEP_BLOCK_ELEMENTS``.
     """
     family = ladder.interval_families[which]
     value, ends, table = family.preferred
@@ -977,22 +937,19 @@ def _branch_window_values(
         runs = np.repeat(np.arange(a, b), c)
         w = starts[runs] + np.arange(total[b - 1] - done) - np.repeat(np.cumsum(c) - c, c)
         j = segment[runs]
-        qlo, qhi = _edge_bounds(family, j, lowers[w], uppers[w])
-        du = family.du[j]
-        q = np.where(du > 0.0, qhi, qlo)
-        np.maximum.at(best, w, np.where(qlo <= qhi, family.util0[j] + q * du, -np.inf))
+        np.maximum.at(best, w, family.value(*family.bounds(lowers[w], uppers[w], j), j))
         a = b
     return best
 
 
 def _best_window(
     branches: Mapping[str, Sequence[_Ladder]], which: str, base: np.ndarray, gamma: float, cap: int
-) -> tuple[float, float] | None:
-    """Best window of one family at level gamma; None if none is feasible.
+) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
+    """Best (PPV window, FOR window) of one family at level gamma; None if none is feasible.
 
-    Each group's value in a window is its best branch, by
-    ``_branch_window_values``; totals are summed in group order, and ties go
-    to the last of equal totals.
+    The other family's window is None. Each group's value in a window is its
+    best branch, by ``_branch_window_values``; totals are summed in group
+    order, and ties go to the last of equal totals.
     """
     uppers = _designations(base, gamma, cap)
     lowers = gamma * uppers
@@ -1007,7 +964,8 @@ def _best_window(
     i = len(totals) - 1 - int(np.argmax(totals[::-1]))
     if totals[i] == -np.inf:
         return None
-    return float(lowers[i]), float(uppers[i])
+    window = float(lowers[i]), float(uppers[i])
+    return (window, None) if which == "ppv" else (None, window)
 
 
 def _best_windows(
@@ -1021,18 +979,19 @@ def _best_windows(
     The joint scan: ``bases`` holds the candidate base of both families.
     Every pair of windows is scanned, the PPV windows in blocks of rows,
     each row against every FOR window. A group's value in a pair is its
-    best segment, taken at the better end of its feasible q-interval:
-    utility is linear in q, so the other end never wins. Ties go to the
-    last of equal totals in (PPV, FOR) order.
+    best segment, taken at the better end of the intersection of its two
+    feasible q-intervals. Ties go to the last of equal totals in (PPV, FOR)
+    order.
     """
     ppv_windows, for_windows = (
         np.column_stack([gamma * uppers, uppers])
         for uppers in (_designations(bases[which], gamma, cap) for which in ("ppv", "for_rate"))
     )
 
-    def prepared(ladder: _Ladder) -> tuple[_Ladder, _Bounds, np.ndarray]:
-        inner = _window_bounds(ladder, "for_rate", for_windows)
-        return ladder, inner, _nonempty(inner).any(axis=0)
+    def prepared(ladder: _Ladder) -> tuple[_IntervalFamily, tuple[np.ndarray, ...], np.ndarray]:
+        ppv, fr = (ladder.interval_families[which] for which in ("ppv", "for_rate"))
+        inner = fr.bounds(for_windows[:, :1], for_windows[:, 1:])
+        return ppv, inner, (fr.value(*inner) > -np.inf).any(axis=0)
 
     groups = [[prepared(ladder) for ladder in pair] for pair in branches.values()]
     k_max = max(len(ladder.scores) for pair in branches.values() for ladder in pair)
@@ -1043,21 +1002,18 @@ def _best_windows(
         totals = np.zeros((len(block), len(for_windows)))
         for group in groups:
             group_best = np.full(totals.shape, -np.inf)
-            for ladder, inner, inner_live in group:
-                outer = _window_bounds(ladder, "ppv", block)
+            for family, inner, inner_live in group:
+                outer = family.bounds(block[:, :1], block[:, 1:])
                 # Only segments live under some window of each family can
                 # be live under a pair of them.
-                cols = np.flatnonzero(_nonempty(outer).any(axis=0) & inner_live)
+                cols = np.flatnonzero((family.value(*outer) > -np.inf).any(axis=0) & inner_live)
                 if cols.size == 0:
                     continue
-                bounds = _intersect(
-                    tuple(b[:, None, cols] for b in outer),
-                    tuple(b[None, :, cols] for b in inner),
+                both = (
+                    meet(a[:, None, cols], b[None, :, cols])
+                    for meet, a, b in zip((np.maximum, np.minimum, np.logical_and), outer, inner)
                 )
-                family = ladder.interval_families["ppv"]
-                du = family.du[cols]
-                q = np.where(du > 0.0, bounds[1], bounds[0])
-                util = np.where(_nonempty(bounds), family.util0[cols] + q * du, -np.inf)
+                util = family.value(*both, cols)
                 np.maximum(group_best, util.max(axis=-1), out=group_best)
             totals += group_best
         flat = totals.ravel()
@@ -1084,10 +1040,7 @@ def _scan_windows(
     if len(bases) == 2:
         return _best_windows(branches, bases, gamma, cap)
     ((which, base),) = bases.items()
-    window = _best_window(branches, which, base, gamma, cap)
-    if window is None:
-        return None
-    return (window, None) if which == "ppv" else (None, window)
+    return _best_window(branches, which, base, gamma, cap)
 
 
 def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
@@ -1096,10 +1049,11 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     Sufficiency constrains both families, PPV parity and FOR parity one
     each. A scan picks the window of every constrained family, and each
     group's best point in those windows is then rebuilt under the same edge
-    rule (``_window_bounds``). Within a window the search is exact: along a
-    segment each family value is monotone in the boundary randomization, so
-    the feasible part is an interval between segment ends and edge
-    crossings, and a vertex within 1e-12 of an edge counts as inside.
+    rule (``_IntervalFamily.bounds``). Within a window the search is exact:
+    along a segment each family value is monotone in the boundary
+    randomization, so the feasible part is an interval between segment ends
+    and edge crossings, and a vertex within 1e-12 of an edge counts as
+    inside.
 
     One family is swept (``_best_window``): per branch, a range-argmax over
     the segments' preferred ends, sorted once, answers every window, and

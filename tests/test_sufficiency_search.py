@@ -321,7 +321,9 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
                 windows = np.column_stack([lowers, uppers])
                 for ladder, values in zip(pair, got):
                     assert hexes(values) == hexes(dense_branch_values(ladder, which, windows))
-                    bounds = opt._window_bounds(ladder, which, windows)
+                    family = ladder.interval_families[which]
+                    qlo, qhi, live = family.bounds(windows[:, :1], windows[:, 1:])
+                    bounds = qlo, qhi, ~live
                     for a, b in zip(bounds, dense_window_bounds(ladder, which, windows)):
                         assert a.tobytes() == b.tobytes()
                 swept += np.maximum.reduce(got)

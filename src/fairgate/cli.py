@@ -28,6 +28,7 @@ from .assessment import (
     criterion_equation,
     load_assessment,
     map_assessment,
+    prune_justifier_values,
     run_wizard,
 )
 from .frontier import DEFAULT_GAMMA_GRID, emit_frontier, sweep
@@ -237,14 +238,27 @@ def _json_text(data) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _read_assessment(path: Path) -> tuple[FairnessCriterion, MoralAssessment]:
+    """The criterion of an assessment file, and the assessment, pruned as the wizard prunes it.
+
+    A benefit matrix with an outcome or decision justifier drops the
+    justifier values whose subgroup the benefit does not tell apart, so the
+    same answers map to the same criterion as in ``assess``.
+    """
+    assessment = load_assessment(path)
+    justifiers = (assess_mod.JustifierKind.OUTCOME, assess_mod.JustifierKind.DECISION)
+    if assessment.benefit_matrix is not None and assessment.justifier in justifiers:
+        assessment = prune_justifier_values(assessment, assessment.benefit_matrix)
+    return map_assessment(assessment), assessment
+
+
 def _resolve_criterion(
     config: RunConfig, dataset: Dataset
 ) -> tuple[FairnessCriterion, MoralAssessment | None]:
     if (config.criterion is None) == (config.assessment_path is None):
         raise ValueError("exactly one of --criterion and --assessment is required")
     if config.assessment_path is not None:
-        assessment = load_assessment(config.assessment_path)
-        criterion = map_assessment(assessment)
+        criterion, assessment = _read_assessment(config.assessment_path)
     else:
         assessment = None
         kind = CriterionKind(config.criterion)
@@ -404,8 +418,7 @@ def cmd_evaluate(config: RunConfig, out: _OutputTracker) -> int:
     rule, stored_criterion = read_rule_file(config.rule_path)
     assessment = None
     if config.assessment_path is not None:
-        assessment = load_assessment(config.assessment_path)
-        criterion = map_assessment(assessment)
+        criterion, assessment = _read_assessment(config.assessment_path)
     elif config.criterion is not None:
         criterion, _ = _resolve_criterion(config, dataset)
     elif stored_criterion is not None:
@@ -615,6 +628,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if len(cells) != 4:
             raise ValueError("--utility needs four comma-separated numbers")
         run["utility"] = UtilityMatrix(*cells)
+    if given.get("seeds", 1) < 1:
+        raise ValueError(f"--seeds must be at least 1, got {given['seeds']}")
     if "input" in given:
         run["roles"] = ColumnRoles(
             group=args.group_col,

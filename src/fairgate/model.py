@@ -227,6 +227,11 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(name: str, cells: tuple[float, float, float, float]) -> None:
+    if not np.isfinite(cells).all():
+        raise ValueError(f"{name} matrix cells must be finite numbers, got {list(cells)}")
+
+
 @dataclass(frozen=True)
 class UtilityMatrix:
     """Decision-maker payoff u(d, y) for each of the four (decision, outcome) cells."""
@@ -237,6 +242,7 @@ class UtilityMatrix:
     u11: float
 
     def __post_init__(self) -> None:
+        _require_finite("utility", self.cells())
         if not (self.u11 > self.u01 or self.u00 > self.u10):
             raise ValueError(
                 "degenerate utility: deciding 1 must help when the outcome is 1, "
@@ -265,6 +271,7 @@ class BenefitMatrix:
     b11: float
 
     def __post_init__(self) -> None:
+        _require_finite("benefit", self.cells())
         cells = {self.b00, self.b01, self.b10, self.b11}
         if len(cells) == 1:
             raise ValueError("benefit matrix is constant: nothing is distributed")

@@ -213,6 +213,66 @@ def test_the_reported_level_solves(tmp_path, capsys):
     assert metrics["disparity_ratio"] >= float(level) - 1e-9
 
 
+@pytest.mark.parametrize("cells", ["1,0,0,nan", "1,0,0,inf"])
+def test_a_non_finite_payoff_is_rejected(cells, tmp_path, capsys):
+    argv = ["optimize", *SCORED, "--criterion", "independence", "--utility", cells]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    shown = ", ".join(repr(float(c)) for c in cells.split(","))
+    err = capsys.readouterr().err
+    assert err == f"error: utility matrix cells must be finite numbers, got [{shown}]\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_report_needs_at_least_one_seed(seeds, tmp_path, capsys):
+    argv = ["report", *SCORED, "--criterion", "independence", "--seeds", seeds]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: --seeds must be at least 1, got {seeds}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# The criterion each data command writes, read back from its output.
+WRITTEN_CRITERION = {
+    "optimize": lambda out: json.loads((out / "rule.json").read_text())["criterion"]["kind"],
+    "evaluate": lambda out: json.loads((out / "metrics.json").read_text())["criterion"]["kind"],
+    "sweep": lambda out: (out / "frontier.csv").read_text().splitlines()[0],
+    "report": lambda out: json.loads((out / "report.json").read_text())["criterion"]["kind"],
+}
+
+
+def assessment_argv(command: str, path: Path, out: Path) -> list[str]:
+    argv = [command, *SCORED, "--assessment", str(path), "--out", str(out)]
+    return argv + (["--rule", str(SEPARATION_RULE)] if command == "evaluate" else [])
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN_CRITERION))
+def test_an_assessment_file_is_pruned_as_the_wizard_prunes(command, tmp_path, capsys):
+    # Outcome 1 gets benefit 0 either way, so only outcome 0 is a fairness
+    # claim: FPR parity, not separation.
+    answers = tmp_path / "answers.txt"
+    answers.write_text("matrix\n0, 0, 1, 0\ngroup\noutcome\nboth\n", encoding="utf-8")
+    assert main(["assess", "--answers", str(answers), "--out", str(tmp_path / "assess")]) == 0
+    assert "criterion: fpr_parity\n" in capsys.readouterr().out
+    path = tmp_path / "assessment.json"
+    doc = {"benefit_source": "decision", "justifier": "outcome", "benefit_matrix": [0, 0, 1, 0]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(assessment_argv(command, path, tmp_path / "out")) == 0
+    expected = "gamma,achieved_ratio,utility_train,utility_test,fpr_a,fpr_b"
+    expected = expected if command == "sweep" else "fpr_parity"
+    assert WRITTEN_CRITERION[command](tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN_CRITERION))
+def test_an_assessment_file_whose_every_value_is_pruned_is_an_error(command, tmp_path, capsys):
+    # The benefit varies with the outcome only, so no outcome value is a claim.
+    path = tmp_path / "assessment.json"
+    doc = {"benefit_source": "decision", "justifier": "outcome", "benefit_matrix": [0, 1, 0, 1]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(assessment_argv(command, path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: every justifier value was pruned: ")
+    assert not (tmp_path / "out").exists()
+
+
 STRATIFIED_BY_JOB = {
     "kind": "stratified_group_threshold",
     "legit_names": ["job"],

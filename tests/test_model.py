@@ -308,6 +308,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BenefitMatrix(1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("matrix", [UtilityMatrix, BenefitMatrix])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix_cells_must_be_finite(self, matrix, bad):
+        with pytest.raises(ValueError, match="matrix cells must be finite numbers"):
+            matrix(1.0, 0.0, 0.0, bad)
+
     def test_criterion_gamma_range(self):
         with pytest.raises(ValueError):
             FairnessCriterion(CriterionKind.INDEPENDENCE, gamma=1.5)

@@ -977,40 +977,43 @@ def _best_windows(
     """Best (PPV window, FOR window) pair at level gamma; None if none is feasible.
 
     The joint scan: ``bases`` holds the candidate base of both families.
-    Every pair of windows is scanned, the PPV windows in blocks of rows,
-    each row against every FOR window. A group's value in a pair is its
-    best segment, taken at the better end of the intersection of its two
-    feasible q-intervals. Ties go to the last of equal totals in (PPV, FOR)
-    order.
+    Each segment's bounds in every window of each family are taken once;
+    then every pair of windows is scanned, the PPV windows in blocks of
+    rows, each row against every FOR window. A group's value in a pair is
+    its best segment, taken at the better end of the intersection of its
+    two feasible q-intervals. Ties go to the last of equal totals in (PPV,
+    FOR) order.
     """
-    ppv_windows, for_windows = (
+    windows = [
         np.column_stack([gamma * uppers, uppers])
         for uppers in (_designations(bases[which], gamma, cap) for which in ("ppv", "for_rate"))
-    )
+    ]
+    ppv_windows, for_windows = windows
 
-    def prepared(ladder: _Ladder) -> tuple[_IntervalFamily, tuple[np.ndarray, ...], np.ndarray]:
-        ppv, fr = (ladder.interval_families[which] for which in ("ppv", "for_rate"))
-        inner = fr.bounds(for_windows[:, :1], for_windows[:, 1:])
-        return ppv, inner, (fr.value(*inner) > -np.inf).any(axis=0)
+    def prepared(ladder: _Ladder) -> tuple[_IntervalFamily, list, np.ndarray, np.ndarray]:
+        """The PPV family, both families' bounds, and where they are nonempty."""
+        families = [ladder.interval_families[which] for which in ("ppv", "for_rate")]
+        bounds = [f.bounds(w[:, :1], w[:, 1:]) for f, w in zip(families, windows)]
+        outer_ok, inner_ok = (f.value(*b) > -np.inf for f, b in zip(families, bounds))
+        return families[0], bounds, outer_ok, inner_ok.any(axis=0)
 
     groups = [[prepared(ladder) for ladder in pair] for pair in branches.values()]
     k_max = max(len(ladder.scores) for pair in branches.values() for ladder in pair)
     rows = max(1, _SWEEP_BLOCK_ELEMENTS // (len(for_windows) * k_max))
     best_total, best = -np.inf, None
     for start in range(0, len(ppv_windows), rows):
-        block = ppv_windows[start : start + rows]
-        totals = np.zeros((len(block), len(for_windows)))
+        block = slice(start, start + rows)
+        totals = np.zeros((len(ppv_windows[block]), len(for_windows)))
         for group in groups:
             group_best = np.full(totals.shape, -np.inf)
-            for family, inner, inner_live in group:
-                outer = family.bounds(block[:, :1], block[:, 1:])
+            for family, (outer, inner), outer_ok, inner_live in group:
                 # Only segments live under some window of each family can
                 # be live under a pair of them.
-                cols = np.flatnonzero((family.value(*outer) > -np.inf).any(axis=0) & inner_live)
+                cols = np.flatnonzero(outer_ok[block].any(axis=0) & inner_live)
                 if cols.size == 0:
                     continue
                 both = (
-                    meet(a[:, None, cols], b[None, :, cols])
+                    meet(a[block, None, cols], b[None, :, cols])
                     for meet, a, b in zip((np.maximum, np.minimum, np.logical_and), outer, inner)
                 )
                 util = family.value(*both, cols)
@@ -1021,7 +1024,7 @@ def _best_windows(
         if flat[i] > -np.inf and flat[i] >= best_total:
             best_total = flat[i]
             r, c = divmod(i, len(for_windows))
-            best = tuple(map(float, block[r])), tuple(map(float, for_windows[c]))
+            best = tuple(map(float, ppv_windows[start + r])), tuple(map(float, for_windows[c]))
     return best
 
 

@@ -767,10 +767,11 @@ class _IntervalFamily:
         edge is dead, not live, and keeps [qmin, qmax].
         """
         low, high = lo - _EDGE_TOL, hi + _EDGE_TOL
+        top = np.where(hi > 0.0, high, hi)
         live = (self.vmax[j] >= low) & (self.vmin[j] <= high)
         ends = []
         for v, q_end in ((self.v0[j], 0.0), (self.v1[j], 1.0)):
-            edge = np.clip(v, low, np.where(hi > 0.0, high, hi))
+            edge = np.clip(v, low, top)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cross = (edge * self.den0[j] - self.num0[j]) / (self.dnum[j] - edge * self.dden[j])
             out = live & ((v < low) | (v > high))

@@ -231,12 +231,17 @@ def test_report_needs_at_least_one_seed(seeds, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# The criterion each data command writes, read back from its output.
-WRITTEN_CRITERION = {
-    "optimize": lambda out: json.loads((out / "rule.json").read_text())["criterion"]["kind"],
-    "evaluate": lambda out: json.loads((out / "metrics.json").read_text())["criterion"]["kind"],
-    "sweep": lambda out: (out / "frontier.csv").read_text().splitlines()[0],
-    "report": lambda out: json.loads((out / "report.json").read_text())["criterion"]["kind"],
+# How each data command's output names FPR parity: the criterion kind, or for
+# sweep the frontier's rate columns.
+FPR_PARITY_WRITTEN = {
+    "optimize": (lambda out: json.loads((out / "rule.json").read_text())["criterion"]["kind"],
+                 "fpr_parity"),
+    "evaluate": (lambda out: json.loads((out / "metrics.json").read_text())["criterion"]["kind"],
+                 "fpr_parity"),
+    "sweep": (lambda out: (out / "frontier.csv").read_text().splitlines()[0].split(",")[4:],
+              ["fpr_a", "fpr_b"]),
+    "report": (lambda out: json.loads((out / "report.json").read_text())["criterion"]["kind"],
+               "fpr_parity"),
 }
 
 
@@ -245,7 +250,7 @@ def assessment_argv(command: str, path: Path, out: Path) -> list[str]:
     return argv + (["--rule", str(SEPARATION_RULE)] if command == "evaluate" else [])
 
 
-@pytest.mark.parametrize("command", sorted(WRITTEN_CRITERION))
+@pytest.mark.parametrize("command", sorted(FPR_PARITY_WRITTEN))
 def test_an_assessment_file_is_pruned_as_the_wizard_prunes(command, tmp_path, capsys):
     # Outcome 1 gets benefit 0 either way, so only outcome 0 is a fairness
     # claim: FPR parity, not separation.
@@ -257,12 +262,11 @@ def test_an_assessment_file_is_pruned_as_the_wizard_prunes(command, tmp_path, ca
     doc = {"benefit_source": "decision", "justifier": "outcome", "benefit_matrix": [0, 0, 1, 0]}
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(assessment_argv(command, path, tmp_path / "out")) == 0
-    expected = "gamma,achieved_ratio,utility_train,utility_test,fpr_a,fpr_b"
-    expected = expected if command == "sweep" else "fpr_parity"
-    assert WRITTEN_CRITERION[command](tmp_path / "out") == expected
+    read, expected = FPR_PARITY_WRITTEN[command]
+    assert read(tmp_path / "out") == expected
 
 
-@pytest.mark.parametrize("command", sorted(WRITTEN_CRITERION))
+@pytest.mark.parametrize("command", sorted(FPR_PARITY_WRITTEN))
 def test_an_assessment_file_whose_every_value_is_pruned_is_an_error(command, tmp_path, capsys):
     # The benefit varies with the outcome only, so no outcome value is a claim.
     path = tmp_path / "assessment.json"

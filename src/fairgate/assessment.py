@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Mapping
 
-from .model import BenefitMatrix, CriterionKind, FairnessCriterion
+from .model import BenefitMatrix, CriterionKind, FairnessCriterion, _require_finite
 
 
 class InvalidAssessmentError(ValueError):
@@ -305,6 +305,7 @@ def _ask_benefit(p: _Prompter) -> tuple[BenefitSource | None, int, BenefitMatrix
                 cells = tuple(float(part) for part in raw.split(","))
                 if len(cells) != 4:
                     raise ValueError("need exactly four numbers")
+                _require_finite("benefit", cells)
             except ValueError as exc:
                 p.say(f"Could not parse the matrix: {exc}. Try again.")
                 continue

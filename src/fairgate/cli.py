@@ -85,6 +85,10 @@ class RunConfig:
     fit_config: FitConfig = field(default_factory=FitConfig)
     gammas: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {self.seeds}")
+
     @property
     def seed_list(self) -> list[int]:
         return [self.seed + i for i in range(self.seeds)]
@@ -628,8 +632,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if len(cells) != 4:
             raise ValueError("--utility needs four comma-separated numbers")
         run["utility"] = UtilityMatrix(*cells)
-    if given.get("seeds", 1) < 1:
-        raise ValueError(f"--seeds must be at least 1, got {given['seeds']}")
     if "input" in given:
         run["roles"] = ColumnRoles(
             group=args.group_col,

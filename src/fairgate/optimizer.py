@@ -50,12 +50,13 @@ under joint parity, and the winning rule is rebuilt under it, so the search
 within a window is exact. One family is a sweep: a segment whose better end
 lies inside a window takes that end, a range-argmax over the ends sorted by
 value answers every window, and only the pairs where a window edge stabs a
-segment are valued as crossings. The window positions are not all scanned:
-the candidates are vertex and q-grid values, subsampled to the caps named at
-the top of the sufficiency section, so a sufficiency result is exact only
-below the caps. When the scan finds no window, the highest level reported is
-found by bisection with the same scan at the same cap, so a solve at that
-level returns a rule.
+segment are valued as crossings. Its window positions are every breakpoint,
+each vertex value of any branch and each of them divided by gamma, so PPV
+and FOR parity are exact at breakpoints. Joint parity scans window pairs
+from a base of vertex and q-grid values, thinned to 56 per family, so a
+sufficiency result is exact only below that cap. When the scan finds no
+window, the highest level reported is found by bisection with the same
+scan, so a solve at that level returns a rule.
 """
 
 from __future__ import annotations
@@ -693,21 +694,18 @@ def _separation_lp_targets(
 # Sufficiency: interval rules searched over PPV / FOR windows
 # ---------------------------------------------------------------------------
 
-# Window positions are the upper edges u of windows [gamma * u, u]. The
-# candidates are every vertex value and every q-grid value (steps of
-# grid_step) of every branch, together with each of them divided by gamma;
-# past a cap, an evenly spaced subsample of the sorted candidates is scanned.
-# The solve and its highest-level bisection scan at the same cap. One family
-# is swept in O((W + k) log k + stabbed pairs) per branch, for W windows and
-# k segments, and the stabbed pairs still grow with W: uncapped, a PPV sweep
-# of the 4k-row continuous bench input (seed 7, gamma 0.9) has about 970k
-# windows and 7.3e6 stabbed pairs and takes about 1-1.2 s on a shared 2-vCPU
-# VM, against 0.03 s at the cap. Joint parity values every window pair
-# against every segment, in blocks.
-_SINGLE_FAMILY_CAP = 4096  # PPV-only or FOR-only parity
+# Window positions are the upper edges u of windows [gamma * u, u]. One
+# family takes every breakpoint: each vertex value of any branch, and each
+# of them divided by gamma, and sweeps them all in O((W + k) log k + stabbed
+# pairs) per branch, for W windows and k segments. Joint parity takes the
+# values at every vertex and at every q-grid point (steps of grid_step) of
+# every branch, each also divided by gamma, and values every window pair
+# against every segment, in blocks; past a cap, an evenly spaced subsample
+# of each family's sorted candidates is scanned. The solve and its
+# highest-level bisection scan alike.
 _JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
 # When grid points per segment times the largest branch's vertex count exceeds
-# this, the q-grid falls back to the 63 interior points of a 65-point grid.
+# this, the joint q-grid falls back to the 63 interior points of a 65-point grid.
 _GRID_POINT_LIMIT = 500_000
 _COARSE_GRID_POINTS = 65
 # Elements per block of a scan (window pairs times segments in the joint scan,
@@ -857,17 +855,27 @@ def _branch_point_values(ladder: _Ladder, which: str, qs: np.ndarray) -> np.ndar
     return np.concatenate(out)
 
 
-def _candidate_base(
-    branches: Mapping[str, Sequence[_Ladder]], which: str, grid_step: float
-) -> np.ndarray:
-    """Sorted distinct vertex and q-grid values of one family over all branches.
+def _joint_grid(branches: Mapping[str, Sequence[_Ladder]], grid_step: float) -> np.ndarray:
+    """The q-grid of the joint candidate bases: steps of ``grid_step``, or 63 points.
 
-    It does not depend on gamma, so a solve builds it once per family.
+    The coarse grid is taken when the fine one times the largest branch's
+    vertex count would exceed ``_GRID_POINT_LIMIT``.
     """
     qs = np.arange(grid_step, 1.0, grid_step)
     vertices = max(len(ladder.cum_count) for pair in branches.values() for ladder in pair)
     if len(qs) * vertices > _GRID_POINT_LIMIT:
         qs = np.linspace(0.0, 1.0, _COARSE_GRID_POINTS)[1:-1]
+    return qs
+
+
+def _candidate_base(
+    branches: Mapping[str, Sequence[_Ladder]], which: str, qs: np.ndarray
+) -> np.ndarray:
+    """Sorted distinct values of one family over all branches, at every vertex and every q in qs.
+
+    One family passes no q, so its base is the vertex values alone. The
+    base does not depend on gamma, so a solve builds it once per family.
+    """
     return np.unique(
         np.concatenate(
             [
@@ -879,8 +887,8 @@ def _candidate_base(
     )
 
 
-def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
-    """Candidate window upper bounds at level gamma > 0, at most ``cap`` of them."""
+def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
+    """Every candidate window upper edge in [0, 1] at level gamma > 0: base and base / gamma."""
     scaled = base / gamma  # sorted, as base is
     # Both runs are sorted, so the stable sort (timsort) merges them.
     merged = np.sort(
@@ -889,11 +897,7 @@ def _designations(base: np.ndarray, gamma: float, cap: int) -> np.ndarray:
     distinct = np.ones(len(merged), dtype=bool)
     distinct[1:] = merged[1:] != merged[:-1]
     merged = merged[distinct]
-    merged = merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
-    if len(merged) > cap:
-        take = np.unique(np.linspace(0, len(merged) - 1, cap).astype(int))
-        merged = merged[take]
-    return merged
+    return merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
 
 
 def _branch_window_values(
@@ -944,15 +948,16 @@ def _branch_window_values(
 
 
 def _best_window(
-    branches: Mapping[str, Sequence[_Ladder]], which: str, base: np.ndarray, gamma: float, cap: int
+    branches: Mapping[str, Sequence[_Ladder]], which: str, base: np.ndarray, gamma: float
 ) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
     """Best (PPV window, FOR window) of one family at level gamma; None if none is feasible.
 
-    The other family's window is None. Each group's value in a window is its
-    best branch, by ``_branch_window_values``; totals are summed in group
-    order, and ties go to the last of equal totals.
+    Every window that ``_designations`` names is valued. The other family's
+    window is None. Each group's value in a window is its best branch, by
+    ``_branch_window_values``; totals are summed in group order, and ties go
+    to the last of equal totals.
     """
-    uppers = _designations(base, gamma, cap)
+    uppers = _designations(base, gamma)
     lowers = gamma * uppers
     totals = np.zeros(len(uppers))
     for pair in branches.values():
@@ -978,17 +983,20 @@ def _best_windows(
     """Best (PPV window, FOR window) pair at level gamma; None if none is feasible.
 
     The joint scan: ``bases`` holds the candidate base of both families.
-    Each segment's bounds in every window of each family are taken once;
-    then every pair of windows is scanned, the PPV windows in blocks of
-    rows, each row against every FOR window. A group's value in a pair is
-    its best segment, taken at the better end of the intersection of its
-    two feasible q-intervals. Ties go to the last of equal totals in (PPV,
-    FOR) order.
+    Each family's window upper edges are thinned to an evenly spaced
+    subsample of at most ``cap``. Each segment's bounds in every window of
+    each family are taken once; then every pair of windows is scanned, the
+    PPV windows in blocks of rows, each row against every FOR window. A
+    group's value in a pair is its best segment, taken at the better end of
+    the intersection of its two feasible q-intervals. Ties go to the last
+    of equal totals in (PPV, FOR) order.
     """
-    windows = [
-        np.column_stack([gamma * uppers, uppers])
-        for uppers in (_designations(bases[which], gamma, cap) for which in ("ppv", "for_rate"))
-    ]
+    windows = []
+    for which in ("ppv", "for_rate"):
+        uppers = _designations(bases[which], gamma)
+        if len(uppers) > cap:
+            uppers = uppers[np.unique(np.linspace(0, len(uppers) - 1, cap).astype(int))]
+        windows.append(np.column_stack([gamma * uppers, uppers]))
     ppv_windows, for_windows = windows
 
     def prepared(ladder: _Ladder) -> tuple[_IntervalFamily, list, np.ndarray, np.ndarray]:
@@ -1030,21 +1038,18 @@ def _best_windows(
 
 
 def _scan_windows(
-    branches: Mapping[str, Sequence[_Ladder]],
-    bases: Mapping[str, np.ndarray],
-    gamma: float,
-    cap: int,
+    branches: Mapping[str, Sequence[_Ladder]], bases: Mapping[str, np.ndarray], gamma: float
 ) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
     """Best (PPV window, FOR window) at level gamma; None if none is feasible.
 
     ``bases`` holds the candidate base of each constrained family: one goes
-    to the one-family sweep (``_best_window``), both to the joint scan. The
-    window of an unconstrained family is None.
+    to the one-family sweep (``_best_window``), both to the joint scan at
+    ``_JOINT_CAP``. The window of an unconstrained family is None.
     """
     if len(bases) == 2:
-        return _best_windows(branches, bases, gamma, cap)
+        return _best_windows(branches, bases, gamma, _JOINT_CAP)
     ((which, base),) = bases.items()
-    return _best_window(branches, which, base, gamma, cap)
+    return _best_window(branches, which, base, gamma)
 
 
 def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
@@ -1063,17 +1068,19 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     the segments' preferred ends, sorted once, answers every window, and
     only the (window, segment) pairs stabbed by a window edge have their
     crossings valued, which is O((W + k) log k + stabbed pairs) for W
-    windows and k segments. Joint parity (``_best_windows``) values every
-    pair of windows against every segment, in blocks.
+    windows and k segments. Its windows are every breakpoint: each vertex
+    value of any branch, and each of them divided by gamma, so one family
+    is exact at breakpoints. ``grid_step`` plays no part there.
 
-    The candidate window positions are every vertex and q-grid value (steps
-    of ``grid_step``, or 63 points when that grid would exceed 500 000
-    points per branch) and each divided by gamma; only an evenly spaced
-    subsample of at most 4096 of them is swept for one family, and of 56
-    per family (56 x 56 pairs) is scanned for joint parity. So the result
-    is exact only when no cap is reached. When the scan finds no window, the error reports
-    the highest level below gamma, to 1e-6, at which the same scan at the
-    same cap finds one; a solve at that level returns a rule.
+    Joint parity (``_best_windows``) values every pair of windows against
+    every segment, in blocks. Its candidates are every vertex and q-grid
+    value (steps of ``grid_step``, or 63 points when that grid would exceed
+    500 000 points per branch) and each divided by gamma, of which an evenly
+    spaced subsample of at most 56 per family (56 x 56 pairs) is scanned.
+    So the joint result is exact only when that cap is not reached. When the
+    scan finds no window, the error reports the highest level below gamma,
+    to 1e-6, at which the same scan finds one; a solve at that level
+    returns a rule.
     """
     families = problem.criterion.kind.families
     gamma = problem.criterion.gamma
@@ -1086,11 +1093,11 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
 
     windows = None, None
     if gamma > 0.0:
-        bases = {which: _candidate_base(branches, which, problem.grid_step) for which in families}
-        cap = _SINGLE_FAMILY_CAP if len(bases) == 1 else _JOINT_CAP
-        windows = _scan_windows(branches, bases, gamma, cap)
+        qs = _joint_grid(branches, problem.grid_step) if len(families) == 2 else np.empty(0)
+        bases = {which: _candidate_base(branches, which, qs) for which in families}
+        windows = _scan_windows(branches, bases, gamma)
         if windows is None:
-            max_gamma = _max_achievable_sufficiency_gamma(branches, bases, gamma, cap)
+            max_gamma = _max_achievable_sufficiency_gamma(branches, bases, gamma)
             raise InfeasibleConstraintError(
                 f"no interval rule reaches gamma = {gamma:g}; "
                 f"highest achievable level found: {max_gamma!r}",
@@ -1103,21 +1110,18 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
 
 
 def _max_achievable_sufficiency_gamma(
-    branches: Mapping[str, Sequence[_Ladder]],
-    bases: Mapping[str, np.ndarray],
-    gamma: float,
-    cap: int,
+    branches: Mapping[str, Sequence[_Ladder]], bases: Mapping[str, np.ndarray], gamma: float
 ) -> float:
     """Highest level below an infeasible ``gamma`` at which the solve's scan finds a window.
 
-    Bisects [0, gamma) with ``_scan_windows`` at the solve's ``cap`` until the
-    bracket is at most 1e-6 wide. The level returned was found feasible by
-    that scan, or is 0, so a solve at it returns a rule.
+    Bisects [0, gamma) with ``_scan_windows`` until the bracket is at most
+    1e-6 wide. The level returned was found feasible by that scan, or is 0,
+    so a solve at it returns a rule.
     """
     lo, hi = 0.0, gamma
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
-        if _scan_windows(branches, bases, mid, cap) is None:
+        if _scan_windows(branches, bases, mid) is None:
             hi = mid
         else:
             lo = mid

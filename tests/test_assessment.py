@@ -190,6 +190,13 @@ class TestWizard:
         assert "pruned" in echoed
         assert map_assessment(result).kind is CriterionKind.TPR_PARITY
 
+    @pytest.mark.parametrize("cells", ["nan, 0, 1, 0", "0, inf, 1, 0"])
+    def test_non_finite_matrix_cell_reprompts(self, cells):
+        result, echoed = wizard(["matrix", cells, "0.5, 0, 0.5, 1", "race", "outcome", "both"])
+        assert "Could not parse the matrix: benefit matrix cells must be finite" in echoed
+        assert result.benefit_matrix == BenefitMatrix(0.5, 0.0, 0.5, 1.0)
+        assert map_assessment(result).kind is CriterionKind.TPR_PARITY
+
     def test_contradictory_answer_reprompts(self):
         result, echoed = wizard(["decision", "1", "group", "decision", "outcome", "both"])
         assert "must be a" in echoed or "Choose again" in echoed

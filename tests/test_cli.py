@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fairgate.cli import ColumnRoles, RunConfig, _build_config, build_parser, main
+from fairgate.cli import ColumnRoles, RunConfig, _build_config, build_parser, main, run_report
 from fairgate.model import UtilityMatrix
 from fairgate.scorer import FitConfig
 
@@ -229,6 +229,14 @@ def test_report_needs_at_least_one_seed(seeds, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: --seeds must be at least 1, got {seeds}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", [0, -2])
+def test_a_report_config_needs_at_least_one_seed(seeds):
+    # A library caller skips the command line, so the config checks itself.
+    roles = ColumnRoles("group", "label", score="p")
+    with pytest.raises(ValueError, match=f"^--seeds must be at least 1, got {seeds}$"):
+        run_report(RunConfig(input=INPUT, roles=roles, criterion="independence", seeds=seeds))
 
 
 # How each data command's output names FPR parity: the criterion kind, or for

@@ -4,12 +4,14 @@ The references here are plain loops: one over segments for the per-window
 branch search, one over (PPV window, FOR window) pairs for the joint scan.
 The one-family sweep is checked against a copy of the dense scan it
 replaced, which values every (window, segment) pair. The optimizer's
-batched versions must agree with them exactly. A dense
-q-grid checks the branch search on windows whose edges lie on vertices, and
-the brute-force oracle checks whole solves: of the sufficiency family, and of
-independence, TPR, FPR and conditional parity, which share the threshold
-window sweep. The highest level an infeasible solve names must be one that a
-solve reaches.
+batched versions must agree with them exactly. One family's windows are
+every breakpoint, so it is exact at breakpoints: no upper edge of a dense
+evenly spaced scan beats them. A dense q-grid checks the branch search on
+windows whose edges lie on vertices, and the brute-force oracle checks whole
+solves: of the sufficiency family, on small draws and on 400 records with
+hundreds of distinct scores, and of independence, TPR, FPR and conditional
+parity, which share the threshold window sweep. The highest level an
+infeasible solve names must be one that a solve reaches.
 """
 
 import dataclasses
@@ -43,13 +45,20 @@ GAMMAS = (0.5, 0.8, 0.9, 1.0)
 GRID_STEP = 0.01
 
 
-def branches_of(dataset):
-    ascending = opt._ladders(dataset, ACC, descending=False)
-    return {g: [ladder, ascending[g]] for g, ladder in opt._ladders(dataset, ACC).items()}
+def branches_of(dataset, utility=ACC):
+    ascending = opt._ladders(dataset, utility, descending=False)
+    return {g: [ladder, ascending[g]] for g, ladder in opt._ladders(dataset, utility).items()}
 
 
 def bases_of(branches):
-    return {w: opt._candidate_base(branches, w, GRID_STEP) for w in ("ppv", "for_rate")}
+    qs = opt._joint_grid(branches, GRID_STEP)
+    return {w: opt._candidate_base(branches, w, qs) for w in ("ppv", "for_rate")}
+
+
+def capped_uppers(base, gamma, cap):
+    """The joint scan's window upper edges: an evenly spaced subsample of at most ``cap``."""
+    uppers = opt._designations(base, gamma)
+    return uppers[np.unique(np.linspace(0, len(uppers) - 1, min(cap, len(uppers))).astype(int))]
 
 
 def loop_branch_best(branch, ppv_window, for_window):
@@ -107,9 +116,9 @@ def loop_joint_windows(branches, bases, gamma, cap):
     Ties go to the last of equal totals.
     """
     best_total, best = None, None
-    for p_up in opt._designations(bases["ppv"], gamma, cap):
+    for p_up in capped_uppers(bases["ppv"], gamma, cap):
         pw = (gamma * float(p_up), float(p_up))
-        for f_up in opt._designations(bases["for_rate"], gamma, cap):
+        for f_up in capped_uppers(bases["for_rate"], gamma, cap):
             fw = (gamma * float(f_up), float(f_up))
             total = 0.0
             for group in branches.values():
@@ -170,9 +179,10 @@ def test_lower_bound_branch_wins_a_tie():
     assert rule == GroupInterval({g: IntervalCut(0.2, 1.0, boundary=1.0) for g in ("a", "b")})
 
 
-def test_joint_scan_matches_pair_loop():
+def test_joint_scan_matches_pair_loop(monkeypatch):
     # A small cap keeps the reference loop fast; the scan and the bisection
     # treat every cap alike.
+    monkeypatch.setattr(opt, "_JOINT_CAP", 3)
     infeasible = 0
     for dataset in instances(50, 7):
         branches = branches_of(dataset)
@@ -182,7 +192,7 @@ def test_joint_scan_matches_pair_loop():
             assert got == loop_joint_windows(branches, bases, gamma, 4)
         if got is None:
             infeasible += 1
-            got_gamma = opt._max_achievable_sufficiency_gamma(branches, bases, 1.0, 3)
+            got_gamma = opt._max_achievable_sufficiency_gamma(branches, bases, 1.0)
             assert got_gamma == loop_max_gamma(branches, bases, 1.0, 3)
     assert infeasible >= 5
 
@@ -241,9 +251,9 @@ def dense_branch_values(ladder, which, windows):
     return util.max(axis=-1)
 
 
-def dense_one_family(branches, which, base, gamma, cap):
+def dense_one_family(branches, which, base, gamma):
     """Per-window totals and the chosen window (the last of equal totals) of the dense scan."""
-    uppers = opt._designations(base, gamma, cap)
+    uppers = opt._designations(base, gamma)
     windows = np.column_stack([gamma * uppers, uppers])
     totals = np.zeros(len(uppers))
     for pair in branches.values():
@@ -255,12 +265,12 @@ def dense_one_family(branches, which, base, gamma, cap):
     return totals, (None if totals[i] == -np.inf else tuple(map(float, windows[i])))
 
 
-def dense_max_gamma(branches, which, base, gamma, cap):
+def dense_max_gamma(branches, which, base, gamma):
     """Bisection of [0, gamma) to 1e-6 with the dense one-family scan."""
     lo, hi = 0.0, gamma
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
-        if dense_one_family(branches, which, base, mid, cap)[1] is None:
+        if dense_one_family(branches, which, base, mid)[1] is None:
             hi = mid
         else:
             lo = mid
@@ -286,18 +296,15 @@ def sweep_instance(rng):
 
 def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
     # Window edges come from vertex values, from those one ulp or the edge
-    # tolerance below and above, and from 0 (the window [0, 0]); caps of 3
-    # and 17 bite, 4096 does not.
+    # tolerance below and above, and from 0 (the window [0, 0]).
     rng = random.Random(41)
     utilities = (ACC, UtilityMatrix(0.3, 0.0, 0.0, 1.0))
     scans = infeasible = 0
     for _ in range(240):
         dataset = sweep_instance(rng)
-        utility = rng.choice(utilities)
-        ascending = opt._ladders(dataset, utility, descending=False)
-        branches = {g: [d, ascending[g]] for g, d in opt._ladders(dataset, utility).items()}
+        branches = branches_of(dataset, rng.choice(utilities))
         which = rng.choice(["ppv", "for_rate"])
-        vertex = opt._candidate_base(branches, which, 1.0)
+        vertex = opt._candidate_base(branches, which, np.empty(0))
         base = rng.choice(
             [
                 vertex,
@@ -311,9 +318,8 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
         # Stabbed pairs in blocks of a few, or all at once.
         monkeypatch.setattr(opt, "_SWEEP_BLOCK_ELEMENTS", rng.choice([5, 65_536]))
         for gamma in (rng.choice((1e-4, *GAMMAS)), 1.0):
-            cap = rng.choice([3, 17, 4096])
-            totals, window = dense_one_family(branches, which, base, gamma, cap)
-            uppers = opt._designations(base, gamma, cap)
+            totals, window = dense_one_family(branches, which, base, gamma)
+            uppers = opt._designations(base, gamma)
             lowers = gamma * uppers
             swept = np.zeros(len(uppers))
             for pair in branches.values():
@@ -328,7 +334,7 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
                         assert a.tobytes() == b.tobytes()
                 swept += np.maximum.reduce(got)
             assert hexes(swept) == hexes(totals)
-            scanned = opt._scan_windows(branches, {which: base}, gamma, cap)
+            scanned = opt._scan_windows(branches, {which: base}, gamma)
             if window is None:
                 assert scanned is None
             else:
@@ -339,17 +345,46 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
         # The bisection at gamma 1 of the first 20 infeasible instances.
         if window is None and infeasible < 20:
             infeasible += 1
-            got_gamma = opt._max_achievable_sufficiency_gamma(branches, {which: base}, 1.0, cap)
-            assert got_gamma.hex() == dense_max_gamma(branches, which, base, 1.0, cap).hex()
+            got_gamma = opt._max_achievable_sufficiency_gamma(branches, {which: base}, 1.0)
+            assert got_gamma.hex() == dense_max_gamma(branches, which, base, 1.0).hex()
     assert scans == 480 and infeasible == 20
 
 
-def continuous_dataset(n, seed):
-    """Two groups, six-decimal scores, labels drawn as Bernoulli(score)."""
+def window_totals(branches, which, gamma, uppers):
+    """Each window [gamma * u, u]'s total of every group's best branch, under the edge rule."""
+    totals = np.zeros(len(uppers))
+    for pair in branches.values():
+        values = [opt._branch_window_values(b, which, gamma * uppers, uppers) for b in pair]
+        totals += np.maximum.reduce(values)
+    return totals
+
+
+def test_breakpoints_are_no_worse_than_a_dense_upper_edge_scan():
+    # One family is exact at breakpoints: the best of its windows (every
+    # vertex value and every vertex value over gamma) is no lower than the
+    # best of 10,001 evenly spaced upper edges.
+    rng = random.Random(43)
+    utilities = (ACC, UtilityMatrix(0.3, 0.0, 0.0, 1.0))
+    dense = np.linspace(0.0, 1.0, 10_001)
+    compared = 0
+    for _ in range(150):
+        branches = branches_of(sweep_instance(rng), rng.choice(utilities))
+        gamma = rng.choice(GAMMAS)
+        for which in ("ppv", "for_rate"):
+            base = opt._candidate_base(branches, which, np.empty(0))
+            best = window_totals(branches, which, gamma, opt._designations(base, gamma)).max()
+            scanned = window_totals(branches, which, gamma, dense).max()
+            assert best >= scanned
+            compared += bool(scanned > -np.inf)
+    assert compared > 60
+
+
+def continuous_dataset(n, seed, decimals=6):
+    """Two groups, scores rounded to ``decimals``, labels drawn as Bernoulli(score)."""
     rng = np.random.default_rng(seed)
     in_a = rng.random(n) < 0.6
     score = np.clip(
-        np.round(rng.beta(2.0, 2.0, n) * 0.9 + np.where(in_a, 0.10, -0.05), 6), 0.001, 0.999
+        np.round(rng.beta(2.0, 2.0, n) * 0.9 + np.where(in_a, 0.10, -0.05), decimals), 0.001, 0.999
     )
     label = rng.random(n) < score
     return Dataset.from_records(
@@ -371,6 +406,21 @@ def test_single_family_search_memory_is_bounded(kind):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("kind", [CriterionKind.PPV_PARITY, CriterionKind.FOR_PARITY])
+def test_one_family_never_below_the_oracle_on_hundreds_of_atoms(kind):
+    # 400 records at three decimals hold a few hundred distinct scores per
+    # group. A scan of 4096 windows out of the vertex and q-grid values fell
+    # below the oracle at seed 0 (PPV) and at seeds 1 and 3 (FOR).
+    for seed in range(4):
+        dataset = continuous_dataset(400, seed, decimals=3)
+        criterion = FairnessCriterion(kind, gamma=0.9)
+        problem = OptimizationProblem(dataset, ACC, criterion)
+        oracle = decision_maker_utility(dataset, brute_force_oracle(problem), ACC)
+        rule = opt.optimize(problem)
+        assert decision_maker_utility(dataset, rule, ACC) >= oracle - 1e-9
+        assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= 0.9 - 1e-9
 
 
 def dense_best(branch, ppv_window, for_window, steps=2000, tol=1e-12):

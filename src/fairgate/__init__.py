@@ -8,6 +8,7 @@ from .assessment import (
     map_assessment,
     prune_justifier_values,
     run_wizard,
+    settle,
 )
 from .frontier import FrontierPoint, emit_frontier, sweep
 from .metrics import (

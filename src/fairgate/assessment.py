@@ -6,6 +6,13 @@ if any justifies unequal benefits (the justifier), and which justifier
 values actually carry moral weight. Each answer combination corresponds to
 exactly one statistical group fairness criterion; combinations outside the
 table are rejected.
+
+This module owns the assessment policy. Wizard answers and assessment files
+take one path to their criterion: ``settle`` prunes the justifier values a
+benefit matrix does not tell apart and checks that the matrix supports the
+stated benefit source, then ``map_assessment`` names the criterion. An
+assessment carries its own benefit b(d, y) for the equal-chances check
+(``MoralAssessment.benefit``).
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ class MoralAssessment:
 
     ``benefit_value`` records which value of the source counts as the
     advantage (e.g. benefit = not being detained means decision value 0).
-    It affects report wording only; the parity requirements are symmetric
-    under relabeling.
+    The parity requirements are symmetric under relabeling, so it changes no
+    criterion; without a ``benefit_matrix`` it sets the implied 0/1 benefit.
     """
 
     benefit_source: BenefitSource
@@ -70,14 +77,7 @@ class MoralAssessment:
     def __post_init__(self) -> None:
         if self.benefit_value not in (0, 1):
             raise InvalidAssessmentError("benefit value must be 0 or 1")
-        same_sided = (
-            self.benefit_source is BenefitSource.DECISION
-            and self.justifier is JustifierKind.DECISION
-        ) or (
-            self.benefit_source is BenefitSource.OUTCOME
-            and self.justifier is JustifierKind.OUTCOME
-        )
-        if same_sided:
+        if _same_sided(self.benefit_source, self.justifier):
             raise InvalidAssessmentError(
                 "the justifier must differ from the benefit source: comparing "
                 "individuals equal in the very thing that is distributed is empty"
@@ -89,6 +89,24 @@ class MoralAssessment:
                 )
         if self.justifier is JustifierKind.LEGITIMATE and not self.justifier_names:
             raise InvalidAssessmentError("a legitimate-attribute justifier needs attribute names")
+
+    @property
+    def benefit(self) -> BenefitMatrix:
+        """The benefit b(d, y) of the equal-chances check.
+
+        It is the given matrix, or else 1 in each cell where the source, d or
+        y, has the benefit value and 0 in the others.
+        """
+        if self.benefit_matrix is not None:
+            return self.benefit_matrix
+        by_decision = self.benefit_source is BenefitSource.DECISION
+        cells = ((d if by_decision else y) == self.benefit_value for d in (0, 1) for y in (0, 1))
+        return BenefitMatrix(*map(float, cells))
+
+
+def _same_sided(source: BenefitSource | None, justifier: JustifierKind) -> bool:
+    """Whether the justifier is the benefit source itself, which leaves nothing to compare."""
+    return source is not None and justifier.value == source.value
 
 
 def map_assessment(assessment: MoralAssessment) -> FairnessCriterion:
@@ -179,6 +197,27 @@ def prune_justifier_values(
     return dataclasses.replace(
         assessment, relevant_values=frozenset(kept), benefit_matrix=benefit
     )
+
+
+def settle(assessment: MoralAssessment) -> MoralAssessment:
+    """The assessment that gets mapped, from wizard answers or a file alike.
+
+    With a benefit matrix, an outcome or decision justifier drops the values
+    its matrix does not tell apart (``prune_justifier_values``), and then
+    the matrix must vary with the stated benefit source.
+    """
+    matrix = assessment.benefit_matrix
+    if matrix is None:
+        return assessment
+    if assessment.justifier in (JustifierKind.OUTCOME, JustifierKind.DECISION):
+        assessment = prune_justifier_values(assessment, matrix)
+    source = assessment.benefit_source
+    if source not in benefit_source_candidates(matrix.cells()):
+        raise InvalidAssessmentError(
+            f"benefit matrix {list(matrix.cells())} does not vary with the {source.value}, "
+            f"so the {source.value} cannot be its benefit source"
+        )
+    return assessment
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +377,9 @@ def _ask_justifier(
             },
         )
         kind = JustifierKind(choice)
-        if source is BenefitSource.DECISION and kind is JustifierKind.DECISION:
+        if _same_sided(source, kind):
             p.say(
-                "The benefit already is the decision; a justifier must be a "
-                "different attribute. Choose again."
-            )
-            continue
-        if source is BenefitSource.OUTCOME and kind is JustifierKind.OUTCOME:
-            p.say(
-                "The benefit already is the outcome; a justifier must be a "
+                f"The benefit already is the {choice}; a justifier must be a "
                 "different attribute. Choose again."
             )
             continue
@@ -395,24 +428,23 @@ def run_wizard(
         )
         relevant = frozenset({0, 1}) if answer == "both" else frozenset({int(answer)})
 
-    assessment = MoralAssessment(
-        benefit_source=source,
-        benefit_value=benefit_value,
-        benefit_matrix=matrix,
-        justifier=justifier,
-        justifier_names=justifier_names,
-        relevant_values=relevant,
-        group_attribute=group_attribute,
+    assessment = settle(
+        MoralAssessment(
+            benefit_source=source,
+            benefit_value=benefit_value,
+            benefit_matrix=matrix,
+            justifier=justifier,
+            justifier_names=justifier_names,
+            relevant_values=relevant,
+            group_attribute=group_attribute,
+        )
     )
-    if matrix is not None and justifier in (JustifierKind.OUTCOME, JustifierKind.DECISION):
-        pruned = prune_justifier_values(assessment, matrix)
-        if pruned.relevant_values != assessment.relevant_values:
-            dropped = sorted(assessment.relevant_values - pruned.relevant_values)
-            p.say(
-                f"Justifier value(s) {dropped} carry no benefit difference and were "
-                "pruned; the criterion relaxes accordingly."
-            )
-        assessment = pruned
+    dropped = sorted(relevant - assessment.relevant_values)
+    if dropped:
+        p.say(
+            f"Justifier value(s) {dropped} carry no benefit difference and were "
+            "pruned; the criterion relaxes accordingly."
+        )
 
     criterion = map_assessment(assessment)
     p.say(f"Chosen criterion: {criterion.kind.value}")

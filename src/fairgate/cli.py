@@ -4,6 +4,13 @@ All randomness flows from explicit seeds and every command is deterministic
 given its configuration: reruns produce byte-identical csv outputs. On any
 module error the command exits nonzero with a single-line diagnostic and
 removes partial outputs.
+
+A criterion comes from ``--criterion`` or from an ``--assessment`` file.
+``_resolve_criterion`` is the one resolver of optimize, evaluate, sweep and
+report; it settles an assessment file with ``assessment.settle``, the
+function that settles the ``assess`` wizard's answers, and the settled
+assessment carries the benefit of its equal-chances table. Evaluate alone
+falls back to the criterion stored in its rule file.
 """
 
 from __future__ import annotations
@@ -22,19 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from . import assessment as assess_mod
 from .assessment import (
     MoralAssessment,
+    assessment_to_dict,
     criterion_equation,
     load_assessment,
     map_assessment,
-    prune_justifier_values,
     run_wizard,
+    settle,
 )
 from .frontier import DEFAULT_GAMMA_GRID, emit_frontier, sweep
 from .metrics import UndefinedCellWarning, decision_maker_utility, metric_report
 from .model import (
-    BenefitMatrix,
     Columns,
     CriterionKind,
     Dataset,
@@ -100,8 +106,11 @@ class RunConfig:
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header, and each data row with the line it ends on; blank lines are skipped."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    """The header, and each data row with the line it ends on; blank lines are skipped.
+
+    A UTF-8 byte-order mark before the header is dropped.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         fieldnames = next(reader, None)
         if fieldnames is None:
@@ -148,11 +157,15 @@ def dataset_from_rows(
     The arrays are checked once, by ``Dataset``. Only when a check fails are
     the rows parsed one by one, to name the first bad line.
     """
+    if len(set(fieldnames)) < len(fieldnames):
+        repeated = next(name for i, name in enumerate(fieldnames) if name in fieldnames[:i])
+        raise ValueError(f"the header names column {repeated!r} more than once")
     for required in (roles.group, roles.label):
         if required not in fieldnames:
             raise ValueError(f"missing column {required!r}")
-    if roles.score is not None and roles.score not in fieldnames:
-        raise ValueError(f"missing score column {roles.score!r}")
+    for role, name in (("score", roles.score), ("id", roles.id)):
+        if name is not None and name not in fieldnames:
+            raise ValueError(f"missing {role} column {name!r}")
     feature_names = tuple(c for c in fieldnames if c.startswith(FEATURE_PREFIX))
     legit_names = tuple(c[len(LEGIT_PREFIX) :] for c in fieldnames if c.startswith(LEGIT_PREFIX))
     if not rows:
@@ -242,27 +255,20 @@ def _json_text(data) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_assessment(path: Path) -> tuple[FairnessCriterion, MoralAssessment]:
-    """The criterion of an assessment file, and the assessment, pruned as the wizard prunes it.
-
-    A benefit matrix with an outcome or decision justifier drops the
-    justifier values whose subgroup the benefit does not tell apart, so the
-    same answers map to the same criterion as in ``assess``.
-    """
-    assessment = load_assessment(path)
-    justifiers = (assess_mod.JustifierKind.OUTCOME, assess_mod.JustifierKind.DECISION)
-    if assessment.benefit_matrix is not None and assessment.justifier in justifiers:
-        assessment = prune_justifier_values(assessment, assessment.benefit_matrix)
-    return map_assessment(assessment), assessment
-
-
 def _resolve_criterion(
     config: RunConfig, dataset: Dataset
 ) -> tuple[FairnessCriterion, MoralAssessment | None]:
+    """The criterion at the configured gamma (default 1), and the settled assessment if any.
+
+    Exactly one of ``--criterion`` and ``--assessment`` must be given. An
+    assessment file is settled as the ``assess`` wizard settles its answers
+    (``assessment.settle``), so the same answers map to the same criterion.
+    """
     if (config.criterion is None) == (config.assessment_path is None):
         raise ValueError("exactly one of --criterion and --assessment is required")
     if config.assessment_path is not None:
-        criterion, assessment = _read_assessment(config.assessment_path)
+        assessment = settle(load_assessment(config.assessment_path))
+        criterion = map_assessment(assessment)
     else:
         assessment = None
         kind = CriterionKind(config.criterion)
@@ -272,15 +278,6 @@ def _resolve_criterion(
         criterion = FairnessCriterion(kind, legit_names=legit)
     gamma = config.gamma if config.gamma is not None else 1.0
     return dataclasses.replace(criterion, gamma=gamma), assessment
-
-
-def _benefit_for(assessment: MoralAssessment) -> BenefitMatrix:
-    if assessment.benefit_matrix is not None:
-        return assessment.benefit_matrix
-    # Benefit 1 in each cell (d, y) where the benefit source, d or y, has the benefit value.
-    by_decision = assessment.benefit_source is assess_mod.BenefitSource.DECISION
-    v = assessment.benefit_value
-    return BenefitMatrix(*(float((d if by_decision else y) == v) for d in (0, 1) for y in (0, 1)))
 
 
 def describe_rule(rule: DecisionRule, indent: str = "") -> str:
@@ -340,8 +337,7 @@ def cmd_assess(config: RunConfig, out: _OutputTracker) -> int:
     else:
         assessment = run_wizard()
     criterion = map_assessment(assessment)
-    doc = assess_mod.assessment_to_dict(assessment)
-    out.write_text("assessment.json", _json_text(doc))
+    out.write_text("assessment.json", _json_text(assessment_to_dict(assessment)))
     print(f"criterion: {criterion.kind.value}")
     print(f"requirement: {criterion_equation(criterion)}")
     return 0
@@ -349,6 +345,8 @@ def cmd_assess(config: RunConfig, out: _OutputTracker) -> int:
 
 def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
     fieldnames, rows = _read_rows(config.input)
+    if "score" in fieldnames:
+        raise ValueError("the input already has a 'score' column, the one fit writes")
     dataset = dataset_from_rows(fieldnames, rows, config.roles)
     if not dataset.feature_names:
         raise ValueError(f"no {FEATURE_PREFIX}-prefixed feature columns found")
@@ -386,8 +384,7 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
     write_rule_file(rule_path, rule, criterion)
     out.register(rule_path)
 
-    benefit = _benefit_for(assessment) if assessment is not None else None
-    report = metric_report(train, rule, criterion, config.utility, assessment, benefit)
+    report = metric_report(train, rule, criterion, config.utility, assessment)
     if config.verify:
         report["verification"] = _verify_against_oracle(problem, rule)
     out.write_text("metrics_train.json", _json_text(report))
@@ -420,19 +417,14 @@ def _verify_against_oracle(problem: OptimizationProblem, rule: DecisionRule) -> 
 def cmd_evaluate(config: RunConfig, out: _OutputTracker) -> int:
     dataset = _load_scored(config)
     rule, stored_criterion = read_rule_file(config.rule_path)
-    assessment = None
-    if config.assessment_path is not None:
-        criterion, assessment = _read_assessment(config.assessment_path)
-    elif config.criterion is not None:
-        criterion, _ = _resolve_criterion(config, dataset)
+    if config.criterion is not None or config.assessment_path is not None:
+        criterion, assessment = _resolve_criterion(config, dataset)
     elif stored_criterion is not None:
-        criterion = stored_criterion
+        gamma = config.gamma if config.gamma is not None else stored_criterion.gamma
+        criterion, assessment = dataclasses.replace(stored_criterion, gamma=gamma), None
     else:
         raise ValueError("no criterion: pass --criterion/--assessment or a rule file that has one")
-    if config.gamma is not None:
-        criterion = dataclasses.replace(criterion, gamma=config.gamma)
-    benefit = _benefit_for(assessment) if assessment is not None else None
-    report = metric_report(dataset, rule, criterion, config.utility, assessment, benefit)
+    report = metric_report(dataset, rule, criterion, config.utility, assessment)
     out.write_text("metrics.json", _json_text(report))
     print(f"utility: {report['utility']:.6f}")
     print(f"disparity ratio: {report['disparity_ratio']:.6f}")
@@ -466,7 +458,6 @@ def run_report(config: RunConfig) -> dict:
     """Multi-seed pipeline behind cmd_report; returns the aggregate document."""
     dataset = load_csv(config.input, config.roles)
     criterion, assessment = _resolve_criterion(config, dataset)
-    benefit = _benefit_for(assessment) if assessment is not None else None
     four_fifths = dataclasses.replace(criterion, gamma=0.8)
 
     per_seed = []
@@ -485,10 +476,8 @@ def run_report(config: RunConfig) -> dict:
                 ("four_fifths", ff_rule),
             ):
                 entry[name] = {
-                    "train": metric_report(train, rule, criterion, config.utility,
-                                           assessment, benefit),
-                    "test": metric_report(test, rule, criterion, config.utility,
-                                          assessment, benefit),
+                    "train": metric_report(train, rule, criterion, config.utility, assessment),
+                    "test": metric_report(test, rule, criterion, config.utility, assessment),
                     "thresholds": _rule_thresholds(rule),
                 }
         per_seed.append(entry)

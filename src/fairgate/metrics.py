@@ -24,7 +24,6 @@ import numpy as np
 
 from .assessment import JustifierKind, MoralAssessment
 from .model import (
-    BenefitMatrix,
     CriterionKind,
     Dataset,
     DecisionRule,
@@ -265,14 +264,10 @@ class FecTable:
     max_disparity: float | None
 
 
-def fec_check(
-    dataset: Dataset,
-    rule: DecisionRule,
-    assessment: MoralAssessment,
-    benefit: BenefitMatrix,
-) -> FecTable:
-    """Check equality of expected benefits across groups, per justifier value.
+def fec_check(dataset: Dataset, rule: DecisionRule, assessment: MoralAssessment) -> FecTable:
+    """Check equality of the assessment's expected benefits across groups, per justifier value.
 
+    The benefit is the one the assessment carries (``MoralAssessment.benefit``).
     Outcome justifiers condition on the observed label; decision justifiers
     weight each record by its analytic probability of receiving the
     conditioning decision; legitimate justifiers condition on the stratum;
@@ -283,6 +278,7 @@ def fec_check(
     dp = decision_probabilities(rule, dataset)
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
     everyone, ones = np.ones(len(y), dtype=bool), np.ones(len(y))
+    benefit = assessment.benefit
     # Realized benefit of each record: its decision is random, its outcome known.
     realized = dp * _by_outcome(y, benefit.b, 1) + (1.0 - dp) * _by_outcome(y, benefit.b, 0)
 
@@ -333,9 +329,11 @@ def metric_report(
     criterion: FairnessCriterion,
     utility: UtilityMatrix,
     assessment: MoralAssessment | None = None,
-    benefit: BenefitMatrix | None = None,
 ) -> dict:
-    """JSON-serializable report: every rate cell with counts, ratio, utility, FEC."""
+    """JSON-serializable report: every rate cell with counts, ratio, utility, FEC.
+
+    The equal-chances table (``fec``) is there when an assessment is given.
+    """
     rates = compute_rates(dataset, rule)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UndefinedCellWarning)
@@ -373,8 +371,8 @@ def metric_report(
         "utility": decision_maker_utility(dataset, rule, utility),
         "utility_matrix": list(utility.cells()),
     }
-    if assessment is not None and benefit is not None:
-        table = fec_check(dataset, rule, assessment, benefit)
+    if assessment is not None:
+        table = fec_check(dataset, rule, assessment)
         report["fec"] = {
             "entries": [
                 {

@@ -106,7 +106,17 @@ class SmallStratumWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """A constrained utility-maximization instance on a training split."""
+    """A constrained utility-maximization instance on a training split.
+
+    ``grid_step`` is the spacing of the boundary-randomization grid q in
+    (0, 1) where a search is bounded by a grid. Two searches read it: joint
+    sufficiency, whose candidate windows include the family values at every
+    q-grid point of every segment (``_joint_grid``), and the brute-force
+    oracle (``oracle.brute_force_oracle``), which enumerates cuts on that
+    grid for every criterion but separation. The threshold families,
+    separation and one-family PPV or FOR parity ignore it: their searches
+    are exact at breakpoints.
+    """
 
     dataset: Dataset
     utility: UtilityMatrix

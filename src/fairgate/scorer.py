@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,15 @@ class FitConfig:
     iterations: int = 2000
     l2: float = 1e-4
     include_group: bool = False
+
+    def __post_init__(self) -> None:
+        if self.iterations < 1:
+            raise ValueError(f"--iterations must be at least 1, got {self.iterations}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            rate = self.learning_rate
+            raise ValueError(f"--learning-rate must be finite and above 0, got {rate}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ValueError(f"--l2 must be finite and at least 0, got {self.l2}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 
@@ -112,6 +113,22 @@ class TestMapping:
             BenefitSource.DECISION,
             BenefitSource.OUTCOME,
         }
+
+
+@pytest.mark.parametrize(
+    "source, value, cells",
+    [
+        (BenefitSource.DECISION, 1, (0.0, 0.0, 1.0, 1.0)),  # b(d, y) = d
+        (BenefitSource.DECISION, 0, (1.0, 1.0, 0.0, 0.0)),  # b(d, y) = 1 - d
+        (BenefitSource.OUTCOME, 1, (0.0, 1.0, 0.0, 1.0)),  # b(d, y) = y
+        (BenefitSource.OUTCOME, 0, (1.0, 0.0, 1.0, 0.0)),  # b(d, y) = 1 - y
+    ],
+)
+def test_an_assessment_carries_its_benefit(source, value, cells):
+    implied = MoralAssessment(benefit_source=source, benefit_value=value)
+    assert implied.benefit == BenefitMatrix(*cells)
+    given = dataclasses.replace(implied, benefit_matrix=BenefitMatrix(1.0, 2.0, 3.0, 4.0))
+    assert given.benefit == BenefitMatrix(1.0, 2.0, 3.0, 4.0)
 
 
 class TestPruning:

@@ -239,6 +239,32 @@ def test_a_report_config_needs_at_least_one_seed(seeds):
         run_report(RunConfig(input=INPUT, roles=roles, criterion="independence", seeds=seeds))
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--iterations 0", "--iterations must be at least 1, got 0"),
+        ("--l2 -1", "--l2 must be finite and at least 0, got -1.0"),
+        ("--learning-rate 0", "--learning-rate must be finite and above 0, got 0.0"),
+    ],
+)
+def test_fit_rejects_a_training_setting_out_of_range(option, message, tmp_path, capsys):
+    argv = ["fit", "--input", str(INPUT), *option.split(), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_refuses_an_input_that_has_a_score_column(tmp_path, capsys):
+    lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = lines[0].replace(",p,", ",score,")
+    source = tmp_path / "input.csv"
+    source.write_text("".join(lines), encoding="utf-8")
+    assert main(["fit", "--input", str(source), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the input already has a 'score' column, the one fit writes\n"
+    assert not (tmp_path / "out").exists()
+
+
 # How each data command's output names FPR parity: the criterion kind, or for
 # sweep the frontier's rate columns.
 FPR_PARITY_WRITTEN = {
@@ -283,6 +309,67 @@ def test_an_assessment_file_whose_every_value_is_pruned_is_an_error(command, tmp
     assert main(assessment_argv(command, path, tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: every justifier value was pruned: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(FPR_PARITY_WRITTEN))
+def test_an_assessment_file_whose_matrix_contradicts_its_source_is_an_error(
+    command, tmp_path, capsys
+):
+    # The benefit varies with the outcome only, so the decision cannot be its source.
+    path = tmp_path / "assessment.json"
+    doc = {"benefit_source": "decision", "justifier": "none", "benefit_matrix": [0, 1, 0, 1]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(assessment_argv(command, path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: benefit matrix [0.0, 1.0, 0.0, 1.0] does not vary with the decision, "
+        "so the decision cannot be its benefit source\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_takes_one_of_criterion_and_assessment(tmp_path, capsys):
+    path = tmp_path / "assessment.json"
+    path.write_text(json.dumps(ASSESSMENTS["none"]), encoding="utf-8")
+    argv = assessment_argv("evaluate", path, tmp_path / "out") + ["--criterion", "tpr_parity"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: exactly one of --criterion and --assessment is required\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+# Answers to the assess wizard that reach each criterion, without and with a
+# benefit matrix; a matrix reaches each one-sided criterion by pruning.
+WIZARD_SCRIPTS = [
+    ("independence", ["decision", "1", "group", "none"]),
+    ("independence", ["matrix", "0, 0, 1, 1", "group", "none"]),
+    ("conditional_statistical_parity", ["decision", "1", "group", "legitimate", "tier"]),
+    ("conditional_statistical_parity", ["matrix", "0, 0, 1, 1", "group", "legitimate", "tier"]),
+    ("separation", ["decision", "1", "group", "outcome", "both"]),
+    ("separation", ["matrix", "1, 2, 3, 4", "group", "outcome", "both"]),
+    ("tpr_parity", ["decision", "1", "group", "outcome", "1"]),
+    ("tpr_parity", ["matrix", "0.5, 0, 0.5, 1", "group", "outcome", "both"]),
+    ("fpr_parity", ["decision", "0", "group", "outcome", "0"]),
+    ("fpr_parity", ["matrix", "0, 0, 1, 0", "group", "outcome", "both"]),
+    ("sufficiency", ["outcome", "1", "group", "decision", "both"]),
+    ("sufficiency", ["matrix", "1, 2, 3, 4", "group", "decision", "both"]),
+    ("ppv_parity", ["outcome", "1", "group", "decision", "1"]),
+    ("ppv_parity", ["matrix", "1, 1, 0, 2", "group", "decision", "both"]),
+    ("for_parity", ["outcome", "0", "group", "decision", "0"]),
+    ("for_parity", ["matrix", "0, 1, 2, 2", "group", "decision", "both"]),
+]
+
+
+@pytest.mark.parametrize("kind, answers", WIZARD_SCRIPTS)
+def test_assess_and_optimize_name_the_same_criterion(kind, answers, tmp_path, capsys):
+    script = tmp_path / "answers.txt"
+    script.write_text("\n".join(answers) + "\n", encoding="utf-8")
+    assert main(["assess", "--answers", str(script), "--out", str(tmp_path)]) == 0
+    assert f"criterion: {kind}\n" in capsys.readouterr().out
+    argv = ["optimize", *SCORED, "--assessment", str(tmp_path / "assessment.json")]
+    assert main([*argv, "--gamma", "0.8", "--out", str(tmp_path)]) == 0
+    rule = json.loads((tmp_path / "rule.json").read_text(encoding="utf-8"))
+    assert rule["criterion"]["kind"] == kind
 
 
 STRATIFIED_BY_JOB = {

@@ -89,10 +89,23 @@ def test_quoted_newline_counts_both_lines(tmp_path):
         ("id,label,p\n", ROLES, "missing column 'group'"),
         ("id,group,p\n", ROLES, "missing column 'label'"),
         ("id,group,label\n", ROLES, "missing score column 'p'"),
+        ("id,group,label\n", ColumnRoles("group", "label", id="x"), "missing id column 'x'"),
     ],
 )
 def test_missing_column(tmp_path, header, roles, message):
     assert rejection(tmp_path, header + "r1,a,1\n", roles) == message
+
+
+def test_a_column_named_twice_is_rejected(tmp_path):
+    text = "id,group,label,p,x_a,p\nr1,a,1,0.5,1.0,0.25\n"
+    assert rejection(tmp_path, text) == "the header names column 'p' more than once"
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_text("\ufeffgroup,label,p\na,1,0.5\nb,0,0.25\n", encoding="utf-8")
+    dataset = load_csv(path, ROLES)
+    assert dataset.groups == ("a", "b")
 
 
 def test_empty_file(tmp_path):

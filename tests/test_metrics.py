@@ -16,7 +16,6 @@ from fairgate.metrics import (
     metric_report,
 )
 from fairgate.model import (
-    BenefitMatrix,
     CriterionKind,
     Dataset,
     FairnessCriterion,
@@ -234,8 +233,7 @@ class TestFecCheck:
         rows += [(0.5, y, g) for y in (0, 1) for g in "ab"]
         dataset = make_dataset(rows)
         rule = GroupThreshold({"a": GroupCut(0.5, 0.3), "b": GroupCut(0.6, 0.8)})
-        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)  # b(d, y) = d
-        table = fec_check(dataset, rule, outcome_assessment(), benefit)
+        table = fec_check(dataset, rule, outcome_assessment())  # b(d, y) = d
         rates = compute_rates(dataset, rule)
         for entry in table.entries:
             expected = rates.tpr[entry.group] if entry.justifier_value == 1 else rates.fpr[entry.group]
@@ -244,8 +242,7 @@ class TestFecCheck:
     def test_extreme_rules_have_max_disparity_one(self):
         rows = [(0.9, 1, "a"), (0.9, 0, "a"), (0.1, 1, "b"), (0.1, 0, "b")]
         dataset = make_dataset(rows)
-        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
-        table = fec_check(dataset, SingleThreshold(0.5), outcome_assessment(), benefit)
+        table = fec_check(dataset, SingleThreshold(0.5), outcome_assessment())
         assert table.max_disparity == 1.0
 
     def test_separation_satisfying_rule_has_zero_disparity(self):
@@ -254,8 +251,7 @@ class TestFecCheck:
             (0.9, 1, "b"), (0.9, 0, "b"), (0.1, 1, "b"), (0.1, 0, "b"),
         ]
         dataset = make_dataset(rows)
-        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
-        table = fec_check(dataset, SingleThreshold(0.5), outcome_assessment(), benefit)
+        table = fec_check(dataset, SingleThreshold(0.5), outcome_assessment())
         assert table.max_disparity == pytest.approx(0.0, abs=1e-12)
 
     def test_decision_justifier_weights_by_probability(self):
@@ -266,8 +262,7 @@ class TestFecCheck:
             justifier=JustifierKind.DECISION,
             relevant_values=frozenset({1}),
         )
-        benefit = BenefitMatrix(b00=0.0, b01=1.0, b10=0.0, b11=1.0)  # b(d, y) = y
-        table = fec_check(dataset, SingleThreshold(0.5), a, benefit)
+        table = fec_check(dataset, SingleThreshold(0.5), a)  # b(d, y) = y
         by_group = {e.group: e for e in table.entries}
         assert by_group["a"].expected_benefit == 1.0  # accepted subset of a: the y=1 record
         assert by_group["b"].expected_benefit == 0.0
@@ -276,8 +271,7 @@ class TestFecCheck:
     def test_empty_cell_flagged_with_zero_support(self):
         rows = [(0.9, 1, "a"), (0.2, 0, "a"), (0.8, 1, "b"), (0.3, 1, "b")]
         dataset = make_dataset(rows)
-        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
-        table = fec_check(dataset, SingleThreshold(0.5), outcome_assessment({0}), benefit)
+        table = fec_check(dataset, SingleThreshold(0.5), outcome_assessment({0}))
         entry_b = [e for e in table.entries if e.group == "b"][0]
         assert entry_b.support == 0.0
         assert entry_b.expected_benefit is None
@@ -286,15 +280,13 @@ class TestFecCheck:
     def test_no_justifier_compares_unconditional_benefit(self):
         rows = [(0.9, 1, "a"), (0.2, 0, "a"), (0.9, 0, "b"), (0.2, 1, "b")]
         a = MoralAssessment(benefit_source=BenefitSource.DECISION, justifier=JustifierKind.NONE)
-        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
-        table = fec_check(make_dataset(rows), SingleThreshold(0.5), a, benefit)
+        table = fec_check(make_dataset(rows), SingleThreshold(0.5), a)
         assert table.max_disparity == pytest.approx(0.0)  # both groups accept one of two
 
     def test_empty_dataset_is_rejected(self):
-        benefit = BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
         empty = Dataset.from_records([])
         with pytest.raises(ValueError, match="cannot compute expected benefits on an empty"):
-            fec_check(empty, SingleThreshold(0.5), outcome_assessment(), benefit)
+            fec_check(empty, SingleThreshold(0.5), outcome_assessment())
 
 
 @pytest.mark.parametrize(
@@ -302,9 +294,7 @@ class TestFecCheck:
     [
         compute_rates,
         lambda dataset, rule: decision_maker_utility(dataset, rule, UtilityMatrix.accuracy()),
-        lambda dataset, rule: fec_check(
-            dataset, rule, outcome_assessment(), BenefitMatrix(b00=0.0, b01=0.0, b10=1.0, b11=1.0)
-        ),
+        lambda dataset, rule: fec_check(dataset, rule, outcome_assessment()),
     ],
     ids=["compute_rates", "decision_maker_utility", "fec_check"],
 )
@@ -324,7 +314,6 @@ def test_metric_report_is_json_ready(accuracy):
         FairnessCriterion(CriterionKind.INDEPENDENCE),
         accuracy,
         outcome_assessment(),
-        BenefitMatrix(0.0, 0.0, 1.0, 1.0),
     )
     text = json.dumps(report)
     assert "disparity_ratio" in text

@@ -83,3 +83,20 @@ def test_saved_model_loads_back(tmp_path, include_group):
     assert score_dataset(loaded, dataset).columns.scores.tolist() == (
         score_dataset(model, dataset).columns.scores.tolist()
     )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"iterations": 0}, "--iterations must be at least 1, got 0"),
+        ({"learning_rate": 0.0}, "--learning-rate must be finite and above 0, got 0.0"),
+        ({"learning_rate": float("inf")}, "--learning-rate must be finite and above 0, got inf"),
+        ({"l2": -1.0}, "--l2 must be finite and at least 0, got -1.0"),
+        ({"l2": float("nan")}, "--l2 must be finite and at least 0, got nan"),
+    ],
+    ids=["no_iterations", "zero_rate", "infinite_rate", "negative_l2", "nan_l2"],
+)
+def test_a_fit_config_checks_its_fields(fields, message):
+    with pytest.raises(ValueError) as info:
+        FitConfig(**fields)
+    assert str(info.value) == message

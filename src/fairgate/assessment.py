@@ -25,7 +25,14 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Mapping
 
-from .model import BenefitMatrix, CriterionKind, FairnessCriterion, _require_finite
+from .model import (
+    BenefitMatrix,
+    CriterionKind,
+    FairnessCriterion,
+    _json_choice,
+    _json_entry,
+    _require_finite,
+)
 
 
 class InvalidAssessmentError(ValueError):
@@ -267,17 +274,21 @@ def assessment_to_dict(assessment: MoralAssessment) -> dict:
 
 
 def assessment_from_dict(data: Mapping) -> MoralAssessment:
-    matrix = None
-    if data.get("benefit_matrix") is not None:
-        matrix = BenefitMatrix(*map(float, data["benefit_matrix"]))
+    """The assessment ``assessment_to_dict`` wrote.
+
+    An entry of the wrong shape is a ValueError that names its key.
+    """
+    matrix = _json_entry(data, "benefit_matrix", "a list of four numbers", None)
     return MoralAssessment(
-        benefit_source=BenefitSource(data["benefit_source"]),
-        benefit_value=int(data.get("benefit_value", 1)),
-        benefit_matrix=matrix,
-        justifier=JustifierKind(data["justifier"]),
-        justifier_names=tuple(data.get("justifier_names", ())),
-        relevant_values=frozenset(int(v) for v in data.get("relevant_values", (0, 1))),
-        group_attribute=str(data.get("group_attribute", "group")),
+        benefit_source=_json_choice(data, "benefit_source", BenefitSource),
+        benefit_value=_json_entry(data, "benefit_value", "an integer", 1),
+        benefit_matrix=None if matrix is None else BenefitMatrix(*map(float, matrix)),
+        justifier=_json_choice(data, "justifier", JustifierKind),
+        justifier_names=tuple(_json_entry(data, "justifier_names", "a list of strings", ())),
+        relevant_values=frozenset(
+            _json_entry(data, "relevant_values", "a list of integers", (0, 1))
+        ),
+        group_attribute=_json_entry(data, "group_attribute", "a string", "group"),
     )
 
 
@@ -288,7 +299,12 @@ def save_assessment(path: str | Path, assessment: MoralAssessment) -> None:
 
 
 def load_assessment(path: str | Path) -> MoralAssessment:
-    return assessment_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The assessment saved at ``path``; a ValueError names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return assessment_from_dict(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"assessment file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,9 @@ class FairnessCriterion:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FairnessCriterion":
         return cls(
-            kind=CriterionKind(data["kind"]),
-            gamma=float(data.get("gamma", 1.0)),
-            legit_names=tuple(data.get("legit_names", ())),
+            kind=_json_choice(data, "kind", CriterionKind),
+            gamma=float(_json_entry(data, "gamma", "a number", 1.0)),
+            legit_names=tuple(_json_entry(data, "legit_names", "a list of strings", ())),
         )
 
 
@@ -608,6 +608,81 @@ def _sample(
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, Mapping)
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(test: Callable, length: int | None = None) -> Callable:
+    """A test of a list whose entries all pass ``test``, of ``length`` entries if given."""
+    return lambda v: (
+        isinstance(v, list) and (length is None or len(v) == length) and all(map(test, v))
+    )
+
+
+# The JSON forms a file entry can be required to take, by the phrase that names them.
+_JSON_FORMS = {
+    "an object": _is_object,
+    "a string": _is_string,
+    "a number": _is_number,
+    "an integer": _is_integer,
+    "a list of objects": _list_of(_is_object),
+    "a list of strings": _list_of(_is_string),
+    "a list of integers": _list_of(_is_integer),
+    "a list of four numbers": _list_of(_is_number, 4),
+}
+_REQUIRED = object()
+
+
+def _json_kind(value) -> str:
+    """How a JSON value reads in an error message."""
+    if isinstance(value, list):
+        return f"a list of {len(value)} entries"
+    for phrase in ("an object", "a string", "a number"):
+        if _JSON_FORMS[phrase](value):
+            return phrase
+    return "null" if value is None else "a boolean"
+
+
+def _json_entry(data, key: str, form: str, default=_REQUIRED):
+    """``data[key]``, which must take ``form`` (a ``_JSON_FORMS`` phrase); ``default`` if absent.
+
+    A key whose default is None may also hold null. A ``data`` that is not
+    a JSON object, a missing required key and a value of another form are
+    each a ValueError that names the key.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, got {_json_kind(data)}")
+    value = data.get(key)
+    if key not in data or (value is None and default is None):
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    if not _JSON_FORMS[form](value):
+        raise ValueError(f"{key!r} must be {form}, got {_json_kind(value)}")
+    return value
+
+
+def _json_choice(data, key: str, enum: type[Enum]) -> Enum:
+    """The member of ``enum`` whose value ``data[key]`` names; any other value names the choices."""
+    value = _json_entry(data, key, "a string")
+    names = [member.value for member in enum]
+    if value not in names:
+        raise ValueError(f"{key!r} must be one of {', '.join(names)}, got {value!r}")
+    return enum(value)
+
+
 def _interval_to_dict(cut: IntervalCut) -> dict:
     """The cut's fields; the form only where the endpoints do not name it."""
     out = {"low": cut.low, "high": cut.high, "boundary": cut.boundary}
@@ -653,40 +728,52 @@ def rule_to_dict(rule: DecisionRule) -> dict:
 
 
 def rule_from_dict(data: Mapping) -> DecisionRule:
-    kind = data["kind"]
+    """The rule ``rule_to_dict`` wrote; an entry of the wrong shape is a ValueError naming it."""
+    kind = _json_entry(data, "kind", "a string")
+
+    def cut(c: Mapping) -> tuple[float, float]:
+        """The (tau, boundary) of a threshold cut."""
+        tau = float(_json_entry(c, "tau", "a number"))
+        return tau, float(_json_entry(c, "boundary", "a number", 1.0))
+
+    def per_group() -> dict:
+        """Each group's cut object."""
+        groups = _json_entry(data, "groups", "an object")
+        return {g: _json_entry(groups, g, "an object") for g in groups}
+
     if kind == "single_threshold":
-        return SingleThreshold(float(data["tau"]), float(data.get("boundary", 1.0)))
+        return SingleThreshold(*cut(data))
     if kind == "group_threshold":
-        return GroupThreshold(
-            {
-                g: GroupCut(float(c["tau"]), float(c.get("boundary", 1.0)))
-                for g, c in data["groups"].items()
-            }
-        )
+        return GroupThreshold({g: GroupCut(*cut(c)) for g, c in per_group().items()})
     if kind == "group_interval":
         return GroupInterval(
             {
                 g: IntervalCut(
-                    float(c["low"]), float(c["high"]), float(c.get("boundary", 1.0)), c.get("form")
+                    float(_json_entry(c, "low", "a number")),
+                    float(_json_entry(c, "high", "a number")),
+                    float(_json_entry(c, "boundary", "a number", 1.0)),
+                    _json_entry(c, "form", "a string", None),
                 )
-                for g, c in data["groups"].items()
+                for g, c in per_group().items()
             }
         )
     if kind == "stratified_group_threshold":
         return StratifiedGroupThreshold(
-            legit_names=tuple(data["legit_names"]),
+            legit_names=tuple(_json_entry(data, "legit_names", "a list of strings")),
             cuts={
-                (c["group"], tuple(c["stratum"])): GroupCut(
-                    float(c["tau"]), float(c.get("boundary", 1.0))
-                )
-                for c in data["cuts"]
+                (
+                    _json_entry(c, "group", "a string"),
+                    tuple(_json_entry(c, "stratum", "a list of strings")),
+                ): GroupCut(*cut(c))
+                for c in _json_entry(data, "cuts", "a list of objects")
             },
         )
     if kind == "mixture":
+        weights = _json_entry(data, "weights", "an object")
         return Mixture(
-            weights={g: float(w) for g, w in data["weights"].items()},
-            first=rule_from_dict(data["first"]),
-            second=rule_from_dict(data["second"]),
+            weights={g: float(_json_entry(weights, g, "a number")) for g in weights},
+            first=rule_from_dict(_json_entry(data, "first", "an object")),
+            second=rule_from_dict(_json_entry(data, "second", "an object")),
         )
     raise ValueError(f"unknown rule kind {kind!r}")
 
@@ -707,9 +794,13 @@ def write_rule_file(
 
 
 def read_rule_file(path: str | Path) -> tuple[DecisionRule, FairnessCriterion | None]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    rule = rule_from_dict(doc["rule"])
-    criterion = None
-    if doc.get("criterion") is not None:
-        criterion = FairnessCriterion.from_dict(doc["criterion"])
+    """The rule and criterion ``write_rule_file`` wrote; a ValueError names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+        rule = rule_from_dict(_json_entry(doc, "rule", "an object"))
+        stored = _json_entry(doc, "criterion", "an object", None)
+        criterion = None if stored is None else FairnessCriterion.from_dict(stored)
+    except ValueError as exc:
+        raise ValueError(f"rule file {path}: {exc}") from exc
     return rule, criterion

@@ -52,11 +52,12 @@ lies inside a window takes that end, a range-argmax over the ends sorted by
 value answers every window, and only the pairs where a window edge stabs a
 segment are valued as crossings. Its window positions are every breakpoint,
 each vertex value of any branch and each of them divided by gamma, so PPV
-and FOR parity are exact at breakpoints. Joint parity scans window pairs
-from a base of vertex and q-grid values, thinned to 56 per family, so a
-sufficiency result is exact only below that cap. When the scan finds no
-window, the highest level reported is found by bisection with the same
-scan, so a solve at that level returns a rule.
+and FOR parity are exact at breakpoints. Joint parity scans pairs of the
+same windows, thinned to 56 per family. Each family's own breakpoints need
+not hold a joint optimum, so a sufficiency result is a heuristic, even below
+that cap. When the scan finds no window, the highest level reported is
+found by bisection with the same scan, so a solve at that level returns a
+rule.
 """
 
 from __future__ import annotations
@@ -109,13 +110,10 @@ class OptimizationProblem:
     """A constrained utility-maximization instance on a training split.
 
     ``grid_step`` is the spacing of the boundary-randomization grid q in
-    (0, 1) where a search is bounded by a grid. Two searches read it: joint
-    sufficiency, whose candidate windows include the family values at every
-    q-grid point of every segment (``_joint_grid``), and the brute-force
-    oracle (``oracle.brute_force_oracle``), which enumerates cuts on that
-    grid for every criterion but separation. The threshold families,
-    separation and one-family PPV or FOR parity ignore it: their searches
-    are exact at breakpoints.
+    (0, 1) on which the brute-force oracle (``oracle.brute_force_oracle``)
+    enumerates cuts for every criterion but separation. Only the oracle
+    reads it; the optimizer's searches take their candidates from vertex
+    values.
     """
 
     dataset: Dataset
@@ -708,16 +706,11 @@ def _separation_lp_targets(
 # family takes every breakpoint: each vertex value of any branch, and each
 # of them divided by gamma, and sweeps them all in O((W + k) log k + stabbed
 # pairs) per branch, for W windows and k segments. Joint parity takes the
-# values at every vertex and at every q-grid point (steps of grid_step) of
-# every branch, each also divided by gamma, and values every window pair
-# against every segment, in blocks; past a cap, an evenly spaced subsample
-# of each family's sorted candidates is scanned. The solve and its
-# highest-level bisection scan alike.
+# same positions for each family and values every window pair against every
+# segment, in blocks; past a cap, an evenly spaced subsample of each
+# family's sorted positions is scanned. The solve and its highest-level
+# bisection scan alike.
 _JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
-# When grid points per segment times the largest branch's vertex count exceeds
-# this, the joint q-grid falls back to the 63 interior points of a 65-point grid.
-_GRID_POINT_LIMIT = 500_000
-_COARSE_GRID_POINTS = 65
 # Elements per block of a scan (window pairs times segments in the joint scan,
 # stabbed (window, segment) pairs in the one-family sweep), which bounds its
 # memory independently of the number of windows.
@@ -853,48 +846,15 @@ def _group_best_in_windows(
     return best
 
 
-def _branch_point_values(ladder: _Ladder, which: str, qs: np.ndarray) -> np.ndarray:
-    """Family values at every vertex and every grid point of every segment."""
-    vertex = ladder.interval_families[which].vertex
-    out = [vertex[~np.isnan(vertex)]]
-    if len(ladder.scores) > 0 and len(qs) > 0:
-        ep = ladder.cum_count[:-1, None] + np.diff(ladder.cum_count)[:, None] * qs[None, :]
-        epy = ladder.cum_pos[:-1, None] + np.diff(ladder.cum_pos)[:, None] * qs[None, :]
-        grid = ladder.values(which, ep, epy)
-        out.append(grid[~np.isnan(grid)].ravel())
-    return np.concatenate(out)
+def _candidate_base(branches: Mapping[str, Sequence[_Ladder]], which: str) -> np.ndarray:
+    """Sorted distinct values of one family over all branches, at every vertex.
 
-
-def _joint_grid(branches: Mapping[str, Sequence[_Ladder]], grid_step: float) -> np.ndarray:
-    """The q-grid of the joint candidate bases: steps of ``grid_step``, or 63 points.
-
-    The coarse grid is taken when the fine one times the largest branch's
-    vertex count would exceed ``_GRID_POINT_LIMIT``.
+    The base does not depend on gamma, so a solve builds it once per family.
     """
-    qs = np.arange(grid_step, 1.0, grid_step)
-    vertices = max(len(ladder.cum_count) for pair in branches.values() for ladder in pair)
-    if len(qs) * vertices > _GRID_POINT_LIMIT:
-        qs = np.linspace(0.0, 1.0, _COARSE_GRID_POINTS)[1:-1]
-    return qs
-
-
-def _candidate_base(
-    branches: Mapping[str, Sequence[_Ladder]], which: str, qs: np.ndarray
-) -> np.ndarray:
-    """Sorted distinct values of one family over all branches, at every vertex and every q in qs.
-
-    One family passes no q, so its base is the vertex values alone. The
-    base does not depend on gamma, so a solve builds it once per family.
-    """
-    return np.unique(
-        np.concatenate(
-            [
-                _branch_point_values(ladder, which, qs)
-                for pair in branches.values()
-                for ladder in pair
-            ]
-        )
+    values = np.concatenate(
+        [ladder.interval_families[which].vertex for pair in branches.values() for ladder in pair]
     )
+    return np.unique(values[~np.isnan(values)])
 
 
 def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
@@ -1080,14 +1040,14 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     crossings valued, which is O((W + k) log k + stabbed pairs) for W
     windows and k segments. Its windows are every breakpoint: each vertex
     value of any branch, and each of them divided by gamma, so one family
-    is exact at breakpoints. ``grid_step`` plays no part there.
+    is exact at breakpoints.
 
     Joint parity (``_best_windows``) values every pair of windows against
-    every segment, in blocks. Its candidates are every vertex and q-grid
-    value (steps of ``grid_step``, or 63 points when that grid would exceed
-    500 000 points per branch) and each divided by gamma, of which an evenly
-    spaced subsample of at most 56 per family (56 x 56 pairs) is scanned.
-    So the joint result is exact only when that cap is not reached. When the
+    every segment, in blocks. Each family's candidates are the same
+    breakpoints of its own values, of which an evenly spaced subsample of
+    at most 56 per family (56 x 56 pairs) is scanned. A joint optimum may
+    need a window edge that is neither family's breakpoint, so the joint
+    result is not exact, and past the cap it is thinned as well. When the
     scan finds no window, the error reports the highest level below gamma,
     to 1e-6, at which the same scan finds one; a solve at that level
     returns a rule.
@@ -1103,8 +1063,7 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
 
     windows = None, None
     if gamma > 0.0:
-        qs = _joint_grid(branches, problem.grid_step) if len(families) == 2 else np.empty(0)
-        bases = {which: _candidate_base(branches, which, qs) for which in families}
+        bases = {which: _candidate_base(branches, which) for which in families}
         windows = _scan_windows(branches, bases, gamma)
         if windows is None:
             max_gamma = _max_achievable_sufficiency_gamma(branches, bases, gamma)

@@ -327,6 +327,64 @@ def test_an_assessment_file_whose_matrix_contradicts_its_source_is_an_error(
     assert not (tmp_path / "out").exists()
 
 
+SUFFICIENCY_ASSESSMENT = {"benefit_source": "outcome", "justifier": "decision"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"benefit_source": "outcome"}, "missing key 'justifier'"),
+        (
+            {**SUFFICIENCY_ASSESSMENT, "benefit_matrix": [0, 1, 2]},
+            "'benefit_matrix' must be a list of four numbers, got a list of 3 entries",
+        ),
+        (
+            {**SUFFICIENCY_ASSESSMENT, "relevant_values": 1},
+            "'relevant_values' must be a list of integers, got a number",
+        ),
+        ([SUFFICIENCY_ASSESSMENT], "expected a JSON object, got a list of 1 entries"),
+        (
+            {**ASSESSMENTS["legitimate"], "justifier_names": "tier"},
+            "'justifier_names' must be a list of strings, got a string",
+        ),
+        ('{"justifier": ', "Expecting value: line 1 column 15 (char 14)"),
+    ],
+    ids=["missing_key", "three_cells", "relevant_values", "list", "names_string", "truncated"],
+)
+def test_a_malformed_assessment_file_is_named_in_one_line(doc, message, tmp_path, capsys):
+    # A string is the file's text as it stands, not JSON to encode.
+    path = tmp_path / "assessment.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    assert main(assessment_argv("optimize", path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: assessment file {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"rule": {"kind": "group_threshold", "groups": []}},
+            "'groups' must be an object, got a list of 0 entries",
+        ),
+        ({"rule": {"kind": "group_threshold"}}, "missing key 'groups'"),
+        (
+            [{"rule": {"kind": "single_threshold", "tau": 0.5}}],
+            "expected a JSON object, got a list of 1 entries",
+        ),
+        ('{"rule": ', "Expecting value: line 1 column 10 (char 9)"),
+    ],
+    ids=["groups_list", "missing_groups", "list", "truncated"],
+)
+def test_a_malformed_rule_file_is_named_in_one_line(doc, message, tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    argv = ["evaluate", *SCORED, "--rule", str(path), "--criterion", "independence"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: rule file {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_takes_one_of_criterion_and_assessment(tmp_path, capsys):
     path = tmp_path / "assessment.json"
     path.write_text(json.dumps(ASSESSMENTS["none"]), encoding="utf-8")

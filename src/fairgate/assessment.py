@@ -31,6 +31,7 @@ from .model import (
     FairnessCriterion,
     _json_choice,
     _json_entry,
+    _json_keys,
     _require_finite,
 )
 
@@ -276,8 +277,14 @@ def assessment_to_dict(assessment: MoralAssessment) -> dict:
 def assessment_from_dict(data: Mapping) -> MoralAssessment:
     """The assessment ``assessment_to_dict`` wrote.
 
-    An entry of the wrong shape is a ValueError that names its key.
+    An entry of the wrong shape, or a key it did not write, is a
+    ValueError that names the key. The stored ``criterion`` is not read:
+    the assessment maps to it.
     """
+    _json_keys(
+        data, "benefit_source", "benefit_value", "benefit_matrix", "justifier",
+        "justifier_names", "relevant_values", "group_attribute", "criterion",
+    )
     matrix = _json_entry(data, "benefit_matrix", "a list of four numbers", None)
     return MoralAssessment(
         benefit_source=_json_choice(data, "benefit_source", BenefitSource),

@@ -57,7 +57,7 @@ from .model import (
     write_rule_file,
 )
 from .optimizer import OptimizationProblem, optimize, optimize_unconstrained
-from .oracle import MAX_ORACLE_RECORDS, OracleSizeError, brute_force_oracle
+from .oracle import OracleSizeError, brute_force_oracle
 from .scorer import FitConfig, fit, save_model, score_dataset, split
 
 FEATURE_PREFIX = "x_"
@@ -395,11 +395,6 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
 
 
 def _verify_against_oracle(problem: OptimizationProblem, rule: DecisionRule) -> dict:
-    if len(problem.dataset) > MAX_ORACLE_RECORDS:
-        return {
-            "checked": False,
-            "reason": f"training split over {MAX_ORACLE_RECORDS} records",
-        }
     try:
         reference = brute_force_oracle(problem)
     except OracleSizeError as exc:

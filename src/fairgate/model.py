@@ -335,6 +335,7 @@ class FairnessCriterion:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FairnessCriterion":
+        _json_keys(data, "kind", "gamma", "legit_names")
         return cls(
             kind=_json_choice(data, "kind", CriterionKind),
             gamma=float(_json_entry(data, "gamma", "a number", 1.0)),
@@ -674,6 +675,19 @@ def _json_entry(data, key: str, form: str, default=_REQUIRED):
     return value
 
 
+def _json_keys(data, *known: str) -> None:
+    """A ValueError that names the first key of the JSON object ``data`` not in ``known``.
+
+    A misspelt key would otherwise take its default in silence. A ``data``
+    that is not an object is left to ``_json_entry``.
+    """
+    if not isinstance(data, Mapping):
+        return
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+
+
 def _json_choice(data, key: str, enum: type[Enum]) -> Enum:
     """The member of ``enum`` whose value ``data[key]`` names; any other value names the choices."""
     value = _json_entry(data, key, "a string")
@@ -731,44 +745,48 @@ def rule_from_dict(data: Mapping) -> DecisionRule:
     """The rule ``rule_to_dict`` wrote; an entry of the wrong shape is a ValueError naming it."""
     kind = _json_entry(data, "kind", "a string")
 
-    def cut(c: Mapping) -> tuple[float, float]:
-        """The (tau, boundary) of a threshold cut."""
+    def cut(c: Mapping, *others: str) -> tuple[float, float]:
+        """The (tau, boundary) of a threshold cut object, which may also hold ``others``."""
+        _json_keys(c, "tau", "boundary", *others)
         tau = float(_json_entry(c, "tau", "a number"))
         return tau, float(_json_entry(c, "boundary", "a number", 1.0))
 
+    def interval(c: Mapping) -> IntervalCut:
+        """An interval cut, whose object holds no key but its four fields."""
+        _json_keys(c, "low", "high", "boundary", "form")
+        return IntervalCut(
+            float(_json_entry(c, "low", "a number")),
+            float(_json_entry(c, "high", "a number")),
+            float(_json_entry(c, "boundary", "a number", 1.0)),
+            _json_entry(c, "form", "a string", None),
+        )
+
     def per_group() -> dict:
         """Each group's cut object."""
+        _json_keys(data, "kind", "groups")
         groups = _json_entry(data, "groups", "an object")
         return {g: _json_entry(groups, g, "an object") for g in groups}
 
     if kind == "single_threshold":
-        return SingleThreshold(*cut(data))
+        return SingleThreshold(*cut(data, "kind"))
     if kind == "group_threshold":
         return GroupThreshold({g: GroupCut(*cut(c)) for g, c in per_group().items()})
     if kind == "group_interval":
-        return GroupInterval(
-            {
-                g: IntervalCut(
-                    float(_json_entry(c, "low", "a number")),
-                    float(_json_entry(c, "high", "a number")),
-                    float(_json_entry(c, "boundary", "a number", 1.0)),
-                    _json_entry(c, "form", "a string", None),
-                )
-                for g, c in per_group().items()
-            }
-        )
+        return GroupInterval({g: interval(c) for g, c in per_group().items()})
     if kind == "stratified_group_threshold":
+        _json_keys(data, "kind", "legit_names", "cuts")
         return StratifiedGroupThreshold(
             legit_names=tuple(_json_entry(data, "legit_names", "a list of strings")),
             cuts={
                 (
                     _json_entry(c, "group", "a string"),
                     tuple(_json_entry(c, "stratum", "a list of strings")),
-                ): GroupCut(*cut(c))
+                ): GroupCut(*cut(c, "group", "stratum"))
                 for c in _json_entry(data, "cuts", "a list of objects")
             },
         )
     if kind == "mixture":
+        _json_keys(data, "kind", "weights", "first", "second")
         weights = _json_entry(data, "weights", "an object")
         return Mixture(
             weights={g: float(_json_entry(weights, g, "a number")) for g in weights},
@@ -798,6 +816,7 @@ def read_rule_file(path: str | Path) -> tuple[DecisionRule, FairnessCriterion | 
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
+        _json_keys(doc, "rule", "criterion")
         rule = rule_from_dict(_json_entry(doc, "rule", "an object"))
         stored = _json_entry(doc, "criterion", "an object", None)
         criterion = None if stored is None else FairnessCriterion.from_dict(stored)

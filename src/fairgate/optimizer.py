@@ -107,20 +107,12 @@ class SmallStratumWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """A constrained utility-maximization instance on a training split.
-
-    ``grid_step`` is the spacing of the boundary-randomization grid q in
-    (0, 1) on which the brute-force oracle (``oracle.brute_force_oracle``)
-    enumerates cuts for every criterion but separation. Only the oracle
-    reads it; the optimizer's searches take their candidates from vertex
-    values.
-    """
+    """A constrained utility-maximization instance on a training split."""
 
     dataset: Dataset
     utility: UtilityMatrix
     criterion: FairnessCriterion
     min_count: int = 30
-    grid_step: float = 1e-3
 
     def __post_init__(self) -> None:
         if len(self.dataset.groups) < 2:
@@ -371,9 +363,7 @@ def _sweep_single_family(
         return total, choices
 
     rates = {g: ladder.rates(family) for g, ladder in ladders.items()}
-    vertices = np.concatenate(list(rates.values()))
-    scaled = vertices / gamma
-    uppers = np.unique(np.concatenate([[0.0, 1.0], vertices, scaled[scaled <= 1.0]]))
+    uppers = _designations(np.concatenate(list(rates.values())), gamma)
     lowers = gamma * uppers
     feasible = np.ones(len(uppers), dtype=bool)
     util_sum, rate_sum, n_random = np.zeros(len(uppers)), np.zeros(len(uppers)), 0
@@ -858,15 +848,14 @@ def _candidate_base(branches: Mapping[str, Sequence[_Ladder]], which: str) -> np
 
 
 def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
-    """Every candidate window upper edge in [0, 1] at level gamma > 0: base and base / gamma."""
-    scaled = base / gamma  # sorted, as base is
-    # Both runs are sorted, so the stable sort (timsort) merges them.
-    merged = np.sort(
-        np.concatenate([base, scaled[: np.searchsorted(scaled, 1.0, "right")]]), kind="stable"
-    )
-    distinct = np.ones(len(merged), dtype=bool)
-    distinct[1:] = merged[1:] != merged[:-1]
-    merged = merged[distinct]
+    """Every candidate window upper edge in [0, 1] at level gamma > 0: base and base / gamma.
+
+    The one rule for the tops of every window sweep: the threshold sweep
+    passes its vertex rates, which hold 0 and 1, the interval scans their
+    ``_candidate_base``.
+    """
+    scaled = base / gamma
+    merged = np.unique(np.concatenate([base, scaled[scaled <= 1.0]]))
     return merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
 
 
@@ -948,24 +937,23 @@ def _best_windows(
     branches: Mapping[str, Sequence[_Ladder]],
     bases: Mapping[str, np.ndarray],
     gamma: float,
-    cap: int,
 ) -> tuple[tuple[float, float], tuple[float, float]] | None:
     """Best (PPV window, FOR window) pair at level gamma; None if none is feasible.
 
     The joint scan: ``bases`` holds the candidate base of both families.
     Each family's window upper edges are thinned to an evenly spaced
-    subsample of at most ``cap``. Each segment's bounds in every window of
-    each family are taken once; then every pair of windows is scanned, the
-    PPV windows in blocks of rows, each row against every FOR window. A
-    group's value in a pair is its best segment, taken at the better end of
-    the intersection of its two feasible q-intervals. Ties go to the last
-    of equal totals in (PPV, FOR) order.
+    subsample of at most ``_JOINT_CAP``. Each segment's bounds in every
+    window of each family are taken once; then every pair of windows is
+    scanned, the PPV windows in blocks of rows, each row against every FOR
+    window. A group's value in a pair is its best segment, taken at the
+    better end of the intersection of its two feasible q-intervals. Ties go
+    to the last of equal totals in (PPV, FOR) order.
     """
     windows = []
     for which in ("ppv", "for_rate"):
         uppers = _designations(bases[which], gamma)
-        if len(uppers) > cap:
-            uppers = uppers[np.unique(np.linspace(0, len(uppers) - 1, cap).astype(int))]
+        if len(uppers) > _JOINT_CAP:
+            uppers = uppers[np.unique(np.linspace(0, len(uppers) - 1, _JOINT_CAP).astype(int))]
         windows.append(np.column_stack([gamma * uppers, uppers]))
     ppv_windows, for_windows = windows
 
@@ -1013,11 +1001,11 @@ def _scan_windows(
     """Best (PPV window, FOR window) at level gamma; None if none is feasible.
 
     ``bases`` holds the candidate base of each constrained family: one goes
-    to the one-family sweep (``_best_window``), both to the joint scan at
-    ``_JOINT_CAP``. The window of an unconstrained family is None.
+    to the one-family sweep (``_best_window``), both to the joint scan
+    (``_best_windows``). The window of an unconstrained family is None.
     """
     if len(bases) == 2:
-        return _best_windows(branches, bases, gamma, _JOINT_CAP)
+        return _best_windows(branches, bases, gamma)
     ((which, base),) = bases.items()
     return _best_window(branches, which, base, gamma)
 

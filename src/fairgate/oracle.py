@@ -1,10 +1,12 @@
 """Exhaustive reference search used to verify the optimizers.
 
-Candidate rules are enumerated over the candidate grid (distinct scores with
-bracketing sentinels, boundary randomization and mixture weights on a
-configurable grid) and evaluated directly from record masks, independently
-of the optimizer's prefix algebra. Intended for tests and --verify runs
-only; refuses datasets beyond the size guard.
+Candidate rules are enumerated over the distinct scores with bracketing
+sentinels and a boundary-randomization grid q in [0, 1] whose spacing is
+``brute_force_oracle``'s ``grid_step``; joint TPR+FPR (separation) takes
+exact mixture weights on pairs of ROC vertices instead. Every candidate is
+evaluated directly from record masks, independently of the optimizer's
+prefix algebra. Intended for tests and --verify runs only; refuses datasets
+over ``MAX_ORACLE_RECORDS`` records.
 
 The single-family criteria (independence, TPR, FPR, PPV and FOR parity, and
 each stratum of conditional parity) share one window search. It visits every
@@ -504,8 +506,8 @@ def _oracle_sufficiency(
 # ---------------------------------------------------------------------------
 
 
-def brute_force_oracle(problem: OptimizationProblem) -> DecisionRule:
-    """Feasible utility-max rule found by exhaustive grid enumeration."""
+def brute_force_oracle(problem: OptimizationProblem, grid_step: float = 1e-3) -> DecisionRule:
+    """Feasible utility-max rule found by exhaustive enumeration on a q-grid of ``grid_step``."""
     dataset = problem.dataset
     if len(dataset) > MAX_ORACLE_RECORDS:
         raise OracleSizeError(
@@ -515,7 +517,7 @@ def brute_force_oracle(problem: OptimizationProblem) -> DecisionRule:
     utility = problem.utility
     gamma = problem.criterion.gamma
     kind = problem.criterion.kind
-    qs = _q_grid(problem.grid_step)
+    qs = _q_grid(grid_step)
     codes = dataset.columns.group_codes
     groups_data = {
         g: _GroupData.build(g, dataset, np.flatnonzero(codes == i), utility)

@@ -64,11 +64,6 @@ class LogisticModel:
     stds: tuple[float, ...]
     final_loss: float
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        named = tuple(self.source_feature_names[i] for i in self.kept)
-        return named + tuple(f"group:{g}" for g in self.group_values)
-
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic stratified split preserving group proportions.

@@ -328,6 +328,7 @@ def test_an_assessment_file_whose_matrix_contradicts_its_source_is_an_error(
 
 
 SUFFICIENCY_ASSESSMENT = {"benefit_source": "outcome", "justifier": "decision"}
+ONE_CUT = {"kind": "single_threshold", "tau": 0.5}
 
 
 @pytest.mark.parametrize(
@@ -348,8 +349,15 @@ SUFFICIENCY_ASSESSMENT = {"benefit_source": "outcome", "justifier": "decision"}
             "'justifier_names' must be a list of strings, got a string",
         ),
         ('{"justifier": ', "Expecting value: line 1 column 15 (char 14)"),
+        (
+            {"benefit_source": "decision", "justifier": "outcome", "relevant_value": [1]},
+            "unknown key 'relevant_value'",
+        ),
     ],
-    ids=["missing_key", "three_cells", "relevant_values", "list", "names_string", "truncated"],
+    ids=[
+        "missing_key", "three_cells", "relevant_values", "list", "names_string", "truncated",
+        "misspelt_key",
+    ],
 )
 def test_a_malformed_assessment_file_is_named_in_one_line(doc, message, tmp_path, capsys):
     # A string is the file's text as it stands, not JSON to encode.
@@ -373,8 +381,54 @@ def test_a_malformed_assessment_file_is_named_in_one_line(doc, message, tmp_path
             "expected a JSON object, got a list of 1 entries",
         ),
         ('{"rule": ', "Expecting value: line 1 column 10 (char 9)"),
+        ({"rule": ONE_CUT, "note": "x"}, "unknown key 'note'"),
+        ({"rule": {**ONE_CUT, "bondary": 0.5}}, "unknown key 'bondary'"),
+        (
+            {
+                "rule": {
+                    "kind": "group_threshold",
+                    "groups": {"a": {"tau": 0.5, "bondary": 0.5}, "b": {"tau": 0.5}},
+                }
+            },
+            "unknown key 'bondary'",
+        ),
+        ({"rule": {"kind": "group_threshold", "groups": {}, "cuts": []}}, "unknown key 'cuts'"),
+        (
+            {"rule": {"kind": "group_interval", "groups": {"a": {"low": 0.2, "hi": 1.0}}}},
+            "unknown key 'hi'",
+        ),
+        (
+            {
+                "rule": {
+                    "kind": "stratified_group_threshold",
+                    "legit_names": ["tier"],
+                    "cuts": [{"group": "a", "stratum": ["high"], "tau": 0.5, "tier": "high"}],
+                }
+            },
+            "unknown key 'tier'",
+        ),
+        (
+            {
+                "rule": {
+                    "kind": "mixture",
+                    "weights": {"a": 0.5, "b": 0.5},
+                    "first": ONE_CUT,
+                    "second": ONE_CUT,
+                    "third": ONE_CUT,
+                }
+            },
+            "unknown key 'third'",
+        ),
+        (
+            {"rule": ONE_CUT, "criterion": {"kind": "independence", "gama": 0.8}},
+            "unknown key 'gama'",
+        ),
     ],
-    ids=["groups_list", "missing_groups", "list", "truncated"],
+    ids=[
+        "groups_list", "missing_groups", "list", "truncated", "file_key", "single_threshold_key",
+        "group_cut_key", "group_threshold_key", "interval_cut_key", "stratified_cut_key",
+        "mixture_key", "criterion_key",
+    ],
 )
 def test_a_malformed_rule_file_is_named_in_one_line(doc, message, tmp_path, capsys):
     path = tmp_path / "rule.json"
@@ -383,6 +437,20 @@ def test_a_malformed_rule_file_is_named_in_one_line(doc, message, tmp_path, caps
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: rule file {path}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_past_the_oracle_size_guard_gives_the_oracle_reason(tmp_path):
+    # Every row twice, the copy under a new id: a 600-record training split.
+    header, *rows = INPUT.read_text(encoding="utf-8").splitlines()
+    doubled = tmp_path / "input.csv"
+    doubled.write_text("\n".join([header, *rows, *(f"c{row}" for row in rows)]) + "\n")
+    argv = ["optimize", "--input", str(doubled), "--score-col", "p", "--criterion", "independence"]
+    assert main([*argv, "--verify", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "metrics_train.json").read_text(encoding="utf-8"))
+    assert report["verification"] == {
+        "checked": False,
+        "reason": "oracle refuses datasets over 500 records (got 600)",
+    }
 
 
 def test_evaluate_takes_one_of_criterion_and_assessment(tmp_path, capsys):

@@ -19,9 +19,7 @@ ACC = UtilityMatrix.accuracy()
 
 
 def fpr_problem(ds, gamma=1.0):
-    return OptimizationProblem(
-        ds, ACC, FairnessCriterion(CriterionKind.FPR_PARITY, gamma=gamma), grid_step=0.01
-    )
+    return OptimizationProblem(ds, ACC, FairnessCriterion(CriterionKind.FPR_PARITY, gamma=gamma))
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +141,7 @@ def test_infeasible_levels_recorded_and_sweep_continues():
     rows = [(0.9, 1, "A"), (0.8, 1, "A"), (0.7, 1, "A"), (0.6, 1, "A"),
             (0.9, 1, "B"), (0.5, 0, "B"), (0.4, 0, "B"), (0.3, 0, "B")]
     ds = make_dataset(rows)
-    prob = OptimizationProblem(
-        ds, ACC, FairnessCriterion(CriterionKind.SUFFICIENCY, gamma=1.0), grid_step=0.02
-    )
+    prob = OptimizationProblem(ds, ACC, FairnessCriterion(CriterionKind.SUFFICIENCY, gamma=1.0))
     points = sweep(prob, (0.0, 1.0))
     assert points[0].feasible
     assert not points[-1].feasible

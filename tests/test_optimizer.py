@@ -44,12 +44,10 @@ from fairgate.optimizer import (
 ACC = UtilityMatrix.accuracy()
 
 
-def problem(rows_or_ds, kind, gamma, legit_names=(), min_count=30, step=0.01, utility=ACC):
+def problem(rows_or_ds, kind, gamma, legit_names=(), min_count=30, utility=ACC):
     dataset = rows_or_ds if hasattr(rows_or_ds, "records") else make_dataset(rows_or_ds)
     criterion = FairnessCriterion(kind, gamma=gamma, legit_names=tuple(legit_names))
-    return OptimizationProblem(
-        dataset, utility, criterion, min_count=min_count, grid_step=step
-    )
+    return OptimizationProblem(dataset, utility, criterion, min_count=min_count)
 
 
 def utility_of(prob, rule):
@@ -75,6 +73,26 @@ class TestUnconstrained:
     def test_rejecting_never_helps(self):
         rule = optimize_unconstrained(None, UtilityMatrix(1.0, 0.0, 1.0, 5.0))
         assert rule.tau == 0.0 and rule.boundary == 1.0
+
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            ((0.0, 0.0, 2.0, 1.0), SingleThreshold(0.0, boundary=1.0)),
+            ((1.0, 2.0, 0.0, 0.0), SingleThreshold(1.0, boundary=0.0)),
+        ],
+        ids=["accept_all", "reject_all"],
+    )
+    def test_one_decision_wins_at_every_score(self, cells, expected):
+        # The two gains sum to at most 0, so no threshold separates them.
+        u = UtilityMatrix(*cells)
+        rule = optimize_unconstrained(None, u)
+        assert rule == expected
+        extremes = (SingleThreshold(0.0, boundary=1.0), SingleThreshold(1.0, boundary=0.0))
+        rng = random.Random(8)
+        for _ in range(5):
+            dataset = random_instance(rng, max_records=30)
+            best = max(decision_maker_utility(dataset, r, u) for r in extremes)
+            assert decision_maker_utility(dataset, rule, u) == best
 
     def test_two_thirds_threshold_beats_every_other_cut(self):
         u = UtilityMatrix(3.0, 0.0, 1.0, 1.0)
@@ -183,10 +201,8 @@ class TestSeparation:
         rng = random.Random(12)
         for _ in range(20):
             ds = random_instance(rng, n_groups=2, max_records=14)
-            prob = OptimizationProblem(
-                ds, ACC, FairnessCriterion(CriterionKind.SEPARATION, gamma=1.0),
-                grid_step=0.01,
-            )
+            criterion = FairnessCriterion(CriterionKind.SEPARATION, gamma=1.0)
+            prob = OptimizationProblem(ds, ACC, criterion)
             rule = optimize_separation(prob)
             assert isinstance(rule, (GroupThreshold, Mixture))
             assert ratio_of(prob, rule) >= 1.0 - 1e-7
@@ -220,9 +236,9 @@ class TestSufficiency:
     def test_identical_groups_joint_parity_is_free(self):
         rows = [(s, y, g) for g in ("A", "B")
                 for s, y in [(0.9, 1), (0.7, 1), (0.5, 0), (0.3, 0), (0.2, 0)]]
-        prob = problem(rows, CriterionKind.SUFFICIENCY, 1.0, step=0.02)
+        prob = problem(rows, CriterionKind.SUFFICIENCY, 1.0)
         rule = optimize_sufficiency(prob)
-        free = problem(rows, CriterionKind.SUFFICIENCY, 0.0, step=0.02)
+        free = problem(rows, CriterionKind.SUFFICIENCY, 0.0)
         assert utility_of(prob, rule) == pytest.approx(
             utility_of(free, optimize_sufficiency(free)), abs=1e-9
         )
@@ -239,7 +255,7 @@ class TestSufficiency:
     def test_incompatible_calibration_reports_max_gamma(self):
         rows = [(0.9, 1, "A"), (0.8, 1, "A"), (0.7, 1, "A"), (0.6, 1, "A"),
                 (0.9, 1, "B"), (0.5, 0, "B"), (0.4, 0, "B"), (0.3, 0, "B")]
-        prob = problem(rows, CriterionKind.SUFFICIENCY, 1.0, step=0.02)
+        prob = problem(rows, CriterionKind.SUFFICIENCY, 1.0)
         with pytest.raises(InfeasibleConstraintError) as info:
             optimize_sufficiency(prob)
         # Group B's PPV cannot exceed 1/4 while FORs stay tied at 1.
@@ -339,7 +355,7 @@ class TestCrossCuttingProperties:
         for _ in range(4):
             ds = random_instance(rng, n_groups=2, max_records=24)
             problems = [
-                OptimizationProblem(ds, ACC, FairnessCriterion(kind, gamma=g), grid_step=0.01)
+                OptimizationProblem(ds, ACC, FairnessCriterion(kind, gamma=g))
                 for g in gammas
             ]
             utils = []
@@ -370,9 +386,7 @@ class TestCrossCuttingProperties:
         for _ in range(5):
             ds = random_instance(rng, n_groups=2, max_records=20)
             for gamma in (0.4, 0.8, 1.0):
-                prob = OptimizationProblem(
-                    ds, ACC, FairnessCriterion(kind, gamma=gamma), grid_step=0.01
-                )
+                prob = OptimizationProblem(ds, ACC, FairnessCriterion(kind, gamma=gamma))
                 try:
                     rule = optimize(prob)
                 except InfeasibleConstraintError:
@@ -391,8 +405,8 @@ class TestCrossCuttingProperties:
                      CriterionKind.PPV_PARITY):
             ds = random_instance(rng, n_groups=2, max_records=24)
             crit = FairnessCriterion(kind, gamma=0.7)
-            r1 = optimize(OptimizationProblem(ds, ACC, crit, grid_step=0.01))
-            r2 = optimize(OptimizationProblem(ds, scaled, crit, grid_step=0.01))
+            r1 = optimize(OptimizationProblem(ds, ACC, crit))
+            r2 = optimize(OptimizationProblem(ds, scaled, crit))
             p1, p2 = decision_probabilities(r1, ds), decision_probabilities(r2, ds)
             assert p1.tolist() == pytest.approx(p2.tolist(), abs=1e-12)
 
@@ -401,8 +415,8 @@ class TestCrossCuttingProperties:
         rng = random.Random(123)
         ds = random_instance(rng, n_groups=2, max_records=20)
         crit = FairnessCriterion(CriterionKind.INDEPENDENCE, gamma=0.6)
-        r1 = optimize(OptimizationProblem(ds, ACC, crit, grid_step=0.01))
-        r2 = optimize(OptimizationProblem(ds, shifted, crit, grid_step=0.01))
+        r1 = optimize(OptimizationProblem(ds, ACC, crit))
+        r2 = optimize(OptimizationProblem(ds, shifted, crit))
         assert r1 == r2
 
     def test_deterministic_under_record_permutation(self):
@@ -413,8 +427,8 @@ class TestCrossCuttingProperties:
         shuffled = Dataset.from_records(records)
         for kind in (CriterionKind.INDEPENDENCE, CriterionKind.FPR_PARITY):
             crit = FairnessCriterion(kind, gamma=0.8)
-            r1 = optimize(OptimizationProblem(ds, ACC, crit, grid_step=0.01))
-            r2 = optimize(OptimizationProblem(shuffled, ACC, crit, grid_step=0.01))
+            r1 = optimize(OptimizationProblem(ds, ACC, crit))
+            r2 = optimize(OptimizationProblem(shuffled, ACC, crit))
             assert r1 == r2
 
     def test_needs_two_groups(self):

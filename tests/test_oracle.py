@@ -25,13 +25,13 @@ from fairgate import oracle
 from fairgate.oracle import MAX_ORACLE_RECORDS, OracleSizeError, brute_force_oracle
 
 ACC = UtilityMatrix.accuracy()
+STEP = 0.01  # the oracle's q-grid spacing in these tests
 
 
-def oracle_problem(rows, kind, gamma, step=0.01, **kw):
+def oracle_problem(rows, kind, gamma, **kw):
     ds = rows if hasattr(rows, "records") else make_dataset(rows)
     return OptimizationProblem(
-        ds, ACC, FairnessCriterion(kind, gamma=gamma, legit_names=kw.pop("legit_names", ())),
-        grid_step=step, **kw,
+        ds, ACC, FairnessCriterion(kind, gamma=gamma, legit_names=kw.pop("legit_names", ())), **kw
     )
 
 
@@ -47,7 +47,17 @@ def test_gamma_zero_matches_unconstrained_family_max():
     for _ in range(5):
         ds = random_instance(rng, n_groups=2, max_records=16)
         prob = oracle_problem(ds, CriterionKind.INDEPENDENCE, 0.0)
-        rule = brute_force_oracle(prob)
+        rule = brute_force_oracle(prob, STEP)
+        free = optimize_unconstrained(ds, ACC)
+        assert decision_maker_utility(ds, rule, ACC) >= decision_maker_utility(ds, free, ACC) - 1e-12
+
+
+def test_gamma_zero_sufficiency_matches_unconstrained():
+    # Each group's best interval at least matches the free threshold's cut.
+    rng = random.Random(19)
+    for _ in range(5):
+        ds = random_instance(rng, n_groups=rng.randint(2, 3), max_records=18)
+        rule = brute_force_oracle(oracle_problem(ds, CriterionKind.PPV_PARITY, 0.0), STEP)
         free = optimize_unconstrained(ds, ACC)
         assert decision_maker_utility(ds, rule, ACC) >= decision_maker_utility(ds, free, ACC) - 1e-12
 
@@ -56,7 +66,7 @@ def test_independence_oracle_beats_hand_constructed_feasible_rules():
     rows = [(0.9, 1, "A"), (0.6, 1, "A"), (0.4, 0, "A"), (0.2, 0, "A"),
             (0.8, 1, "B"), (0.5, 0, "B"), (0.3, 1, "B"), (0.1, 0, "B")]
     prob = oracle_problem(rows, CriterionKind.INDEPENDENCE, 1.0)
-    rule = brute_force_oracle(prob)
+    rule = brute_force_oracle(prob, STEP)
     best = decision_maker_utility(prob.dataset, rule, ACC)
     baselines = [
         SingleThreshold(0.0, boundary=1.0),
@@ -81,7 +91,7 @@ def test_oracle_rules_are_feasible():
         for gamma in (0.5, 1.0):
             prob = oracle_problem(ds, kind, gamma)
             try:
-                rule = brute_force_oracle(prob)
+                rule = brute_force_oracle(prob, STEP)
             except InfeasibleConstraintError:
                 continue
             with warnings.catch_warnings():
@@ -111,7 +121,7 @@ def test_conditional_parity_oracle_agrees_with_per_stratum_search():
         ds, CriterionKind.CONDITIONAL_STATISTICAL_PARITY, 1.0,
         legit_names=("j",), min_count=1,
     )
-    rule = brute_force_oracle(prob)
+    rule = brute_force_oracle(prob, STEP)
     assert decision_maker_utility(ds, rule, ACC) == pytest.approx(1.0)
 
 

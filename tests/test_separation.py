@@ -193,7 +193,7 @@ def test_separation_matches_the_oracle():
     for _ in range(30):
         dataset = random_instance(rng, n_groups=2, max_records=16)
         criterion = FairnessCriterion(CriterionKind.SEPARATION, gamma=rng.choice(GAMMAS))
-        problem = opt.OptimizationProblem(dataset, accuracy, criterion, grid_step=0.05)
+        problem = opt.OptimizationProblem(dataset, accuracy, criterion)
         rule = opt.optimize_separation(problem)
         reference = brute_force_oracle(problem)
         assert decision_maker_utility(dataset, rule, accuracy) >= (

@@ -186,8 +186,8 @@ def test_joint_scan_matches_pair_loop(monkeypatch):
         branches = branches_of(dataset)
         bases = bases_of(branches)
         for gamma in GAMMAS:
-            got = opt._best_windows(branches, bases, gamma, 4)
-            assert got == loop_joint_windows(branches, bases, gamma, 4)
+            got = opt._best_windows(branches, bases, gamma)
+            assert got == loop_joint_windows(branches, bases, gamma, 3)
         if got is None:
             infeasible += 1
             got_gamma = opt._max_achievable_sufficiency_gamma(branches, bases, 1.0)
@@ -200,10 +200,10 @@ def test_sweep_blocks_do_not_change_values(monkeypatch):
         branches = branches_of(dataset)
         bases = bases_of(branches)
         for gamma in GAMMAS:
-            whole = opt._best_windows(branches, bases, gamma, 20)
+            whole = opt._best_windows(branches, bases, gamma)
             # Blocks of one or a few rows, the last one short.
             monkeypatch.setattr(opt, "_SWEEP_BLOCK_ELEMENTS", 40)
-            rows = opt._best_windows(branches, bases, gamma, 20)
+            rows = opt._best_windows(branches, bases, gamma)
             monkeypatch.undo()
             assert whole == rows
 
@@ -396,7 +396,7 @@ def continuous_dataset(n, seed, decimals=6):
 @pytest.mark.parametrize("kind", [CriterionKind.PPV_PARITY, CriterionKind.FOR_PARITY])
 def test_single_family_search_memory_is_bounded(kind):
     dataset = continuous_dataset(4000, 17)
-    problem = OptimizationProblem(dataset, ACC, FairnessCriterion(kind, gamma=0.9), grid_step=1e-3)
+    problem = OptimizationProblem(dataset, ACC, FairnessCriterion(kind, gamma=0.9))
     tracemalloc.start()
     try:
         opt.optimize_sufficiency(problem)
@@ -605,9 +605,9 @@ def test_branch_best_matches_dense_grid_on_vertex_edges():
 
 def solve_matches_oracle(dataset, criterion, min_count=30) -> bool:
     """Check one solve against the oracle; False when the oracle finds no rule."""
-    problem = OptimizationProblem(dataset, ACC, criterion, min_count=min_count, grid_step=0.05)
+    problem = OptimizationProblem(dataset, ACC, criterion, min_count=min_count)
     try:
-        oracle = decision_maker_utility(dataset, brute_force_oracle(problem), ACC)
+        oracle = decision_maker_utility(dataset, brute_force_oracle(problem, 0.05), ACC)
     except InfeasibleConstraintError:
         return False
     # An InfeasibleConstraintError here fails the test: the oracle has a rule.

@@ -44,6 +44,7 @@ SEPARATION_RULE = GOLDEN / "optimize_separation" / "rule.json"
 
 # name -> (argv without --out, assessment file the command reads or None)
 COMMANDS: dict[str, tuple[tuple[str, ...], str | None]] = {
+    "fit": (("fit", "--input", str(INPUT)), None),
     "optimize_independence_verify": (
         ("optimize", *SCORED, "--criterion", "independence", "--gamma", "0.8", "--verify"),
         None,

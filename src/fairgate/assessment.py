@@ -278,8 +278,8 @@ def assessment_from_dict(data: Mapping) -> MoralAssessment:
     """The assessment ``assessment_to_dict`` wrote.
 
     An entry of the wrong shape, or a key it did not write, is a
-    ValueError that names the key. The stored ``criterion`` is not read:
-    the assessment maps to it.
+    ValueError that names the key. The stored ``criterion`` is not part of
+    the assessment: ``load_assessment`` reads it beside the assessment.
     """
     _json_keys(
         data, "benefit_source", "benefit_value", "benefit_matrix", "justifier",
@@ -305,13 +305,20 @@ def save_assessment(path: str | Path, assessment: MoralAssessment) -> None:
     )
 
 
-def load_assessment(path: str | Path) -> MoralAssessment:
-    """The assessment saved at ``path``; a ValueError names the file."""
+def load_assessment(path: str | Path) -> tuple[MoralAssessment, FairnessCriterion | None]:
+    """The assessment and criterion ``save_assessment`` wrote; a ValueError names the file.
+
+    The criterion is None when the file has no ``criterion`` entry.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return assessment_from_dict(json.loads(text))
+        doc = json.loads(text)
+        assessment = assessment_from_dict(doc)
+        stored = _json_entry(doc, "criterion", "an object", None)
+        criterion = None if stored is None else FairnessCriterion.from_dict(stored)
     except ValueError as exc:
         raise ValueError(f"assessment file {path}: {exc}") from exc
+    return assessment, criterion
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ given its configuration: reruns produce byte-identical csv outputs. On any
 module error the command exits nonzero with a single-line diagnostic and
 removes partial outputs.
 
+CSV ingest streams its input: ``dataset_from_rows`` converts ``CHUNK_ROWS``
+rows at a time into arrays and merges the chunks once at the end, so memory
+holds the returned arrays and one chunk of rows as Python objects, never the
+whole file as rows. ``fit`` reads its input a second time to write the
+scored copy row by row. Errors win in the order of a whole-file read: a
+malformed row anywhere in the file wins over every other error.
+
 A criterion comes from ``--criterion`` or from an ``--assessment`` file.
 ``_resolve_criterion`` is the one resolver of optimize, evaluate, sweep and
 report; it settles an assessment file with ``assessment.settle``, the
@@ -16,16 +23,17 @@ falls back to the criterion stored in its rule file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
+import itertools
 import json
 import statistics
 import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,24 +113,62 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header, and each data row with the line it ends on; blank lines are skipped.
+# Data rows converted at a time. Only the chunk being read is held as Python
+# lists and strings; every earlier one is already arrays.
+CHUNK_ROWS = 1024
 
-    A UTF-8 byte-order mark before the header is dropped.
+
+class _RowStream:
+    """The data rows of an open CSV reader, each with the line it ends on, read once.
+
+    Blank lines are skipped. A row whose width is not the header's raises
+    with its line, and the stream yields nothing after that. ``len`` is the
+    number of data rows read so far: once the stream is spent it is the
+    length of a list of its rows, the count that ``perfbench/tracing.py``
+    takes of what ``dataset_from_rows`` was given.
+    """
+
+    def __init__(self, reader, width: int, path: Path):
+        self._count = 0
+        self._rows = self._read(reader, width, path)
+
+    def _read(self, reader, width: int, path: Path) -> Iterator[tuple[int, list[str]]]:
+        for values in reader:
+            if len(values) != width:
+                if not values:
+                    continue
+                raise ValueError(f"{path}: malformed row at line {reader.line_num}")
+            self._count += 1
+            yield reader.line_num, values
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._count
+
+
+@contextlib.contextmanager
+def _read_rows(path: Path) -> Iterator[tuple[list[str], _RowStream]]:
+    """The header of the CSV at ``path``, and a stream of its data rows.
+
+    A UTF-8 byte-order mark before the header is dropped. When the body
+    raises a ValueError, the rest of the file is still read for its shape:
+    a malformed row anywhere in the file wins over every other error, as it
+    does when the whole file is read before anything is checked.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         fieldnames = next(reader, None)
         if fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        rows = []
-        for values in reader:
-            if len(values) != len(fieldnames):
-                if not values:
-                    continue
-                raise ValueError(f"{path}: malformed row at line {reader.line_num}")
-            rows.append((reader.line_num, values))
-    return fieldnames, rows
+        rows = _RowStream(reader, len(fieldnames), path)
+        try:
+            yield fieldnames, rows
+        except ValueError:
+            for _ in rows:
+                pass
+            raise
 
 
 def _check_row(line: int, row: dict, roles: ColumnRoles, features: Sequence[str]) -> None:
@@ -150,12 +196,15 @@ def _check_row(line: int, row: dict, roles: ColumnRoles, features: Sequence[str]
 
 
 def dataset_from_rows(
-    fieldnames: Sequence[str], rows: Sequence[tuple[int, list[str]]], roles: ColumnRoles
+    fieldnames: Sequence[str], rows: Iterable[tuple[int, list[str]]], roles: ColumnRoles
 ) -> Dataset:
-    """The dataset of rows as ``_read_rows`` returns them, converted column by column.
+    """The dataset of rows as ``_read_rows`` gives them, from a list or the stream itself.
 
-    The arrays are checked once, by ``Dataset``. Only when a check fails are
-    the rows parsed one by one, to name the first bad line.
+    The rows are taken ``CHUNK_ROWS`` at a time, and each chunk becomes a
+    dataset as soon as it is read (``_chunk_dataset``). The chunks are merged
+    once at the end (``_concat``). Given the stream, memory holds the arrays
+    of the chunks read so far and one chunk of rows as Python objects; the
+    merge briefly holds the arrays twice.
     """
     if len(set(fieldnames)) < len(fieldnames):
         repeated = next(name for i, name in enumerate(fieldnames) if name in fieldnames[:i])
@@ -166,10 +215,26 @@ def dataset_from_rows(
     for role, name in (("score", roles.score), ("id", roles.id)):
         if name is not None and name not in fieldnames:
             raise ValueError(f"missing {role} column {name!r}")
+    rows = iter(rows)
+    parts = []
+    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+        parts.append(_chunk_dataset(fieldnames, chunk, roles))
+    if not parts:
+        raise ValueError("no data rows")
+    return _concat(parts)
+
+
+def _chunk_dataset(
+    fieldnames: Sequence[str], rows: list[tuple[int, list[str]]], roles: ColumnRoles
+) -> Dataset:
+    """One chunk of rows, converted column by column.
+
+    The arrays are checked once, by ``Dataset``. Only when a check fails are
+    the rows parsed one by one, to name the first bad line; every earlier
+    chunk passed its checks, so that line is the first bad line of the file.
+    """
     feature_names = tuple(c for c in fieldnames if c.startswith(FEATURE_PREFIX))
     legit_names = tuple(c[len(LEGIT_PREFIX) :] for c in fieldnames if c.startswith(LEGIT_PREFIX))
-    if not rows:
-        raise ValueError("no data rows")
     position = {name: i for i, name in enumerate(fieldnames)}
 
     def column(name: str) -> list[str]:
@@ -206,15 +271,53 @@ def dataset_from_rows(
         raise
 
 
+def _concat(parts: list[Dataset]) -> Dataset:
+    """The datasets of consecutive chunks of one file, as one dataset.
+
+    The groups, and the values of each legitimate attribute, become the
+    sorted union of the parts' values, as ``encode`` sorts them for a whole
+    file, and every part's codes are mapped into it. The other columns are
+    joined as they are.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    first = parts[0]
+    # Entry 0 is the groups, entry 1 + j the values of legitimate attribute j;
+    # column k of a part's codes below indexes its entry k.
+    own = [(part.groups, *part.columns.legit_values) for part in parts]
+    vocabularies = [tuple(sorted(set().union(*values))) for values in zip(*own)]
+    ranks = [{value: i for i, value in enumerate(vocab)} for vocab in vocabularies]
+    recoded = []
+    for part, values in zip(parts, own):
+        codes = np.column_stack((part.columns.group_codes, part.columns.legit_codes))
+        for k, (rank, vocab) in enumerate(zip(ranks, values)):
+            codes[:, k] = np.array([rank[value] for value in vocab], np.intp)[codes[:, k]]
+        recoded.append(codes)
+    codes = np.concatenate(recoded)
+    join = lambda name: np.concatenate([getattr(part.columns, name) for part in parts])
+    columns = Columns(
+        ids=join("ids"),
+        labels=join("labels"),
+        scores=join("scores"),
+        group_codes=codes[:, 0],
+        legit_codes=codes[:, 1:],
+        legit_values=tuple(vocabularies[1:]),
+        features=None if first.columns.features is None else join("features"),
+    )
+    return Dataset(columns, vocabularies[0], first.legit_names, first.feature_names)
+
+
 def load_csv(path: str | Path, roles: ColumnRoles) -> Dataset:
     """Parse a UTF-8 CSV with a header row into a Dataset, one array per column.
 
     Columns prefixed ``x_`` become features and ``l_`` legitimate
     attributes; ids default to file line numbers. A malformed or invalid row
-    raises with its line number.
+    raises with its line number. The file is streamed through
+    ``dataset_from_rows``: besides the arrays it returns, memory holds one
+    chunk of ``CHUNK_ROWS`` rows as Python objects, never the whole file.
     """
-    fieldnames, rows = _read_rows(Path(path))
-    return dataset_from_rows(fieldnames, rows, roles)
+    with _read_rows(Path(path)) as (fieldnames, rows):
+        return dataset_from_rows(fieldnames, rows, roles)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +335,16 @@ class _OutputTracker:
         path = self.out_dir / name
         path.write_text(content, encoding="utf-8")
         self.register(path)
+        return path
+
+    def write_csv(self, name: str, rows: Iterable[Sequence[str]]) -> Path:
+        """Write the rows as they come; a failure part way still leaves the file to discard."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / name
+        self.paths.append(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        print(f"wrote {path}")
         return path
 
     def register(self, path: Path) -> None:
@@ -255,6 +368,12 @@ def _json_text(data) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _named(criterion: FairnessCriterion) -> str:
+    """A criterion in a message: its kind, its level and any legitimate attributes."""
+    given = f" given {', '.join(criterion.legit_names)}" if criterion.legit_names else ""
+    return f"{criterion.kind.value} at gamma {criterion.gamma:g}{given}"
+
+
 def _resolve_criterion(
     config: RunConfig, dataset: Dataset
 ) -> tuple[FairnessCriterion, MoralAssessment | None]:
@@ -263,12 +382,22 @@ def _resolve_criterion(
     Exactly one of ``--criterion`` and ``--assessment`` must be given. An
     assessment file is settled as the ``assess`` wizard settles its answers
     (``assessment.settle``), so the same answers map to the same criterion.
+    The file's ``criterion`` entry, if any, must be that criterion at its
+    default level, as the wizard writes it: an edited entry would otherwise
+    change nothing and say nothing.
     """
     if (config.criterion is None) == (config.assessment_path is None):
         raise ValueError("exactly one of --criterion and --assessment is required")
     if config.assessment_path is not None:
-        assessment = settle(load_assessment(config.assessment_path))
+        loaded, stored = load_assessment(config.assessment_path)
+        assessment = settle(loaded)
         criterion = map_assessment(assessment)
+        if stored is not None and stored != criterion:
+            raise ValueError(
+                f"assessment file {config.assessment_path}: its criterion entry is "
+                f"{_named(stored)}, but the assessment maps to {_named(criterion)}; "
+                "set the level with --gamma"
+            )
     else:
         assessment = None
         kind = CriterionKind(config.criterion)
@@ -344,25 +473,25 @@ def cmd_assess(config: RunConfig, out: _OutputTracker) -> int:
 
 
 def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
-    fieldnames, rows = _read_rows(config.input)
-    if "score" in fieldnames:
-        raise ValueError("the input already has a 'score' column, the one fit writes")
-    dataset = dataset_from_rows(fieldnames, rows, config.roles)
+    with _read_rows(config.input) as (fieldnames, rows):
+        if "score" in fieldnames:
+            raise ValueError("the input already has a 'score' column, the one fit writes")
+        dataset = dataset_from_rows(fieldnames, rows, config.roles)
     if not dataset.feature_names:
         raise ValueError(f"no {FEATURE_PREFIX}-prefixed feature columns found")
     train, _ = split(dataset, config.train_fraction, config.seed)
     model = fit(train, config.fit_config)
-    scores = score_dataset(model, dataset).columns.scores.tolist()
+    scores = score_dataset(model, dataset).columns.scores
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames + ["score"])
-    writer.writerows(values + [repr(score)] for (_, values), score in zip(rows, scores))
     out.out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out.out_dir / "model.json"
     save_model(model_path, model)
     out.register(model_path)
-    out.write_text("scored.csv", buffer.getvalue())
+    # The scored copy reads the input a second time, row by row, rather than
+    # keeping every row of the first read.
+    with _read_rows(config.input) as (_, rows):
+        scored = (values + [repr(score)] for (_, values), score in zip(rows, map(float, scores)))
+        out.write_csv("scored.csv", itertools.chain([fieldnames + ["score"]], scored))
     print(f"final training loss: {model.final_loss:.6f}")
     return 0
 

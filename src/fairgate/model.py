@@ -4,7 +4,8 @@ All types are immutable after construction and every operation here is a pure
 function, so everything in this module is safe to share across threads.
 
 Columns are the stored form of a dataset: ``Dataset.columns`` holds one array
-per record field in record order, and CSV ingest builds them directly.
+per record field in record order. CSV ingest builds them a chunk of rows at a
+time and joins the chunks once, so it never holds a whole file as Python rows.
 ``Dataset.strata`` derives stratum codes for a tuple of legitimate attribute
 names once per tuple; two threads that build one at the same time build equal
 arrays. ``Record`` is one individual of a hand-built dataset:

@@ -107,12 +107,13 @@ def _q_grid(step: float) -> np.ndarray:
 
 @dataclass
 class _PointSet:
-    """Flattened candidate points of one group: value, utility and identity."""
+    """Flattened candidate points of one group: value and utility.
+
+    A threshold point's index is ``tau_index * len(qs) + q_index``.
+    """
 
     values: np.ndarray
     utils: np.ndarray
-    tau_idx: np.ndarray | None = None
-    qs: np.ndarray | None = None
 
 
 def _threshold_points(data: _GroupData, family: str, qs: np.ndarray) -> _PointSet | None:
@@ -126,10 +127,7 @@ def _threshold_points(data: _GroupData, family: str, qs: np.ndarray) -> _PointSe
     util_at = at @ data.du
     values = rate_above[:, None] + qs[None, :] * rate_at[:, None]
     utils = util_above[:, None] + qs[None, :] * util_at[:, None]
-    t_count, q_count = values.shape
-    tau_idx = np.repeat(np.arange(t_count), q_count)
-    q_flat = np.tile(qs, t_count)
-    return _PointSet(values.ravel(), utils.ravel(), tau_idx, q_flat)
+    return _PointSet(values.ravel(), utils.ravel())
 
 
 def _window_search(
@@ -216,8 +214,10 @@ def _window_maxima(utils: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return maxima
 
 
-def _cut_for_point(data: _GroupData, points: _PointSet, idx: int) -> GroupCut:
-    return GroupCut(tau=float(data.taus[points.tau_idx[idx]]), boundary=float(points.qs[idx]))
+def _cut_for_point(data: _GroupData, qs: np.ndarray, idx: int) -> GroupCut:
+    """The cut of threshold point ``idx`` of ``_threshold_points(data, family, qs)``."""
+    tau_index, q_index = divmod(idx, len(qs))
+    return GroupCut(tau=float(data.taus[tau_index]), boundary=float(qs[q_index]))
 
 
 def _oracle_single_family(
@@ -230,14 +230,14 @@ def _oracle_single_family(
         if points is None:
             fallback = _threshold_points(data, "positive_rate", qs)
             idx = int(np.argmax(fallback.utils))
-            free_cuts[g] = _cut_for_point(data, fallback, idx)
+            free_cuts[g] = _cut_for_point(data, qs, idx)
             continue
         point_sets[g] = points
     found = _window_search(point_sets, gamma)
     if found is None:
         raise InfeasibleConstraintError("oracle found no feasible grid tuple")
     _, picks = found
-    cuts = {g: _cut_for_point(groups_data[g], point_sets[g], idx) for g, idx in picks.items()}
+    cuts = {g: _cut_for_point(groups_data[g], qs, idx) for g, idx in picks.items()}
     cuts.update(free_cuts)
     return GroupThreshold(cuts)
 
@@ -451,7 +451,7 @@ def _oracle_sufficiency(
         for g in groups:
             vals = getattr(points[g], families[0])
             keep = ~np.isnan(vals)
-            sets[g] = (_PointSet(vals[keep], points[g].utils[keep], None, None), np.nonzero(keep)[0])
+            sets[g] = (_PointSet(vals[keep], points[g].utils[keep]), np.nonzero(keep)[0])
         found = _window_search({g: sets[g][0] for g in groups}, gamma)
         if found is None:
             raise InfeasibleConstraintError("oracle found no feasible grid tuple")

@@ -256,7 +256,7 @@ class TestPersistence:
         )
         path = tmp_path / "assessment.json"
         save_assessment(path, original)
-        assert load_assessment(path) == original
+        assert load_assessment(path) == (original, map_assessment(original))
 
     def test_dict_contains_mapped_criterion(self):
         doc = assessment_to_dict(assessment(BenefitSource.DECISION, JustifierKind.OUTCOME, {0}))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from fairgate import cli
 from fairgate.cli import ColumnRoles, RunConfig, _build_config, build_parser, main, run_report
 from fairgate.model import UtilityMatrix
 from fairgate.scorer import FitConfig
@@ -99,6 +100,14 @@ def test_output_matches_golden(name, tmp_path):
     assert produced == sorted(p.name for p in expected.iterdir())
     for file_name in produced:
         assert (out / file_name).read_bytes() == (expected / file_name).read_bytes(), file_name
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden_in_chunks_of_seven(name, tmp_path, monkeypatch):
+    # The golden input is one chunk at the default length; at seven rows a
+    # chunk every command reads it in 65 chunks and must write the same bytes.
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    test_output_matches_golden(name, tmp_path)
 
 
 def test_fit_output_loads_back(tmp_path):
@@ -266,6 +275,22 @@ def test_fit_refuses_an_input_that_has_a_score_column(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("header", [",score,", ",p,"], ids=["score_column", "bad_value"])
+def test_fit_names_a_malformed_row_in_a_later_chunk_first(header, tmp_path, monkeypatch, capsys):
+    # The first chunk holds a score column or a bad label; a malformed row far
+    # later still wins, as it does when the whole file is read first.
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = lines[0].replace(",p,", header)
+    lines[1] = lines[1].replace(",a,1,", ",a,2,")
+    lines[400] = "r399,a\n"
+    source = tmp_path / "input.csv"
+    source.write_text("".join(lines), encoding="utf-8")
+    assert main(["fit", "--input", str(source), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {source}: malformed row at line 401\n"
+    assert not (tmp_path / "out").exists()
+
+
 # How each data command's output names FPR parity: the criterion kind, or for
 # sweep the frontier's rate columns.
 FPR_PARITY_WRITTEN = {
@@ -354,10 +379,18 @@ ONE_CUT = {"kind": "single_threshold", "tau": 0.5}
             {"benefit_source": "decision", "justifier": "outcome", "relevant_value": [1]},
             "unknown key 'relevant_value'",
         ),
+        (
+            {**SUFFICIENCY_ASSESSMENT, "criterion": ["sufficiency"]},
+            "'criterion' must be an object, got a list of 1 entries",
+        ),
+        (
+            {**SUFFICIENCY_ASSESSMENT, "criterion": {"kind": "sufficiency", "gama": 1.0}},
+            "unknown key 'gama'",
+        ),
     ],
     ids=[
         "missing_key", "three_cells", "relevant_values", "list", "names_string", "truncated",
-        "misspelt_key",
+        "misspelt_key", "criterion_list", "criterion_key",
     ],
 )
 def test_a_malformed_assessment_file_is_named_in_one_line(doc, message, tmp_path, capsys):
@@ -366,6 +399,26 @@ def test_a_malformed_assessment_file_is_named_in_one_line(doc, message, tmp_path
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert main(assessment_argv("optimize", path, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: assessment file {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(FPR_PARITY_WRITTEN))
+def test_an_assessment_file_whose_criterion_entry_differs_is_an_error(command, tmp_path, capsys):
+    # The answers map to TPR parity at the default level; the entry names
+    # another criterion and level, which no command may take in silence.
+    path = tmp_path / "assessment.json"
+    doc = {
+        "benefit_source": "decision",
+        "justifier": "outcome",
+        "relevant_values": [1],
+        "criterion": {"kind": "ppv_parity", "gamma": 0.5, "legit_names": []},
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(assessment_argv(command, path, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: assessment file {path}: its criterion entry is ppv_parity at gamma 0.5, "
+        "but the assessment maps to tpr_parity at gamma 1; set the level with --gamma\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -58,6 +58,10 @@ COMMANDS: dict[str, tuple[tuple[str, ...], str | None]] = {
         ("optimize", *SCORED, "--criterion", "ppv_parity", "--gamma", "0.9"),
         None,
     ),
+    "optimize_ppv_parity_verify": (
+        ("optimize", *SCORED, "--criterion", "ppv_parity", "--gamma", "0.9", "--verify"),
+        None,
+    ),
     "optimize_for_parity": (
         ("optimize", *SCORED, "--criterion", "for_parity", "--gamma", "0.9"),
         None,

@@ -11,10 +11,12 @@ over ``MAX_ORACLE_RECORDS`` records.
 The single-family criteria (independence, TPR, FPR, PPV and FOR parity, and
 each stratum of conditional parity) share one window search. It visits every
 candidate value M as the top of the window [gamma * M, M] and sums each
-group's best point inside it. The values M are scanned in array blocks of
-``_SCAN_BLOCK``, and window maxima come from a range-max table built one
-level at a time, so memory stays at the point sets plus O(block) and two
-table levels. The search uses none of the optimizer's code.
+group's best point inside it. Each group's points are held once, sorted by
+value: the sorted values, their utilities and the permutation back to each
+point's flat index. The values M are read from those sorted values in array
+blocks of ``_SCAN_BLOCK``, and window maxima come from a range-max table
+built one level at a time, so besides the point sets memory holds O(block)
+and two table levels. The search uses none of the optimizer's code.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .model import (
 from .optimizer import InfeasibleConstraintError, OptimizationProblem, _stratum_group_rows
 
 MAX_ORACLE_RECORDS = 500
-_SCAN_BLOCK = 1 << 16  # designations per block of the window search
+_SCAN_BLOCK = 1 << 14  # designations per block of the window search
 
 
 class OracleSizeError(ValueError):
@@ -107,13 +109,32 @@ def _q_grid(step: float) -> np.ndarray:
 
 @dataclass
 class _PointSet:
-    """Flattened candidate points of one group: value and utility.
+    """One group's candidate points, sorted by value with a stable sort.
 
-    A threshold point's index is ``tau_index * len(qs) + q_index``.
+    ``order[i]`` is the flat index of the i-th point: ``tau_index * len(qs) +
+    q_index`` for a threshold point, as ``_interval_points`` says for an
+    interval one. Points whose value is NaN are left out.
     """
 
     values: np.ndarray
     utils: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def sort(cls, values: np.ndarray, utils: np.ndarray) -> "_PointSet":
+        """The points of flat ``values`` and ``utils``; the stable sort puts NaN last."""
+        order = np.argsort(values, kind="stable")[: len(values) - int(np.isnan(values).sum())]
+        return cls(values[order], utils[order], order)
+
+    def first_best(self) -> int:
+        """The smallest flat index among the points of greatest utility."""
+        return int(self.order[self.utils == self.utils.max()].min())
+
+
+def _threshold_utils(data: _GroupData, qs: np.ndarray) -> np.ndarray:
+    """Utility of every threshold point, by flat index."""
+    above, at = data.threshold_masks()
+    return ((above @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]).ravel()
 
 
 def _threshold_points(data: _GroupData, family: str, qs: np.ndarray) -> _PointSet | None:
@@ -121,13 +142,8 @@ def _threshold_points(data: _GroupData, family: str, qs: np.ndarray) -> _PointSe
     if weights is None:
         return None
     above, at = data.threshold_masks()
-    rate_above = above @ weights
-    rate_at = at @ weights
-    util_above = above @ data.du
-    util_at = at @ data.du
-    values = rate_above[:, None] + qs[None, :] * rate_at[:, None]
-    utils = util_above[:, None] + qs[None, :] * util_at[:, None]
-    return _PointSet(values.ravel(), utils.ravel())
+    values = (above @ weights)[:, None] + qs[None, :] * (at @ weights)[:, None]
+    return _PointSet.sort(values.ravel(), _threshold_utils(data, qs))
 
 
 def _window_search(
@@ -137,57 +153,60 @@ def _window_search(
 
     A tuple is feasible iff all chosen values fit in [gamma * M, M] for some
     M, so the search visits every candidate value M (a designation) and takes
-    each group's best point in its window. The designations are walked in
-    sorted blocks of ``_SCAN_BLOCK``; within a block, a group's windows are
-    index ranges of its sorted values and their maxima come from
-    ``_window_maxima``. Groups add up in sorted order from 0.0, and the first
-    designation whose total beats every earlier one wins. A group's pick is the
-    last of the equal maxima in its window, in sorted order. Besides the
-    sorted copies of the points, memory holds O(block) arrays and two levels
-    of one group's range-max table. Everything here works on the point sets
-    alone and shares no code with the optimizer.
+    each group's best point in its window. The designations are each group's
+    sorted values, walked in blocks of ``_SCAN_BLOCK`` with repeats removed;
+    within a block, a group's windows are index ranges of its values and
+    their maxima come from ``_window_maxima``. Groups add up in sorted order
+    from 0.0; of the designations with the greatest total, the smallest wins.
+    A group's pick is the last of the equal maxima in its window, named by
+    its flat index; at gamma 0 it is the group's ``first_best``. Memory holds
+    the point sets (per group the sorted values, utilities and permutation),
+    O(block) arrays and two levels of one group's range-max table.
+    Everything here works on the point sets alone and shares no code with
+    the optimizer.
     """
     groups = sorted(point_sets)
-    orders = {g: np.argsort(point_sets[g].values, kind="stable") for g in groups}
-    sorted_vals = {g: point_sets[g].values[orders[g]] for g in groups}
-    sorted_utils = {g: point_sets[g].utils[orders[g]] for g in groups}
-    designations = np.unique(np.concatenate([sorted_vals[g] for g in groups]))
-
     if gamma == 0.0:
-        picks = {}
         total = 0.0
         for g in groups:
-            idx = int(np.argmax(point_sets[g].utils))
-            picks[g] = idx
-            total += float(point_sets[g].utils[idx])
-        return total, picks
+            total += float(point_sets[g].utils.max())
+        return total, {g: point_sets[g].first_best() for g in groups}
 
     best_total: float | None = None
     best_m = 0.0
-    for start in range(0, len(designations), _SCAN_BLOCK):
-        block = designations[start : start + _SCAN_BLOCK]
-        lows = gamma * block
-        totals = np.zeros(len(block))
-        feasible = np.ones(len(block), dtype=bool)
-        for g in groups:
-            lo = np.searchsorted(sorted_vals[g], lows, "left")
-            hi = np.searchsorted(sorted_vals[g], block, "right")
-            feasible &= hi > lo
-            totals += _window_maxima(sorted_utils[g], lo, hi)
-        candidates = np.flatnonzero(feasible)
-        if len(candidates) == 0:
-            continue
-        i = candidates[np.argmax(totals[candidates])]
-        if best_total is None or totals[i] > best_total:
-            best_total, best_m = float(totals[i]), block[i]
+    for source in groups:
+        values = point_sets[source].values
+        for start in range(0, len(values), _SCAN_BLOCK):
+            block = values[start : start + _SCAN_BLOCK]
+            fresh = np.empty(len(block), dtype=bool)
+            fresh[0] = start == 0 or block[0] != values[start - 1]
+            np.not_equal(block[1:], block[:-1], out=fresh[1:])
+            block = block[fresh]
+            lows = gamma * block
+            totals = np.zeros(len(block))
+            feasible = np.ones(len(block), dtype=bool)
+            for g in groups:
+                lo = np.searchsorted(point_sets[g].values, lows, "left")
+                hi = np.searchsorted(point_sets[g].values, block, "right")
+                feasible &= hi > lo
+                totals += _window_maxima(point_sets[g].utils, lo, hi)
+            candidates = np.flatnonzero(feasible)
+            if len(candidates) == 0:
+                continue
+            i = candidates[np.argmax(totals[candidates])]
+            if best_total is None or totals[i] > best_total or (
+                totals[i] == best_total and block[i] < best_m
+            ):
+                best_total, best_m = float(totals[i]), block[i]
     if best_total is None:
         return None
     picks = {}
     for g in groups:
-        lo = int(np.searchsorted(sorted_vals[g], gamma * best_m, "left"))
-        hi = int(np.searchsorted(sorted_vals[g], best_m, "right"))
-        last_best = hi - 1 - int(np.argmax(sorted_utils[g][lo:hi][::-1]))
-        picks[g] = int(orders[g][last_best])
+        points = point_sets[g]
+        lo = int(np.searchsorted(points.values, gamma * best_m, "left"))
+        hi = int(np.searchsorted(points.values, best_m, "right"))
+        last_best = hi - 1 - int(np.argmax(points.utils[lo:hi][::-1]))
+        picks[g] = int(points.order[last_best])
     return best_total, picks
 
 
@@ -201,6 +220,8 @@ def _window_maxima(utils: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     alive at once.
     """
     maxima = np.zeros(len(lo))
+    if len(lo) == 0:
+        return maxima
     level_of = np.frexp(np.maximum(hi - lo, 0))[1] - 1  # floor(log2(length)); -1 if empty
     base = int(lo[0])
     table = utils[base : max(int(hi[-1]), base)]
@@ -228,9 +249,7 @@ def _oracle_single_family(
     for g, data in groups_data.items():
         points = _threshold_points(data, family, qs)
         if points is None:
-            fallback = _threshold_points(data, "positive_rate", qs)
-            idx = int(np.argmax(fallback.utils))
-            free_cuts[g] = _cut_for_point(data, qs, idx)
+            free_cuts[g] = _cut_for_point(data, qs, int(np.argmax(_threshold_utils(data, qs))))
             continue
         point_sets[g] = points
     found = _window_search(point_sets, gamma)
@@ -381,51 +400,50 @@ def _oracle_separation_both(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _IntervalPoints:
-    ppv: np.ndarray
-    for_rate: np.ndarray
-    utils: np.ndarray
-    lower_branch: np.ndarray  # bool
-    tau_values: np.ndarray
-    qs: np.ndarray
+def _interval_taus(data: _GroupData) -> np.ndarray:
+    return data.taus[(data.taus > 0.0) & (data.taus < 1.0)]
 
 
-def _interval_points(data: _GroupData, qs: np.ndarray) -> _IntervalPoints:
-    valid_tau = (data.taus > 0.0) & (data.taus < 1.0)
-    taus = data.taus[valid_tau]
+def _interval_points(
+    data: _GroupData, qs: np.ndarray, families: tuple[str, ...]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each family's value and the utility of every interval point, by flat index.
+
+    With the T thresholds of ``_interval_taus``, point ``(branch * T +
+    tau_index) * len(qs) + q_index`` accepts the records above tau (branch 0,
+    the lower form) or below it (branch 1, the upper form), and q of those at
+    tau. A family's value is NaN where its denominator is 0.
+    """
+    taus = _interval_taus(data)
     above = data.scores[None, :] > taus[:, None]
     below = data.scores[None, :] < taus[:, None]
     at = data.scores[None, :] == taus[:, None]
     pos = (data.labels == 1).astype(float)
-    parts = []
-    for lower, base_mask in ((True, above), (False, below)):
+    shape = (2, len(taus), len(qs))
+    values = {f: np.empty(shape) for f in families}
+    utils = np.empty(shape)
+    for branch, base_mask in enumerate((above, below)):
         ep = base_mask.sum(axis=1)[:, None] + qs[None, :] * at.sum(axis=1)[:, None]
         epy = (base_mask @ pos)[:, None] + qs[None, :] * (at @ pos)[:, None]
-        util = (base_mask @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]
+        utils[branch] = (base_mask @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
-            ppv = np.where(ep > 0, epy / np.where(ep > 0, ep, 1.0), np.nan)
-            rej = data.n - ep
-            for_rate = np.where(rej > 0, (data.n_pos - epy) / np.where(rej > 0, rej, 1.0), np.nan)
-        t_count, q_count = ep.shape
-        parts.append(
-            (
-                ppv.ravel(),
-                for_rate.ravel(),
-                util.ravel(),
-                np.full(t_count * q_count, lower),
-                np.repeat(taus, q_count),
-                np.tile(qs, t_count),
-            )
-        )
-    merged = [np.concatenate([p[i] for p in parts]) for i in range(6)]
-    return _IntervalPoints(*merged)
+            if "ppv" in values:
+                values["ppv"][branch] = np.where(ep > 0, epy / np.where(ep > 0, ep, 1.0), np.nan)
+            if "for_rate" in values:
+                rej = data.n - ep
+                values["for_rate"][branch] = np.where(
+                    rej > 0, (data.n_pos - epy) / np.where(rej > 0, rej, 1.0), np.nan
+                )
+    return [values[f].ravel() for f in families], utils.ravel()
 
 
-def _interval_cut(points: _IntervalPoints, idx: int) -> IntervalCut:
-    tau = float(points.tau_values[idx])
-    q = float(points.qs[idx])
-    if points.lower_branch[idx]:
+def _interval_cut(data: _GroupData, qs: np.ndarray, idx: int) -> IntervalCut:
+    """The cut of interval point ``idx`` of ``_interval_points(data, qs, ...)``."""
+    taus = _interval_taus(data)
+    branch, rest = divmod(idx, len(taus) * len(qs))
+    tau_index, q_index = divmod(rest, len(qs))
+    tau, q = float(taus[tau_index]), float(qs[q_index])
+    if branch == 0:
         return IntervalCut(low=tau, high=1.0, boundary=q, form="lower")
     return IntervalCut(low=0.0, high=tau, boundary=q, form="upper")
 
@@ -437,26 +455,24 @@ def _oracle_sufficiency(
     qs: np.ndarray,
 ) -> GroupInterval:
     groups = sorted(groups_data)
-    points = {g: _interval_points(groups_data[g], qs) for g in groups}
 
     if gamma == 0.0:
         cuts = {}
         for g in groups:
-            idx = int(np.argmax(points[g].utils))
-            cuts[g] = _interval_cut(points[g], idx)
+            _, utils = _interval_points(groups_data[g], qs, ())
+            cuts[g] = _interval_cut(groups_data[g], qs, int(np.argmax(utils)))
         return GroupInterval(cuts)
 
     if len(families) == 1:
         sets = {}
         for g in groups:
-            vals = getattr(points[g], families[0])
-            keep = ~np.isnan(vals)
-            sets[g] = (_PointSet(vals[keep], points[g].utils[keep]), np.nonzero(keep)[0])
-        found = _window_search({g: sets[g][0] for g in groups}, gamma)
+            (values,), utils = _interval_points(groups_data[g], qs, families)
+            sets[g] = _PointSet.sort(values, utils)
+        found = _window_search(sets, gamma)
         if found is None:
             raise InfeasibleConstraintError("oracle found no feasible grid tuple")
         _, picks = found
-        cuts = {g: _interval_cut(points[g], int(sets[g][1][idx])) for g, idx in picks.items()}
+        cuts = {g: _interval_cut(groups_data[g], qs, idx) for g, idx in picks.items()}
         return GroupInterval(cuts)
 
     if len(groups) != 2:
@@ -465,19 +481,18 @@ def _oracle_sufficiency(
             "(use gamma = 0 for more)"
         )
     ga, gb = groups
-    pa, pb = points[ga], points[gb]
-    keep_a = ~np.isnan(pa.ppv) & ~np.isnan(pa.for_rate)
-    keep_b = ~np.isnan(pb.ppv) & ~np.isnan(pb.for_rate)
-    idx_a = np.nonzero(keep_a)[0]
-    idx_b = np.nonzero(keep_b)[0]
+    (ppv_a, for_a), util_a = _interval_points(groups_data[ga], qs, ("ppv", "for_rate"))
+    (ppv_b, for_b), util_b = _interval_points(groups_data[gb], qs, ("ppv", "for_rate"))
+    idx_a = np.nonzero(~np.isnan(ppv_a) & ~np.isnan(for_a))[0]
+    idx_b = np.nonzero(~np.isnan(ppv_b) & ~np.isnan(for_b))[0]
     if len(idx_a) * len(idx_b) > 40_000_000:
         raise OracleSizeError("too many interval pairs for joint enumeration")
     best_util = -np.inf
     best_pair: tuple[int, int] | None = None
-    ppv_b, for_b, util_b = pb.ppv[idx_b], pb.for_rate[idx_b], pb.utils[idx_b]
+    ppv_b, for_b, util_b = ppv_b[idx_b], for_b[idx_b], util_b[idx_b]
     for a_pos in range(len(idx_a)):
         a_idx = int(idx_a[a_pos])
-        p_a, f_a, u_a = pa.ppv[a_idx], pa.for_rate[a_idx], pa.utils[a_idx]
+        p_a, f_a, u_a = ppv_a[a_idx], for_a[a_idx], util_a[a_idx]
         ok = (
             (ppv_b >= gamma * p_a)
             & (p_a >= gamma * ppv_b)
@@ -495,8 +510,8 @@ def _oracle_sufficiency(
         raise InfeasibleConstraintError("oracle found no feasible interval pair")
     return GroupInterval(
         {
-            ga: _interval_cut(pa, best_pair[0]),
-            gb: _interval_cut(pb, best_pair[1]),
+            ga: _interval_cut(groups_data[ga], qs, best_pair[0]),
+            gb: _interval_cut(groups_data[gb], qs, best_pair[1]),
         }
     )
 
@@ -518,14 +533,13 @@ def brute_force_oracle(problem: OptimizationProblem, grid_step: float = 1e-3) ->
     gamma = problem.criterion.gamma
     kind = problem.criterion.kind
     qs = _q_grid(grid_step)
+    if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
+        return _oracle_conditional_parity(problem, qs)
     codes = dataset.columns.group_codes
     groups_data = {
         g: _GroupData.build(g, dataset, np.flatnonzero(codes == i), utility)
         for i, g in enumerate(dataset.groups)
     }
-
-    if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
-        return _oracle_conditional_parity(problem, qs)
     if set(kind.families) <= {"ppv", "for_rate"}:
         return _oracle_sufficiency(groups_data, kind.families, gamma, qs)
     if kind.families == ("tpr", "fpr"):

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 import warnings
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 import pytest
@@ -179,31 +179,54 @@ def deque_window_search(point_sets, gamma):
     return best_total, best_picks
 
 
-def random_point_sets(rng):
-    """2-4 groups of tied values and tied utilities; some groups sit apart."""
+Points = namedtuple("Points", "values utils")  # unsorted, as the deque loop reads them
+
+
+def random_point_sets(rng, repeated=False):
+    """2-4 groups of tied values and tied utilities; some groups sit apart.
+
+    With ``repeated``, each group draws up to 40 values from at most three.
+    """
     sets = {}
     apart = rng.random() < 0.2  # one group's values far below the others'
     for i in range(rng.randint(2, 4)):
-        size = rng.randint(1, 30)
+        size = rng.randint(1, 40 if repeated else 30)
         decimals = rng.choice((1, 2))
         top = 0.15 if apart and i == 0 else 1.0
         low = 0.0 if apart and i == 0 else (0.5 if apart else 0.0)
-        values = np.round(np.array([rng.uniform(low, top) for _ in range(size)]), decimals)
+        if repeated:
+            pool = [rng.uniform(low, top) for _ in range(rng.randint(1, 3))]
+            raw = [rng.choice(pool) for _ in range(size)]
+        else:
+            raw = [rng.uniform(low, top) for _ in range(size)]
+        values = np.round(np.array(raw), decimals)
         utils = np.round(np.array([rng.uniform(-3.0, 3.0) for _ in range(size)]), rng.choice((0, 1)))
-        sets[f"g{i}"] = oracle._PointSet(values, utils)
+        sets[f"g{i}"] = Points(values, utils)
     return sets
 
 
 @pytest.mark.parametrize("block", [7, oracle._SCAN_BLOCK])
 def test_window_search_equals_the_deque_loop(block, monkeypatch):
     monkeypatch.setattr(oracle, "_SCAN_BLOCK", block)
+    empty_blocks = 0
+    window_maxima = oracle._window_maxima
+
+    def counted_window_maxima(utils, lo, hi):
+        nonlocal empty_blocks
+        empty_blocks += len(lo) == 0
+        return window_maxima(utils, lo, hi)
+
+    monkeypatch.setattr(oracle, "_window_maxima", counted_window_maxima)
     rng = random.Random(4242)
     infeasible = later_block = 0
-    for _ in range(1000):
-        sets = random_point_sets(rng)
+    for instance in range(1300):
+        # The last 300 instances repeat most values: a block of seven can hold
+        # nothing but repeats of the block before it.
+        sets = random_point_sets(rng, repeated=instance >= 1000)
+        point_sets = {g: oracle._PointSet.sort(p.values, p.utils) for g, p in sets.items()}
         for gamma in (0.3, 0.8, 0.9, 1.0):
             expected = deque_window_search(sets, gamma)
-            found = oracle._window_search(sets, gamma)
+            found = oracle._window_search(point_sets, gamma)
             if expected is None:
                 assert found is None
                 infeasible += 1
@@ -216,14 +239,28 @@ def test_window_search_equals_the_deque_loop(block, monkeypatch):
             later_block += int(np.searchsorted(designations, top)) >= 7
     assert infeasible >= 500
     assert later_block >= 1000
+    assert (empty_blocks > 0) == (block == 7)
+
+
+def dense_dataset():
+    """About 200k points per group: 400 records of three-decimal scores at grid step 1e-3."""
+    rng = random.Random(7)
+    return make_dataset(
+        [(round(rng.uniform(0.0, 1.0), 3), rng.randint(0, 1), "ab"[i % 2]) for i in range(400)]
+    )
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        assert run() is not None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_window_search_memory_is_bounded():
-    # About 200k points per group: 400 records of three-decimal scores at grid step 1e-3.
-    rng = random.Random(7)
-    ds = make_dataset(
-        [(round(rng.uniform(0.0, 1.0), 3), rng.randint(0, 1), "ab"[i % 2]) for i in range(400)]
-    )
+    ds = dense_dataset()
     groups_data = {
         g: oracle._GroupData.build(g, ds, np.flatnonzero(ds.columns.group_codes == i), ACC)
         for i, g in enumerate(ds.groups)
@@ -231,12 +268,19 @@ def test_window_search_memory_is_bounded():
     qs = oracle._q_grid(1e-3)
     sets = {g: oracle._threshold_points(d, "positive_rate", qs) for g, d in groups_data.items()}
     assert min(len(p.values) for p in sets.values()) > 150_000
-    # At gamma 0.3 one block's windows span most of a group's points.
+    # At gamma 0.3 one block's windows span most of a group's points, so two
+    # levels of its range-max table dominate.
     for gamma in (0.3, 0.9):
-        tracemalloc.start()
-        try:
-            assert oracle._window_search(sets, gamma) is not None
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * 2**20, gamma
+        assert traced_peak(lambda: oracle._window_search(sets, gamma)) <= 4 * 2**20, gamma
+
+
+@pytest.mark.parametrize(
+    "kind, bound_mib",
+    [(CriterionKind.INDEPENDENCE, 14), (CriterionKind.PPV_PARITY, 32)],
+)
+def test_oracle_memory_is_bounded(kind, bound_mib):
+    # Building the point sets and searching them: each group holds its sorted
+    # values, utilities and permutation once, about 4 MiB per group for
+    # independence and twice that for the two interval branches of PPV parity.
+    prob = oracle_problem(dense_dataset(), kind, 0.9)
+    assert traced_peak(lambda: brute_force_oracle(prob, 1e-3)) <= bound_mib * 2**20

@@ -131,19 +131,14 @@ class _PointSet:
         return int(self.order[self.utils == self.utils.max()].min())
 
 
-def _threshold_utils(data: _GroupData, qs: np.ndarray) -> np.ndarray:
-    """Utility of every threshold point, by flat index."""
-    above, at = data.threshold_masks()
-    return ((above @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]).ravel()
-
-
 def _threshold_points(data: _GroupData, family: str, qs: np.ndarray) -> _PointSet | None:
     weights = data.family_weights(family)
     if weights is None:
         return None
     above, at = data.threshold_masks()
     values = (above @ weights)[:, None] + qs[None, :] * (at @ weights)[:, None]
-    return _PointSet.sort(values.ravel(), _threshold_utils(data, qs))
+    utils = (above @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]
+    return _PointSet.sort(values.ravel(), utils.ravel())
 
 
 def _window_search(
@@ -167,9 +162,7 @@ def _window_search(
     """
     groups = sorted(point_sets)
     if gamma == 0.0:
-        total = 0.0
-        for g in groups:
-            total += float(point_sets[g].utils.max())
+        total = sum(float(point_sets[g].utils.max()) for g in groups)
         return total, {g: point_sets[g].first_best() for g in groups}
 
     best_total: float | None = None
@@ -249,7 +242,8 @@ def _oracle_single_family(
     for g, data in groups_data.items():
         points = _threshold_points(data, family, qs)
         if points is None:
-            free_cuts[g] = _cut_for_point(data, qs, int(np.argmax(_threshold_utils(data, qs))))
+            fallback = _threshold_points(data, "positive_rate", qs)
+            free_cuts[g] = _cut_for_point(data, qs, fallback.first_best())
             continue
         point_sets[g] = points
     found = _window_search(point_sets, gamma)

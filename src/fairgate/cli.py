@@ -384,12 +384,19 @@ def _resolve_criterion(
     (``assessment.settle``), so the same answers map to the same criterion.
     The file's ``criterion`` entry, if any, must be that criterion at its
     default level, as the wizard writes it: an edited entry would otherwise
-    change nothing and say nothing.
+    change nothing and say nothing. Its ``group_attribute`` must name the
+    group column the data was read with, for the same reason.
     """
     if (config.criterion is None) == (config.assessment_path is None):
         raise ValueError("exactly one of --criterion and --assessment is required")
     if config.assessment_path is not None:
         loaded, stored = load_assessment(config.assessment_path)
+        if loaded.group_attribute != config.roles.group:
+            raise ValueError(
+                f"assessment file {config.assessment_path}: its group_attribute is "
+                f"{loaded.group_attribute!r}, but the group column is {config.roles.group!r}; "
+                "name the column with --group-col"
+            )
         assessment = settle(loaded)
         criterion = map_assessment(assessment)
         if stored is not None and stored != criterion:

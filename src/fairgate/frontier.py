@@ -28,7 +28,6 @@ class FrontierPoint:
     gamma: float
     feasible: bool
     rule: DecisionRule | None
-    achieved_ratio_train: float | None
     achieved_ratio: float | None  # on the evaluation split
     utility_train: float | None
     utility_test: float | None
@@ -65,7 +64,6 @@ def sweep(
                     gamma=gamma,
                     feasible=False,
                     rule=None,
-                    achieved_ratio_train=None,
                     achieved_ratio=None,
                     utility_train=None,
                     utility_test=None,
@@ -78,17 +76,11 @@ def sweep(
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndefinedCellWarning)
-            train_rates = compute_rates(problem.dataset, rule)
             eval_rates = compute_rates(evaluation, rule)
-
-            def ratio_or_none(rates):
-                try:
-                    return disparity_detail(rates, criterion).ratio
-                except UndefinedMetricError:
-                    return None
-
-            ratio_train = ratio_or_none(train_rates)
-            ratio_eval = ratio_or_none(eval_rates)
+            try:
+                ratio_eval = disparity_detail(eval_rates, criterion).ratio
+            except UndefinedMetricError:
+                ratio_eval = None
         groups = evaluation.groups
         values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
         headline = dict(zip(headline_rate_names(criterion, groups), values))
@@ -97,7 +89,6 @@ def sweep(
                 gamma=gamma,
                 feasible=True,
                 rule=rule,
-                achieved_ratio_train=ratio_train,
                 achieved_ratio=ratio_eval,
                 utility_train=decision_maker_utility(problem.dataset, rule, problem.utility),
                 utility_test=decision_maker_utility(evaluation, rule, problem.utility),

@@ -430,7 +430,9 @@ def _threshold_cuts(
     The one threshold-family solver: independence, TPR or FPR parity, and
     conditional parity within a stratum. A group without records of the
     family's conditioning outcome is warned about and left at its best cut;
-    the others are swept. Cuts come in the order of ``ladders``.
+    the others are swept. With no group to sweep, gamma 0 leaves every group
+    at its best cut, and any higher level is infeasible. Cuts come in the
+    order of ``ladders``.
     """
     free: dict[str, tuple[int, float]] = {}
     free_utility = 0.0
@@ -445,7 +447,7 @@ def _threshold_cuts(
             free[g] = _best_cut(ladder.cum_du)
             free_utility += float(ladder.cum_du[free[g][0]])
     constrained = {g: ladder for g, ladder in ladders.items() if g not in free}
-    if not constrained:
+    if not constrained and gamma > 0.0:
         raise InfeasibleConstraintError(f"no group has a defined {family}")
     _, choices = _sweep_single_family(constrained, family, free_utility, gamma)
     choices.update(free)

@@ -85,20 +85,17 @@ COMMANDS: dict[str, tuple[tuple[str, ...], str | None]] = {
 }
 
 
-def run_command(name: str, out: Path, scratch: Path) -> None:
-    argv, justifier = COMMANDS[name]
+def run_command(command: tuple[tuple[str, ...], str | None], out: Path, scratch: Path) -> None:
+    argv, justifier = command
     argv = [*argv, "--out", str(out)]
     if justifier is not None:
         path = scratch / f"assessment_{justifier}.json"
         path.write_text(json.dumps(ASSESSMENTS[justifier]), encoding="utf-8")
         argv += ["--assessment", str(path)]
-    assert main(argv) == 0, f"{name} exited nonzero"
+    assert main(argv) == 0, f"{argv} exited nonzero"
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_output_matches_golden(name, tmp_path):
-    out = tmp_path / "out"
-    run_command(name, out, tmp_path)
+def assert_golden(out: Path, name: str) -> None:
     expected = GOLDEN / name
     produced = sorted(p.name for p in out.iterdir())
     assert produced == sorted(p.name for p in expected.iterdir())
@@ -107,11 +104,68 @@ def test_output_matches_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden(name, tmp_path):
+    out = tmp_path / "out"
+    run_command(COMMANDS[name], out, tmp_path)
+    assert_golden(out, name)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden_in_chunks_of_seven(name, tmp_path, monkeypatch):
     # The golden input is one chunk at the default length; at seven rows a
     # chunk every command reads it in 65 chunks and must write the same bytes.
     monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
     test_output_matches_golden(name, tmp_path)
+
+
+# Solves whose training metrics must pass a check of their own: separation
+# at gamma 1 reaches parity up to rounding, and --verify finds one-family FOR
+# parity, and conditional parity solved stratum by stratum, no worse than the
+# brute-force oracle. Same shape as COMMANDS.
+CHECKED_SOLVES: dict[str, tuple[tuple[str, ...], str | None]] = {
+    "separation_at_one": (
+        ("optimize", *SCORED, "--criterion", "separation", "--gamma", "1.0"),
+        None,
+    ),
+    "for_parity_verify": (
+        ("optimize", *SCORED, "--criterion", "for_parity", "--gamma", "0.9", "--verify"),
+        None,
+    ),
+    "conditional_parity_verify": (("optimize", *SCORED, "--verify"), "legitimate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_SOLVES))
+def test_a_solve_passes_its_check(name, tmp_path):
+    out = tmp_path / "out"
+    run_command(CHECKED_SOLVES[name], out, tmp_path)
+    metrics = json.loads((out / "metrics_train.json").read_text(encoding="utf-8"))
+    if "--verify" in CHECKED_SOLVES[name][0]:
+        assert metrics["verification"]["optimizer_not_worse"] is True
+    else:
+        assert metrics["disparity_ratio"] >= 1 - 1e-9
+
+
+# The golden input with its id, group and label columns renamed, and the
+# options that name them.
+RENAMED_ROLES = ("--id-col", "key", "--group-col", "race", "--label-col", "y")
+
+
+@pytest.fixture
+def renamed_input(tmp_path) -> Path:
+    lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0].startswith("id,group,label,")
+    lines[0] = "key,race,y," + lines[0][len("id,group,label,"):]
+    path = tmp_path / "renamed.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def test_renamed_columns_give_the_golden_separation_outputs(renamed_input, tmp_path):
+    argv = ["optimize", "--input", str(renamed_input), "--score-col", "p", *RENAMED_ROLES]
+    out = tmp_path / "out"
+    assert main([*argv, "--criterion", "separation", "--gamma", "0.9", "--out", str(out)]) == 0
+    assert_golden(out, "optimize_separation")
 
 
 def test_fit_output_loads_back(tmp_path):
@@ -309,8 +363,8 @@ FPR_PARITY_WRITTEN = {
 }
 
 
-def assessment_argv(command: str, path: Path, out: Path) -> list[str]:
-    argv = [command, *SCORED, "--assessment", str(path), "--out", str(out)]
+def assessment_argv(command: str, path: Path, out: Path, scored=SCORED) -> list[str]:
+    argv = [command, *scored, "--assessment", str(path), "--out", str(out)]
     return argv + (["--rule", str(SEPARATION_RULE)] if command == "evaluate" else [])
 
 
@@ -422,6 +476,24 @@ def test_an_assessment_file_whose_criterion_entry_differs_is_an_error(command, t
     assert capsys.readouterr().err == (
         f"error: assessment file {path}: its criterion entry is ppv_parity at gamma 0.5, "
         "but the assessment maps to tpr_parity at gamma 1; set the level with --gamma\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(FPR_PARITY_WRITTEN))
+def test_an_assessment_file_for_another_group_column_is_an_error(
+    command, renamed_input, tmp_path, capsys
+):
+    # The file was written about a column named "group"; this data's groups
+    # are in "race", so solving on them would answer another question.
+    path = tmp_path / "assessment.json"
+    doc = {**ASSESSMENTS["none"], "group_attribute": "group"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    scored = ("--input", str(renamed_input), "--score-col", "p", *RENAMED_ROLES)
+    assert main(assessment_argv(command, path, tmp_path / "out", scored)) == 1
+    assert capsys.readouterr().err == (
+        f"error: assessment file {path}: its group_attribute is 'group', "
+        "but the group column is 'race'; name the column with --group-col\n"
     )
     assert not (tmp_path / "out").exists()
 
@@ -597,7 +669,7 @@ def _regenerate() -> None:
         for name in sorted(COMMANDS, key=lambda n: n != "optimize_separation"):
             target = GOLDEN / name
             shutil.rmtree(target, ignore_errors=True)
-            run_command(name, target, scratch)
+            run_command(COMMANDS[name], target, scratch)
     finally:
         shutil.rmtree(scratch)
 

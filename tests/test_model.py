@@ -3,12 +3,14 @@ import itertools
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairgate
 from fairgate.model import (
     BenefitMatrix,
     CoverageError,
@@ -131,6 +133,19 @@ def test_an_empty_dataset_gives_empty_arrays():
     for rule in (SingleThreshold(0.5), Mixture({}, always_accept(), always_reject())):
         assert decision_probabilities(rule, empty).shape == (0,)
         assert decide(rule, empty, []).shape == (0,)
+
+
+def test_rules_have_one_evaluation_path():
+    # Rules are evaluated only by the array kernel; no per-record evaluator
+    # may come back beside it.
+    package = Path(fairgate.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"def (probability|decision_probability)\b", line)
+    ]
+    assert found == []
 
 
 class TestDecisionProbability:

@@ -40,6 +40,7 @@ from fairgate.optimizer import (
     optimize_sufficiency,
     optimize_unconstrained,
 )
+from fairgate.oracle import brute_force_oracle
 
 ACC = UtilityMatrix.accuracy()
 
@@ -610,6 +611,12 @@ class TestWindowSweepKernel:
             with pytest.raises(InfeasibleConstraintError, match=f"no group has a defined {family}"):
                 optimize_separation(problem(rows, kind, 0.9))
         assert len(caught) == 3
+        # At gamma 0 there is no constraint to meet: each group takes its best
+        # cut, as the oracle does.
+        free = problem(rows, kind, 0.0)
+        with pytest.warns(MissingClassWarning):
+            rule = optimize_separation(free)
+        assert utility_of(free, rule) == utility_of(free, brute_force_oracle(free))
 
 
 def assert_missing_class_rule(dataset, kind, family, gamma):

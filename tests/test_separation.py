@@ -294,9 +294,12 @@ def test_cli_separation_does_not_import_scipy(tmp_path):
         f"assert main({argv!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    # The child imports the package these tests import: the source tree, or
+    # the installed copy when the suite runs on an install.
+    package_root = Path(opt.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert done.stdout.strip().splitlines()[-1] == "[]"

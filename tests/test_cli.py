@@ -78,6 +78,11 @@ COMMANDS: dict[str, tuple[tuple[str, ...], str | None]] = {
         for justifier in ASSESSMENTS
     },
     "sweep": (("sweep", *SCORED, "--criterion", "tpr_parity"), None),
+    **{
+        f"sweep_{criterion}": (("sweep", *SCORED, "--criterion", criterion), None)
+        for criterion in ("independence", "separation", "sufficiency")
+    },
+    "sweep_conditional_parity": (("sweep", *SCORED), "legitimate"),
     "report": (
         ("report", "--input", str(INPUT), "--seeds", "2", "--min-count", "20"),
         "legitimate",

@@ -48,6 +48,7 @@ from .optimizer import (
     optimize_separation,
     optimize_sufficiency,
     optimize_unconstrained,
+    solve_context,
 )
 from .oracle import brute_force_oracle
 from .scorer import FitConfig, LogisticModel, fit, score_dataset, split

@@ -64,7 +64,7 @@ from .model import (
     read_rule_file,
     write_rule_file,
 )
-from .optimizer import OptimizationProblem, optimize, optimize_unconstrained
+from .optimizer import OptimizationProblem, optimize, optimize_unconstrained, solve_context
 from .oracle import OracleSizeError, brute_force_oracle
 from .scorer import FitConfig, fit, save_model, score_dataset, split
 
@@ -236,10 +236,12 @@ def _chunk_dataset(
     feature_names = tuple(c for c in fieldnames if c.startswith(FEATURE_PREFIX))
     legit_names = tuple(c[len(LEGIT_PREFIX) :] for c in fieldnames if c.startswith(LEGIT_PREFIX))
     position = {name: i for i, name in enumerate(fieldnames)}
+    # Every row has the header's width (``_RowStream``), so the transpose
+    # holds one tuple per column.
+    by_column = list(zip(*(values for _, values in rows)))
 
-    def column(name: str) -> list[str]:
-        i = position[name]
-        return [values[i] for _, values in rows]
+    def column(name: str) -> Sequence[str]:
+        return by_column[position[name]]
 
     floats = lambda name: np.fromiter(map(float, column(name)), float, len(rows))
     (groups, *legit_values), codes = encode(
@@ -589,15 +591,15 @@ def run_report(config: RunConfig) -> dict:
     """Multi-seed pipeline behind cmd_report; returns the aggregate document."""
     dataset = load_csv(config.input, config.roles)
     criterion, assessment = _resolve_criterion(config, dataset)
-    four_fifths = dataclasses.replace(criterion, gamma=0.8)
 
     per_seed = []
     for seed in config.seed_list:
         train, test = _split_scored(config, dataset, seed)
         unconstrained = optimize_unconstrained(train, config.utility)
-        problem = _problem(config, train, criterion)
-        fair_rule = optimize(problem)
-        ff_rule = optimize(dataclasses.replace(problem, criterion=four_fifths))
+        # One solve context gives the fair rule and the four-fifths rule.
+        context = solve_context(_problem(config, train, criterion))
+        fair_rule = context.solve(criterion.gamma)
+        ff_rule = context.solve(0.8)
         entry: dict = {"seed": seed}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndefinedCellWarning)

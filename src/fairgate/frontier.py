@@ -10,12 +10,12 @@ from typing import Mapping, Sequence
 from .metrics import (
     UndefinedCellWarning,
     UndefinedMetricError,
-    compute_rates,
-    decision_maker_utility,
     disparity_detail,
+    rates_from_probabilities,
+    utility_from_probabilities,
 )
-from .model import Dataset, DecisionRule, FairnessCriterion
-from .optimizer import InfeasibleConstraintError, OptimizationProblem, optimize
+from .model import Dataset, DecisionRule, FairnessCriterion, decision_probabilities
+from .optimizer import InfeasibleConstraintError, OptimizationProblem, solve_context
 
 # 0.8 is the four-fifths rule level; the 0.05 grid passes through it.
 DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(21))
@@ -49,15 +49,20 @@ def sweep(
     Optimization runs on the problem's (training) dataset; ratios and the
     second utility are evaluated on ``test_dataset`` when given, otherwise on
     the training split. Infeasible levels are recorded and the sweep goes on.
+    Every level is solved from one solve context (``solve_context``), so the
+    search state that does not depend on gamma is built once, and each
+    feasible rule is evaluated once per split: one vector of decision
+    probabilities gives the split's rates and utility.
     """
     levels = sorted(set(float(g) for g in gammas) | {0.0, 1.0})
     evaluation = test_dataset if test_dataset is not None else problem.dataset
+    utility = problem.utility
+    context = solve_context(problem)
     points: list[FrontierPoint] = []
     for gamma in levels:
         criterion = dataclasses.replace(problem.criterion, gamma=gamma)
-        sub_problem = dataclasses.replace(problem, criterion=criterion)
         try:
-            rule = optimize(sub_problem)
+            rule = context.solve(gamma)
         except InfeasibleConstraintError as exc:
             points.append(
                 FrontierPoint(
@@ -74,9 +79,10 @@ def sweep(
                 )
             )
             continue
+        dp_eval = decision_probabilities(rule, evaluation)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndefinedCellWarning)
-            eval_rates = compute_rates(evaluation, rule)
+            eval_rates = rates_from_probabilities(evaluation, dp_eval)
             try:
                 ratio_eval = disparity_detail(eval_rates, criterion).ratio
             except UndefinedMetricError:
@@ -84,14 +90,19 @@ def sweep(
         groups = evaluation.groups
         values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
         headline = dict(zip(headline_rate_names(criterion, groups), values))
+        dp_train = (
+            dp_eval
+            if evaluation is problem.dataset
+            else decision_probabilities(rule, problem.dataset)
+        )
         points.append(
             FrontierPoint(
                 gamma=gamma,
                 feasible=True,
                 rule=rule,
                 achieved_ratio=ratio_eval,
-                utility_train=decision_maker_utility(problem.dataset, rule, problem.utility),
-                utility_test=decision_maker_utility(evaluation, rule, problem.utility),
+                utility_train=utility_from_probabilities(problem.dataset, dp_train, utility),
+                utility_test=utility_from_probabilities(evaluation, dp_eval, utility),
                 headline_rates=headline,
             )
         )

@@ -10,7 +10,9 @@ Each function evaluates the rule once over the dataset's columns
 cell codes: group, (group, outcome), (stratum, group) or (justifier value,
 group). ``np.bincount`` adds in record order, so every sum equals the
 sequential per-record sum bit for bit. Results are Python numbers, ready
-for ``json`` and ``repr``.
+for ``json`` and ``repr``. ``rates_from_probabilities`` and
+``utility_from_probabilities`` start from those probabilities, so a caller
+that needs both evaluates the rule once.
 """
 
 from __future__ import annotations
@@ -86,9 +88,13 @@ def _rate(num: float, den: float) -> float | None:
 
 def compute_rates(dataset: Dataset, rule: DecisionRule) -> GroupRates:
     """All conditional rates of the rule on the dataset, per group and stratum."""
+    return rates_from_probabilities(dataset, decision_probabilities(rule, dataset))
+
+
+def rates_from_probabilities(dataset: Dataset, dp: np.ndarray) -> GroupRates:
+    """``compute_rates`` of a rule whose decision probabilities on the dataset are ``dp``."""
     if not len(dataset):
         raise ValueError("cannot compute rates on an empty dataset")
-    dp = decision_probabilities(rule, dataset)
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
     k = len(groups)
     size, accept, reject = _sums(g, k), _sums(g, k, dp), _sums(g, k, 1.0 - dp)
@@ -221,9 +227,15 @@ def decision_maker_utility(
     dataset: Dataset, rule: DecisionRule, utility: UtilityMatrix
 ) -> float:
     """Mean expected payoff of the rule: with the accuracy matrix, the accuracy."""
+    return utility_from_probabilities(dataset, decision_probabilities(rule, dataset), utility)
+
+
+def utility_from_probabilities(
+    dataset: Dataset, dp: np.ndarray, utility: UtilityMatrix
+) -> float:
+    """``decision_maker_utility`` of a rule whose decision probabilities are ``dp``."""
     if not len(dataset):
         raise ValueError("cannot compute utility on an empty dataset")
-    dp = decision_probabilities(rule, dataset)
     y = dataset.columns.labels
     payoff = dp * _by_outcome(y, utility.u, 1) + (1.0 - dp) * _by_outcome(y, utility.u, 0)
     (total,) = _sums(np.zeros(len(y), dtype=np.intp), 1, payoff)

@@ -354,16 +354,18 @@ def _check_unit(value: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
-def _cell_columns(codes: np.ndarray, cells: Sequence, pick: Callable) -> np.ndarray:
+def _cell_columns(codes: np.ndarray, cells: Sequence, pick: Callable) -> list[np.ndarray]:
     """Per-row values of ``pick(cell)``, called once for each cell code in ``codes``.
 
-    ``pick`` returns a tuple of floats; the result has one row per tuple entry.
+    ``pick`` returns a tuple of floats; the result has one contiguous array
+    per tuple entry.
     """
     present = np.flatnonzero(np.bincount(codes, minlength=len(cells)))
     slot = np.zeros(len(cells), dtype=np.intp)
     slot[present] = np.arange(len(present))
     table = np.array([pick(cells[c]) for c in present], dtype=float)
-    return table[slot[codes]].T
+    rows = slot[codes]
+    return [column[rows] for column in table.T]
 
 
 class _CutRule:

@@ -58,6 +58,15 @@ not hold a joint optimum, so a sufficiency result is a heuristic, even below
 that cap. When the scan finds no window, the highest level reported is
 found by bisection with the same scan, so a solve at that level returns a
 rule.
+
+Nothing of this but the window edges depends on gamma. ``solve_context``
+builds, once per problem, a criterion's solve context: the ladders of every
+group (with the range-argmax tables they cache), the sufficiency branches
+and candidate bases, the separation staircases and hull vertices, or the
+stratum ladders of conditional parity with each stratum's ``min_count``
+verdict. Its ``solve(gamma)`` gives the rule at any level, so a frontier
+sweep builds them once for all its levels; ``optimize`` is one solve of a
+fresh context.
 """
 
 from __future__ import annotations
@@ -422,46 +431,50 @@ def optimize_unconstrained(dataset: Dataset | None, utility: UtilityMatrix) -> D
 # ---------------------------------------------------------------------------
 
 
-def _threshold_cuts(
-    ladders: Mapping[str, _Ladder], family: str, gamma: float
-) -> dict[str, GroupCut]:
-    """Each group's cut, utility-maximal with the family's rates within gamma.
+class _ThresholdSearch:
+    """Each group's cut, utility-maximal with one family's rates within gamma.
 
-    The one threshold-family solver: independence, TPR or FPR parity, and
-    conditional parity within a stratum. A group without records of the
-    family's conditioning outcome is warned about and left at its best cut;
-    the others are swept. With no group to sweep, gamma 0 leaves every group
-    at its best cut, and any higher level is infeasible. Cuts come in the
-    order of ``ladders``.
+    The one threshold-family solver, and the solve context of independence,
+    TPR parity and FPR parity; conditional parity holds one per stratum. A
+    group without records of the family's conditioning outcome is warned
+    about at every solve and left at its best cut; the others are swept.
+    With no group to sweep, gamma 0 leaves every group at its best cut, and
+    any higher level is infeasible. The ladders, with their range-argmax
+    tables, last across solves.
     """
-    free: dict[str, tuple[int, float]] = {}
-    free_utility = 0.0
-    for g, ladder in ladders.items():
-        if ladder.rates(family) is None:
+
+    def __init__(self, ladders: Mapping[str, _Ladder], family: str):
+        self.ladders, self.family = ladders, family
+        self.free = {
+            g: _best_cut(ladder.cum_du)
+            for g, ladder in ladders.items()
+            if ladder.rates(family) is None
+        }
+        self.free_utility = 0.0
+        for g, (j, _) in self.free.items():
+            self.free_utility += float(ladders[g].cum_du[j])
+        self.constrained = {g: ladder for g, ladder in ladders.items() if g not in self.free}
+
+    def solve(self, gamma: float) -> GroupThreshold:
+        """The rule at level gamma; its cuts come in sorted group order."""
+        for g in self.free:
             warnings.warn(
                 f"group {g!r} has no records with the conditioning outcome; "
-                f"{family} constraint skipped for it",
+                f"{self.family} constraint skipped for it",
                 MissingClassWarning,
                 stacklevel=3,
             )
-            free[g] = _best_cut(ladder.cum_du)
-            free_utility += float(ladder.cum_du[free[g][0]])
-    constrained = {g: ladder for g, ladder in ladders.items() if g not in free}
-    if not constrained and gamma > 0.0:
-        raise InfeasibleConstraintError(f"no group has a defined {family}")
-    _, choices = _sweep_single_family(constrained, family, free_utility, gamma)
-    choices.update(free)
-    return {g: ladder.cut(*choices[g]) for g, ladder in ladders.items()}
-
-
-def _group_threshold(cuts: Mapping[str, GroupCut]) -> GroupThreshold:
-    return GroupThreshold({g: cuts[g] for g in sorted(cuts)})
+        if not self.constrained and gamma > 0.0:
+            raise InfeasibleConstraintError(f"no group has a defined {self.family}")
+        _, choices = _sweep_single_family(self.constrained, self.family, self.free_utility, gamma)
+        choices.update(self.free)
+        return GroupThreshold({g: self.ladders[g].cut(*choices[g]) for g in sorted(self.ladders)})
 
 
 def optimize_independence(problem: OptimizationProblem) -> DecisionRule:
     """Group thresholds maximizing utility with positive rates within gamma."""
     ladders = _ladders(problem.dataset, problem.utility)
-    return _group_threshold(_threshold_cuts(ladders, "positive_rate", problem.criterion.gamma))
+    return _ThresholdSearch(ladders, "positive_rate").solve(problem.criterion.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -586,108 +599,123 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
     found in O(k) by an angle sweep along the staircase.
     """
     families = problem.criterion.kind.families
-    gamma = problem.criterion.gamma
     ladders = _ladders(problem.dataset, problem.utility)
     if len(families) == 1:
-        return _group_threshold(_threshold_cuts(ladders, families[0], gamma))
-    groups = sorted(ladders)
-
-    if gamma == 0.0:
-        return _group_threshold({g: ladders[g].cut(*_best_cut(ladders[g].cum_du)) for g in groups})
-
-    targets = _separation_lp_targets(ladders, groups, gamma)
-    # Each group's (j, q, weight) parts; a one-part group has weight 1.0.
-    parts = {
-        g: _realize_on_path(_staircase(ladders[g]), np.asarray(targets[g], dtype=float))
-        for g in groups
-    }
-    first = GroupThreshold({g: ladders[g].cut(*p[0][:2]) for g, p in parts.items()})
-    if all(len(p) == 1 for p in parts.values()):
-        return first
-    return Mixture(
-        weights={g: float(p[0][2]) for g, p in parts.items()},
-        first=first,
-        second=GroupThreshold({g: ladders[g].cut(*p[-1][:2]) for g, p in parts.items()}),
-    )
+        return _ThresholdSearch(ladders, families[0]).solve(problem.criterion.gamma)
+    return _SeparationSearch(ladders).solve(problem.criterion.gamma)
 
 
-def _separation_lp_targets(
-    ladders: Mapping[str, _Ladder], groups: Sequence[str], gamma: float
-) -> dict[str, tuple[float, float]]:
-    """Per-group (FPR, TPR) targets solving the joint parity program.
+class _SeparationSearch:
+    """The solve context of joint TPR+FPR parity: each group's staircase and hull vertices.
 
-    Variables are each group's weights on its hull vertices (summing to 1),
-    one window top U per family and one slack per window row. Each member
-    group of a family has two rows, ``rate_g - U + slack = 0`` and
-    ``gamma * U - rate_g + slack = 0``, so every member's rate lies in
-    [gamma * U, U]: the family's worst ratio is at least gamma iff some U
-    fits. That is G convexity rows and at most 4 * G window rows. Every
-    group at its reject-all vertex with U = 0 and every slack basic is a
-    feasible start for any gamma: all rates are 0 there, so no phase 1 is
-    needed. At gamma = 1 every member takes its family's U as its
-    coordinate, so parity is exact rather than within rounding.
+    Groups come in sorted order. A group without positive or negative
+    outcomes is left out of that family's window and warned about at every
+    solve above gamma 0.
     """
-    paths = {g: _staircase(ladders[g]) for g in groups}
-    tpr_groups = [g for g in groups if ladders[g].n_pos > 0]
-    fpr_groups = [g for g in groups if ladders[g].n_neg > 0]
-    for g in groups:
-        if g not in tpr_groups or g not in fpr_groups:
-            missing = "positive" if g not in tpr_groups else "negative"
-            warnings.warn(
-                f"group {g!r} has no {missing} outcomes; that family constraint "
-                "is skipped for it",
-                MissingClassWarning,
-                stacklevel=3,
+
+    def __init__(self, ladders: Mapping[str, _Ladder]):
+        self.ladders = ladders
+        self.groups = groups = sorted(ladders)
+        self.paths = {g: _staircase(ladders[g]) for g in groups}
+        self.tpr_groups = [g for g in groups if ladders[g].n_pos > 0]
+        self.fpr_groups = [g for g in groups if ladders[g].n_neg > 0]
+        # Hull vertex indices, from reject-all.
+        self.indices = {g: np.union1d(*_hull_chains(self.paths[g])) for g in groups}
+        self.vertices = {g: self.paths[g][self.indices[g]] for g in groups}
+
+    def solve(self, gamma: float) -> DecisionRule:
+        ladders, groups = self.ladders, self.groups
+        if gamma == 0.0:
+            return GroupThreshold(
+                {g: ladders[g].cut(*_best_cut(ladders[g].cum_du)) for g in groups}
             )
+        for g in groups:
+            if g not in self.tpr_groups or g not in self.fpr_groups:
+                missing = "positive" if g not in self.tpr_groups else "negative"
+                warnings.warn(
+                    f"group {g!r} has no {missing} outcomes; that family constraint "
+                    "is skipped for it",
+                    MissingClassWarning,
+                    stacklevel=3,
+                )
+        targets = self.targets(gamma)
+        # Each group's (j, q, weight) parts; a one-part group has weight 1.0.
+        parts = {
+            g: _realize_on_path(self.paths[g], np.asarray(targets[g], dtype=float)) for g in groups
+        }
+        first = GroupThreshold({g: ladders[g].cut(*p[0][:2]) for g, p in parts.items()})
+        if all(len(p) == 1 for p in parts.values()):
+            return first
+        return Mixture(
+            weights={g: float(p[0][2]) for g, p in parts.items()},
+            first=first,
+            second=GroupThreshold({g: ladders[g].cut(*p[-1][:2]) for g, p in parts.items()}),
+        )
 
-    indices = {g: np.union1d(*_hull_chains(paths[g])) for g in groups}  # starts at reject-all
-    vertices = {g: paths[g][indices[g]] for g in groups}
-    offsets = np.cumsum([0] + [len(indices[g]) for g in groups])
-    n_weights = int(offsets[-1])
-    windows = [
-        (axis, [groups.index(g) for g in members])
-        for axis, members in ((1, tpr_groups), (0, fpr_groups))
-        if members
-    ]
-    exact = gamma >= 1.0 - 1e-9
-    gamma_lp = 1.0 if exact else gamma
+    def targets(self, gamma: float) -> dict[str, tuple[float, float]]:
+        """Per-group (FPR, TPR) targets solving the joint parity program at gamma > 0.
 
-    n_slacks = 2 * sum(len(members) for _, members in windows)
-    first_slack = n_weights + len(windows)
-    matrix = np.zeros((len(groups) + n_slacks, first_slack + n_slacks))
-    for gi in range(len(groups)):
-        matrix[gi, offsets[gi] : offsets[gi + 1]] = 1.0
-    row = len(groups)
-    for f, (axis, members) in enumerate(windows):
-        for gi in members:
-            rates = vertices[groups[gi]][:, axis]
-            matrix[row, offsets[gi] : offsets[gi + 1]] = rates
-            matrix[row, n_weights + f] = -1.0
-            matrix[row + 1, offsets[gi] : offsets[gi + 1]] = -rates
-            matrix[row + 1, n_weights + f] = gamma_lp
-            row += 2
-    matrix[len(groups) :, first_slack:] = np.eye(n_slacks)
-    rhs = np.concatenate([np.ones(len(groups)), np.zeros(n_slacks)])
-    cost = np.concatenate(
-        [*(ladders[g].cum_du[indices[g]] for g in groups), np.zeros(len(windows) + n_slacks)]
-    )
-    basis = [int(o) for o in offsets[:-1]] + list(range(first_slack, first_slack + n_slacks))
-    x = _simplex_max(matrix, rhs, cost, basis)
+        Variables are each group's weights on its hull vertices (summing to
+        1), one window top U per family and one slack per window row. Each
+        member group of a family has two rows, ``rate_g - U + slack = 0`` and
+        ``gamma * U - rate_g + slack = 0``, so every member's rate lies in
+        [gamma * U, U]: the family's worst ratio is at least gamma iff some U
+        fits. That is G convexity rows and at most 4 * G window rows. Every
+        group at its reject-all vertex with U = 0 and every slack basic is a
+        feasible start for any gamma: all rates are 0 there, so no phase 1 is
+        needed. At gamma = 1 every member takes its family's U as its
+        coordinate, so parity is exact rather than within rounding.
+        """
+        groups, vertices, indices = self.groups, self.vertices, self.indices
+        offsets = np.cumsum([0] + [len(indices[g]) for g in groups])
+        n_weights = int(offsets[-1])
+        windows = [
+            (axis, [groups.index(g) for g in members])
+            for axis, members in ((1, self.tpr_groups), (0, self.fpr_groups))
+            if members
+        ]
+        exact = gamma >= 1.0 - 1e-9
+        gamma_lp = 1.0 if exact else gamma
 
-    targets: dict[str, tuple[float, float]] = {}
-    for gi, g in enumerate(groups):
-        w = x[offsets[gi] : offsets[gi + 1]]
-        w = np.where(w > 1e-12, w, 0.0)
-        point = (w / w.sum()) @ vertices[g]
+        n_slacks = 2 * sum(len(members) for _, members in windows)
+        first_slack = n_weights + len(windows)
+        matrix = np.zeros((len(groups) + n_slacks, first_slack + n_slacks))
+        for gi in range(len(groups)):
+            matrix[gi, offsets[gi] : offsets[gi + 1]] = 1.0
+        row = len(groups)
         for f, (axis, members) in enumerate(windows):
-            if exact and gi in members:
-                point[axis] = x[n_weights + f]
-        targets[g] = (float(point[0]), float(point[1]))
+            for gi in members:
+                rates = vertices[groups[gi]][:, axis]
+                matrix[row, offsets[gi] : offsets[gi + 1]] = rates
+                matrix[row, n_weights + f] = -1.0
+                matrix[row + 1, offsets[gi] : offsets[gi + 1]] = -rates
+                matrix[row + 1, n_weights + f] = gamma_lp
+                row += 2
+        matrix[len(groups) :, first_slack:] = np.eye(n_slacks)
+        rhs = np.concatenate([np.ones(len(groups)), np.zeros(n_slacks)])
+        cost = np.concatenate(
+            [
+                *(self.ladders[g].cum_du[indices[g]] for g in groups),
+                np.zeros(len(windows) + n_slacks),
+            ]
+        )
+        basis = [int(o) for o in offsets[:-1]] + list(range(first_slack, first_slack + n_slacks))
+        x = _simplex_max(matrix, rhs, cost, basis)
 
-    for axis, members, family in ((1, tpr_groups, "tpr"), (0, fpr_groups, "fpr")):
-        if members and _family_ratio(targets[g][axis] for g in members) < gamma - 1e-12:
-            raise RuntimeError(f"separation program returned a {family} ratio below {gamma}")
-    return targets
+        targets: dict[str, tuple[float, float]] = {}
+        for gi, g in enumerate(groups):
+            w = x[offsets[gi] : offsets[gi + 1]]
+            w = np.where(w > 1e-12, w, 0.0)
+            point = (w / w.sum()) @ vertices[g]
+            for f, (axis, members) in enumerate(windows):
+                if exact and gi in members:
+                    point[axis] = x[n_weights + f]
+            targets[g] = (float(point[0]), float(point[1]))
+
+        for axis, members, family in ((1, self.tpr_groups, "tpr"), (0, self.fpr_groups, "fpr")):
+            if members and _family_ratio(targets[g][axis] for g in members) < gamma - 1e-12:
+                raise RuntimeError(f"separation program returned a {family} ratio below {gamma}")
+        return targets
 
 
 # ---------------------------------------------------------------------------
@@ -1042,30 +1070,44 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     to 1e-6, at which the same scan finds one; a solve at that level
     returns a rule.
     """
-    families = problem.criterion.kind.families
-    gamma = problem.criterion.gamma
+    return _SufficiencySearch(problem).solve(problem.criterion.gamma)
 
-    ascending = _ladders(problem.dataset, problem.utility, descending=False)
-    branches = {
-        g: (ladder, ascending[g])
-        for g, ladder in _ladders(problem.dataset, problem.utility).items()
-    }
 
-    windows = None, None
-    if gamma > 0.0:
-        bases = {which: _candidate_base(branches, which) for which in families}
-        windows = _scan_windows(branches, bases, gamma)
-        if windows is None:
-            max_gamma = _max_achievable_sufficiency_gamma(branches, bases, gamma)
-            raise InfeasibleConstraintError(
-                f"no interval rule reaches gamma = {gamma:g}; "
-                f"highest achievable level found: {max_gamma!r}",
-                max_achievable_gamma=max_gamma,
-            )
-    best = {g: _group_best_in_windows(pair, *windows) for g, pair in branches.items()}
-    if any(b is None for b in best.values()):
-        raise InfeasibleConstraintError("window reconstruction failed")  # pragma: no cover
-    return GroupInterval({g: best[g][1] for g in sorted(best)})
+class _SufficiencySearch:
+    """The solve context of PPV and/or FOR parity: each group's two branches, and the bases.
+
+    ``branches`` holds each group's descending (lower-bound) and ascending
+    (upper-bound) ladder. ``bases`` holds each constrained family's
+    ``_candidate_base``, built when a solve above gamma 0 first asks.
+    """
+
+    def __init__(self, problem: OptimizationProblem):
+        self.families = problem.criterion.kind.families
+        ascending = _ladders(problem.dataset, problem.utility, descending=False)
+        self.branches = {
+            g: (ladder, ascending[g])
+            for g, ladder in _ladders(problem.dataset, problem.utility).items()
+        }
+
+    @cached_property
+    def bases(self) -> dict[str, np.ndarray]:
+        return {which: _candidate_base(self.branches, which) for which in self.families}
+
+    def solve(self, gamma: float) -> GroupInterval:
+        windows = None, None
+        if gamma > 0.0:
+            windows = _scan_windows(self.branches, self.bases, gamma)
+            if windows is None:
+                max_gamma = _max_achievable_sufficiency_gamma(self.branches, self.bases, gamma)
+                raise InfeasibleConstraintError(
+                    f"no interval rule reaches gamma = {gamma:g}; "
+                    f"highest achievable level found: {max_gamma!r}",
+                    max_achievable_gamma=max_gamma,
+                )
+        best = {g: _group_best_in_windows(pair, *windows) for g, pair in self.branches.items()}
+        if any(b is None for b in best.values()):
+            raise InfeasibleConstraintError("window reconstruction failed")  # pragma: no cover
+        return GroupInterval({g: best[g][1] for g in sorted(best)})
 
 
 def _max_achievable_sufficiency_gamma(
@@ -1099,35 +1141,51 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
     unconstrained (each group gets its unconstrained stratum threshold) and
     flagged with a warning.
     """
-    names = problem.criterion.legit_names
-    dataset, utility = problem.dataset, problem.utility
-    gamma = problem.criterion.gamma
+    return _ConditionalParitySearch(problem).solve(problem.criterion.gamma)
 
-    cuts: dict[tuple[str, tuple[str, ...]], GroupCut] = {}
-    any_constrained = False
-    for stratum, groups_here in _stratum_group_rows(dataset, names):
-        ladders = {g: _build_ladder(g, dataset, rows, utility) for g, rows in groups_here.items()}
-        constrained = len(ladders) >= 2 and all(
-            len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups
-        )
-        if not constrained:
-            warnings.warn(
-                f"stratum {'/'.join(stratum)!r} below min_count={problem.min_count} "
-                "for some group; left unconstrained",
-                SmallStratumWarning,
-                stacklevel=2,
+
+class _ConditionalParitySearch:
+    """The solve context of conditional parity: a threshold search per stratum.
+
+    Each stratum holds the ladders of the groups present in it, in order of
+    their first record there, and whether every group of the dataset has at
+    least ``min_count`` records in it, which a constrained stratum needs.
+    """
+
+    def __init__(self, problem: OptimizationProblem):
+        self.legit_names = problem.criterion.legit_names
+        self.min_count = problem.min_count
+        dataset, utility = problem.dataset, problem.utility
+        self.strata: list[tuple[tuple[str, ...], _ThresholdSearch, bool]] = []
+        for stratum, groups_here in _stratum_group_rows(dataset, self.legit_names):
+            ladders = {
+                g: _build_ladder(g, dataset, rows, utility) for g, rows in groups_here.items()
+            }
+            constrained = len(ladders) >= 2 and all(
+                len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups
             )
-        any_constrained |= constrained
-        # Gamma 0 leaves every group of an unconstrained stratum at its best cut.
-        level = gamma if constrained else 0.0
-        for g, cut in _threshold_cuts(ladders, "positive_rate", level).items():
-            cuts[(g, stratum)] = cut
-    if not any_constrained:
-        raise DegenerateStratificationError(
-            f"every stratum is below min_count={problem.min_count}; "
-            "conditional parity cannot be enforced"
-        )
-    return StratifiedGroupThreshold(legit_names=names, cuts=cuts)
+            self.strata.append((stratum, _ThresholdSearch(ladders, "positive_rate"), constrained))
+
+    def solve(self, gamma: float) -> StratifiedGroupThreshold:
+        cuts: dict[tuple[str, tuple[str, ...]], GroupCut] = {}
+        for stratum, search, constrained in self.strata:
+            if not constrained:
+                warnings.warn(
+                    f"stratum {'/'.join(stratum)!r} below min_count={self.min_count} "
+                    "for some group; left unconstrained",
+                    SmallStratumWarning,
+                    stacklevel=3,
+                )
+            # Gamma 0 leaves every group of an unconstrained stratum at its best cut.
+            rule = search.solve(gamma if constrained else 0.0)
+            for g in search.ladders:
+                cuts[(g, stratum)] = rule.cuts[g]
+        if not any(constrained for _, _, constrained in self.strata):
+            raise DegenerateStratificationError(
+                f"every stratum is below min_count={self.min_count}; "
+                "conditional parity cannot be enforced"
+            )
+        return StratifiedGroupThreshold(legit_names=self.legit_names, cuts=cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,8 +1193,34 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
 # ---------------------------------------------------------------------------
 
 
+SolveContext = _ThresholdSearch | _SeparationSearch | _SufficiencySearch | _ConditionalParitySearch
+
+
+def solve_context(problem: OptimizationProblem) -> SolveContext:
+    """The gamma-independent state of the problem's search; its ``solve(gamma)`` gives a rule.
+
+    The problem's own gamma is ignored. ``solve`` at a level in [0, 1] gives
+    what ``optimize`` gives for the problem at that level: the same rule,
+    warnings and errors.
+    """
+    kind = problem.criterion.kind
+    if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
+        return _ConditionalParitySearch(problem)
+    if kind.families[0] in ("ppv", "for_rate"):
+        return _SufficiencySearch(problem)
+    ladders = _ladders(problem.dataset, problem.utility)
+    if len(kind.families) == 1:
+        return _ThresholdSearch(ladders, kind.families[0])
+    return _SeparationSearch(ladders)
+
+
 def optimize(problem: OptimizationProblem) -> DecisionRule:
-    """Solve the problem with the optimizer for its criterion's rate families."""
+    """Solve the problem with the optimizer for its criterion's rate families.
+
+    Each ``optimize_*`` builds the problem's solve context and solves it
+    once. They stay the per-criterion entry points that
+    ``perfbench/tracing.py`` times by name.
+    """
     kind = problem.criterion.kind
     if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:
         return optimize_conditional_parity(problem)

@@ -176,11 +176,18 @@ def _window_search(
             np.not_equal(block[1:], block[:-1], out=fresh[1:])
             block = block[fresh]
             lows = gamma * block
+            # In the source group a value's run of repeats ends where the
+            # next fresh value starts; only the block's last run is searched.
+            run_ends = start + np.flatnonzero(fresh)[1:]
+            last_end = np.searchsorted(values, block[-1:], "right")
             totals = np.zeros(len(block))
             feasible = np.ones(len(block), dtype=bool)
             for g in groups:
                 lo = np.searchsorted(point_sets[g].values, lows, "left")
-                hi = np.searchsorted(point_sets[g].values, block, "right")
+                if g == source:
+                    hi = np.concatenate([run_ends, last_end])
+                else:
+                    hi = np.searchsorted(point_sets[g].values, block, "right")
                 feasible &= hi > lo
                 totals += _window_maxima(point_sets[g].utils, lo, hi)
             candidates = np.flatnonzero(feasible)

@@ -120,7 +120,7 @@ def test_separation_program_matches_highs(monkeypatch):
         single_class_seen += any(min(l.n_pos, l.n_neg) == 0 for l in ladders.values())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", opt.MissingClassWarning)
-            targets = opt._separation_lp_targets(ladders, groups, gamma)
+            targets = opt._SeparationSearch(ladders).targets(gamma)
         # Utility is linear in (FPR, TPR): n_pos * tpr * gain_pos + n_neg * fpr * gain_neg.
         objective = sum(
             ladders[g].n_pos * (utility.u11 - utility.u01) * targets[g][1]

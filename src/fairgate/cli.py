@@ -715,7 +715,7 @@ _RUN_OPTIONS = (
     "input", "criterion", "assessment_path", "rule_path", "gamma", "seed", "seeds",
     "train_fraction", "out", "answers", "verify", "min_count",
 )
-_FIT_OPTIONS = ("learning_rate", "iterations", "l2", "include_group")
+_FIT_OPTIONS = ("iterations", "l2", "include_group")
 
 
 # The options of the data commands, each given to the commands that read it.
@@ -789,8 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = command("fit", "train the logistic scorer and score the data", cmd_fit)
     _add_options(p_fit, *_IN_OUT, *_SPLIT)
-    p_fit.add_argument("--learning-rate", type=float)
-    p_fit.add_argument("--iterations", type=int)
+    p_fit.add_argument("--iterations", type=int, help="the cap on Newton steps")
     p_fit.add_argument("--l2", type=float)
     p_fit.add_argument("--use-group-feature", action="store_true", dest="include_group",
                        help="one-hot encode the group column into the features")

@@ -1,7 +1,7 @@
 """Self-contained logistic regression scorer and seeded split machinery.
 
-Full-batch gradient descent on the L2-regularized log-likelihood with
-feature standardization; no external ML dependency. Predicted scores are
+Newton's method on the L2-regularized log-likelihood with feature
+standardization; no external ML dependency. Predicted scores are
 probabilities strictly inside (0, 1).
 """
 
@@ -20,9 +20,12 @@ import numpy as np
 
 from .model import Dataset
 
+GRADIENT_TOL = 1e-12  # converged: every partial derivative of the loss is this close to 0
+MAX_HALVINGS = 60  # of one Newton step; if none helps, the loss is at its floor
+
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite or increasing loss; lower the learning rate."""
+    """Newton's method met a non-finite loss, as when standardizing features overflows."""
 
 
 class ConstantFeatureWarning(UserWarning):
@@ -31,17 +34,13 @@ class ConstantFeatureWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FitConfig:
-    learning_rate: float = 0.1
-    iterations: int = 2000
+    iterations: int = 2000  # the cap on Newton steps
     l2: float = 1e-4
     include_group: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError(f"--iterations must be at least 1, got {self.iterations}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            rate = self.learning_rate
-            raise ValueError(f"--learning-rate must be finite and above 0, got {rate}")
         if not (math.isfinite(self.l2) and self.l2 >= 0.0):
             raise ValueError(f"--l2 must be finite and at least 0, got {self.l2}")
 
@@ -106,10 +105,11 @@ def _design_matrix(dataset: Dataset, columns, group_values: Sequence[str]) -> np
 
 
 def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
-    """Standardize features and run full-batch gradient descent.
+    """Standardize features and minimize the loss by damped Newton steps (IRLS).
 
-    Raises DivergenceError when the loss goes non-finite or fails to be
-    non-increasing over the last tenth of the iterations.
+    Each least-squares step is halved until it lowers the loss (or, where that
+    is flat to rounding, the gradient); the fit stops at ``GRADIENT_TOL`` or
+    when no halving helps. A singular Hessian still gives a least-squares step.
     """
     if not len(train):
         raise ValueError("cannot fit on an empty dataset")
@@ -132,48 +132,49 @@ def fit(train: Dataset, config: FitConfig = FitConfig()) -> LogisticModel:
     kept = np.flatnonzero(keep_mask).tolist()
     kept_source = tuple(i for i in kept if i < n_source)
     kept_groups = tuple(group_values[i - n_source] for i in kept if i >= n_source)
-    x = (raw[:, keep_mask] - means_all[keep_mask]) / stds_all[keep_mask]
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    losses = []
+    standardized = (raw[:, keep_mask] - means_all[keep_mask]) / stds_all[keep_mask]
+    x = np.column_stack([standardized, np.ones(len(raw))])  # the intercept's column last
+    wb = np.zeros(x.shape[1])
+    loss, grad, hessian = logistic_loss_terms(x, labels, wb, config.l2)
+    if not math.isfinite(loss):
+        raise DivergenceError("training loss is non-finite")
     for _ in range(config.iterations):
-        loss, grad_w, grad_b = logistic_loss_and_gradient(x, labels, w, b, config.l2)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                "training loss became non-finite; try a smaller learning rate"
-            )
-        losses.append(loss)
-        w -= config.learning_rate * grad_w
-        b -= config.learning_rate * grad_b
-    tail = losses[-max(config.iterations // 10, 2) :]
-    if any(later > earlier + 1e-10 for earlier, later in zip(tail, tail[1:])):
-        raise DivergenceError(
-            "training loss increased near the end; try a smaller learning rate"
-        )
+        if np.abs(grad).max() <= GRADIENT_TOL:
+            break
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        for halvings in range(MAX_HALVINGS):
+            trial = logistic_loss_terms(x, labels, wb - step / 2**halvings, config.l2)
+            flat = abs(trial[0] - loss) <= np.finfo(float).eps * loss
+            if trial[0] < loss or flat and np.abs(trial[1]).max() < np.abs(grad).max():
+                break
+        else:
+            break  # no halving helps: the loss is at its floor
+        wb, (loss, grad, hessian) = wb - step / 2**halvings, trial
     return LogisticModel(
         source_feature_names=train.feature_names,
         kept=kept_source,
         group_values=kept_groups,
-        weights=tuple(float(v) for v in w),
-        intercept=float(b),
+        weights=tuple(float(v) for v in wb[:-1]),
+        intercept=float(wb[-1]),
         means=tuple(float(v) for v in means_all[keep_mask]),
         stds=tuple(float(v) for v in stds_all[keep_mask]),
-        final_loss=float(losses[-1]),
+        final_loss=loss,
     )
 
 
-def logistic_loss_and_gradient(
-    x: np.ndarray, labels: np.ndarray, w: np.ndarray, b: float, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """L2-regularized mean log-loss at (w, b), with its gradient in w and in b."""
-    z = np.clip(x @ w + b, -30.0, 30.0)
-    p = 1.0 / (1.0 + np.exp(-z))
-    loss = (
-        -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-        + 0.5 * l2 * float(w @ w)
-    )
-    err = p - labels
-    return float(loss), x.T @ err / len(labels) + l2 * w, float(err.mean())
+def logistic_loss_terms(
+    x: np.ndarray, labels: np.ndarray, wb: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """L2-regularized mean log-loss at ``wb``, with its gradient and Hessian in ``wb``.
+
+    ``x`` ends in a column of ones, whose weight (the intercept) is not penalized.
+    """
+    p = 1.0 / (1.0 + np.exp(-np.clip(x @ wb, -30.0, 30.0)))
+    penalty = np.append(np.full(len(wb) - 1, l2), 0.0)
+    loss = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    grad = x.T @ (p - labels) / len(labels) + penalty * wb
+    hessian = (x.T * (p * (1.0 - p))) @ x / len(labels) + np.diag(penalty)
+    return float(loss + 0.5 * penalty @ wb**2), grad, hessian
 
 
 def score_dataset(model: LogisticModel, dataset: Dataset) -> Dataset:

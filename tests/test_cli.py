@@ -237,7 +237,7 @@ def test_options_left_out_take_the_config_defaults(argv, expected):
 # Options a command would parse and then ignore; its parser does not take them.
 UNREAD_OPTIONS = {
     "fit": ("--criterion independence", "--assessment a.json", "--gamma 0.8", "--min-count 5",
-            "--verify", "--seeds 2", "--utility 1,0,0,1"),
+            "--verify", "--seeds 2", "--utility 1,0,0,1", "--learning-rate 0.1"),
     "evaluate": ("--seed 1", "--seeds 2", "--train-fraction 0.5", "--min-count 5", "--verify"),
     "sweep": ("--gamma 0.8", "--seeds 2", "--verify"),
     "optimize": ("--seeds 2",),
@@ -317,7 +317,6 @@ def test_a_report_config_needs_at_least_one_seed(seeds):
     [
         ("--iterations 0", "--iterations must be at least 1, got 0"),
         ("--l2 -1", "--l2 must be finite and at least 0, got -1.0"),
-        ("--learning-rate 0", "--learning-rate must be finite and above 0, got 0.0"),
     ],
 )
 def test_fit_rejects_a_training_setting_out_of_range(option, message, tmp_path, capsys):

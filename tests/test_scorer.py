@@ -1,31 +1,116 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fairgate.cli import ColumnRoles, load_csv, main
 from fairgate.model import Dataset, Record
 from fairgate.scorer import (
+    GRADIENT_TOL,
     FitConfig,
+    _design_matrix,
     fit,
     load_model,
-    logistic_loss_and_gradient,
+    logistic_loss_terms,
     save_model,
     score_dataset,
     split,
 )
 
+GOLDEN_INPUT = Path(__file__).parent / "golden" / "cli" / "input.csv"
+
+
+def loss_terms_instance(seed):
+    """Features with a column of ones last, labels, weights with the intercept last."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.normal(size=(40, 3)), np.ones(40)])
+    labels = (rng.random(40) < 0.5).astype(float)
+    return x, labels, np.append(rng.normal(size=3), 0.3)
+
 
 def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(40, 3))
-    labels = (rng.random(40) < 0.5).astype(float)
-    w, b, l2 = rng.normal(size=3), 0.3, 0.01
-    _, grad_w, grad_b = logistic_loss_and_gradient(x, labels, w, b, l2)
-    loss = lambda w, b: logistic_loss_and_gradient(x, labels, w, b, l2)[0]
+    x, labels, wb = loss_terms_instance(5)
+    _, grad, _ = logistic_loss_terms(x, labels, wb, 0.01)
+    loss = lambda wb: logistic_loss_terms(x, labels, wb, 0.01)[0]
     h = 1e-6
-    for i in range(3):
-        step = np.eye(3)[i] * h
-        numeric = (loss(w + step, b) - loss(w - step, b)) / (2 * h)
-        assert numeric == pytest.approx(grad_w[i], abs=1e-7)
-    assert (loss(w, b + h) - loss(w, b - h)) / (2 * h) == pytest.approx(grad_b, abs=1e-7)
+    for i in range(4):  # the three weights, then the intercept
+        step = np.eye(4)[i] * h
+        numeric = (loss(wb + step) - loss(wb - step)) / (2 * h)
+        assert numeric == pytest.approx(grad[i], abs=1e-7)
+
+
+def test_hessian_matches_finite_differences():
+    x, labels, wb = loss_terms_instance(6)
+    _, _, hessian = logistic_loss_terms(x, labels, wb, 0.01)
+    gradient = lambda wb: logistic_loss_terms(x, labels, wb, 0.01)[1]
+    h = 1e-6
+    for i in range(4):
+        step = np.eye(4)[i] * h
+        numeric = (gradient(wb + step) - gradient(wb - step)) / (2 * h)
+        assert numeric == pytest.approx(hessian[:, i], abs=1e-7)
+
+
+def seeded_dataset(rows, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 3)) * (1.0, 5.0, 0.2)
+    logit = x @ np.array([0.8, -0.1, 2.0]) + 0.3
+    labels = (rng.random(rows) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
+    records = [
+        Record(str(i), int(labels[i]), "abc"[i % 3], features=tuple(x[i])) for i in range(rows)
+    ]
+    return Dataset.from_records(records, feature_names=("x_0", "x_1", "x_2"))
+
+
+def golden_training_split():
+    return split(load_csv(GOLDEN_INPUT, ColumnRoles("group", "label")), 2.0 / 3.0, seed=0)[0]
+
+
+# The final loss of each fit below under 2,000 fixed gradient steps at rate
+# 0.1, the method that Newton's method replaced: it must not come out higher.
+FIXED_STEP_LOSS = {
+    ("golden", False): 0.6115382617968786,
+    ("seeded_20k", False): 0.5919768605153706,
+    ("seeded_20k", True): 0.5919695404257043,
+}
+
+
+@pytest.mark.parametrize("data, include_group", sorted(FIXED_STEP_LOSS))
+def test_the_fit_converges(data, include_group):
+    dataset = golden_training_split() if data == "golden" else seeded_dataset(20_000, 11)
+    config = FitConfig(include_group=include_group)
+    model = fit(dataset, config)
+    design = _design_matrix(dataset, list(model.kept), model.group_values)
+    x = np.column_stack([(design - model.means) / model.stds, np.ones(len(dataset))])
+    labels = dataset.columns.labels.astype(float)
+    wb = np.array([*model.weights, model.intercept])
+    loss, grad, _ = logistic_loss_terms(x, labels, wb, config.l2)
+    assert np.abs(grad).max() <= GRADIENT_TOL
+    assert loss == model.final_loss <= FIXED_STEP_LOSS[data, include_group]
+
+
+@pytest.mark.parametrize("include_group", [False, True])
+def test_collinear_columns_fit_without_regularization(include_group, tmp_path):
+    # A copied feature column, and with --use-group-feature the group dummies
+    # beside the intercept, make the Hessian singular at --l2 0.
+    lines = GOLDEN_INPUT.read_text(encoding="utf-8").splitlines()
+    copy = [lines[0] + ",x_copy"]
+    copy += [line + "," + line.split(",")[4] for line in lines[1:]]
+    (tmp_path / "in.csv").write_text("\n".join(copy) + "\n", encoding="utf-8")
+    argv = ["fit", "--input", str(tmp_path / "in.csv"), "--l2", "0", "--out", str(tmp_path)]
+    assert main(argv + ["--use-group-feature"] * include_group) == 0
+    model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert len(model["weights"]) == 3 + 2 * include_group
+    assert np.isfinite(model["weights"]).all() and np.isfinite(model["intercept"])
+
+
+def test_separable_data_stops_without_regularization():
+    # No finite optimum exists; the fit still ends, with a loss near zero.
+    records = [
+        Record(str(i), int(i >= 50), "ab"[i % 2], features=(i / 10.0,)) for i in range(100)
+    ]
+    model = fit(Dataset.from_records(records, feature_names=("x_0",)), FitConfig(l2=0.0))
+    assert np.isfinite(model.weights).all() and model.final_loss < 1e-6
 
 
 @pytest.mark.parametrize("id_of", [lambda i: str(i // 2), lambda i: str(i % 3)])
@@ -89,12 +174,10 @@ def test_saved_model_loads_back(tmp_path, include_group):
     "fields, message",
     [
         ({"iterations": 0}, "--iterations must be at least 1, got 0"),
-        ({"learning_rate": 0.0}, "--learning-rate must be finite and above 0, got 0.0"),
-        ({"learning_rate": float("inf")}, "--learning-rate must be finite and above 0, got inf"),
         ({"l2": -1.0}, "--l2 must be finite and at least 0, got -1.0"),
         ({"l2": float("nan")}, "--l2 must be finite and at least 0, got nan"),
     ],
-    ids=["no_iterations", "zero_rate", "infinite_rate", "negative_l2", "nan_l2"],
+    ids=["no_iterations", "negative_l2", "nan_l2"],
 )
 def test_a_fit_config_checks_its_fields(fields, message):
     with pytest.raises(ValueError) as info:

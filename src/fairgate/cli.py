@@ -524,7 +524,7 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
 
     report = metric_report(train, rule, criterion, config.utility, assessment)
     if config.verify:
-        report["verification"] = _verify_against_oracle(problem, rule)
+        report["verification"] = _verify_against_oracle(problem, report["utility"])
     out.write_text("metrics_train.json", _json_text(report))
     print(describe_rule(rule))
     print(f"training utility: {report['utility']:.6f}")
@@ -532,12 +532,12 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
     return 0
 
 
-def _verify_against_oracle(problem: OptimizationProblem, rule: DecisionRule) -> dict:
+def _verify_against_oracle(problem: OptimizationProblem, mine: float) -> dict:
+    """The brute-force oracle's utility beside ``mine``, the optimizer's training utility."""
     try:
         reference = brute_force_oracle(problem)
     except OracleSizeError as exc:
         return {"checked": False, "reason": str(exc)}
-    mine = decision_maker_utility(problem.dataset, rule, problem.utility)
     theirs = decision_maker_utility(problem.dataset, reference, problem.utility)
     return {
         "checked": True,

@@ -10,9 +10,10 @@ Each function evaluates the rule once over the dataset's columns
 cell codes: group, (group, outcome), (stratum, group) or (justifier value,
 group). ``np.bincount`` adds in record order, so every sum equals the
 sequential per-record sum bit for bit. Results are Python numbers, ready
-for ``json`` and ``repr``. ``rates_from_probabilities`` and
-``utility_from_probabilities`` start from those probabilities, so a caller
-that needs both evaluates the rule once.
+for ``json`` and ``repr``. ``rates_from_probabilities``,
+``utility_from_probabilities`` and ``fec_from_probabilities`` start from
+those probabilities, so a caller that needs several, as ``metric_report``
+does, evaluates the rule once.
 """
 
 from __future__ import annotations
@@ -285,9 +286,15 @@ def fec_check(dataset: Dataset, rule: DecisionRule, assessment: MoralAssessment)
     conditioning decision; legitimate justifiers condition on the stratum;
     no justifier compares unconditional expectations.
     """
+    return fec_from_probabilities(dataset, decision_probabilities(rule, dataset), assessment)
+
+
+def fec_from_probabilities(
+    dataset: Dataset, dp: np.ndarray, assessment: MoralAssessment
+) -> FecTable:
+    """``fec_check`` of a rule whose decision probabilities on the dataset are ``dp``."""
     if not len(dataset):
         raise ValueError("cannot compute expected benefits on an empty dataset")
-    dp = decision_probabilities(rule, dataset)
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels
     everyone, ones = np.ones(len(y), dtype=bool), np.ones(len(y))
     benefit = assessment.benefit
@@ -345,8 +352,10 @@ def metric_report(
     """JSON-serializable report: every rate cell with counts, ratio, utility, FEC.
 
     The equal-chances table (``fec``) is there when an assessment is given.
+    The rule is evaluated once, and every part starts from that evaluation.
     """
-    rates = compute_rates(dataset, rule)
+    dp = decision_probabilities(rule, dataset)
+    rates = rates_from_probabilities(dataset, dp)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UndefinedCellWarning)
         detail = disparity_detail(rates, criterion)
@@ -380,11 +389,11 @@ def metric_report(
         "disparity_ratio": detail.ratio,
         "disparity_per_family": dict(detail.per_family),
         "skipped_cells": list(detail.skipped),
-        "utility": decision_maker_utility(dataset, rule, utility),
+        "utility": utility_from_probabilities(dataset, dp, utility),
         "utility_matrix": list(utility.cells()),
     }
     if assessment is not None:
-        table = fec_check(dataset, rule, assessment)
+        table = fec_from_probabilities(dataset, dp, assessment)
         report["fec"] = {
             "entries": [
                 {

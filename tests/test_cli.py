@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fairgate import cli
+from fairgate import cli, metrics
 from fairgate.cli import ColumnRoles, RunConfig, _build_config, build_parser, main, run_report
 from fairgate.model import UtilityMatrix
 from fairgate.scorer import FitConfig
@@ -121,6 +121,18 @@ def test_output_matches_golden_in_chunks_of_seven(name, tmp_path, monkeypatch):
     # chunk every command reads it in 65 chunks and must write the same bytes.
     monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
     test_output_matches_golden(name, tmp_path)
+
+
+def test_a_report_evaluates_each_rule_once_per_split(tmp_path, monkeypatch):
+    # Two seeds, three rules (unconstrained, fair and four-fifths), two splits:
+    # one evaluation gives each split's rates, utility and equal-chances table.
+    calls = []
+    evaluate = metrics.decision_probabilities
+    monkeypatch.setattr(
+        metrics, "decision_probabilities", lambda *args: calls.append(args) or evaluate(*args)
+    )
+    run_command(COMMANDS["report"], tmp_path / "out", tmp_path)
+    assert len(calls) == 2 * 3 * 2
 
 
 # Solves whose training metrics must pass a check of their own: separation

@@ -59,53 +59,56 @@ def sweep(
     utility = problem.utility
     context = solve_context(problem)
     points: list[FrontierPoint] = []
-    for gamma in levels:
-        criterion = dataclasses.replace(problem.criterion, gamma=gamma)
-        try:
-            rule = context.solve(gamma)
-        except InfeasibleConstraintError as exc:
-            points.append(
-                FrontierPoint(
-                    gamma=gamma,
-                    feasible=False,
-                    rule=None,
-                    achieved_ratio=None,
-                    utility_train=None,
-                    utility_test=None,
-                    headline_rates=dict.fromkeys(
-                        headline_rate_names(criterion, problem.dataset.groups)
-                    ),
-                    note=str(exc),
+    # One filter context for every level: leaving a context resets the registry
+    # that shows each warning once, so a context per level would repeat the
+    # solver's warnings once per level.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UndefinedCellWarning)
+        for gamma in levels:
+            criterion = dataclasses.replace(problem.criterion, gamma=gamma)
+            try:
+                rule = context.solve(gamma)
+            except InfeasibleConstraintError as exc:
+                points.append(
+                    FrontierPoint(
+                        gamma=gamma,
+                        feasible=False,
+                        rule=None,
+                        achieved_ratio=None,
+                        utility_train=None,
+                        utility_test=None,
+                        headline_rates=dict.fromkeys(
+                            headline_rate_names(criterion, problem.dataset.groups)
+                        ),
+                        note=str(exc),
+                    )
                 )
-            )
-            continue
-        dp_eval = decision_probabilities(rule, evaluation)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UndefinedCellWarning)
+                continue
+            dp_eval = decision_probabilities(rule, evaluation)
             eval_rates = rates_from_probabilities(evaluation, dp_eval)
             try:
                 ratio_eval = disparity_detail(eval_rates, criterion).ratio
             except UndefinedMetricError:
                 ratio_eval = None
-        groups = evaluation.groups
-        values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
-        headline = dict(zip(headline_rate_names(criterion, groups), values))
-        dp_train = (
-            dp_eval
-            if evaluation is problem.dataset
-            else decision_probabilities(rule, problem.dataset)
-        )
-        points.append(
-            FrontierPoint(
-                gamma=gamma,
-                feasible=True,
-                rule=rule,
-                achieved_ratio=ratio_eval,
-                utility_train=utility_from_probabilities(problem.dataset, dp_train, utility),
-                utility_test=utility_from_probabilities(evaluation, dp_eval, utility),
-                headline_rates=headline,
+            groups = evaluation.groups
+            values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
+            headline = dict(zip(headline_rate_names(criterion, groups), values))
+            dp_train = (
+                dp_eval
+                if evaluation is problem.dataset
+                else decision_probabilities(rule, problem.dataset)
             )
-        )
+            points.append(
+                FrontierPoint(
+                    gamma=gamma,
+                    feasible=True,
+                    rule=rule,
+                    achieved_ratio=ratio_eval,
+                    utility_train=utility_from_probabilities(problem.dataset, dp_train, utility),
+                    utility_test=utility_from_probabilities(evaluation, dp_eval, utility),
+                    headline_rates=headline,
+                )
+            )
     return points
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -282,6 +284,25 @@ def test_a_justifier_the_data_lacks_is_named(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: the data has no legitimate attribute(s) ['age'] to condition on\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_shows_a_solver_warning_once(tmp_path):
+    # Stratum 'high' is left unconstrained at each of the 21 levels. Python
+    # shows a warning from one place once, so the sweep must not reset that.
+    assessment = tmp_path / "assessment.json"
+    assessment.write_text(json.dumps(ASSESSMENTS["legitimate"]), encoding="utf-8")
+    argv = ["sweep", *SCORED, "--assessment", str(assessment), "--out", str(tmp_path / "out")]
+    # The child imports the package these tests import: the source tree, or
+    # the installed copy when the suite runs on an install.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = f"from fairgate.cli import main\nraise SystemExit(main({argv!r}))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    shown = [line for line in done.stderr.splitlines() if "SmallStratumWarning" in line]
+    assert len(shown) == 1, done.stderr
 
 
 def test_the_reported_level_solves(tmp_path, capsys):

@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import statistics
 import sys
 import warnings
@@ -172,7 +173,11 @@ def _read_rows(path: Path) -> Iterator[tuple[list[str], _RowStream]]:
 
 
 def _check_row(line: int, row: dict, roles: ColumnRoles, features: Sequence[str]) -> None:
-    """Raise the first error of one row: its label, then its score, then its features."""
+    """Raise the first error of one row: its label, then its score, then its features.
+
+    A feature must parse as a finite number: NaN or infinity would drop the
+    feature from a fit as constant, or fail it.
+    """
     raw = row[roles.label]
     try:
         binary = float(raw) in (0.0, 1.0)
@@ -189,10 +194,14 @@ def _check_row(line: int, row: dict, roles: ColumnRoles, features: Sequence[str]
             raise ValueError(message) from None
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"line {line}: score {score} outside [0, 1]")
-    try:
-        [float(row[name]) for name in features]
-    except ValueError as exc:
-        raise ValueError(f"line {line}: bad feature value ({exc})") from None
+    for name in features:
+        try:
+            value = float(row[name])
+        except ValueError as exc:
+            raise ValueError(f"line {line}: bad feature value ({exc})") from None
+        if not math.isfinite(value):
+            message = f"{name} must be a finite number, got {row[name]!r}"
+            raise ValueError(f"line {line}: bad feature value ({message})")
 
 
 def dataset_from_rows(

@@ -35,6 +35,7 @@ uniform draw per record; neither evaluates one record at a time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -72,6 +73,8 @@ class Record:
             raise ValueError(f"label must be 0 or 1, got {self.label!r} (record {self.id})")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score!r} (record {self.id})")
+        if self.features is not None and not all(map(math.isfinite, self.features)):
+            raise ValueError(f"features must be finite, got {self.features!r} (record {self.id})")
 
 
 def encode(columns: Sequence[Sequence[str]]) -> tuple[list[tuple[str, ...]], np.ndarray]:
@@ -118,8 +121,8 @@ class Dataset:
     """Columns of records with their declared groups and attribute names.
 
     Construction checks the columns as arrays: labels in {0, 1}, scores in
-    [0, 1] or absent and every declared group present. The first record that
-    fails is named in the error.
+    [0, 1] or absent, finite features and every declared group present. The
+    first record that fails is named in the error.
     """
 
     columns: Columns
@@ -131,11 +134,17 @@ class Dataset:
         cols = self.columns
         # A NaN score (no score) compares False.
         bad = (cols.labels != 0) & (cols.labels != 1) | (cols.scores < 0.0) | (cols.scores > 1.0)
+        if cols.features is not None:
+            bad |= ~np.isfinite(cols.features).all(axis=1)
         if bad.any():
             row = int(np.argmax(bad))
             score = cols.scores[row].item()
-            # The record of that row rejects its label or score in its own words.
-            Record(cols.ids[row], cols.labels[row].item(), "", None if np.isnan(score) else score)
+            features = None if cols.features is None else tuple(cols.features[row].tolist())
+            # The record of that row rejects its label, score or features in its own words.
+            Record(
+                cols.ids[row], cols.labels[row].item(), "",
+                None if np.isnan(score) else score, features=features,
+            )
         counts = np.bincount(cols.group_codes, minlength=len(self.groups))
         missing = sorted(g for g, n in zip(self.groups, counts) if n == 0)
         if missing:

@@ -359,6 +359,21 @@ def test_fit_rejects_a_training_setting_out_of_range(option, message, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["fit"], ["report", "--criterion", "independence"]])
+def test_a_non_finite_feature_fails_the_command(command, value, tmp_path, capsys):
+    lines = INPUT.read_text(encoding="utf-8").splitlines()
+    cells = lines[4].split(",")
+    cells[4] = value  # x_logit of line 5
+    lines[4] = ",".join(cells)
+    (tmp_path / "in.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [*command, "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    message = f"line 5: bad feature value (x_logit must be a finite number, got {value!r})"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_refuses_an_input_that_has_a_score_column(tmp_path, capsys):
     lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[0] = lines[0].replace(",p,", ",score,")

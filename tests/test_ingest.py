@@ -58,6 +58,12 @@ def rejection(tmp_path: Path, text: str, roles: ColumnRoles = ROLES) -> str:
             "r1,a,1,0.5,1.0,x\nr2,a,1,0.5,zz,x\n",
             "line 3: bad feature value (could not convert string to float: 'zz')",
         ),
+        # Parsed as floats, these would reach fit, which drops them as constant.
+        *(
+            (f"r1,a,1,0.5,{v},x\n",
+             f"line 2: bad feature value (x_a must be a finite number, got '{v}')")
+            for v in ("nan", "inf", "-inf")
+        ),
     ],
 )
 def test_bad_row_is_named_by_line(tmp_path, rows, message):
@@ -253,6 +259,9 @@ def rows(count: int) -> str:
         (HEADER + rows(3) + "r3,a,1,0.5,zz,x\n", ROLES, (
             "line 5: bad feature value (could not convert string to float: 'zz')"
         )),
+        (HEADER + rows(3) + "r3,a,1,0.5,-inf,x\n", ROLES, (
+            "line 5: bad feature value (x_a must be a finite number, got '-inf')"
+        )),
         (HEADER + rows(2) + "\n\nr2,a,1,0.5,1.0,x\n\nr3,a,1,1.5,1.0,x\n", ROLES, (
             "line 8: score 1.5 outside [0, 1]"
         )),
@@ -263,6 +272,7 @@ def rows(count: int) -> str:
     ids=[
         "malformed_after_bad_value", "malformed_and_missing_column",
         "malformed_and_repeated_column", "bad_value_in_second_chunk",
+        "non_finite_value_in_second_chunk",
         "blank_lines_across_a_boundary", "quoted_newline_across_a_boundary",
     ],
 )

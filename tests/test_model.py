@@ -353,6 +353,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape("groups without records: ['c']")):
             Dataset(base.columns, ("a", "b", "c"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dataset_rejects_a_non_finite_feature(self, bad):
+        # A record checks its own features, so Dataset.from_records never sees
+        # one; columns built directly are checked by the Dataset.
+        message = f"features must be finite, got ({bad!r},) (record s)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Record("s", 0, "b", features=(bad,))
+        records = [Record("r", 1, "a", features=(0.5,)), Record("s", 0, "b", features=(0.5,))]
+        base = Dataset.from_records(records, feature_names=("x",))
+        columns = dataclasses.replace(base.columns, features=np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(columns, base.groups, feature_names=("x",))
+
     def test_record_must_carry_every_declared_attribute(self):
         records = [Record("r", 1, "a", 0.5, {"job": "x"}), Record("s", 0, "a", 0.5, {})]
         with pytest.raises(ValueError, match="record s misses"):

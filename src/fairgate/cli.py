@@ -31,7 +31,6 @@ import json
 import math
 import statistics
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -47,8 +46,7 @@ from .assessment import (
     run_wizard,
     settle,
 )
-from .frontier import DEFAULT_GAMMA_GRID, emit_frontier, sweep
-from .metrics import UndefinedCellWarning, decision_maker_utility, metric_report
+from .metrics import decision_maker_utility, metric_report
 from .model import (
     Columns,
     CriterionKind,
@@ -66,7 +64,6 @@ from .model import (
     write_rule_file,
 )
 from .optimizer import OptimizationProblem, optimize, optimize_unconstrained, solve_context
-from .oracle import OracleSizeError, brute_force_oracle
 from .scorer import FitConfig, fit, save_model, score_dataset, split
 
 FEATURE_PREFIX = "x_"
@@ -543,6 +540,8 @@ def cmd_optimize(config: RunConfig, out: _OutputTracker) -> int:
 
 def _verify_against_oracle(problem: OptimizationProblem, mine: float) -> dict:
     """The brute-force oracle's utility beside ``mine``, the optimizer's training utility."""
+    from .oracle import OracleSizeError, brute_force_oracle  # loaded only for --verify
+
     try:
         reference = brute_force_oracle(problem)
     except OracleSizeError as exc:
@@ -574,6 +573,8 @@ def cmd_evaluate(config: RunConfig, out: _OutputTracker) -> int:
 
 
 def cmd_sweep(config: RunConfig, out: _OutputTracker) -> int:
+    from .frontier import DEFAULT_GAMMA_GRID, emit_frontier, sweep  # loaded only here
+
     dataset = _load_scored(config)
     criterion, _ = _resolve_criterion(config, dataset)
     train, test = split(dataset, config.train_fraction, config.seed)
@@ -610,18 +611,16 @@ def run_report(config: RunConfig) -> dict:
         fair_rule = context.solve(criterion.gamma)
         ff_rule = context.solve(0.8)
         entry: dict = {"seed": seed}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UndefinedCellWarning)
-            for name, rule in (
-                ("unconstrained", unconstrained),
-                ("fair", fair_rule),
-                ("four_fifths", ff_rule),
-            ):
-                entry[name] = {
-                    "train": metric_report(train, rule, criterion, config.utility, assessment),
-                    "test": metric_report(test, rule, criterion, config.utility, assessment),
-                    "thresholds": _rule_thresholds(rule),
-                }
+        for name, rule in (
+            ("unconstrained", unconstrained),
+            ("fair", fair_rule),
+            ("four_fifths", ff_rule),
+        ):
+            entry[name] = {
+                "train": metric_report(train, rule, criterion, config.utility, assessment),
+                "test": metric_report(test, rule, criterion, config.utility, assessment),
+                "thresholds": _rule_thresholds(rule),
+            }
         per_seed.append(entry)
 
     def mean_of(path_fn) -> float | None:

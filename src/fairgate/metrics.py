@@ -188,19 +188,34 @@ class DisparityDetail:
 
 
 def disparity_detail(rates: GroupRates, criterion: FairnessCriterion) -> DisparityDetail:
-    """Per-family ratios and the minimum; conditional parity compares within its own strata."""
-    per_family: dict[str, float | None] = {}
-    skipped: list[str] = []
+    """Per-family ratios and the minimum; conditional parity compares within its own strata.
+
+    Each family with an undefined cell is named in an ``UndefinedCellWarning``.
+    """
     for name, values in _criterion_families(rates, criterion):
-        defined = [v for v in values.values() if v is not None]
         undefined_groups = [g for g, v in values.items() if v is None]
         if undefined_groups:
-            skipped.extend(f"{name}:{g}" for g in undefined_groups)
             warnings.warn(
                 f"{name} undefined for group(s) {undefined_groups}; cells skipped",
                 UndefinedCellWarning,
                 stacklevel=3,
             )
+    return _disparity_detail(rates, criterion)
+
+
+def _disparity_detail(rates: GroupRates, criterion: FairnessCriterion) -> DisparityDetail:
+    """``disparity_detail`` without its warnings: the metric report lists the
+    skipped cells, and a frontier point records only the ratio.
+
+    Its callers need no ``warnings.catch_warnings`` context to silence it.
+    Leaving such a context resets the registry that shows each warning once,
+    so a solver's warning would show again after every report.
+    """
+    per_family: dict[str, float | None] = {}
+    skipped: list[str] = []
+    for name, values in _criterion_families(rates, criterion):
+        defined = [v for v in values.values() if v is not None]
+        skipped.extend(f"{name}:{g}" for g, v in values.items() if v is None)
         if len(defined) < 2:
             per_family[name] = None
             continue
@@ -356,9 +371,7 @@ def metric_report(
     """
     dp = decision_probabilities(rule, dataset)
     rates = rates_from_probabilities(dataset, dp)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UndefinedCellWarning)
-        detail = disparity_detail(rates, criterion)
+    detail = _disparity_detail(rates, criterion)
     report = {
         "groups": {
             g: {

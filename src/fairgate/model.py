@@ -91,6 +91,19 @@ def encode(columns: Sequence[Sequence[str]]) -> tuple[list[tuple[str, ...]], np.
     return vocabularies, np.array(codes, dtype=np.intp).T
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array without NaN, ascending: ``np.unique``'s result.
+
+    It sorts and compares neighbours. ``np.unique`` itself imports
+    ``numpy.ma`` on first use (numpy 2.x), which every command would pay.
+    """
+    ordered = np.sort(values)
+    fresh = np.empty(len(ordered), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
+
+
 @dataclass(frozen=True, eq=False)
 class Columns:
     """The records of a dataset as arrays in record order: its stored form.

@@ -92,6 +92,7 @@ from .model import (
     SingleThreshold,
     StratifiedGroupThreshold,
     UtilityMatrix,
+    sorted_distinct,
 )
 
 class InfeasibleConstraintError(ValueError):
@@ -620,7 +621,9 @@ class _SeparationSearch:
         self.tpr_groups = [g for g in groups if ladders[g].n_pos > 0]
         self.fpr_groups = [g for g in groups if ladders[g].n_neg > 0]
         # Hull vertex indices, from reject-all.
-        self.indices = {g: np.union1d(*_hull_chains(self.paths[g])) for g in groups}
+        self.indices = {
+            g: sorted_distinct(np.concatenate(_hull_chains(self.paths[g]))) for g in groups
+        }
         self.vertices = {g: self.paths[g][self.indices[g]] for g in groups}
 
     def solve(self, gamma: float) -> DecisionRule:
@@ -874,7 +877,7 @@ def _candidate_base(branches: Mapping[str, Sequence[_Ladder]], which: str) -> np
     values = np.concatenate(
         [ladder.interval_families[which].vertex for pair in branches.values() for ladder in pair]
     )
-    return np.unique(values[~np.isnan(values)])
+    return sorted_distinct(values[~np.isnan(values)])
 
 
 def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
@@ -885,7 +888,7 @@ def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
     ``_candidate_base``.
     """
     scaled = base / gamma
-    merged = np.unique(np.concatenate([base, scaled[scaled <= 1.0]]))
+    merged = sorted_distinct(np.concatenate([base, scaled[scaled <= 1.0]]))
     return merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
 
 
@@ -983,7 +986,8 @@ def _best_windows(
     for which in ("ppv", "for_rate"):
         uppers = _designations(bases[which], gamma)
         if len(uppers) > _JOINT_CAP:
-            uppers = uppers[np.unique(np.linspace(0, len(uppers) - 1, _JOINT_CAP).astype(int))]
+            picks = np.linspace(0, len(uppers) - 1, _JOINT_CAP).astype(int)
+            uppers = uppers[sorted_distinct(picks)]
         windows.append(np.column_stack([gamma * uppers, uppers]))
     ppv_windows, for_windows = windows
 

@@ -13,16 +13,20 @@ each stratum of conditional parity) share one window search. It visits every
 candidate value M as the top of the window [gamma * M, M] and sums each
 group's best point inside it. Each group's points are held once, sorted by
 value: the sorted values, their utilities and the permutation back to each
-point's flat index. The values M are read from those sorted values in array
-blocks of ``_SCAN_BLOCK``, and window maxima come from a range-max table
-built one level at a time, so besides the point sets memory holds O(block)
-and two table levels. The search uses none of the optimizer's code.
+point's flat index, 20 bytes a point (8 + 8 + a 4-byte index). Every grid,
+whether of rates, counts or utilities, is one ``a + q * b`` array built with
+no T x Q temporary beside it; the values are sorted in place, and the
+utilities are made only after the sort and read in sorted order. The values
+M are read from those sorted values in array blocks of ``_SCAN_BLOCK``, and
+window maxima come from a range-max table built one level at a time, so
+besides the point sets memory holds O(block) and two table levels. The
+search uses none of the optimizer's code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .model import (
     Mixture,
     StratifiedGroupThreshold,
     UtilityMatrix,
+    sorted_distinct,
 )
 from .optimizer import InfeasibleConstraintError, OptimizationProblem, _stratum_group_rows
 
@@ -65,7 +70,7 @@ class _GroupData:
         du = np.where(
             labels == 1, utility.u(1, 1) - utility.u(0, 1), utility.u(1, 0) - utility.u(0, 0)
         )
-        uniq = np.unique(scores)
+        uniq = sorted_distinct(scores)
         taus = list(uniq)
         if uniq[0] > 0.0:
             taus.insert(0, uniq[0] / 2.0)
@@ -107,6 +112,24 @@ def _q_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, count + 1)
 
 
+def _grid(offsets: np.ndarray, slopes: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``offsets[r] + qs[q] * slopes[r]`` at flat index ``r * len(qs) + q``.
+
+    The grid is the one array allocated: no rows x q temporary is made.
+    """
+    grid = np.multiply.outer(slopes, qs)
+    grid += offsets[:, None]
+    return grid.ravel()
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, written into ``num``, with NaN where ``den <= 0``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(num, den, out=num)
+    num[den <= 0] = np.nan
+    return num
+
+
 @dataclass
 class _PointSet:
     """One group's candidate points, sorted by value with a stable sort.
@@ -121,10 +144,18 @@ class _PointSet:
     order: np.ndarray
 
     @classmethod
-    def sort(cls, values: np.ndarray, utils: np.ndarray) -> "_PointSet":
-        """The points of flat ``values`` and ``utils``; the stable sort puts NaN last."""
+    def sort(cls, values: np.ndarray, make_utils: Callable[[], np.ndarray]) -> "_PointSet":
+        """The points of flat ``values``, which are sorted in place; NaN goes last.
+
+        ``make_utils()`` gives every point's utility by flat index. It is
+        called after the sort, so the unsorted values, the unsorted utilities
+        and the sorted ones are never held at once. ``order`` takes the
+        smallest unsigned type that indexes every point.
+        """
         order = np.argsort(values, kind="stable")[: len(values) - int(np.isnan(values).sum())]
-        return cls(values[order], utils[order], order)
+        order = order.astype(np.min_scalar_type(len(values)))
+        values.sort(kind="stable")
+        return cls(values[: len(order)], make_utils()[order], order)
 
     def first_best(self) -> int:
         """The smallest flat index among the points of greatest utility."""
@@ -136,9 +167,8 @@ def _threshold_points(data: _GroupData, family: str, qs: np.ndarray) -> _PointSe
     if weights is None:
         return None
     above, at = data.threshold_masks()
-    values = (above @ weights)[:, None] + qs[None, :] * (at @ weights)[:, None]
-    utils = (above @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]
-    return _PointSet.sort(values.ravel(), utils.ravel())
+    values = _grid(above @ weights, at @ weights, qs)
+    return _PointSet.sort(values, lambda: _grid(above @ data.du, at @ data.du, qs))
 
 
 def _window_search(
@@ -407,35 +437,38 @@ def _interval_taus(data: _GroupData) -> np.ndarray:
 
 def _interval_points(
     data: _GroupData, qs: np.ndarray, families: tuple[str, ...]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each family's value and the utility of every interval point, by flat index.
+) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Each family's value of every interval point, by flat index, and the utility lines.
 
     With the T thresholds of ``_interval_taus``, point ``(branch * T +
     tau_index) * len(qs) + q_index`` accepts the records above tau (branch 0,
     the lower form) or below it (branch 1, the upper form), and q of those at
-    tau. A family's value is NaN where its denominator is 0.
+    tau. A family's value is NaN where its denominator is 0. The utilities
+    are ``_grid(*lines, qs)``, made by the caller when it needs them.
     """
     taus = _interval_taus(data)
-    above = data.scores[None, :] > taus[:, None]
-    below = data.scores[None, :] < taus[:, None]
     at = data.scores[None, :] == taus[:, None]
-    pos = (data.labels == 1).astype(float)
-    shape = (2, len(taus), len(qs))
-    values = {f: np.empty(shape) for f in families}
-    utils = np.empty(shape)
-    for branch, base_mask in enumerate((above, below)):
-        ep = base_mask.sum(axis=1)[:, None] + qs[None, :] * at.sum(axis=1)[:, None]
-        epy = (base_mask @ pos)[:, None] + qs[None, :] * (at @ pos)[:, None]
-        utils[branch] = (base_mask @ data.du)[:, None] + qs[None, :] * (at @ data.du)[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if "ppv" in values:
-                values["ppv"][branch] = np.where(ep > 0, epy / np.where(ep > 0, ep, 1.0), np.nan)
-            if "for_rate" in values:
-                rej = data.n - ep
-                values["for_rate"][branch] = np.where(
-                    rej > 0, (data.n_pos - epy) / np.where(rej > 0, rej, 1.0), np.nan
-                )
-    return [values[f].ravel() for f in families], utils.ravel()
+    branches = (data.scores[None, :] > taus[:, None], data.scores[None, :] < taus[:, None])
+
+    def lines(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's summed weights: of the records its branch accepts, and of those at tau."""
+        return np.concatenate([mask @ weights for mask in branches]), np.tile(at @ weights, 2)
+
+    if not families:
+        return [], lines(data.du)
+    ep = _grid(*lines(np.ones(data.n)), qs)
+    epy = _grid(*lines((data.labels == 1).astype(float)), qs)
+    values = {}
+    if "for_rate" in families:
+        values["for_rate"] = _ratio(data.n_pos - epy, data.n - ep)
+    if "ppv" in families:
+        values["ppv"] = _ratio(epy, ep)  # written into epy, so after FOR
+    return [values[f] for f in families], lines(data.du)
+
+
+def _interval_point_set(data: _GroupData, family: str, qs: np.ndarray) -> _PointSet:
+    (values,), util_lines = _interval_points(data, qs, (family,))
+    return _PointSet.sort(values, lambda: _grid(*util_lines, qs))
 
 
 def _interval_cut(data: _GroupData, qs: np.ndarray, idx: int) -> IntervalCut:
@@ -460,15 +493,12 @@ def _oracle_sufficiency(
     if gamma == 0.0:
         cuts = {}
         for g in groups:
-            _, utils = _interval_points(groups_data[g], qs, ())
-            cuts[g] = _interval_cut(groups_data[g], qs, int(np.argmax(utils)))
+            _, util_lines = _interval_points(groups_data[g], qs, ())
+            cuts[g] = _interval_cut(groups_data[g], qs, int(np.argmax(_grid(*util_lines, qs))))
         return GroupInterval(cuts)
 
     if len(families) == 1:
-        sets = {}
-        for g in groups:
-            (values,), utils = _interval_points(groups_data[g], qs, families)
-            sets[g] = _PointSet.sort(values, utils)
+        sets = {g: _interval_point_set(groups_data[g], families[0], qs) for g in groups}
         found = _window_search(sets, gamma)
         if found is None:
             raise InfeasibleConstraintError("oracle found no feasible grid tuple")
@@ -482,8 +512,9 @@ def _oracle_sufficiency(
             "(use gamma = 0 for more)"
         )
     ga, gb = groups
-    (ppv_a, for_a), util_a = _interval_points(groups_data[ga], qs, ("ppv", "for_rate"))
-    (ppv_b, for_b), util_b = _interval_points(groups_data[gb], qs, ("ppv", "for_rate"))
+    (ppv_a, for_a), lines_a = _interval_points(groups_data[ga], qs, ("ppv", "for_rate"))
+    (ppv_b, for_b), lines_b = _interval_points(groups_data[gb], qs, ("ppv", "for_rate"))
+    util_a, util_b = _grid(*lines_a, qs), _grid(*lines_b, qs)
     idx_a = np.nonzero(~np.isnan(ppv_a) & ~np.isnan(for_a))[0]
     idx_b = np.nonzero(~np.isnan(ppv_b) & ~np.isnan(for_b))[0]
     if len(idx_a) * len(idx_b) > 40_000_000:

@@ -286,23 +286,70 @@ def test_a_justifier_the_data_lacks_is_named(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_sweep_shows_a_solver_warning_once(tmp_path):
-    # Stratum 'high' is left unconstrained at each of the 21 levels. Python
-    # shows a warning from one place once, so the sweep must not reset that.
-    assessment = tmp_path / "assessment.json"
-    assessment.write_text(json.dumps(ASSESSMENTS["legitimate"]), encoding="utf-8")
-    argv = ["sweep", *SCORED, "--assessment", str(assessment), "--out", str(tmp_path / "out")]
-    # The child imports the package these tests import: the source tree, or
-    # the installed copy when the suite runs on an install.
+def run_in_child(argv: list[str]) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """``main(argv)`` in a fresh interpreter, and the modules it ended with.
+
+    The child imports the package these tests import: the source tree, or
+    the installed copy when the suite runs on an install. Its module names
+    are the last line of its stdout.
+    """
     env = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    code = f"from fairgate.cli import main\nraise SystemExit(main({argv!r}))\n"
+    code = (
+        "import json, sys\n"
+        "from fairgate.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "raise SystemExit(code)\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
-    shown = [line for line in done.stderr.splitlines() if "SmallStratumWarning" in line]
-    assert len(shown) == 1, done.stderr
+    return done, json.loads(done.stdout.splitlines()[-1])
+
+
+def small_stratum_warnings(command: tuple[str, ...], tmp_path: Path) -> list[str]:
+    """The SmallStratumWarning lines of ``command`` through the 'legitimate' assessment.
+
+    Stratum 'high' is left unconstrained at every solve. Python shows a
+    warning from one place once, and leaving a ``warnings.catch_warnings``
+    context resets that.
+    """
+    assessment = tmp_path / "assessment.json"
+    assessment.write_text(json.dumps(ASSESSMENTS["legitimate"]), encoding="utf-8")
+    done, _ = run_in_child(
+        [*command, "--assessment", str(assessment), "--out", str(tmp_path / "out")]
+    )
+    return [line for line in done.stderr.splitlines() if "SmallStratumWarning" in line]
+
+
+def test_a_sweep_shows_a_solver_warning_once(tmp_path):
+    # 21 levels.
+    assert len(small_stratum_warnings(("sweep", *SCORED), tmp_path)) == 1
+
+
+def test_a_report_shows_a_solver_warning_once(tmp_path):
+    # Three seeds, two solves each.
+    command = ("report", "--input", str(INPUT), "--score-col", "p", "--seeds", "3")
+    assert len(small_stratum_warnings(command, tmp_path)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_a_command_loads_only_what_it_runs(name, tmp_path):
+    # numpy 2.x's plain np.unique imports numpy.ma on first use, and no
+    # command needs it. optimize loads the oracle only for --verify, and only
+    # sweep loads the frontier.
+    argv, justifier = COMMANDS[name]
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if justifier is not None:
+        path = tmp_path / "assessment.json"
+        path.write_text(json.dumps(ASSESSMENTS[justifier]), encoding="utf-8")
+        argv += ["--assessment", str(path)]
+    _, modules = run_in_child(argv)
+    assert "numpy.ma" not in modules
+    assert ("fairgate.oracle" in modules) == ("--verify" in argv)
+    assert ("fairgate.frontier" in modules) == (argv[0] == "sweep")
 
 
 def test_the_reported_level_solves(tmp_path, capsys):

@@ -1,13 +1,18 @@
 import dataclasses
+import importlib
 import itertools
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairgate
@@ -31,6 +36,7 @@ from fairgate.model import (
     read_rule_file,
     rule_from_dict,
     rule_to_dict,
+    sorted_distinct,
     write_rule_file,
 )
 
@@ -146,6 +152,78 @@ def test_rules_have_one_evaluation_path():
         if re.search(r"def (probability|decision_probability)\b", line)
     ]
     assert found == []
+
+
+# Every public name of the package, by the module that defines it.
+PUBLIC_NAMES = {
+    "assessment": (
+        "BenefitSource JustifierKind MoralAssessment criterion_equation map_assessment "
+        "prune_justifier_values run_wizard settle"
+    ),
+    "frontier": "FrontierPoint emit_frontier sweep",
+    "metrics": (
+        "FecTable GroupRates compute_rates decision_maker_utility disparity_ratio fec_check"
+    ),
+    "model": (
+        "BenefitMatrix CriterionKind Dataset DecisionRule FairnessCriterion GroupCut "
+        "GroupInterval GroupThreshold IntervalCut Mixture Record SingleThreshold "
+        "StratifiedGroupThreshold UtilityMatrix decide decision_probabilities read_rule_file "
+        "write_rule_file"
+    ),
+    "optimizer": (
+        "InfeasibleConstraintError OptimizationProblem optimize optimize_conditional_parity "
+        "optimize_independence optimize_separation optimize_sufficiency optimize_unconstrained "
+        "solve_context"
+    ),
+    "oracle": "brute_force_oracle",
+    "scorer": "FitConfig LogisticModel fit score_dataset split",
+}
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    # Its names are loaded on first use, so a command loads what it runs.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(fairgate.__file__).resolve().parents[1])
+    code = "import json, sys, fairgate\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert [m for m in json.loads(done.stdout) if m.startswith("fairgate.")] == []
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_every_public_name_is_its_modules_object(module):
+    defining = importlib.import_module(f"fairgate.{module}")
+    assert getattr(fairgate, module) is defining
+    for name in PUBLIC_NAMES[module].split():
+        assert getattr(fairgate, name) is getattr(defining, name), name
+        assert name in dir(fairgate) and name in fairgate.__all__
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        fairgate.nonexistent
+
+
+FLOAT_VALUES = st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5]))
+INT_VALUES = st.lists(st.integers(-3, 3) | st.integers(-(2**62), 2**62))
+
+
+@settings(max_examples=300)
+@given(
+    values=st.one_of(
+        FLOAT_VALUES.map(lambda v: np.array(v, dtype=float)),
+        INT_VALUES.map(lambda v: np.array(v, dtype=np.int64)),
+    )
+)
+@example(values=np.array([]))
+@example(values=np.array([0.25]))
+@example(values=np.array([0.0, -0.0, 1.0, -0.0, 1.0]))
+@example(values=np.array([3, 3, 3]))
+def test_sorted_distinct_equals_np_unique(values):
+    before = values.copy()
+    found, expected = sorted_distinct(values), np.unique(values)
+    assert found.dtype == expected.dtype
+    assert found.tolist() == expected.tolist()
+    assert values.tolist() == before.tolist()
 
 
 class TestDecisionProbability:

@@ -223,7 +223,9 @@ def test_window_search_equals_the_deque_loop(block, monkeypatch):
         # The last 300 instances repeat most values: a block of seven can hold
         # nothing but repeats of the block before it.
         sets = random_point_sets(rng, repeated=instance >= 1000)
-        point_sets = {g: oracle._PointSet.sort(p.values, p.utils) for g, p in sets.items()}
+        point_sets = {
+            g: oracle._PointSet.sort(p.values.copy(), lambda p=p: p.utils) for g, p in sets.items()
+        }
         for gamma in (0.3, 0.8, 0.9, 1.0):
             expected = deque_window_search(sets, gamma)
             found = oracle._window_search(point_sets, gamma)
@@ -284,3 +286,47 @@ def test_oracle_memory_is_bounded(kind, bound_mib):
     # independence and twice that for the two interval branches of PPV parity.
     prob = oracle_problem(dense_dataset(), kind, 0.9)
     assert traced_peak(lambda: brute_force_oracle(prob, 1e-3)) <= bound_mib * 2**20
+
+
+def bytes_a_point(build, points):
+    """(held, peak) traced bytes of ``build()`` per grid point."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built is not None
+    return (held - base) / points, (peak - base) / points
+
+
+def dense_group():
+    ds = dense_dataset()
+    return oracle._GroupData.build("a", ds, np.flatnonzero(ds.columns.group_codes == 0), ACC)
+
+
+def test_a_threshold_point_set_holds_20_bytes_a_point():
+    # A sorted value and a utility of 8 bytes and a 4-byte index per point.
+    # The build peak stays below the values, a sort order and both utility
+    # grids at once (40.5 bytes a point when they were all alive together).
+    data, qs = dense_group(), oracle._q_grid(1e-3)
+    held, peak = bytes_a_point(
+        lambda: oracle._threshold_points(data, "positive_rate", qs), len(data.taus) * len(qs)
+    )
+    assert held <= 20.5
+    assert peak <= 34
+
+
+@pytest.mark.parametrize("family", ["ppv", "for_rate"])
+def test_an_interval_point_set_holds_20_bytes_a_point(family):
+    # As for thresholds, over both branches; a few points of undefined value
+    # are left out. The build peak was 39.9 bytes a point when each branch's
+    # grids went through rows x q temporaries.
+    data, qs = dense_group(), oracle._q_grid(1e-3)
+    held, peak = bytes_a_point(
+        lambda: oracle._interval_point_set(data, family, qs),
+        2 * len(oracle._interval_taus(data)) * len(qs),
+    )
+    assert held <= 20.5
+    assert peak <= 36

@@ -115,7 +115,9 @@ def _q_grid(step: float) -> np.ndarray:
 def _grid(offsets: np.ndarray, slopes: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """``offsets[r] + qs[q] * slopes[r]`` at flat index ``r * len(qs) + q``.
 
-    The grid is the one array allocated: no rows x q temporary is made.
+    The grid is the one array allocated: no rows x q temporary is made. Each
+    element takes the same product and sum as ``offsets + qs * slopes``
+    broadcast, so it is equal bit for bit.
     """
     grid = np.multiply.outer(slopes, qs)
     grid += offsets[:, None]

@@ -5,9 +5,10 @@ given its configuration: reruns produce byte-identical csv outputs. On any
 module error the command exits nonzero with a single-line diagnostic and
 removes partial outputs.
 
-CSV ingest streams its input: ``dataset_from_rows`` converts ``CHUNK_ROWS``
-rows at a time into arrays and merges the chunks once at the end, so memory
-holds the returned arrays and one chunk of rows as Python objects, never the
+CSV ingest streams its input: ``load_csv`` parses ``CHUNK_ROWS`` lines at a
+time into arrays, with numpy's C reader or, where a chunk raises any doubt,
+through ``csv.reader`` row by row, and merges the chunks once at the end, so
+memory holds the returned arrays and one chunk as Python objects, never the
 whole file as rows. ``fit`` reads its input a second time to write the
 scored copy row by row. Errors win in the order of a whole-file read: a
 malformed row anywhere in the file wins over every other error.
@@ -29,23 +30,13 @@ import dataclasses
 import itertools
 import json
 import math
-import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .assessment import (
-    MoralAssessment,
-    assessment_to_dict,
-    criterion_equation,
-    load_assessment,
-    map_assessment,
-    run_wizard,
-    settle,
-)
 from .metrics import decision_maker_utility, metric_report
 from .model import (
     Columns,
@@ -65,6 +56,9 @@ from .model import (
 )
 from .optimizer import OptimizationProblem, optimize, optimize_unconstrained, solve_context
 from .scorer import FitConfig, fit, save_model, score_dataset, split
+
+if TYPE_CHECKING:
+    from .assessment import MoralAssessment
 
 FEATURE_PREFIX = "x_"
 LEGIT_PREFIX = "l_"
@@ -111,39 +105,80 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-# Data rows converted at a time. Only the chunk being read is held as Python
-# lists and strings; every earlier one is already arrays.
+# Data lines parsed at a time, or data rows converted at a time where the rows
+# are given. Only the chunk being read is held as Python strings; every
+# earlier one is already arrays.
 CHUNK_ROWS = 1024
+
+# Characters that send a chunk of lines through csv.reader: a quote (csv's
+# quoting), NUL (which csv.reader rejects before Python 3.11) and \x1c-\x1f,
+# which numpy strips around a number and ``float`` does not.
+_DOUBTFUL = '"\x00\x1c\x1d\x1e\x1f'
 
 
 class _RowStream:
-    """The data rows of an open CSV reader, each with the line it ends on, read once.
+    """The data lines of an open CSV file after its header, read once.
 
-    Blank lines are skipped. A row whose width is not the header's raises
-    with its line, and the stream yields nothing after that. ``len`` is the
-    number of data rows read so far: once the stream is spent it is the
-    length of a list of its rows, the count that ``perfbench/tracing.py``
-    takes of what ``dataset_from_rows`` was given.
+    They are read row by row through ``csv.reader`` (iteration), or a chunk
+    of lines at a time (``datasets``). Blank lines are skipped. A row whose
+    width is not the header's raises with its line, and the stream yields
+    nothing after that. ``len`` is the number of data rows read so far: once
+    the stream is spent it is the length of a list of its rows, the count
+    that ``perfbench/tracing.py`` takes of what ``dataset_from_rows`` was
+    given.
     """
 
-    def __init__(self, reader, width: int, path: Path):
+    def __init__(self, lines: Iterator[str], line: int, width: int, path: Path):
+        self._lines = lines
+        self._line = line  # the lines read so far, the header's among them
+        self._width = width
+        self._path = path
         self._count = 0
-        self._rows = self._read(reader, width, path)
 
-    def _read(self, reader, width: int, path: Path) -> Iterator[tuple[int, list[str]]]:
+    def _rows(
+        self, lines: Iterable[str], stop: float = math.inf
+    ) -> Iterator[tuple[int, list[str]]]:
+        """The rows ``csv.reader`` makes of ``lines``, each with the line it ends on.
+
+        Reading ends at the first row that ends ``stop`` or more lines in.
+        """
+        reader = csv.reader(lines)
+        start = self._line
         for values in reader:
-            if len(values) != width:
-                if not values:
-                    continue
-                raise ValueError(f"{path}: malformed row at line {reader.line_num}")
-            self._count += 1
-            yield reader.line_num, values
+            self._line = start + reader.line_num
+            if len(values) == self._width:
+                self._count += 1
+                yield self._line, values
+            elif values:
+                self._lines = iter(())
+                raise ValueError(f"{self._path}: malformed row at line {self._line}")
+            if reader.line_num >= stop:
+                return
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        return self._rows
+        return self._rows(self._lines)
 
     def __len__(self) -> int:
         return self._count
+
+    def datasets(self, fieldnames: Sequence[str], roles: ColumnRoles) -> Iterator[Dataset]:
+        """One dataset per chunk of ``CHUNK_ROWS`` lines.
+
+        ``_parse_lines`` parses a chunk with numpy's C reader. Where it has any
+        doubt, the chunk's lines are read again through ``csv.reader``, on
+        into the lines after them if a quoted value runs on, and converted
+        row by row (``_chunk_dataset``), which names the first bad line.
+        """
+        dtype = _line_dtype(fieldnames, roles)
+        while lines := list(itertools.islice(self._lines, CHUNK_ROWS)):
+            first = self._line + 1
+            part = None if dtype is None else _parse_lines(lines, first, dtype, fieldnames, roles)
+            if part is not None:
+                self._line += len(lines)
+                self._count += len(lines)
+                yield part
+            elif rows := list(self._rows(itertools.chain(lines, self._lines), len(lines))):
+                yield _chunk_dataset(fieldnames, rows, roles)
 
 
 @contextlib.contextmanager
@@ -160,7 +195,7 @@ def _read_rows(path: Path) -> Iterator[tuple[list[str], _RowStream]]:
         fieldnames = next(reader, None)
         if fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        rows = _RowStream(reader, len(fieldnames), path)
+        rows = _RowStream(handle, reader.line_num, len(fieldnames), path)
         try:
             yield fieldnames, rows
         except ValueError:
@@ -206,11 +241,12 @@ def dataset_from_rows(
 ) -> Dataset:
     """The dataset of rows as ``_read_rows`` gives them, from a list or the stream itself.
 
-    The rows are taken ``CHUNK_ROWS`` at a time, and each chunk becomes a
-    dataset as soon as it is read (``_chunk_dataset``). The chunks are merged
-    once at the end (``_concat``). Given the stream, memory holds the arrays
-    of the chunks read so far and one chunk of rows as Python objects; the
-    merge briefly holds the arrays twice.
+    Given the stream, the lines are taken ``CHUNK_ROWS`` at a time
+    (``_RowStream.datasets``); given rows, the rows are, and each chunk of
+    rows is converted as soon as it is read (``_chunk_dataset``). The chunks
+    are merged once at the end (``_concat``). Memory holds the arrays of the
+    chunks read so far and one chunk as Python objects; the merge briefly
+    holds the arrays twice.
     """
     if len(set(fieldnames)) < len(fieldnames):
         repeated = next(name for i, name in enumerate(fieldnames) if name in fieldnames[:i])
@@ -221,13 +257,80 @@ def dataset_from_rows(
     for role, name in (("score", roles.score), ("id", roles.id)):
         if name is not None and name not in fieldnames:
             raise ValueError(f"missing {role} column {name!r}")
-    rows = iter(rows)
-    parts = []
-    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-        parts.append(_chunk_dataset(fieldnames, chunk, roles))
+    if isinstance(rows, _RowStream):
+        parts = list(rows.datasets(fieldnames, roles))
+    else:
+        rows = iter(rows)
+        chunks = iter(lambda: list(itertools.islice(rows, CHUNK_ROWS)), [])
+        parts = [_chunk_dataset(fieldnames, chunk, roles) for chunk in chunks]
     if not parts:
         raise ValueError("no data rows")
     return _concat(parts)
+
+
+def _attribute_names(fieldnames: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The feature names (``x_`` columns) and legitimate attribute names (``l_``, unprefixed)."""
+    features = tuple(c for c in fieldnames if c.startswith(FEATURE_PREFIX))
+    legit = tuple(c[len(LEGIT_PREFIX) :] for c in fieldnames if c.startswith(LEGIT_PREFIX))
+    return features, legit
+
+
+def _line_dtype(fieldnames: Sequence[str], roles: ColumnRoles) -> np.dtype | None:
+    """The structured dtype in which ``np.loadtxt`` reads a line, field ``f<i>`` for column i.
+
+    The group, id and ``l_`` columns are text (Python strings), the label,
+    score and ``x_`` columns numbers and the rest are read as text and
+    dropped. None when a column has both roles: only the row path reads it.
+    """
+    features, legit = _attribute_names(fieldnames)
+    text = {roles.group, roles.id, *(LEGIT_PREFIX + name for name in legit)} - {None}
+    numbers = {roles.label, roles.score, *features} - {None}
+    if text & numbers:
+        return None
+    return np.dtype([(f"f{i}", "f8" if c in numbers else "O") for i, c in enumerate(fieldnames)])
+
+
+def _parse_lines(
+    lines: list[str], first: int, dtype: np.dtype, fieldnames: Sequence[str], roles: ColumnRoles
+) -> Dataset | None:
+    """The dataset of data lines numbered from ``first``, or None on any doubt.
+
+    One ``np.loadtxt`` call parses every line. Doubt is a blank line, a
+    character of ``_DOUBTFUL``, a line longer than ``csv.reader`` takes, a
+    line that numpy does not parse or a value that ``Dataset`` rejects. With
+    none of these, each line is one row, split at its commas as
+    ``csv.reader`` splits it, and each number is the double that ``float``
+    makes of it, so the dataset equals the one the row path builds.
+    """
+    if "\n" in lines or "\r\n" in lines or "\r" in lines:
+        return None
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if any(c in text for c in _DOUBTFUL) or len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    position = {name: f"f{i}" for i, name in enumerate(fieldnames)}
+    column = lambda name: table[position[name]]
+    features, legit = _attribute_names(fieldnames)
+    if roles.id is not None:
+        ids = column(roles.id).copy()
+    else:
+        ids = np.fromiter(map(str, range(first, first + len(lines))), object, len(lines))
+    try:
+        return _columns_dataset(
+            [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit)],
+            ids,
+            column(roles.label),
+            None if roles.score is None else column(roles.score),
+            [column(name) for name in features],
+            legit,
+            features,
+        )
+    except ValueError:
+        return None
 
 
 def _chunk_dataset(
@@ -239,8 +342,7 @@ def _chunk_dataset(
     the rows parsed one by one, to name the first bad line; every earlier
     chunk passed its checks, so that line is the first bad line of the file.
     """
-    feature_names = tuple(c for c in fieldnames if c.startswith(FEATURE_PREFIX))
-    legit_names = tuple(c[len(LEGIT_PREFIX) :] for c in fieldnames if c.startswith(LEGIT_PREFIX))
+    features, legit = _attribute_names(fieldnames)
     position = {name: i for i, name in enumerate(fieldnames)}
     # Every row has the header's width (``_RowStream``), so the transpose
     # holds one tuple per column.
@@ -250,33 +352,52 @@ def _chunk_dataset(
         return by_column[position[name]]
 
     floats = lambda name: np.fromiter(map(float, column(name)), float, len(rows))
-    (groups, *legit_values), codes = encode(
-        [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit_names)]
-    )
     ids = column(roles.id) if roles.id is not None else [str(line) for line, _ in rows]
     try:
-        # A label other than 0 or 1, or a NaN given as a score, becomes -1, which
-        # Dataset rejects.
-        labels = floats(roles.label)
-        scores = np.full(len(rows), np.nan)
-        if roles.score is not None:
-            scores = floats(roles.score)
-            scores[np.isnan(scores)] = -1.0
-        features = [floats(name) for name in feature_names]
-        columns = Columns(
-            ids=np.array(ids, dtype=object),
-            labels=np.where((labels == 0.0) | (labels == 1.0), labels, -1.0).astype(np.int64),
-            scores=scores,
-            group_codes=codes[:, 0],
-            legit_codes=codes[:, 1:],
-            legit_values=tuple(legit_values),
-            features=np.column_stack(features) if features else None,
+        return _columns_dataset(
+            [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit)],
+            np.array(ids, dtype=object),
+            floats(roles.label),
+            None if roles.score is None else floats(roles.score),
+            [floats(name) for name in features],
+            legit,
+            features,
         )
-        return Dataset(columns, tuple(groups), legit_names, feature_names)
     except ValueError:
         for line, row in rows:  # a check failed: name the first bad line
-            _check_row(line, dict(zip(fieldnames, row)), roles, feature_names)
+            _check_row(line, dict(zip(fieldnames, row)), roles, features)
         raise
+
+
+def _columns_dataset(
+    texts: list[Sequence[str]],
+    ids: np.ndarray,
+    labels: np.ndarray,
+    scores: np.ndarray | None,
+    features: list[np.ndarray],
+    legit_names: tuple[str, ...],
+    feature_names: tuple[str, ...],
+) -> Dataset:
+    """The dataset of one chunk's columns: the group and ``l_`` texts, then the parsed values.
+
+    A label other than 0 or 1, or a NaN given as a score, becomes -1, which
+    ``Dataset`` rejects.
+    """
+    (groups, *legit_values), codes = encode(texts)
+    if scores is None:
+        scores = np.full(len(ids), np.nan)
+    else:
+        scores = np.where(np.isnan(scores), -1.0, scores)
+    columns = Columns(
+        ids=ids,
+        labels=np.where((labels == 0.0) | (labels == 1.0), labels, -1.0).astype(np.int64),
+        scores=scores,
+        group_codes=codes[:, 0],
+        legit_codes=codes[:, 1:],
+        legit_values=tuple(legit_values),
+        features=np.column_stack(features) if features else None,
+    )
+    return Dataset(columns, tuple(groups), legit_names, feature_names)
 
 
 def _concat(parts: list[Dataset]) -> Dataset:
@@ -322,7 +443,16 @@ def load_csv(path: str | Path, roles: ColumnRoles) -> Dataset:
     attributes; ids default to file line numbers. A malformed or invalid row
     raises with its line number. The file is streamed through
     ``dataset_from_rows``: besides the arrays it returns, memory holds one
-    chunk of ``CHUNK_ROWS`` rows as Python objects, never the whole file.
+    chunk of ``CHUNK_ROWS`` lines as Python objects, never the whole file.
+
+    Each chunk of lines is parsed by one ``np.loadtxt`` call, in numpy's C
+    reader (``_parse_lines``). The chunk falls back to ``csv.reader`` and the
+    row-by-row converter when it holds a blank line, a quote, NUL or
+    \x1c-\x1f, a line longer than ``csv.field_size_limit()``, a line numpy
+    does not parse or a value that ``Dataset`` rejects, and always when one
+    column has both a text role (group, id, ``l_``) and a number role (label,
+    score, ``x_``). Every error, its line and which error wins are the row
+    path's, and a file that loads gives the same arrays by either path.
     """
     with _read_rows(Path(path)) as (fieldnames, rows):
         return dataset_from_rows(fieldnames, rows, roles)
@@ -398,6 +528,8 @@ def _resolve_criterion(
     if (config.criterion is None) == (config.assessment_path is None):
         raise ValueError("exactly one of --criterion and --assessment is required")
     if config.assessment_path is not None:
+        from .assessment import load_assessment, map_assessment, settle  # loaded only here
+
         loaded, stored = load_assessment(config.assessment_path)
         if loaded.group_attribute != config.roles.group:
             raise ValueError(
@@ -475,6 +607,8 @@ def _split_scored(config: RunConfig, dataset: Dataset, seed: int) -> tuple[Datas
 
 
 def cmd_assess(config: RunConfig, out: _OutputTracker) -> int:
+    from .assessment import assessment_to_dict, criterion_equation, map_assessment, run_wizard
+
     if config.answers is not None:
         with open(config.answers, encoding="utf-8") as handle:
             assessment = run_wizard(istream=handle, ostream=sys.stdout)
@@ -599,6 +733,10 @@ def _rule_thresholds(rule: DecisionRule) -> dict[str, float] | None:
 
 def run_report(config: RunConfig) -> dict:
     """Multi-seed pipeline behind cmd_report; returns the aggregate document."""
+    import statistics
+
+    from .assessment import criterion_equation  # loaded only by report and assessments
+
     dataset = load_csv(config.input, config.roles)
     criterion, assessment = _resolve_criterion(config, dataset)
 
@@ -754,11 +892,19 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_DATA_OPTIONS[flag])
 
 
+def _numbers(flag: str, text: str) -> tuple[float, ...]:
+    """The comma-separated numbers given to ``flag``; an empty entry is an error."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     run = {name: given[name] for name in _RUN_OPTIONS if name in given}
     if "utility" in given:
-        cells = tuple(float(v) for v in given["utility"].split(","))
+        cells = _numbers("--utility", given["utility"])
         if len(cells) != 4:
             raise ValueError("--utility needs four comma-separated numbers")
         run["utility"] = UtilityMatrix(*cells)
@@ -769,8 +915,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             score=args.score_col,
             id=args.id_col,
         )
-    if given.get("gammas"):
-        run["gammas"] = tuple(float(v) for v in args.gammas.split(","))
+    if "gammas" in given:
+        run["gammas"] = _numbers("--gammas", given["gammas"])
     fit_config = FitConfig(**{name: given[name] for name in _FIT_OPTIONS if name in given})
     return RunConfig(fit_config=fit_config, **run)
 

@@ -49,14 +49,18 @@ def sweep(
     the training split. Infeasible levels are recorded and the sweep goes on.
     Every level is solved from one solve context (``solve_context``), so the
     search state that does not depend on gamma is built once, and each
-    feasible rule is evaluated once per split: one vector of decision
-    probabilities gives the split's rates and utility.
+    distinct rule is evaluated once per split: one vector of decision
+    probabilities gives the split's rates and utility, and a level whose
+    rule equals (``==``) the one evaluated last reuses them. Only the
+    disparity, which depends on the level's criterion, is worked out anew.
     """
     levels = sorted(set(float(g) for g in gammas) | {0.0, 1.0})
     evaluation = test_dataset if test_dataset is not None else problem.dataset
     utility = problem.utility
     context = solve_context(problem)
     points: list[FrontierPoint] = []
+    # The rule evaluated last, its rates on the evaluation split and its two utilities.
+    evaluated = None
     for gamma in levels:
         criterion = dataclasses.replace(problem.criterion, gamma=gamma)
         try:
@@ -77,8 +81,20 @@ def sweep(
                 )
             )
             continue
-        dp_eval = decision_probabilities(rule, evaluation)
-        eval_rates = rates_from_probabilities(evaluation, dp_eval)
+        if evaluated is None or evaluated[0] != rule:
+            dp_eval = decision_probabilities(rule, evaluation)
+            dp_train = (
+                dp_eval
+                if evaluation is problem.dataset
+                else decision_probabilities(rule, problem.dataset)
+            )
+            evaluated = (
+                rule,
+                rates_from_probabilities(evaluation, dp_eval),
+                utility_from_probabilities(problem.dataset, dp_train, utility),
+                utility_from_probabilities(evaluation, dp_eval, utility),
+            )
+        _, eval_rates, utility_train, utility_test = evaluated
         try:
             ratio_eval = _disparity_detail(eval_rates, criterion).ratio
         except UndefinedMetricError:
@@ -86,19 +102,14 @@ def sweep(
         groups = evaluation.groups
         values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
         headline = dict(zip(headline_rate_names(criterion, groups), values))
-        dp_train = (
-            dp_eval
-            if evaluation is problem.dataset
-            else decision_probabilities(rule, problem.dataset)
-        )
         points.append(
             FrontierPoint(
                 gamma=gamma,
                 feasible=True,
                 rule=rule,
                 achieved_ratio=ratio_eval,
-                utility_train=utility_from_probabilities(problem.dataset, dp_train, utility),
-                utility_test=utility_from_probabilities(evaluation, dp_eval, utility),
+                utility_train=utility_train,
+                utility_test=utility_test,
                 headline_rates=headline,
             )
         )

@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .assessment import JustifierKind, MoralAssessment
 from .model import (
     CriterionKind,
     Dataset,
@@ -34,6 +33,9 @@ from .model import (
     UtilityMatrix,
     decision_probabilities,
 )
+
+if TYPE_CHECKING:
+    from .assessment import MoralAssessment
 
 
 class UndefinedMetricError(ValueError):
@@ -308,6 +310,8 @@ def fec_from_probabilities(
     dataset: Dataset, dp: np.ndarray, assessment: MoralAssessment
 ) -> FecTable:
     """``fec_check`` of a rule whose decision probabilities on the dataset are ``dp``."""
+    from .assessment import JustifierKind  # loaded only where an assessment is in play
+
     if not len(dataset):
         raise ValueError("cannot compute expected benefits on an empty dataset")
     groups, g, y = dataset.groups, dataset.columns.group_codes, dataset.columns.labels

@@ -338,8 +338,9 @@ def test_a_report_shows_a_solver_warning_once(tmp_path):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_a_command_loads_only_what_it_runs(name, tmp_path):
     # numpy 2.x's plain np.unique imports numpy.ma on first use, and no
-    # command needs it. optimize loads the oracle only for --verify, and only
-    # sweep loads the frontier.
+    # command needs it. optimize loads the oracle only for --verify, only
+    # sweep loads the frontier, only an assessment loads its module and only
+    # report loads statistics.
     argv, justifier = COMMANDS[name]
     argv = [*argv, "--out", str(tmp_path / "out")]
     if justifier is not None:
@@ -350,6 +351,8 @@ def test_a_command_loads_only_what_it_runs(name, tmp_path):
     assert "numpy.ma" not in modules
     assert ("fairgate.oracle" in modules) == ("--verify" in argv)
     assert ("fairgate.frontier" in modules) == (argv[0] == "sweep")
+    assert ("fairgate.assessment" in modules) == (justifier is not None)
+    assert ("statistics" in modules) == (argv[0] == "report")
 
 
 def test_the_reported_level_solves(tmp_path, capsys):
@@ -373,6 +376,17 @@ def test_a_non_finite_payoff_is_rejected(cells, tmp_path, capsys):
     shown = ", ".join(repr(float(c)) for c in cells.split(","))
     err = capsys.readouterr().err
     assert err == f"error: utility matrix cells must be finite numbers, got [{shown}]\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--gammas", ""), ("--gammas", "0.5,,0.7"), ("--utility", "1,0,0,x")]
+)
+def test_a_list_of_numbers_with_an_empty_or_bad_entry_is_rejected(option, value, tmp_path, capsys):
+    argv = ["sweep", *SCORED, "--criterion", "independence", option, value]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    message = f"error: {option} needs comma-separated numbers, got {value!r}\n"
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import make_dataset, random_instance
+from fairgate import frontier
 from fairgate.frontier import (
     DEFAULT_GAMMA_GRID,
     FrontierPoint,
@@ -84,6 +85,36 @@ def test_test_split_metrics_use_second_dataset():
     points = sweep(fpr_problem(train), (1.0,), test_dataset=test)
     point = points[-1]
     assert point.utility_test == decision_maker_utility(test, point.rule, ACC)
+
+
+@pytest.mark.parametrize("kind", [CriterionKind.INDEPENDENCE, CriterionKind.TPR_PARITY,
+                                  CriterionKind.FPR_PARITY], ids=lambda k: k.value)
+def test_a_sweep_evaluates_each_distinct_rule_once(kind, monkeypatch):
+    # A level whose rule equals the last one evaluated reuses its rates and
+    # utilities: one decision-probability vector per split and distinct rule.
+    calls = []
+    original = frontier.decision_probabilities
+
+    def counted(rule, dataset):
+        calls.append(rule)
+        return original(rule, dataset)
+
+    monkeypatch.setattr(frontier, "decision_probabilities", counted)
+    rng = random.Random(f"distinct-{kind.value}")
+    train = random_instance(rng, n_groups=2, max_records=40, score_pool=(0.2, 0.4, 0.6, 0.8))
+    test = random_instance(rng, n_groups=2, max_records=40)
+    criterion = FairnessCriterion(kind)
+    points = sweep(OptimizationProblem(train, ACC, criterion), DEFAULT_GAMMA_GRID, test)
+    rules = [p.rule for p in points if p.feasible]
+    distinct = 1 + sum(a != b for a, b in zip(rules, rules[1:]))
+    assert len(points) == 21 and distinct < len(rules)
+    assert len(calls) == 2 * distinct
+    for p in points:
+        if p.feasible:
+            level = FairnessCriterion(kind, gamma=p.gamma)
+            assert p.utility_train == decision_maker_utility(train, p.rule, ACC)
+            assert p.utility_test == decision_maker_utility(test, p.rule, ACC)
+            assert p.achieved_ratio == disparity_ratio(compute_rates(test, p.rule), level)
 
 
 class TestEmit:

@@ -446,13 +446,14 @@ def load_csv(path: str | Path, roles: ColumnRoles) -> Dataset:
     chunk of ``CHUNK_ROWS`` lines as Python objects, never the whole file.
 
     Each chunk of lines is parsed by one ``np.loadtxt`` call, in numpy's C
-    reader (``_parse_lines``). The chunk falls back to ``csv.reader`` and the
-    row-by-row converter when it holds a blank line, a quote, NUL or
-    \x1c-\x1f, a line longer than ``csv.field_size_limit()``, a line numpy
-    does not parse or a value that ``Dataset`` rejects, and always when one
-    column has both a text role (group, id, ``l_``) and a number role (label,
-    score, ``x_``). Every error, its line and which error wins are the row
-    path's, and a file that loads gives the same arrays by either path.
+    reader (``_parse_lines``). The chunk falls back to ``csv.reader`` and
+    the row-by-row converter when it holds a blank line, a quote, NUL or a
+    character 0x1c-0x1f, a line longer than ``csv.field_size_limit()``, a
+    line numpy does not parse or a value that ``Dataset`` rejects, and
+    always when one column has both a text role (group, id, ``l_``) and a
+    number role (label, score, ``x_``). Every error, its line and which
+    error wins are the row path's, and a file that loads gives the same
+    arrays by either path.
     """
     with _read_rows(Path(path)) as (fieldnames, rows):
         return dataset_from_rows(fieldnames, rows, roles)

@@ -59,8 +59,7 @@ def sweep(
     utility = problem.utility
     context = solve_context(problem)
     points: list[FrontierPoint] = []
-    # The rule evaluated last, its rates on the evaluation split and its two utilities.
-    evaluated = None
+    evaluated = None  # the rule that eval_rates, utility_train and utility_test are of
     for gamma in levels:
         criterion = dataclasses.replace(problem.criterion, gamma=gamma)
         try:
@@ -81,20 +80,17 @@ def sweep(
                 )
             )
             continue
-        if evaluated is None or evaluated[0] != rule:
+        if rule != evaluated:
+            evaluated = rule
             dp_eval = decision_probabilities(rule, evaluation)
             dp_train = (
                 dp_eval
                 if evaluation is problem.dataset
                 else decision_probabilities(rule, problem.dataset)
             )
-            evaluated = (
-                rule,
-                rates_from_probabilities(evaluation, dp_eval),
-                utility_from_probabilities(problem.dataset, dp_train, utility),
-                utility_from_probabilities(evaluation, dp_eval, utility),
-            )
-        _, eval_rates, utility_train, utility_test = evaluated
+            eval_rates = rates_from_probabilities(evaluation, dp_eval)
+            utility_train = utility_from_probabilities(problem.dataset, dp_train, utility)
+            utility_test = utility_from_probabilities(evaluation, dp_eval, utility)
         try:
             ratio_eval = _disparity_detail(eval_rates, criterion).ratio
         except UndefinedMetricError:

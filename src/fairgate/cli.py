@@ -5,9 +5,10 @@ given its configuration: reruns produce byte-identical csv outputs. On any
 module error the command exits nonzero with a single-line diagnostic and
 removes partial outputs.
 
-CSV ingest streams its input: ``load_csv`` parses ``CHUNK_ROWS`` lines at a
-time into arrays, with numpy's C reader or, where a chunk raises any doubt,
-through ``csv.reader`` row by row, and merges the chunks once at the end, so
+CSV ingest streams its input: ``load_csv`` reads ``CHUNK_ROWS`` lines at a
+time into one structured table, parsed by numpy's C reader or, where a chunk
+raises any doubt, split by ``csv.reader`` and cast by numpy; one function
+turns every table into arrays, and the chunks are merged once at the end, so
 memory holds the returned arrays and one chunk as Python objects, never the
 whole file as rows. ``fit`` reads its input a second time to write the
 scored copy row by row. Errors win in the order of a whole-file read: a
@@ -110,9 +111,9 @@ class RunConfig:
 # earlier one is already arrays.
 CHUNK_ROWS = 1024
 
-# Characters that send a chunk of lines through csv.reader: a quote (csv's
-# quoting), NUL (which csv.reader rejects before Python 3.11) and \x1c-\x1f,
-# which numpy strips around a number and ``float`` does not.
+# Characters that send a chunk of lines to be split by csv.reader: a quote
+# (csv's quoting), NUL (which csv.reader rejects before Python 3.11) and
+# \x1c-\x1f, which numpy's reader strips around a number and ``float`` does not.
 _DOUBTFUL = '"\x00\x1c\x1d\x1e\x1f'
 
 
@@ -121,11 +122,11 @@ class _RowStream:
 
     They are read row by row through ``csv.reader`` (iteration), or a chunk
     of lines at a time (``datasets``). Blank lines are skipped. A row whose
-    width is not the header's raises with its line, and the stream yields
-    nothing after that. ``len`` is the number of data rows read so far: once
-    the stream is spent it is the length of a list of its rows, the count
-    that ``perfbench/tracing.py`` takes of what ``dataset_from_rows`` was
-    given.
+    width is not the header's, or that ``csv.reader`` cannot read, raises
+    with its line, and the stream yields nothing after that. ``len`` is the
+    number of data rows read so far: once the stream is spent it is the
+    length of a list of its rows, the count that ``perfbench/tracing.py``
+    takes of what ``dataset_from_rows`` was given.
     """
 
     def __init__(self, lines: Iterator[str], line: int, width: int, path: Path):
@@ -144,16 +145,21 @@ class _RowStream:
         """
         reader = csv.reader(lines)
         start = self._line
-        for values in reader:
-            self._line = start + reader.line_num
-            if len(values) == self._width:
-                self._count += 1
-                yield self._line, values
-            elif values:
-                self._lines = iter(())
-                raise ValueError(f"{self._path}: malformed row at line {self._line}")
-            if reader.line_num >= stop:
-                return
+        try:
+            for values in reader:
+                self._line = start + reader.line_num
+                if len(values) == self._width:
+                    self._count += 1
+                    yield self._line, values
+                elif values:
+                    self._lines = iter(())
+                    raise ValueError(f"{self._path}: malformed row at line {self._line}")
+                if reader.line_num >= stop:
+                    return
+        except csv.Error as exc:  # a field too long, or NUL before Python 3.11
+            self._lines = iter(())
+            line = start + reader.line_num
+            raise ValueError(f"{self._path}: malformed row at line {line} ({exc})") from None
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         return self._rows(self._lines)
@@ -165,14 +171,14 @@ class _RowStream:
         """One dataset per chunk of ``CHUNK_ROWS`` lines.
 
         ``_parse_lines`` parses a chunk with numpy's C reader. Where it has any
-        doubt, the chunk's lines are read again through ``csv.reader``, on
-        into the lines after them if a quoted value runs on, and converted
-        row by row (``_chunk_dataset``), which names the first bad line.
+        doubt, ``csv.reader`` splits the chunk's lines again, on into the
+        lines after them if a quoted value runs on, and ``_chunk_dataset``
+        converts its rows, naming the first bad line.
         """
         dtype = _line_dtype(fieldnames, roles)
         while lines := list(itertools.islice(self._lines, CHUNK_ROWS)):
             first = self._line + 1
-            part = None if dtype is None else _parse_lines(lines, first, dtype, fieldnames, roles)
+            part = _parse_lines(lines, first, dtype, fieldnames, roles)
             if part is not None:
                 self._line += len(lines)
                 self._count += len(lines)
@@ -192,7 +198,10 @@ def _read_rows(path: Path) -> Iterator[tuple[list[str], _RowStream]]:
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        fieldnames = next(reader, None)
+        try:
+            fieldnames = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: malformed row at line {reader.line_num} ({exc})") from None
         if fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
         rows = _RowStream(handle, reader.line_num, len(fieldnames), path)
@@ -275,18 +284,17 @@ def _attribute_names(fieldnames: Sequence[str]) -> tuple[tuple[str, ...], tuple[
     return features, legit
 
 
-def _line_dtype(fieldnames: Sequence[str], roles: ColumnRoles) -> np.dtype | None:
-    """The structured dtype in which ``np.loadtxt`` reads a line, field ``f<i>`` for column i.
+def _line_dtype(fieldnames: Sequence[str], roles: ColumnRoles) -> np.dtype:
+    """The structured dtype of a chunk's table, field ``f<i>`` for column i.
 
-    The group, id and ``l_`` columns are text (Python strings), the label,
-    score and ``x_`` columns numbers and the rest are read as text and
-    dropped. None when a column has both roles: only the row path reads it.
+    The label, score and ``x_`` columns are numbers (doubles). Every other
+    column is text (Python strings): the group, id and ``l_`` columns, a
+    column that also has one of those roles, and the rest, which are
+    dropped. A text column's numbers are ``float`` of its strings.
     """
     features, legit = _attribute_names(fieldnames)
-    text = {roles.group, roles.id, *(LEGIT_PREFIX + name for name in legit)} - {None}
-    numbers = {roles.label, roles.score, *features} - {None}
-    if text & numbers:
-        return None
+    text = {roles.group, roles.id, *(LEGIT_PREFIX + name for name in legit)}
+    numbers = {roles.label, roles.score, *features} - text
     return np.dtype([(f"f{i}", "f8" if c in numbers else "O") for i, c in enumerate(fieldnames)])
 
 
@@ -295,12 +303,13 @@ def _parse_lines(
 ) -> Dataset | None:
     """The dataset of data lines numbered from ``first``, or None on any doubt.
 
-    One ``np.loadtxt`` call parses every line. Doubt is a blank line, a
-    character of ``_DOUBTFUL``, a line longer than ``csv.reader`` takes, a
-    line that numpy does not parse or a value that ``Dataset`` rejects. With
-    none of these, each line is one row, split at its commas as
-    ``csv.reader`` splits it, and each number is the double that ``float``
-    makes of it, so the dataset equals the one the row path builds.
+    One ``np.loadtxt`` call parses every line into a table. Doubt is a blank
+    line, a character of ``_DOUBTFUL``, a line longer than ``csv.reader``
+    takes, a line that numpy does not parse or a value that ``Dataset``
+    rejects. With none of these, each line is one row, split at its commas
+    as ``csv.reader`` splits it, and each number is the double that
+    ``float`` makes of it, so the table equals the one ``_chunk_dataset``
+    builds.
     """
     if "\n" in lines or "\r\n" in lines or "\r" in lines:
         return None
@@ -310,25 +319,7 @@ def _parse_lines(
         return None
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    position = {name: f"f{i}" for i, name in enumerate(fieldnames)}
-    column = lambda name: table[position[name]]
-    features, legit = _attribute_names(fieldnames)
-    if roles.id is not None:
-        ids = column(roles.id).copy()
-    else:
-        ids = np.fromiter(map(str, range(first, first + len(lines))), object, len(lines))
-    try:
-        return _columns_dataset(
-            [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit)],
-            ids,
-            column(roles.label),
-            None if roles.score is None else column(roles.score),
-            [column(name) for name in features],
-            legit,
-            features,
-        )
+        return _table_dataset(table, range(first, first + len(lines)), fieldnames, roles)
     except ValueError:
         return None
 
@@ -336,57 +327,48 @@ def _parse_lines(
 def _chunk_dataset(
     fieldnames: Sequence[str], rows: list[tuple[int, list[str]]], roles: ColumnRoles
 ) -> Dataset:
-    """One chunk of rows, converted column by column.
+    """One chunk of rows as ``csv.reader`` splits them, converted as a parsed chunk is.
 
-    The arrays are checked once, by ``Dataset``. Only when a check fails are
-    the rows parsed one by one, to name the first bad line; every earlier
-    chunk passed its checks, so that line is the first bad line of the file.
+    The rows become the table ``np.loadtxt`` builds: numpy casts a string
+    into a number field by ``float``'s rules. Only when a value is rejected
+    are the rows checked one by one, to name the first bad line; every
+    earlier chunk passed its checks, so that line is the first bad line of
+    the file.
     """
-    features, legit = _attribute_names(fieldnames)
-    position = {name: i for i, name in enumerate(fieldnames)}
-    # Every row has the header's width (``_RowStream``), so the transpose
-    # holds one tuple per column.
-    by_column = list(zip(*(values for _, values in rows)))
-
-    def column(name: str) -> Sequence[str]:
-        return by_column[position[name]]
-
-    floats = lambda name: np.fromiter(map(float, column(name)), float, len(rows))
-    ids = column(roles.id) if roles.id is not None else [str(line) for line, _ in rows]
     try:
-        return _columns_dataset(
-            [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit)],
-            np.array(ids, dtype=object),
-            floats(roles.label),
-            None if roles.score is None else floats(roles.score),
-            [floats(name) for name in features],
-            legit,
-            features,
-        )
+        table = np.array([tuple(values) for _, values in rows], _line_dtype(fieldnames, roles))
+        return _table_dataset(table, [line for line, _ in rows], fieldnames, roles)
     except ValueError:
+        features, _ = _attribute_names(fieldnames)
         for line, row in rows:  # a check failed: name the first bad line
             _check_row(line, dict(zip(fieldnames, row)), roles, features)
         raise
 
 
-def _columns_dataset(
-    texts: list[Sequence[str]],
-    ids: np.ndarray,
-    labels: np.ndarray,
-    scores: np.ndarray | None,
-    features: list[np.ndarray],
-    legit_names: tuple[str, ...],
-    feature_names: tuple[str, ...],
+def _table_dataset(
+    table: np.ndarray, lines: Sequence[int], fieldnames: Sequence[str], roles: ColumnRoles
 ) -> Dataset:
-    """The dataset of one chunk's columns: the group and ``l_`` texts, then the parsed values.
+    """The dataset of one chunk's table (``_line_dtype``), whose rows end on ``lines``.
 
-    A label other than 0 or 1, or a NaN given as a score, becomes -1, which
-    ``Dataset`` rejects.
+    Ids default to the line numbers. A label other than 0 or 1, or a NaN
+    given as a score, becomes -1, which ``Dataset`` rejects.
     """
-    (groups, *legit_values), codes = encode(texts)
-    if scores is None:
-        scores = np.full(len(ids), np.nan)
+    position = {name: f"f{i}" for i, name in enumerate(fieldnames)}
+    column = lambda name: table[position[name]]
+    number = lambda name: np.asarray(column(name), float)  # a text field through float()
+    features, legit = _attribute_names(fieldnames)
+    (groups, *legit_values), codes = encode(
+        [column(roles.group), *(column(LEGIT_PREFIX + name) for name in legit)]
+    )
+    if roles.id is not None:
+        ids = column(roles.id).copy()
     else:
+        ids = np.fromiter(map(str, lines), object, len(lines))
+    labels = number(roles.label)
+    if roles.score is None:
+        scores = np.full(len(table), np.nan)
+    else:
+        scores = number(roles.score)
         scores = np.where(np.isnan(scores), -1.0, scores)
     columns = Columns(
         ids=ids,
@@ -395,9 +377,9 @@ def _columns_dataset(
         group_codes=codes[:, 0],
         legit_codes=codes[:, 1:],
         legit_values=tuple(legit_values),
-        features=np.column_stack(features) if features else None,
+        features=np.column_stack([number(name) for name in features]) if features else None,
     )
-    return Dataset(columns, tuple(groups), legit_names, feature_names)
+    return Dataset(columns, tuple(groups), legit, features)
 
 
 def _concat(parts: list[Dataset]) -> Dataset:
@@ -446,14 +428,14 @@ def load_csv(path: str | Path, roles: ColumnRoles) -> Dataset:
     chunk of ``CHUNK_ROWS`` lines as Python objects, never the whole file.
 
     Each chunk of lines is parsed by one ``np.loadtxt`` call, in numpy's C
-    reader (``_parse_lines``). The chunk falls back to ``csv.reader`` and
-    the row-by-row converter when it holds a blank line, a quote, NUL or a
-    character 0x1c-0x1f, a line longer than ``csv.field_size_limit()``, a
-    line numpy does not parse or a value that ``Dataset`` rejects, and
-    always when one column has both a text role (group, id, ``l_``) and a
-    number role (label, score, ``x_``). Every error, its line and which
-    error wins are the row path's, and a file that loads gives the same
-    arrays by either path.
+    reader (``_parse_lines``), into a structured table. When the chunk holds
+    a blank line, a quote, NUL or a character 0x1c-0x1f, a line longer than
+    ``csv.field_size_limit()``, a line numpy does not parse or a value that
+    ``Dataset`` rejects, ``csv.reader`` splits it instead and numpy casts
+    its rows into the same table (``_chunk_dataset``). One function turns
+    either table into the chunk's dataset (``_table_dataset``). Every error,
+    its line and which error wins are the row path's; a line that
+    ``csv.reader`` cannot read is a malformed row.
     """
     with _read_rows(Path(path)) as (fieldnames, rows):
         return dataset_from_rows(fieldnames, rows, roles)

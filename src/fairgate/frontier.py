@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,66 +51,51 @@ def sweep(
     the training split. Infeasible levels are recorded and the sweep goes on.
     Every level is solved from one solve context (``solve_context``), so the
     search state that does not depend on gamma is built once, and each
-    distinct rule is evaluated once per split: one vector of decision
-    probabilities gives the split's rates and utility, and a level whose
-    rule equals (``==``) the one evaluated last reuses them. Only the
-    disparity, which depends on the level's criterion, is worked out anew.
+    distinct rule is evaluated once: one vector of decision probabilities
+    per split gives the rates, the utilities, the disparity and the headline
+    rates, none of which depends on the level. A level whose rule equals
+    (``==``) the one evaluated last reuses them.
     """
     levels = sorted(set(float(g) for g in gammas) | {0.0, 1.0})
     evaluation = test_dataset if test_dataset is not None else problem.dataset
-    utility = problem.utility
+    criterion, utility = problem.criterion, problem.utility
     context = solve_context(problem)
     points: list[FrontierPoint] = []
-    evaluated = None  # the rule that eval_rates, utility_train and utility_test are of
+    last = None  # the point of the rule evaluated last
     for gamma in levels:
-        criterion = dataclasses.replace(problem.criterion, gamma=gamma)
         try:
             rule = context.solve(gamma)
         except InfeasibleConstraintError as exc:
-            points.append(
-                FrontierPoint(
-                    gamma=gamma,
-                    feasible=False,
-                    rule=None,
-                    achieved_ratio=None,
-                    utility_train=None,
-                    utility_test=None,
-                    headline_rates=dict.fromkeys(
-                        headline_rate_names(criterion, problem.dataset.groups)
-                    ),
-                    note=str(exc),
-                )
-            )
+            names = headline_rate_names(criterion, problem.dataset.groups)
+            points.append(FrontierPoint(gamma=gamma, feasible=False, rule=None,
+                                        achieved_ratio=None, utility_train=None, utility_test=None,
+                                        headline_rates=dict.fromkeys(names), note=str(exc)))
             continue
-        if rule != evaluated:
-            evaluated = rule
-            dp_eval = decision_probabilities(rule, evaluation)
-            dp_train = (
-                dp_eval
-                if evaluation is problem.dataset
-                else decision_probabilities(rule, problem.dataset)
-            )
-            eval_rates = rates_from_probabilities(evaluation, dp_eval)
-            utility_train = utility_from_probabilities(problem.dataset, dp_train, utility)
-            utility_test = utility_from_probabilities(evaluation, dp_eval, utility)
-        try:
-            ratio_eval = _disparity_detail(eval_rates, criterion).ratio
-        except UndefinedMetricError:
-            ratio_eval = None
-        groups = evaluation.groups
-        values = [getattr(eval_rates, f)[g] for f in criterion.kind.families for g in groups]
-        headline = dict(zip(headline_rate_names(criterion, groups), values))
-        points.append(
-            FrontierPoint(
-                gamma=gamma,
-                feasible=True,
-                rule=rule,
-                achieved_ratio=ratio_eval,
-                utility_train=utility_train,
-                utility_test=utility_test,
-                headline_rates=headline,
-            )
+        if last is not None and rule == last.rule:
+            points.append(dataclasses.replace(last, gamma=gamma, rule=rule))
+            continue
+        dp_eval = decision_probabilities(rule, evaluation)
+        dp_train = (
+            dp_eval if evaluation is problem.dataset
+            else decision_probabilities(rule, problem.dataset)
         )
+        rates = rates_from_probabilities(evaluation, dp_eval)
+        try:
+            ratio = _disparity_detail(rates, criterion).ratio
+        except UndefinedMetricError:
+            ratio = None
+        groups = evaluation.groups
+        values = [getattr(rates, f)[g] for f in criterion.kind.families for g in groups]
+        last = FrontierPoint(
+            gamma=gamma,
+            feasible=True,
+            rule=rule,
+            achieved_ratio=ratio,
+            utility_train=utility_from_probabilities(problem.dataset, dp_train, utility),
+            utility_test=utility_from_probabilities(evaluation, dp_eval, utility),
+            headline_rates=dict(zip(headline_rate_names(criterion, groups), values)),
+        )
+        points.append(last)
     return points
 
 
@@ -117,28 +104,36 @@ def _fmt(value: float | None) -> str:
 
 
 def frontier_csv(points: Sequence[FrontierPoint]) -> str:
-    """Full-precision CSV; parsing the cells back reproduces the floats."""
+    """Full-precision CSV; parsing the cells back reproduces the floats.
+
+    A rate name that holds a comma or a quote (a group's name) is quoted.
+    """
     if not points:
         raise ValueError("no frontier points to emit")
     rate_names = list(points[0].headline_rates)
-    header = ["gamma", "achieved_ratio", "utility_train", "utility_test", *rate_names]
-    lines = [",".join(header)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["gamma", "achieved_ratio", "utility_train", "utility_test", *rate_names])
     for p in points:
-        row = [
+        writer.writerow([
             repr(p.gamma),
             _fmt(p.achieved_ratio),
             _fmt(p.utility_train),
             _fmt(p.utility_test),
             *(_fmt(p.headline_rates[name]) for name in rate_names),
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        ])
+    return text.getvalue()
 
 
 def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
     if hi == lo:
         return (out_lo + out_hi) / 2.0
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, whose module would load ``urllib.request`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -202,7 +197,8 @@ def frontier_svg(points: Sequence[FrontierPoint]) -> str:
                 f'stroke="{color}" stroke-width="2"/>'
             )
             parts.append(
-                f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" font-size="11">{name}</text>'
+                f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" font-size="11">'
+                f"{_escape(name)}</text>"
             )
         for g, v, label in marks:
             mx = _scale(g, 0.0, 1.0, x0, x1)

@@ -462,6 +462,20 @@ def test_fit_names_a_malformed_row_in_a_later_chunk_first(header, tmp_path, monk
     assert not (tmp_path / "out").exists()
 
 
+def test_a_field_longer_than_csv_takes_fails_in_one_line(tmp_path, capsys):
+    lines = INPUT.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[3] = "0." + "5" * 140_000  # the score p of line 3
+    lines[2] = ",".join(cells)
+    source = tmp_path / "input.csv"
+    source.write_text("".join(lines), encoding="utf-8")
+    argv = ["optimize", "--input", str(source), "--score-col", "p", "--criterion", "independence"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    limit = f"field larger than field limit ({csv.field_size_limit()})"
+    assert capsys.readouterr().err == f"error: {source}: malformed row at line 3 ({limit})\n"
+    assert not (tmp_path / "out").exists()
+
+
 # How each data command's output names FPR parity: the criterion kind, or for
 # sweep the frontier's rate columns.
 FPR_PARITY_WRITTEN = {

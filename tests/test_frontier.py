@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import xml.etree.ElementTree as ET
 
@@ -92,14 +94,20 @@ def test_test_split_metrics_use_second_dataset():
 def test_a_sweep_evaluates_each_distinct_rule_once(kind, monkeypatch):
     # A level whose rule equals the last one evaluated reuses its rates and
     # utilities: one decision-probability vector per split and distinct rule.
-    calls = []
-    original = frontier.decision_probabilities
+    # The disparity does not depend on the level either: one per distinct rule.
+    calls, disparities = [], []
+    original, disparity = frontier.decision_probabilities, frontier._disparity_detail
 
     def counted(rule, dataset):
         calls.append(rule)
         return original(rule, dataset)
 
+    def counted_disparity(rates, criterion):
+        disparities.append(criterion)
+        return disparity(rates, criterion)
+
     monkeypatch.setattr(frontier, "decision_probabilities", counted)
+    monkeypatch.setattr(frontier, "_disparity_detail", counted_disparity)
     rng = random.Random(f"distinct-{kind.value}")
     train = random_instance(rng, n_groups=2, max_records=40, score_pool=(0.2, 0.4, 0.6, 0.8))
     test = random_instance(rng, n_groups=2, max_records=40)
@@ -109,6 +117,7 @@ def test_a_sweep_evaluates_each_distinct_rule_once(kind, monkeypatch):
     distinct = 1 + sum(a != b for a, b in zip(rules, rules[1:]))
     assert len(points) == 21 and distinct < len(rules)
     assert len(calls) == 2 * distinct
+    assert len(disparities) == distinct
     for p in points:
         if p.feasible:
             level = FairnessCriterion(kind, gamma=p.gamma)
@@ -117,25 +126,33 @@ def test_a_sweep_evaluates_each_distinct_rule_once(kind, monkeypatch):
             assert p.achieved_ratio == disparity_ratio(compute_rates(test, p.rule), level)
 
 
+@pytest.fixture(scope="module")
+def odd_names():
+    """A sweep whose group names hold a comma, a quote, an ampersand and angle brackets."""
+    rows = [(s, y, g) for g in ("a,b", 'q"r', "x&y", "<z>")
+            for s, y in [(0.9, 1), (0.7, 1), (0.6, 0), (0.4, 1), (0.2, 0)]]
+    return sweep(fpr_problem(make_dataset(rows)), (0.0, 0.5, 1.0))
+
+
 class TestEmit:
     def test_csv_row_count(self, swept):
         _, _, points = swept
         text = frontier_csv(points[:3])
         assert len(text.strip().split("\n")) == 4  # header + 3 rows
 
-    def test_csv_roundtrip_exact(self, swept):
-        _, _, points = swept
-        text = frontier_csv(points)
-        lines = text.strip().split("\n")
-        header = lines[0].split(",")
-        assert header[:4] == ["gamma", "achieved_ratio", "utility_train", "utility_test"]
-        for line, point in zip(lines[1:], points):
-            cells = line.split(",")
-            assert float(cells[0]) == point.gamma
-            if point.feasible:
-                assert float(cells[1]) == point.achieved_ratio
-                assert float(cells[2]) == point.utility_train
-                assert float(cells[3]) == point.utility_test
+    def test_csv_roundtrip_exact(self, swept, odd_names):
+        for points in (swept[2], odd_names):
+            header, *rows = csv.reader(io.StringIO(frontier_csv(points)))
+            names = list(points[0].headline_rates)
+            assert header == ["gamma", "achieved_ratio", "utility_train", "utility_test", *names]
+            assert len(rows) == len(points)
+            for cells, point in zip(rows, points):
+                assert len(cells) == len(header)
+                assert float(cells[0]) == point.gamma
+                if point.feasible:
+                    assert float(cells[1]) == point.achieved_ratio
+                    assert float(cells[2]) == point.utility_train
+                    assert float(cells[3]) == point.utility_test
 
     def test_csv_headline_rate_columns(self, swept):
         ds, _, points = swept
@@ -143,13 +160,16 @@ class TestEmit:
         for g in ds.groups:
             assert f"fpr_{g}" in header
 
-    def test_svg_is_wellformed_and_marks_endpoints(self, swept):
+    def test_svg_is_wellformed_and_marks_endpoints(self, swept, odd_names):
         _, _, points = swept
-        svg = emit_frontier(points, "svg")
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-        assert "unconstrained" in svg and "fair" in svg
-        assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
+        for points in (points, odd_names):
+            svg = emit_frontier(points, "svg")
+            root = ET.fromstring(svg)
+            assert root.tag.endswith("svg")
+            assert "unconstrained" in svg and "fair" in svg
+            assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
+            texts = {node.text for node in root.iter("{http://www.w3.org/2000/svg}text")}
+            assert set(points[0].headline_rates) <= texts
 
     def test_single_point_edge_case(self, swept):
         _, _, points = swept

@@ -1,7 +1,7 @@
 """CSV ingest: the chunk parser against the row path, on seeded files with every oddity.
 
 ``load_csv`` parses each chunk of lines with one ``np.loadtxt`` call and
-re-reads a chunk through ``csv.reader`` where it has any doubt. The row path
+splits a chunk again with ``csv.reader`` where it has any doubt. The row path
 (``dataset_from_rows`` given the rows ``csv.reader`` makes of the whole file)
 is the reference: every file must load to the same columns, byte for byte,
 or fail with the same message.
@@ -23,8 +23,12 @@ ROLES = (
     ColumnRoles(group="group", label="label", score="p"),
     ColumnRoles(group="group", label="label", score="p", id="id"),
     ColumnRoles(group="group", label="label"),
-    # A column with two roles is read by the row path alone.
+    # Two text roles in one column, and two number roles in another.
     ColumnRoles(group="l_tier", label="label", score="x_a"),
+    # A column with a text role and a number role: read as text, its numbers
+    # are float of its strings.
+    ColumnRoles(group="x_b", label="label", score="p"),
+    ColumnRoles(group="group", label="label", score="p", id="p"),
 )
 LONG = "g" * 80
 # Values that either path reads alike, and values that only float() or only
@@ -186,3 +190,15 @@ def test_a_quoted_newline_at_a_chunk_end_is_read_on_into_the_next_lines(tmp_path
     dataset = load_csv(path, ROLES[0])
     assert dataset.columns.ids.tolist() == ["2", "5", "6", "7"]
     assert np.array_equal(dataset.columns.scores, np.full(4, 0.5))
+
+
+def test_a_field_longer_than_csv_takes_is_named_with_its_line(tmp_path):
+    path = tmp_path / "input.csv"
+    score = "0." + "5" * 140_000
+    text = ",".join(HEADER) + "\nr1,a,1,0.5,1.0,2.0,low,n\nr2,b,0," + score + ",0.5,1.5,mid,n\n"
+    path.write_text(text, encoding="utf-8")
+    limit = f"field larger than field limit ({cli.csv.field_size_limit()})"
+    with pytest.raises(ValueError) as raised:
+        load_csv(path, ROLES[0])
+    assert str(raised.value) == f"{path}: malformed row at line 3 ({limit})"
+    assert row_path(path, ROLES[0]) == ("error", str(raised.value))

@@ -837,16 +837,6 @@ def cmd_report(config: RunConfig, out: _OutputTracker) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Options copied as given into RunConfig and FitConfig. Subcommand parsers
-# leave out every option that is not on the command line, so the defaults are
-# the dataclass defaults alone.
-_RUN_OPTIONS = (
-    "input", "criterion", "assessment_path", "rule_path", "gamma", "seed", "seeds",
-    "train_fraction", "out", "answers", "verify", "min_count",
-)
-_FIT_OPTIONS = ("iterations", "l2", "include_group")
-
-
 # The options of the data commands, each given to the commands that read it.
 _DATA_OPTIONS = {
     "--input": dict(required=True, type=Path, help="input csv path"),
@@ -884,24 +874,29 @@ def _numbers(flag: str, text: str) -> tuple[float, ...]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The options given, copied into the config fields of the same name.
+
+    Subcommand parsers leave out every option not on the command line, so the
+    defaults are the dataclass defaults alone.
+    """
     given = vars(args)
-    run = {name: given[name] for name in _RUN_OPTIONS if name in given}
-    if "utility" in given:
-        cells = _numbers("--utility", given["utility"])
+    named = lambda cls: {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
+    run = named(RunConfig)
+    if "utility" in run:
+        cells = _numbers("--utility", run["utility"])
         if len(cells) != 4:
             raise ValueError("--utility needs four comma-separated numbers")
         run["utility"] = UtilityMatrix(*cells)
-    if "input" in given:
+    if "input" in run:
         run["roles"] = ColumnRoles(
             group=args.group_col,
             label=args.label_col,
             score=args.score_col,
             id=args.id_col,
         )
-    if "gammas" in given:
-        run["gammas"] = _numbers("--gammas", given["gammas"])
-    fit_config = FitConfig(**{name: given[name] for name in _FIT_OPTIONS if name in given})
-    return RunConfig(fit_config=fit_config, **run)
+    if "gammas" in run:
+        run["gammas"] = _numbers("--gammas", run["gammas"])
+    return RunConfig(fit_config=FitConfig(**named(FitConfig)), **run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -926,7 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = command("fit", "train the logistic scorer and score the data", cmd_fit)
     _add_options(p_fit, *_IN_OUT, *_SPLIT)
-    p_fit.add_argument("--iterations", type=int, help="the cap on Newton steps")
     p_fit.add_argument("--l2", type=float)
     p_fit.add_argument("--use-group-feature", action="store_true", dest="include_group",
                        help="one-hot encode the group column into the features")

@@ -131,9 +131,14 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
+# The control characters that XML 1.0 forbids, each written as a visible \xNN.
+_FORBIDDEN_IN_XML = {c: f"\\x{c:02x}" for c in range(0x20) if chr(c) not in "\t\n\r"}
+
+
 def _escape(text: str) -> str:
     """``xml.sax.saxutils.escape``, whose module would load ``urllib.request`` and ``ssl``."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return escaped.translate(_FORBIDDEN_IN_XML)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")

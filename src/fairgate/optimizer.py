@@ -474,8 +474,7 @@ class _ThresholdSearch:
 
 def optimize_independence(problem: OptimizationProblem) -> DecisionRule:
     """Group thresholds maximizing utility with positive rates within gamma."""
-    ladders = _ladders(problem.dataset, problem.utility)
-    return _ThresholdSearch(ladders, "positive_rate").solve(problem.criterion.gamma)
+    return solve_context(problem).solve(problem.criterion.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +519,13 @@ def _simplex_max(
 
     A dense simplex with Bland's rule (lowest-index entering column,
     lowest-index basic variable among tied ratios), which cannot cycle on the
-    heavily degenerate separation program. ``basis`` must be a feasible start
-    and is updated in place. Each pivot rebuilds the tableau from the
-    original rows through the current basis matrix, so rounding cannot
-    accumulate over the many degenerate pivots into noise entries that pass
-    as pivots.
+    heavily degenerate separation program. A column enters only on a reduced
+    cost above the rounding its terms can carry: one entered on noise can
+    leave again at the next pivot, and on some programs of 16 or more groups
+    the basis then repeats. ``basis`` must be a feasible start and is
+    updated in place. Each pivot rebuilds the tableau from the original rows
+    through the current basis matrix, so rounding cannot accumulate over the
+    many degenerate pivots into noise entries that pass as pivots.
     """
     scaled = cost / max(1.0, float(np.abs(cost).max()))
     for _ in range(50 * sum(matrix.shape)):
@@ -533,7 +534,8 @@ def _simplex_max(
         values = np.maximum(np.linalg.solve(basis_matrix, rhs), 0.0)
         reduced = scaled - scaled[basis] @ tableau
         reduced[basis] = 0.0
-        entering = np.flatnonzero(reduced > 1e-12)
+        noise = 1e-12 * (1.0 + np.abs(scaled[basis]) @ np.abs(tableau))
+        entering = np.flatnonzero(reduced > noise)
         if not len(entering):
             x = np.zeros(matrix.shape[1])
             x[basis] = values
@@ -599,11 +601,7 @@ def optimize_separation(problem: OptimizationProblem) -> DecisionRule:
     group's point is then realized as one threshold cut, or as a mix of two,
     found in O(k) by an angle sweep along the staircase.
     """
-    families = problem.criterion.kind.families
-    ladders = _ladders(problem.dataset, problem.utility)
-    if len(families) == 1:
-        return _ThresholdSearch(ladders, families[0]).solve(problem.criterion.gamma)
-    return _SeparationSearch(ladders).solve(problem.criterion.gamma)
+    return solve_context(problem).solve(problem.criterion.gamma)
 
 
 class _SeparationSearch:
@@ -1074,7 +1072,7 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     to 1e-6, at which the same scan finds one; a solve at that level
     returns a rule.
     """
-    return _SufficiencySearch(problem).solve(problem.criterion.gamma)
+    return solve_context(problem).solve(problem.criterion.gamma)
 
 
 class _SufficiencySearch:
@@ -1145,7 +1143,7 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
     unconstrained (each group gets its unconstrained stratum threshold) and
     flagged with a warning.
     """
-    return _ConditionalParitySearch(problem).solve(problem.criterion.gamma)
+    return solve_context(problem).solve(problem.criterion.gamma)
 
 
 class _ConditionalParitySearch:
@@ -1221,9 +1219,9 @@ def solve_context(problem: OptimizationProblem) -> SolveContext:
 def optimize(problem: OptimizationProblem) -> DecisionRule:
     """Solve the problem with the optimizer for its criterion's rate families.
 
-    Each ``optimize_*`` builds the problem's solve context and solves it
-    once. They stay the per-criterion entry points that
-    ``perfbench/tracing.py`` times by name.
+    Each ``optimize_*`` is one solve of the problem's solve context, so any
+    of them solves a problem of any criterion. They stay the per-criterion
+    entry points that ``perfbench/tracing.py`` times by name.
     """
     kind = problem.criterion.kind
     if kind is CriterionKind.CONDITIONAL_STATISTICAL_PARITY:

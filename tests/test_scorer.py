@@ -143,7 +143,7 @@ def test_array_scores_equal_the_per_record_reference(include_group):
     ]
     names = tuple(f"x_{j}" for j in range(6))
     dataset = Dataset.from_records(records, feature_names=names)
-    model = fit(dataset, FitConfig(iterations=50, include_group=include_group))
+    model = fit(dataset, FitConfig(include_group=include_group))
     scores = score_dataset(model, dataset).columns.scores.tolist()
     # Exact equality: the array path must sum each dot product as the per-record one does.
     assert scores == [predict_one(model, r.features, r.group) for r in dataset.records]
@@ -160,7 +160,7 @@ def test_saved_model_loads_back(tmp_path, include_group):
     ]
     dataset = Dataset.from_records(records, feature_names=("x_0", "x_1", "x_2"))
     with pytest.warns(UserWarning, match="dropping constant feature"):
-        model = fit(dataset, FitConfig(iterations=40, include_group=include_group))
+        model = fit(dataset, FitConfig(include_group=include_group))
     assert bool(model.group_values) == include_group
     save_model(tmp_path / "model.json", model)
     loaded = load_model(tmp_path / "model.json")
@@ -173,11 +173,10 @@ def test_saved_model_loads_back(tmp_path, include_group):
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"iterations": 0}, "--iterations must be at least 1, got 0"),
         ({"l2": -1.0}, "--l2 must be finite and at least 0, got -1.0"),
         ({"l2": float("nan")}, "--l2 must be finite and at least 0, got nan"),
     ],
-    ids=["no_iterations", "negative_l2", "nan_l2"],
+    ids=["negative_l2", "nan_l2"],
 )
 def test_a_fit_config_checks_its_fields(fields, message):
     with pytest.raises(ValueError) as info:

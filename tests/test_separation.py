@@ -1,11 +1,13 @@
 """Tests of the joint TPR+FPR (separation) program and its realization.
 
 The in-process simplex over ROC hull vertices is compared with HiGHS
-(``scipy.optimize.linprog``) over every staircase vertex; the two-cut
+(``scipy.optimize.linprog``) over every staircase vertex, at 2-8 groups and
+on degenerate programs of 16-32 groups that once made it cycle; the two-cut
 realization is checked on random staircases with vertical and horizontal
 runs; and a CLI separation solve must not import scipy.
 """
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -184,6 +186,62 @@ def test_low_gamma_three_group_program_terminates():
         opt.OptimizationProblem(dataset, UtilityMatrix.accuracy(), criterion)
     )
     assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= 0.05 - 1e-12
+
+
+def shifted_beta_groups(rng, n_groups, rows, decimals):
+    """Groups g00, g01, ... of ``rows`` records each, drawn in order from ``rng``.
+
+    A score is Beta(2, 2) * 0.9 plus one uniform shift per group, clipped to
+    [0.001, 0.999] and rounded; its label is a Bernoulli draw of the score.
+    """
+    records = []
+    for gi in range(n_groups):
+        score = rng.beta(2, 2, rows) * 0.9 + rng.uniform(-0.05, 0.1)
+        score = np.round(np.clip(score, 0.001, 0.999), decimals)
+        label = rng.random(rows) < score
+        records += [
+            Record(id=str(len(records) + i), label=int(label[i]), group=f"g{gi:02d}",
+                   score=float(score[i]))
+            for i in range(rows)
+        ]
+    return Dataset.from_records(records)
+
+
+# (seed, groups drawn first and discarded, groups, rows, decimals, gamma). The
+# first three cycled while a column could enter on a reduced cost of rounding
+# noise; the rest are further draws of 16-32 groups.
+MANY_GROUPS = {
+    "24x500_2dp_cycled": (2, 0, 24, 500, 2, 0.95),
+    "24x500_6dp_cycled": (2, 0, 24, 500, 6, 0.95),
+    "16x1000_6dp_cycled": (7, 10, 16, 1000, 6, 0.9),
+    "24x500_2dp": (5, 0, 24, 500, 2, 0.9),
+    "16x300_2dp": (11, 0, 16, 300, 2, 0.8),
+    "20x300_6dp": (12, 0, 20, 300, 6, 1.0),
+    "28x200_3dp": (13, 0, 28, 200, 3, 0.9),
+    "32x200_2dp": (14, 0, 32, 200, 2, 0.95),
+}
+
+
+@pytest.mark.parametrize("case", MANY_GROUPS.values(), ids=MANY_GROUPS)
+def test_many_group_programs_reach_the_highs_optimum(case):
+    """Each solve terminates, reaches gamma and, where scipy is installed, equals HiGHS."""
+    seed, discarded, n_groups, rows, decimals, gamma = case
+    rng = np.random.default_rng(seed)
+    if discarded:
+        shifted_beta_groups(rng, discarded, rows, decimals)
+    dataset = shifted_beta_groups(rng, n_groups, rows, decimals)
+    accuracy = UtilityMatrix.accuracy()
+    ladders = opt._ladders(dataset, accuracy)
+    criterion = FairnessCriterion(CriterionKind.SEPARATION, gamma=gamma)
+    rule = opt._SeparationSearch(ladders).solve(gamma)
+    assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= gamma - 1e-12
+    if importlib.util.find_spec("scipy") is not None:
+        # With accuracy, rejecting everyone is right on every negative record.
+        gain = decision_maker_utility(dataset, rule, accuracy) * len(dataset) - sum(
+            ladder.n_neg for ladder in ladders.values()
+        )
+        expected = highs_objective(ladders, sorted(ladders), gamma)
+        assert gain == pytest.approx(expected, abs=1e-9 * (1.0 + abs(expected)))
 
 
 def test_separation_matches_the_oracle():

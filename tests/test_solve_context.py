@@ -113,3 +113,22 @@ def test_a_sweep_builds_its_search_state_once(kind, monkeypatch):
     assert calls["_candidate_base"] == (len(kind.families) if interval else 0)
     joint = kind is CriterionKind.SEPARATION
     assert calls["_hull_chains"] == (len(dataset.groups) if joint else 0)
+
+
+@pytest.mark.parametrize("kind", list(CriterionKind), ids=lambda k: k.value)
+def test_every_entry_point_solves_its_problem_criterion(kind):
+    # ``optimize`` routes by criterion, but each entry point is one solve of
+    # the problem's own context, whatever its name.
+    rng = random.Random(f"entry-{kind.value}")
+    entry_points = (
+        opt.optimize_independence,
+        opt.optimize_separation,
+        opt.optimize_sufficiency,
+        opt.optimize_conditional_parity,
+    )
+    for n in range(4):
+        dataset = instance(rng, without_positives=n == 0)
+        problem = make_problem(dataset, kind, rng.choice(GAMMAS))
+        expected = outcome(lambda: optimize(problem))
+        for entry_point in entry_points:
+            assert outcome(lambda: entry_point(problem)) == expected, (n, entry_point.__name__)

@@ -54,8 +54,11 @@ def sweep(
     distinct rule is evaluated once: one vector of decision probabilities
     per split gives the rates, the utilities, the disparity and the headline
     rates, none of which depends on the level. A level whose rule equals
-    (``==``) the one evaluated last reuses them.
+    (``==``) the one evaluated last reuses them. A level outside [0, 1] is
+    rejected, as ``FairnessCriterion`` rejects it, before any solve.
     """
+    for gamma in gammas:
+        dataclasses.replace(problem.criterion, gamma=float(gamma))
     levels = sorted(set(float(g) for g in gammas) | {0.0, 1.0})
     evaluation = test_dataset if test_dataset is not None else problem.dataset
     criterion, utility = problem.criterion, problem.utility

@@ -10,8 +10,10 @@ Every search takes one per-group form, the ladder (``_Ladder``): prefix
 sums of count, positives and utility gain over the group's distinct scores
 in acceptance order. A descending ladder serves thresholds and lower-bound
 intervals, an ascending one upper-bound intervals. Its ``rates`` are the
-vertex rates of a threshold family and its PPV and FOR ``values`` those of
-an interval family; the ROC staircase is its FPR and TPR rates.
+vertex rates of a threshold family; the ROC staircase is its FPR and TPR
+rates. An interval family (``_IntervalFamily``) holds PPV or FOR along the
+segments of both of a group's ladders, so a group's lower- and upper-bound
+branches are valued as one set of segments.
 
 The single-family optimizers are exact over the continuum of rules. They
 rest on two observations. First, per group the achievable (rate, utility)
@@ -41,27 +43,27 @@ optimal point is then realized as one threshold cut, or as a mixture of
 two: every point in the convex hull of a connected curve is a combination
 of two curve points, and an O(k) angle sweep along the staircase finds them.
 PPV and FOR are ratios of prefix quantities, monotone in the boundary
-randomization along each segment of a group's path, so one edge rule
-(``_IntervalFamily.bounds``) gives each segment's feasible interval in a
-window: an end whose value lies within 1e-12 of the window stays, an end
+randomization along each segment of a group's two branches, so one edge
+rule (``_IntervalFamily.bounds``) gives each segment's feasible interval in
+a window: an end whose value lies within 1e-12 of the window stays, an end
 outside moves to where the value crosses the edge widened by 1e-12. A scan
 values every candidate window under that rule, or every pair of windows
 under joint parity, and the winning rule is rebuilt under it, so the search
-within a window is exact. One family is a sweep: a segment whose better end
-lies inside a window takes that end, a range-argmax over the ends sorted by
-value answers every window, and only the pairs where a window edge stabs a
-segment are valued as crossings. Its window positions are every breakpoint,
-each vertex value of any branch and each of them divided by gamma, so PPV
-and FOR parity are exact at breakpoints. Joint parity scans pairs of the
-same windows, thinned to 56 per family. Each family's own breakpoints need
-not hold a joint optimum, so a sufficiency result is a heuristic, even below
-that cap. When the scan finds no window, the highest level reported is
-found by bisection with the same scan, so a solve at that level returns a
-rule.
+within a window is exact. One family is a sweep per group: a segment whose
+better end lies inside a window takes that end, a range-argmax over the
+ends sorted by value answers every window, and only the pairs where a
+window edge stabs a segment are valued as crossings. Its window positions
+are every breakpoint, each segment end value of any group and each of them
+divided by gamma, so PPV and FOR parity are exact at breakpoints. Joint
+parity scans pairs of the same windows, thinned to 56 per family. Each
+family's own breakpoints need not hold a joint optimum, so a sufficiency
+result is a heuristic, even below that cap. When the scan finds no window,
+the highest level reported is found by bisection with the same scan, so a
+solve at that level returns a rule.
 
 Nothing of this but the window edges depends on gamma. ``solve_context``
 builds, once per problem, a criterion's solve context: the ladders of every
-group (with the range-argmax tables they cache), the sufficiency branches
+group (with the range-argmax tables they cache), the sufficiency families
 and candidate bases, the separation staircases and hull vertices, or the
 stratum ladders of conditional parity with each stratum's ``min_count``
 verdict. Its ``solve(gamma)`` gives the rule at any level, so a frontier
@@ -74,7 +76,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -112,7 +114,7 @@ class MissingClassWarning(UserWarning):
 
 
 class SmallStratumWarning(UserWarning):
-    """A stratum below the minimum per-group size is left unconstrained."""
+    """Strata below the minimum per-group size are left unconstrained; one warning names them."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,8 @@ class OptimizationProblem:
     def __post_init__(self) -> None:
         if len(self.dataset.groups) < 2:
             raise ValueError("fairness optimization needs at least two groups")
+        if self.min_count < 0:
+            raise ValueError(f"min_count must be at least 0, got {self.min_count}")
         self.dataset.require_scores()
 
 
@@ -195,7 +199,6 @@ class _Ladder:
     prefix quantity.
     """
 
-    group: str
     scores: np.ndarray  # distinct scores in acceptance order
     descending: bool
     cum_count: np.ndarray  # length k+1
@@ -227,20 +230,6 @@ class _Ladder:
         """Range-argmax table over ``cum_du``, built when a threshold sweep first asks."""
         return _RangeArgmax(self.cum_du)
 
-    def values(self, which: str, accepts: np.ndarray, positives: np.ndarray) -> np.ndarray:
-        """PPV or FOR for arbitrary (expected accepts, accepted positives)."""
-        if which == "ppv":
-            num, den = positives, accepts
-        else:
-            num, den = self.n_pos - positives, self.n - accepts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-
-    @cached_property
-    def interval_families(self) -> dict[str, _IntervalFamily]:
-        """PPV and FOR along the segments, built when an interval search first asks."""
-        return {which: _IntervalFamily(self, which) for which in ("ppv", "for_rate")}
-
     def _edge(self, j: int, q: float) -> tuple[float, float]:
         """Cut score and boundary probability accepting j full atoms plus fraction q."""
         if q == 0.0:
@@ -266,7 +255,7 @@ class _Ladder:
 
 
 def _build_ladder(
-    group: str, dataset: Dataset, rows: np.ndarray, utility: UtilityMatrix, descending: bool = True
+    dataset: Dataset, rows: np.ndarray, utility: UtilityMatrix, descending: bool = True
 ) -> _Ladder:
     scores = dataset.columns.scores[rows]
     labels = dataset.columns.labels[rows].astype(float)
@@ -283,7 +272,6 @@ def _build_ladder(
         uniq = uniq[::-1]
     zero = np.zeros(1)
     return _Ladder(
-        group=group,
         scores=uniq,
         descending=descending,
         cum_count=np.concatenate([zero, np.cumsum(atom_count)]),
@@ -300,7 +288,7 @@ def _ladders(
     """The ladder of every group, in the order of ``dataset.groups``."""
     codes = dataset.columns.group_codes
     return {
-        g: _build_ladder(g, dataset, np.flatnonzero(codes == i), utility, descending)
+        g: _build_ladder(dataset, np.flatnonzero(codes == i), utility, descending)
         for i, g in enumerate(dataset.groups)
     }
 
@@ -724,11 +712,11 @@ class _SeparationSearch:
 # ---------------------------------------------------------------------------
 
 # Window positions are the upper edges u of windows [gamma * u, u]. One
-# family takes every breakpoint: each vertex value of any branch, and each
-# of them divided by gamma, and sweeps them all in O((W + k) log k + stabbed
-# pairs) per branch, for W windows and k segments. Joint parity takes the
-# same positions for each family and values every window pair against every
-# segment, in blocks; past a cap, an evenly spaced subsample of each
+# family takes every breakpoint: each segment end value of any group, and
+# each of them divided by gamma, and sweeps them all in O((W + k) log k +
+# stabbed pairs) per group, for W windows and k segments. Joint parity takes
+# the same positions for each family and values every window pair against
+# every segment, in blocks; past a cap, an evenly spaced subsample of each
 # family's sorted positions is scanned. The solve and its highest-level
 # bisection scan alike.
 _JOINT_CAP = 56  # joint parity, per family: 56 x 56 window pairs
@@ -741,34 +729,53 @@ _EDGE_TOL = 1e-12
 
 
 class _IntervalFamily:
-    """PPV or FOR along the segments of one ladder, and the edge rule that reads them.
+    """PPV or FOR along the segments of a group's branches, and the edge rule that reads them.
 
-    On segment j the value at fraction q is (num0 + q * dnum) / (den0 + q *
-    dden), monotone in q. ``vertex`` holds the values at the ladder's
-    vertices, NaN at an open one (PPV without accepts, FOR without
-    rejects); ``v0`` and ``v1`` are the values at each segment's ends. An
-    open end has no value of its own: it takes the segment's constant
-    value, and q stays in [qmin, qmax], ``_EDGE_TOL`` inside the segment.
+    ``branches`` are the group's ladders, the lower-bound (descending) one
+    first. Their segments follow one another: segment s is segment
+    s - starts[b] of branch b, the last branch whose ``starts`` entry is at
+    most s. On a segment the value at fraction q is (num0 + q * dnum) /
+    (den0 + q * dden), monotone in q; ``v0`` and ``v1`` are the values at
+    its ends. An open end (PPV without accepts, FOR without rejects) has no
+    value of its own: it takes the segment's constant value, and q stays in
+    [qmin, qmax], ``_EDGE_TOL`` inside the segment.
     """
 
-    def __init__(self, ladder: _Ladder, which: str):
-        ep0, dep = ladder.cum_count[:-1], np.diff(ladder.cum_count)
-        epy0, depy = ladder.cum_pos[:-1], np.diff(ladder.cum_pos)
+    def __init__(self, branches: Sequence[_Ladder], which: str):
+        self.branches = branches
+        self.starts = np.cumsum([0] + [len(ladder.scores) for ladder in branches[:-1]])
+
+        def segments(prefix: str) -> tuple[np.ndarray, np.ndarray]:
+            """A prefix quantity at each segment's start, and its step along the segment."""
+            sums = [getattr(ladder, prefix) for ladder in branches]
+            return np.concatenate([c[:-1] for c in sums]), np.concatenate(list(map(np.diff, sums)))
+
+        ep0, dep = segments("cum_count")
+        epy0, depy = segments("cum_pos")
+        self.util0, self.du = segments("cum_du")
+        n, n_pos = branches[0].n, branches[0].n_pos
         if which == "ppv":
             self.num0, self.dnum, self.den0, self.dden = epy0, depy, ep0, dep
         else:
-            self.num0, self.dnum = ladder.n_pos - epy0, -depy
-            self.den0, self.dden = ladder.n - ep0, -dep
-        self.vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
-        v0, v1 = self.vertex[:-1], self.vertex[1:]
+            self.num0, self.dnum = n_pos - epy0, -depy
+            self.den0, self.dden = n - ep0, -dep
+        ends = []
+        for num, den in ((self.num0, self.den0), (self.num0 + self.dnum, self.den0 + self.dden)):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ends.append(np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan))
+        v0, v1 = ends
         self.v0, self.v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
         self.vmin, self.vmax = np.minimum(self.v0, self.v1), np.maximum(self.v0, self.v1)
         self.qmin, self.qmax = np.zeros(len(dep)), np.ones(len(dep))
         if which == "ppv":
             self.qmin[ep0 == 0.0] = _EDGE_TOL
         else:
-            self.qmax[ladder.cum_count[1:] >= ladder.n] = 1.0 - _EDGE_TOL
-        self.util0, self.du = ladder.cum_du[:-1], np.diff(ladder.cum_du)
+            self.qmax[ep0 + dep >= n] = 1.0 - _EDGE_TOL
+
+    def cut(self, s: int, q: float) -> IntervalCut:
+        """The interval cut at fraction q of segment s, in the form of its branch."""
+        b = int(np.searchsorted(self.starts, s, "right")) - 1
+        return self.branches[b].interval_cut(s - int(self.starts[b]), q)
 
     def bounds(self, lo, hi, j: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, ...]:
         """Feasible q-interval (qlo, qhi) of segments j in windows [lo, hi], and which are live.
@@ -778,7 +785,7 @@ class _IntervalFamily:
         segments, or one window per listed segment. The value is monotone in
         q, so a segment's ends decide. An end whose value lies within
         ``_EDGE_TOL`` of the window stays: the candidate windows are built
-        from vertex values, so a vertex on an edge is the normal case and
+        from segment end values, so an end on an edge is the normal case and
         must not depend on the last bit of a quotient, and under joint
         parity a point inside both windows keeps a nonempty q-interval
         though its PPV and FOR crossings may land an ulp apart. An end
@@ -822,60 +829,44 @@ class _IntervalFamily:
         return value, value[order], _RangeArgmax(self.value(self.qmin, self.qmax, True)[order])
 
 
-def _branch_best_in_windows(
-    ladder: _Ladder,
-    ppv_window: tuple[float, float] | None,
-    for_window: tuple[float, float] | None,
-) -> tuple[int, float, float] | None:
-    """Exact max-utility point (j, q, util) of one branch within PPV and/or FOR windows.
+def _group_best_in_windows(
+    families: Sequence[_IntervalFamily], windows: Sequence[tuple[float, float]]
+) -> tuple[float, IntervalCut] | None:
+    """Exact (utility, cut) of a group's best point with each family's value in its window.
 
-    The per-window search of the scans, which also returns the point. Each
-    window's feasible set on a segment is an interval in q, so the set under
-    both is their intersection. Utility is linear in q, so only the ends of
-    that interval matter. Among equal utilities a deterministic end (q = 0
-    or 1) wins, then the first in (segment, lower end, upper end) order.
+    ``windows`` holds one window per family of the group, or none at all
+    for its unconstrained best point. Each window's feasible set on a
+    segment is an interval in q, so the set under all of them is their
+    intersection. Utility is linear in q, so only the ends of that interval
+    matter. Among equal utilities the lower-bound branch wins, then a
+    deterministic end (q = 0 or 1), then the first in (segment, lower end,
+    upper end) order.
     """
-    k = len(ladder.scores)
+    first = families[0]
+    k = len(first.du)
     qlo, qhi, live = np.zeros(k), np.ones(k), np.ones(k, dtype=bool)
-    for which, window in (("ppv", ppv_window), ("for_rate", for_window)):
-        if window is not None:
-            lo, hi, ok = ladder.interval_families[which].bounds(*window)
-            qlo, qhi, live = np.maximum(qlo, lo), np.minimum(qhi, hi), live & ok
+    for family, window in zip(families, windows):
+        lo, hi, ok = family.bounds(*window)
+        qlo, qhi, live = np.maximum(qlo, lo), np.minimum(qhi, hi), live & ok
     q = np.stack([qlo, qhi], axis=-1)
-    util = ladder.cum_du[:-1, None] + q * np.diff(ladder.cum_du)[:, None]
+    util = first.util0[:, None] + q * first.du[:, None]
     util = np.where((live & (qlo <= qhi))[:, None], util, -np.inf).ravel()
     q = q.ravel()
-    if not util.size or util.max() == -np.inf:
+    if util.max() == -np.inf:
         return None
-    top = util == util.max()
-    deterministic = top & ((q == 0.0) | (q == 1.0))
-    i = int(np.argmax(deterministic if deterministic.any() else top))
-    return i // 2, float(q[i]), float(util[i])
+    top = np.flatnonzero(util == util.max())
+    branch = np.searchsorted(first.starts, top // 2, "right")
+    deterministic = (q[top] == 0.0) | (q[top] == 1.0)
+    i = int(top[np.lexsort((~deterministic, branch))[0]])
+    return float(util[i]), first.cut(i // 2, float(q[i]))
 
 
-def _group_best_in_windows(
-    branches: Sequence[_Ladder],
-    ppv_window: tuple[float, float] | None,
-    for_window: tuple[float, float] | None,
-) -> tuple[float, IntervalCut] | None:
-    """(utility, cut) of a group's best point over its branches; the first wins ties."""
-    best: tuple[float, IntervalCut] | None = None
-    for ladder in branches:
-        point = _branch_best_in_windows(ladder, ppv_window, for_window)
-        if point is not None and (best is None or point[2] > best[0]):
-            best = point[2], ladder.interval_cut(*point[:2])
-    return best
-
-
-def _candidate_base(branches: Mapping[str, Sequence[_Ladder]], which: str) -> np.ndarray:
-    """Sorted distinct values of one family over all branches, at every vertex.
+def _candidate_base(families: Iterable[_IntervalFamily]) -> np.ndarray:
+    """Sorted distinct values of one family at the segment ends of every group.
 
     The base does not depend on gamma, so a solve builds it once per family.
     """
-    values = np.concatenate(
-        [ladder.interval_families[which].vertex for pair in branches.values() for ladder in pair]
-    )
-    return sorted_distinct(values[~np.isnan(values)])
+    return sorted_distinct(np.concatenate([end for f in families for end in (f.v0, f.v1)]))
 
 
 def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
@@ -890,13 +881,11 @@ def _designations(base: np.ndarray, gamma: float) -> np.ndarray:
     return merged[np.searchsorted(merged, 0.0) : np.searchsorted(merged, 1.0, "right")]
 
 
-def _branch_window_values(
-    ladder: _Ladder, which: str, lowers: np.ndarray, uppers: np.ndarray
-) -> np.ndarray:
-    """One branch's best utility in every window [lowers[i], uppers[i]]; -inf where none.
+def _window_values(family: _IntervalFamily, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """A group's best utility in every window [lowers[i], uppers[i]]; -inf where none.
 
     The windows must be sorted by their upper edge. The value is that of the
-    branch's best segment under the edge rule (``_IntervalFamily.bounds``),
+    group's best segment under the edge rule (``_IntervalFamily.bounds``),
     taken at the better end of its feasible q-interval
     (``_IntervalFamily.value``), but not every (window, segment) pair is
     valued. A segment whose preferred end lies inside a window (within
@@ -909,7 +898,6 @@ def _branch_window_values(
     of upper edges and one of lower edges. Only those pairs are valued, in
     blocks of at most about ``_SWEEP_BLOCK_ELEMENTS``.
     """
-    family = ladder.interval_families[which]
     value, ends, table = family.preferred
     lo, hi = lowers - _EDGE_TOL, uppers + _EDGE_TOL
     left = np.searchsorted(ends, lo, "left")
@@ -938,86 +926,72 @@ def _branch_window_values(
 
 
 def _best_window(
-    branches: Mapping[str, Sequence[_Ladder]], which: str, base: np.ndarray, gamma: float
-) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
-    """Best (PPV window, FOR window) of one family at level gamma; None if none is feasible.
+    families: Iterable[_IntervalFamily], base: np.ndarray, gamma: float
+) -> tuple[float, float] | None:
+    """Best window of one family at level gamma; None if none is feasible.
 
-    Every window that ``_designations`` names is valued. The other family's
-    window is None. Each group's value in a window is its best branch, by
-    ``_branch_window_values``; totals are summed in group order, and ties go
-    to the last of equal totals.
+    ``families`` holds that family of every group. Every window that
+    ``_designations`` names is valued; each group's value in a window is
+    its best segment, by ``_window_values``. Totals are summed in group
+    order, and ties go to the last of equal totals.
     """
     uppers = _designations(base, gamma)
     lowers = gamma * uppers
     totals = np.zeros(len(uppers))
-    for pair in branches.values():
-        group_best = np.full(len(uppers), -np.inf)
-        for ladder in pair:
-            np.maximum(
-                group_best, _branch_window_values(ladder, which, lowers, uppers), out=group_best
-            )
-        totals += group_best
+    for family in families:
+        totals += _window_values(family, lowers, uppers)
     i = len(totals) - 1 - int(np.argmax(totals[::-1]))
     if totals[i] == -np.inf:
         return None
-    window = float(lowers[i]), float(uppers[i])
-    return (window, None) if which == "ppv" else (None, window)
+    return float(lowers[i]), float(uppers[i])
 
 
 def _best_windows(
-    branches: Mapping[str, Sequence[_Ladder]],
-    bases: Mapping[str, np.ndarray],
-    gamma: float,
+    families: Sequence[Sequence[_IntervalFamily]], bases: Sequence[np.ndarray], gamma: float
 ) -> tuple[tuple[float, float], tuple[float, float]] | None:
     """Best (PPV window, FOR window) pair at level gamma; None if none is feasible.
 
-    The joint scan: ``bases`` holds the candidate base of both families.
-    Each family's window upper edges are thinned to an evenly spaced
-    subsample of at most ``_JOINT_CAP``. Each segment's bounds in every
-    window of each family are taken once; then every pair of windows is
-    scanned, the PPV windows in blocks of rows, each row against every FOR
-    window. A group's value in a pair is its best segment, taken at the
-    better end of the intersection of its two feasible q-intervals. Ties go
-    to the last of equal totals in (PPV, FOR) order.
+    The joint scan: ``families`` holds each group's (PPV, FOR) families and
+    ``bases`` their candidate bases. Each family's window upper edges are
+    thinned to an evenly spaced subsample of at most ``_JOINT_CAP``. Each
+    segment's bounds in every window of each family are taken once; then
+    every pair of windows is scanned, the PPV windows in blocks of rows,
+    each row against every FOR window. A group's value in a pair is its best
+    segment, taken at the better end of the intersection of its two
+    feasible q-intervals. Ties go to the last of equal totals in (PPV, FOR)
+    order.
     """
     windows = []
-    for which in ("ppv", "for_rate"):
-        uppers = _designations(bases[which], gamma)
+    for base in bases:
+        uppers = _designations(base, gamma)
         if len(uppers) > _JOINT_CAP:
             picks = np.linspace(0, len(uppers) - 1, _JOINT_CAP).astype(int)
             uppers = uppers[sorted_distinct(picks)]
         windows.append(np.column_stack([gamma * uppers, uppers]))
     ppv_windows, for_windows = windows
 
-    def prepared(ladder: _Ladder) -> tuple[_IntervalFamily, list, np.ndarray, np.ndarray]:
+    def prepared(pair: Sequence[_IntervalFamily]) -> tuple:
         """The PPV family, both families' bounds, and where they are nonempty."""
-        families = [ladder.interval_families[which] for which in ("ppv", "for_rate")]
-        bounds = [f.bounds(w[:, :1], w[:, 1:]) for f, w in zip(families, windows)]
-        outer_ok, inner_ok = (f.value(*b) > -np.inf for f, b in zip(families, bounds))
-        return families[0], bounds, outer_ok, inner_ok.any(axis=0)
+        bounds = [f.bounds(w[:, :1], w[:, 1:]) for f, w in zip(pair, windows)]
+        outer_ok, inner_ok = (f.value(*b) > -np.inf for f, b in zip(pair, bounds))
+        return pair[0], bounds, outer_ok, inner_ok.any(axis=0)
 
-    groups = [[prepared(ladder) for ladder in pair] for pair in branches.values()]
-    k_max = max(len(ladder.scores) for pair in branches.values() for ladder in pair)
+    groups = [prepared(pair) for pair in families]
+    k_max = max(len(pair[0].du) for pair in families)
     rows = max(1, _SWEEP_BLOCK_ELEMENTS // (len(for_windows) * k_max))
     best_total, best = -np.inf, None
     for start in range(0, len(ppv_windows), rows):
         block = slice(start, start + rows)
         totals = np.zeros((len(ppv_windows[block]), len(for_windows)))
-        for group in groups:
-            group_best = np.full(totals.shape, -np.inf)
-            for family, (outer, inner), outer_ok, inner_live in group:
-                # Only segments live under some window of each family can
-                # be live under a pair of them.
-                cols = np.flatnonzero(outer_ok[block].any(axis=0) & inner_live)
-                if cols.size == 0:
-                    continue
-                both = (
-                    meet(a[block, None, cols], b[None, :, cols])
-                    for meet, a, b in zip((np.maximum, np.minimum, np.logical_and), outer, inner)
-                )
-                util = family.value(*both, cols)
-                np.maximum(group_best, util.max(axis=-1), out=group_best)
-            totals += group_best
+        for family, (outer, inner), outer_ok, inner_live in groups:
+            # Only segments live under some window of each family can be
+            # live under a pair of them.
+            cols = np.flatnonzero(outer_ok[block].any(axis=0) & inner_live)
+            both = (
+                meet(a[block, None, cols], b[None, :, cols])
+                for meet, a, b in zip((np.maximum, np.minimum, np.logical_and), outer, inner)
+            )
+            totals += family.value(*both, cols).max(axis=-1, initial=-np.inf)
         flat = totals.ravel()
         i = flat.size - 1 - int(np.argmax(flat[::-1]))
         if flat[i] > -np.inf and flat[i] >= best_total:
@@ -1028,18 +1002,18 @@ def _best_windows(
 
 
 def _scan_windows(
-    branches: Mapping[str, Sequence[_Ladder]], bases: Mapping[str, np.ndarray], gamma: float
-) -> tuple[tuple[float, float] | None, tuple[float, float] | None] | None:
-    """Best (PPV window, FOR window) at level gamma; None if none is feasible.
+    families: Sequence[Sequence[_IntervalFamily]], bases: Sequence[np.ndarray], gamma: float
+) -> tuple[tuple[float, float], ...] | None:
+    """The window of each constrained family at level gamma; None if none is feasible.
 
-    ``bases`` holds the candidate base of each constrained family: one goes
-    to the one-family sweep (``_best_window``), both to the joint scan
-    (``_best_windows``). The window of an unconstrained family is None.
+    ``families`` holds each group's families and ``bases`` their candidate
+    bases, in the criterion's order: one goes to the one-family sweep
+    (``_best_window``), both to the joint scan (``_best_windows``).
     """
     if len(bases) == 2:
-        return _best_windows(branches, bases, gamma)
-    ((which, base),) = bases.items()
-    return _best_window(branches, which, base, gamma)
+        return _best_windows(families, bases, gamma)
+    window = _best_window((f for (f,) in families), bases[0], gamma)
+    return None if window is None else (window,)
 
 
 def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
@@ -1051,15 +1025,16 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
     rule (``_IntervalFamily.bounds``). Within a window the search is exact:
     along a segment each family value is monotone in the boundary
     randomization, so the feasible part is an interval between segment ends
-    and edge crossings, and a vertex within 1e-12 of an edge counts as
-    inside.
+    and edge crossings, and a segment end within 1e-12 of an edge counts as
+    inside. A group's lower- and upper-bound branches are one set of
+    segments.
 
-    One family is swept (``_best_window``): per branch, a range-argmax over
+    One family is swept (``_best_window``): per group, a range-argmax over
     the segments' preferred ends, sorted once, answers every window, and
     only the (window, segment) pairs stabbed by a window edge have their
     crossings valued, which is O((W + k) log k + stabbed pairs) for W
-    windows and k segments. Its windows are every breakpoint: each vertex
-    value of any branch, and each of them divided by gamma, so one family
+    windows and k segments. Its windows are every breakpoint: each segment
+    end value of any group, and each of them divided by gamma, so one family
     is exact at breakpoints.
 
     Joint parity (``_best_windows``) values every pair of windows against
@@ -1076,44 +1051,47 @@ def optimize_sufficiency(problem: OptimizationProblem) -> DecisionRule:
 
 
 class _SufficiencySearch:
-    """The solve context of PPV and/or FOR parity: each group's two branches, and the bases.
+    """The solve context of PPV and/or FOR parity: each group's interval families, and the bases.
 
-    ``branches`` holds each group's descending (lower-bound) and ascending
-    (upper-bound) ladder. ``bases`` holds each constrained family's
-    ``_candidate_base``, built when a solve above gamma 0 first asks.
+    ``families`` holds, per group, one ``_IntervalFamily`` over its
+    descending (lower-bound) and ascending (upper-bound) ladders for each
+    constrained family, in the criterion's order. ``bases`` holds each
+    constrained family's ``_candidate_base``, built when a solve above
+    gamma 0 first asks.
     """
 
     def __init__(self, problem: OptimizationProblem):
-        self.families = problem.criterion.kind.families
         ascending = _ladders(problem.dataset, problem.utility, descending=False)
-        self.branches = {
-            g: (ladder, ascending[g])
+        kinds = problem.criterion.kind.families
+        self.families = {
+            g: tuple(_IntervalFamily((ladder, ascending[g]), which) for which in kinds)
             for g, ladder in _ladders(problem.dataset, problem.utility).items()
         }
 
     @cached_property
-    def bases(self) -> dict[str, np.ndarray]:
-        return {which: _candidate_base(self.branches, which) for which in self.families}
+    def bases(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(_candidate_base, zip(*self.families.values())))
 
     def solve(self, gamma: float) -> GroupInterval:
-        windows = None, None
+        families = list(self.families.values())
+        windows = ()
         if gamma > 0.0:
-            windows = _scan_windows(self.branches, self.bases, gamma)
+            windows = _scan_windows(families, self.bases, gamma)
             if windows is None:
-                max_gamma = _max_achievable_sufficiency_gamma(self.branches, self.bases, gamma)
+                max_gamma = _max_achievable_sufficiency_gamma(families, self.bases, gamma)
                 raise InfeasibleConstraintError(
                     f"no interval rule reaches gamma = {gamma:g}; "
                     f"highest achievable level found: {max_gamma!r}",
                     max_achievable_gamma=max_gamma,
                 )
-        best = {g: _group_best_in_windows(pair, *windows) for g, pair in self.branches.items()}
+        best = {g: _group_best_in_windows(f, windows) for g, f in self.families.items()}
         if any(b is None for b in best.values()):
             raise InfeasibleConstraintError("window reconstruction failed")  # pragma: no cover
         return GroupInterval({g: best[g][1] for g in sorted(best)})
 
 
 def _max_achievable_sufficiency_gamma(
-    branches: Mapping[str, Sequence[_Ladder]], bases: Mapping[str, np.ndarray], gamma: float
+    families: Sequence[Sequence[_IntervalFamily]], bases: Sequence[np.ndarray], gamma: float
 ) -> float:
     """Highest level below an infeasible ``gamma`` at which the solve's scan finds a window.
 
@@ -1124,7 +1102,7 @@ def _max_achievable_sufficiency_gamma(
     lo, hi = 0.0, gamma
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
-        if _scan_windows(branches, bases, mid) is None:
+        if _scan_windows(families, bases, mid) is None:
             hi = mid
         else:
             lo = mid
@@ -1141,7 +1119,8 @@ def optimize_conditional_parity(problem: OptimizationProblem) -> DecisionRule:
 
     Strata where any group falls below ``min_count`` records are left
     unconstrained (each group gets its unconstrained stratum threshold) and
-    flagged with a warning.
+    flagged with one warning per solve, which counts them and names the
+    first five.
     """
     return solve_context(problem).solve(problem.criterion.gamma)
 
@@ -1152,6 +1131,8 @@ class _ConditionalParitySearch:
     Each stratum holds the ladders of the groups present in it, in order of
     their first record there, and whether every group of the dataset has at
     least ``min_count`` records in it, which a constrained stratum needs.
+    ``small`` names the strata left unconstrained, which each solve warns
+    about once: their count and the first five names.
     """
 
     def __init__(self, problem: OptimizationProblem):
@@ -1161,23 +1142,27 @@ class _ConditionalParitySearch:
         self.strata: list[tuple[tuple[str, ...], _ThresholdSearch, bool]] = []
         for stratum, groups_here in _stratum_group_rows(dataset, self.legit_names):
             ladders = {
-                g: _build_ladder(g, dataset, rows, utility) for g, rows in groups_here.items()
+                g: _build_ladder(dataset, rows, utility) for g, rows in groups_here.items()
             }
             constrained = len(ladders) >= 2 and all(
                 len(groups_here.get(g, ())) >= problem.min_count for g in dataset.groups
             )
             self.strata.append((stratum, _ThresholdSearch(ladders, "positive_rate"), constrained))
+        self.small = ["/".join(stratum) for stratum, _, kept in self.strata if not kept]
 
     def solve(self, gamma: float) -> StratifiedGroupThreshold:
+        if self.small:
+            more = len(self.small) - 5
+            warnings.warn(
+                f"{len(self.small)} of {len(self.strata)} strata below "
+                f"min_count={self.min_count} for some group, left unconstrained: "
+                + ", ".join(map(repr, self.small[:5]))
+                + (f" and {more} more" if more > 0 else ""),
+                SmallStratumWarning,
+                stacklevel=3,
+            )
         cuts: dict[tuple[str, tuple[str, ...]], GroupCut] = {}
         for stratum, search, constrained in self.strata:
-            if not constrained:
-                warnings.warn(
-                    f"stratum {'/'.join(stratum)!r} below min_count={self.min_count} "
-                    "for some group; left unconstrained",
-                    SmallStratumWarning,
-                    stacklevel=3,
-                )
             # Gamma 0 leaves every group of an unconstrained stratum at its best cut.
             rule = search.solve(gamma if constrained else 0.0)
             for g in search.ladders:

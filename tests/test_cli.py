@@ -402,6 +402,24 @@ def test_a_list_of_numbers_with_an_empty_or_bad_entry_is_rejected(option, value,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("gammas", ["1.5", "0.5,-0.2", "nan", "0.5,inf"])
+def test_a_sweep_level_outside_zero_to_one_is_rejected(gammas, tmp_path, capsys):
+    # As optimize --gamma is: no row for the level, and no file.
+    argv = ["sweep", *SCORED, "--criterion", "independence", "--gammas", gammas]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    level = gammas.split(",")[-1]
+    assert capsys.readouterr().err == f"error: gamma must be in [0, 1], got {float(level)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep", "report"])
+def test_a_negative_min_count_is_rejected(command, tmp_path, capsys):
+    argv = [command, *SCORED, "--criterion", "independence", "--min-count", "-5"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: min_count must be at least 0, got -5\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_report_needs_at_least_one_seed(seeds, tmp_path, capsys):
     argv = ["report", *SCORED, "--criterion", "independence", "--seeds", seeds]

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -43,6 +44,14 @@ def test_endpoints_always_included():
     ds = random_instance(rng, n_groups=2, max_records=20)
     points = sweep(fpr_problem(ds), (0.3, 0.6))
     assert [p.gamma for p in points] == [0.0, 0.3, 0.6, 1.0]
+
+
+@pytest.mark.parametrize("level", [1.5, -0.2, float("nan"), float("inf")])
+def test_a_level_outside_zero_to_one_is_rejected_before_any_solve(level, monkeypatch):
+    monkeypatch.setattr(frontier, "solve_context", lambda problem: pytest.fail("solved"))
+    ds = random_instance(random.Random(8), n_groups=2, max_records=20)
+    with pytest.raises(ValueError, match=re.escape(f"gamma must be in [0, 1], got {level}")):
+        sweep(fpr_problem(ds), (0.5, level))
 
 
 def test_training_utility_monotone_non_increasing(swept):

@@ -329,6 +329,30 @@ class TestConditionalParity:
         assert rates[(("tiny",), "A")] == 1.0 and rates[(("tiny",), "B")] == 0.0
         assert rates[(("big",), "A")] == rates[(("big",), "B")]
 
+    def test_many_small_strata_give_one_warning(self):
+        # One big stratum, and 40 small ones that each hold both groups.
+        rows = [(s, y, g, {"j": "big"}) for s, y, g in INDEP_ROWS * 2]
+        rows += [
+            (0.9 - 0.02 * i, i % 2, g, {"j": f"s{i:02d}"}) for i in range(40) for g in ("A", "B")
+        ]
+        ds = make_dataset(rows, legit_names=("j",))
+        prob = problem(
+            ds, CriterionKind.CONDITIONAL_STATISTICAL_PARITY, 0.9,
+            legit_names=("j",), min_count=3,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            optimize_conditional_parity(prob)
+        assert [w.category for w in caught] == [SmallStratumWarning]
+        assert str(caught[0].message) == (
+            "40 of 41 strata below min_count=3 for some group, left unconstrained: "
+            "'s00', 's01', 's02', 's03', 's04' and 35 more"
+        )
+
+    def test_a_negative_min_count_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^min_count must be at least 0, got -5$"):
+            problem(INDEP_ROWS, CriterionKind.INDEPENDENCE, 0.8, min_count=-5)
+
     def test_all_strata_too_small_is_degenerate(self):
         rows = [
             (0.9, 1, "A", {"j": "x"}), (0.2, 0, "A", {"j": "y"}),
@@ -532,7 +556,7 @@ def utility_ladder(utils):
     """A ladder holding ``utils`` as its prefix utilities; the window kernel
     takes the rates separately and reads no other prefix sum."""
     zeros = np.zeros(len(utils))
-    return opt._Ladder("a", np.arange(len(utils) - 1.0), True, zeros, zeros, utils, 0, 0)
+    return opt._Ladder(np.arange(len(utils) - 1.0), True, zeros, zeros, utils, 0, 0)
 
 
 class TestWindowSweepKernel:

@@ -94,7 +94,7 @@ def expected_ladders(dataset, kind):
 
 @pytest.mark.parametrize("kind", list(CriterionKind), ids=lambda k: k.value)
 def test_a_sweep_builds_its_search_state_once(kind, monkeypatch):
-    calls = {"_build_ladder": 0, "_candidate_base": 0, "_hull_chains": 0}
+    calls = {"_build_ladder": 0, "_IntervalFamily": 0, "_candidate_base": 0, "_hull_chains": 0}
     for name in calls:
         original = getattr(opt, name)
 
@@ -110,6 +110,9 @@ def test_a_sweep_builds_its_search_state_once(kind, monkeypatch):
     assert len(points) == 21
     assert calls["_build_ladder"] == expected_ladders(dataset, kind)
     interval = kind.families[0] in ("ppv", "for_rate")
+    # One interval family per group and constrained family, over both of its branches.
+    families = len(dataset.groups) * len(kind.families)
+    assert calls["_IntervalFamily"] == (families if interval else 0)
     assert calls["_candidate_base"] == (len(kind.families) if interval else 0)
     joint = kind is CriterionKind.SEPARATION
     assert calls["_hull_chains"] == (len(dataset.groups) if joint else 0)

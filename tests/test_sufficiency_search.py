@@ -1,17 +1,19 @@
 """Differential and memory tests of the sufficiency window search.
 
-The references here are plain loops: one over segments for the per-window
-branch search, one over (PPV window, FOR window) pairs for the joint scan.
-The one-family sweep is checked against a copy of the dense scan it
-replaced, which values every (window, segment) pair. The optimizer's
-batched versions must agree with them exactly. One family's windows are
-every breakpoint, so it is exact at breakpoints: no upper edge of a dense
-evenly spaced scan beats them. A dense q-grid checks the branch search on
-windows whose edges lie on vertices, and the brute-force oracle checks whole
-solves: of the sufficiency family, on small draws and on 400 records with
-hundreds of distinct scores, and of independence, TPR, FPR and conditional
-parity, which share the threshold window sweep. The highest level an
-infeasible solve names must be one that a solve reaches.
+The references here are plain loops: one over the segments of each branch
+for the per-window search, one over (PPV window, FOR window) pairs for the
+joint scan. The one-family sweep is checked against a copy of the dense scan
+it replaced, which values every (window, segment) pair of each branch. The
+optimizer values a group's two branches as one set of segments, so its
+batched versions must agree exactly with the best of the two branches'
+references. One family's windows are every breakpoint, so it is exact at
+breakpoints: no upper edge of a dense evenly spaced scan beats them. A dense
+q-grid checks the group search on windows whose edges lie on vertices, and
+the brute-force oracle checks whole solves: of the sufficiency family, on
+small draws and on 400 records with hundreds of distinct scores, and of
+independence, TPR, FPR and conditional parity, which share the threshold
+window sweep. The highest level an infeasible solve names must be one that a
+solve reaches.
 """
 
 import dataclasses
@@ -44,13 +46,33 @@ ACC = UtilityMatrix.accuracy()
 GAMMAS = (0.5, 0.8, 0.9, 1.0)
 
 
+FAMILIES = ("ppv", "for_rate")
+
+
 def branches_of(dataset, utility=ACC):
     ascending = opt._ladders(dataset, utility, descending=False)
     return {g: [ladder, ascending[g]] for g, ladder in opt._ladders(dataset, utility).items()}
 
 
-def bases_of(branches):
-    return {w: opt._candidate_base(branches, w) for w in ("ppv", "for_rate")}
+def families_of(branches, kinds=FAMILIES):
+    """Each group's interval families of ``kinds``, over both of its branches."""
+    return [
+        tuple(opt._IntervalFamily(pair, which) for which in kinds) for pair in branches.values()
+    ]
+
+
+def bases_of(families):
+    return tuple(map(opt._candidate_base, zip(*families)))
+
+
+def vertex_values(ladder, which):
+    """PPV or FOR at every vertex of a ladder; NaN where it is undefined."""
+    if which == "ppv":
+        num, den = ladder.cum_pos, ladder.cum_count
+    else:
+        num, den = ladder.n_pos - ladder.cum_pos, ladder.n - ladder.cum_count
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
 
 
 def capped_uppers(base, gamma, cap):
@@ -108,19 +130,36 @@ def loop_branch_best(branch, ppv_window, for_window):
     return None if best is None else (best[1], best[2], best[0][0])
 
 
-def loop_joint_windows(branches, bases, gamma, cap):
+def loop_group_best(branches, ppv_window, for_window):
+    """(utility, cut) of a group's best branch point by the segment loop; the first wins ties."""
+    best = None
+    for branch in branches:
+        point = loop_branch_best(branch, ppv_window, for_window)
+        if point is not None and (best is None or point[2] > best[0]):
+            best = point[2], branch.interval_cut(*point[:2])
+    return best
+
+
+def group_best(branches, ppv_window, for_window):
+    """The optimizer's search over ``branches`` with PPV and FOR in their windows (None: free)."""
+    used = [(which, w) for which, w in zip(FAMILIES, (ppv_window, for_window)) if w is not None]
+    families = [opt._IntervalFamily(branches, which) for which, _ in used or [("ppv", None)]]
+    return opt._group_best_in_windows(families, [w for _, w in used])
+
+
+def loop_joint_windows(families, bases, gamma, cap):
     """The joint scan as a loop over window pairs and one-window searches.
 
     Ties go to the last of equal totals.
     """
     best_total, best = None, None
-    for p_up in capped_uppers(bases["ppv"], gamma, cap):
+    for p_up in capped_uppers(bases[0], gamma, cap):
         pw = (gamma * float(p_up), float(p_up))
-        for f_up in capped_uppers(bases["for_rate"], gamma, cap):
+        for f_up in capped_uppers(bases[1], gamma, cap):
             fw = (gamma * float(f_up), float(f_up))
             total = 0.0
-            for group in branches.values():
-                cand = opt._group_best_in_windows(group, pw, fw)
+            for pair in families:
+                cand = opt._group_best_in_windows(pair, (pw, fw))
                 if cand is None:
                     break
                 total += cand[0]
@@ -130,12 +169,12 @@ def loop_joint_windows(branches, bases, gamma, cap):
     return best
 
 
-def loop_max_gamma(branches, bases, gamma, cap):
+def loop_max_gamma(families, bases, gamma, cap):
     """Bisection of [0, gamma) to 1e-6 with the pair loop at ``cap``."""
     lo, hi = 0.0, gamma
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2.0
-        if loop_joint_windows(branches, bases, mid, cap) is not None:
+        if loop_joint_windows(families, bases, mid, cap) is not None:
             lo = mid
         else:
             hi = mid
@@ -147,25 +186,24 @@ def instances(count, seed):
     return [random_instance(rng, max_records=30) for _ in range(count)]
 
 
-def test_branch_search_matches_segment_loop():
+def test_group_search_matches_segment_loop():
     rng = random.Random(11)
     checked = 0
     for dataset in instances(40, 3):
         for branches in branches_of(dataset).values():
-            for branch in branches:
-                for _ in range(6):
-                    gamma = rng.choice(GAMMAS)
-                    windows = [
-                        None if rng.random() < 0.25 else (gamma * u, u)
-                        for u in (rng.random(), rng.random())
-                    ]
-                    got = opt._branch_best_in_windows(branch, *windows)
-                    want = loop_branch_best(branch, *windows)
-                    if want is None:
-                        assert got is None
-                    else:
-                        assert got == want
-                        checked += 1
+            for _ in range(12):
+                gamma = rng.choice(GAMMAS)
+                windows = [
+                    None if rng.random() < 0.25 else (gamma * u, u)
+                    for u in (rng.random(), rng.random())
+                ]
+                got = group_best(branches, *windows)
+                want = loop_group_best(branches, *windows)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got == want
+                    checked += 1
     assert checked > 200
 
 
@@ -175,6 +213,19 @@ def test_lower_bound_branch_wins_a_tie():
     criterion = FairnessCriterion(CriterionKind.PPV_PARITY, gamma=0.0)
     rule = opt.optimize(OptimizationProblem(dataset, ACC, criterion))
     assert rule == GroupInterval({g: IntervalCut(0.2, 1.0, boundary=1.0) for g in ("a", "b")})
+    # In the PPV window [0.375, 0.4] both branches reach utility -1: the
+    # upper-bound branch at a vertex, PPV 2/5, and the lower-bound branch only
+    # at a randomized point, past the 0.7 atom (PPV 1/3) with a quarter of the
+    # mixed 0.5 atom. The lower-bound branch still wins.
+    rows = [(0.7, 1), (0.7, 0), (0.7, 0), (0.5, 1), (0.5, 1), (0.5, 0), (0.5, 0), (0.3, 0)]
+    branches = branches_of(make_dataset([(s, y, "a") for s, y in rows] + [(0.5, 1, "b")]))["a"]
+    window = (0.375, 0.4)
+    lower, upper = (loop_branch_best(branch, window, None) for branch in branches)
+    assert lower[2] == upper[2] == -1.0
+    assert 0.0 < lower[1] < 1.0 and upper[1] == 1.0
+    got = opt._group_best_in_windows([opt._IntervalFamily(branches, "ppv")], [window])
+    assert got == (-1.0, branches[0].interval_cut(*lower[:2]))
+    assert got[1].form == "lower" and 0.0 < got[1].boundary < 1.0
 
 
 def test_joint_scan_matches_pair_loop(monkeypatch):
@@ -183,27 +234,27 @@ def test_joint_scan_matches_pair_loop(monkeypatch):
     monkeypatch.setattr(opt, "_JOINT_CAP", 3)
     infeasible = 0
     for dataset in instances(50, 7):
-        branches = branches_of(dataset)
-        bases = bases_of(branches)
+        families = families_of(branches_of(dataset))
+        bases = bases_of(families)
         for gamma in GAMMAS:
-            got = opt._best_windows(branches, bases, gamma)
-            assert got == loop_joint_windows(branches, bases, gamma, 3)
+            got = opt._best_windows(families, bases, gamma)
+            assert got == loop_joint_windows(families, bases, gamma, 3)
         if got is None:
             infeasible += 1
-            got_gamma = opt._max_achievable_sufficiency_gamma(branches, bases, 1.0)
-            assert got_gamma == loop_max_gamma(branches, bases, 1.0, 3)
+            got_gamma = opt._max_achievable_sufficiency_gamma(families, bases, 1.0)
+            assert got_gamma == loop_max_gamma(families, bases, 1.0, 3)
     assert infeasible >= 5
 
 
 def test_sweep_blocks_do_not_change_values(monkeypatch):
     for dataset in instances(8, 5):
-        branches = branches_of(dataset)
-        bases = bases_of(branches)
+        families = families_of(branches_of(dataset))
+        bases = bases_of(families)
         for gamma in GAMMAS:
-            whole = opt._best_windows(branches, bases, gamma)
+            whole = opt._best_windows(families, bases, gamma)
             # Blocks of one or a few rows, the last one short.
             monkeypatch.setattr(opt, "_SWEEP_BLOCK_ELEMENTS", 40)
-            rows = opt._best_windows(branches, bases, gamma)
+            rows = opt._best_windows(families, bases, gamma)
             monkeypatch.undo()
             assert whole == rows
 
@@ -216,7 +267,7 @@ def dense_window_bounds(ladder, which, windows, tol=1e-12):
         num0, dnum, den0, dden = epy0, depy, ep0, dep
     else:
         num0, dnum, den0, dden = ladder.n_pos - epy0, -depy, ladder.n - ep0, -dep
-    vertex = ladder.values(which, ladder.cum_count, ladder.cum_pos)
+    vertex = vertex_values(ladder, which)
     v0, v1 = vertex[:-1], vertex[1:]
     v0, v1 = np.where(np.isnan(v0), v1, v0), np.where(np.isnan(v1), v0, v1)
     vmin, vmax = np.minimum(v0, v1), np.maximum(v0, v1)
@@ -301,8 +352,12 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
     for _ in range(240):
         dataset = sweep_instance(rng)
         branches = branches_of(dataset, rng.choice(utilities))
-        which = rng.choice(["ppv", "for_rate"])
-        vertex = opt._candidate_base(branches, which)
+        which = rng.choice(FAMILIES)
+        families = families_of(branches, (which,))
+        vertex = opt._candidate_base(f for (f,) in families)
+        # The segment ends hold every vertex value of every branch, and no other.
+        values = np.concatenate([vertex_values(b, which) for b in sum(branches.values(), [])])
+        assert hexes(vertex) == hexes(np.unique(values[~np.isnan(values)]))
         base = rng.choice(
             [
                 vertex,
@@ -320,41 +375,34 @@ def test_one_family_sweep_matches_the_dense_scan(monkeypatch):
             uppers = opt._designations(base, gamma)
             lowers = gamma * uppers
             swept = np.zeros(len(uppers))
-            for pair in branches.values():
-                got = [opt._branch_window_values(b, which, lowers, uppers) for b in pair]
-                windows = np.column_stack([lowers, uppers])
-                for ladder, values in zip(pair, got):
-                    assert hexes(values) == hexes(dense_branch_values(ladder, which, windows))
-                    family = ladder.interval_families[which]
-                    qlo, qhi, live = family.bounds(windows[:, :1], windows[:, 1:])
-                    bounds = qlo, qhi, ~live
-                    for a, b in zip(bounds, dense_window_bounds(ladder, which, windows)):
-                        assert a.tobytes() == b.tobytes()
-                swept += np.maximum.reduce(got)
+            windows = np.column_stack([lowers, uppers])
+            for pair, (family,) in zip(branches.values(), families):
+                got = opt._window_values(family, lowers, uppers)
+                want = [dense_branch_values(ladder, which, windows) for ladder in pair]
+                assert hexes(got) == hexes(np.maximum.reduce(want))
+                qlo, qhi, live = family.bounds(windows[:, :1], windows[:, 1:])
+                dense = [dense_window_bounds(ladder, which, windows) for ladder in pair]
+                for a, b in zip((qlo, qhi, ~live), zip(*dense)):
+                    assert a.tobytes() == np.concatenate(b, axis=-1).tobytes()
+                swept += got
             assert hexes(swept) == hexes(totals)
-            scanned = opt._scan_windows(branches, {which: base}, gamma)
+            scanned = opt._scan_windows(families, (base,), gamma)
             if window is None:
                 assert scanned is None
             else:
-                got = scanned[0] if which == "ppv" else scanned[1]
-                assert scanned[1 if which == "ppv" else 0] is None
-                assert hexes(got) == hexes(window)
+                assert hexes(scanned[0]) == hexes(window) and len(scanned) == 1
             scans += 1
         # The bisection at gamma 1 of the first 20 infeasible instances.
         if window is None and infeasible < 20:
             infeasible += 1
-            got_gamma = opt._max_achievable_sufficiency_gamma(branches, {which: base}, 1.0)
+            got_gamma = opt._max_achievable_sufficiency_gamma(families, (base,), 1.0)
             assert got_gamma.hex() == dense_max_gamma(branches, which, base, 1.0).hex()
     assert scans == 480 and infeasible == 20
 
 
-def window_totals(branches, which, gamma, uppers):
-    """Each window [gamma * u, u]'s total of every group's best branch, under the edge rule."""
-    totals = np.zeros(len(uppers))
-    for pair in branches.values():
-        values = [opt._branch_window_values(b, which, gamma * uppers, uppers) for b in pair]
-        totals += np.maximum.reduce(values)
-    return totals
+def window_totals(families, gamma, uppers):
+    """Each window [gamma * u, u]'s total of every group's best segment, under the edge rule."""
+    return sum(opt._window_values(family, gamma * uppers, uppers) for (family,) in families)
 
 
 def test_breakpoints_are_no_worse_than_a_dense_upper_edge_scan():
@@ -368,10 +416,11 @@ def test_breakpoints_are_no_worse_than_a_dense_upper_edge_scan():
     for _ in range(150):
         branches = branches_of(sweep_instance(rng), rng.choice(utilities))
         gamma = rng.choice(GAMMAS)
-        for which in ("ppv", "for_rate"):
-            base = opt._candidate_base(branches, which)
-            best = window_totals(branches, which, gamma, opt._designations(base, gamma)).max()
-            scanned = window_totals(branches, which, gamma, dense).max()
+        for which in FAMILIES:
+            families = families_of(branches, (which,))
+            base = opt._candidate_base(f for (f,) in families)
+            best = window_totals(families, gamma, opt._designations(base, gamma)).max()
+            scanned = window_totals(families, gamma, dense).max()
             assert best >= scanned
             compared += bool(scanned > -np.inf)
     assert compared > 60
@@ -454,59 +503,69 @@ def dense_best(branch, ppv_window, for_window, steps=2000, tol=1e-12):
     return float(util[ok].max()) if ok.any() else None
 
 
-def point_values(branch, j, q):
-    ep = branch.cum_count[j] + q * (branch.cum_count[j + 1] - branch.cum_count[j])
-    epy = branch.cum_pos[j] + q * (branch.cum_pos[j + 1] - branch.cum_pos[j])
-    n, npos = branch.n, branch.n_pos
-    return epy / ep if ep > 0 else None, (npos - epy) / (n - ep) if n - ep > 0 else None
+def point_values(dataset, group, cut):
+    """PPV and FOR of a group's records under an interval cut; None where undefined."""
+    rows = dataset.columns.group_codes == dataset.groups.index(group)
+    p = decision_probabilities(GroupInterval({g: cut for g in dataset.groups}), dataset)[rows]
+    y = dataset.columns.labels[rows]
+    accepts, rejects = p.sum(), (1.0 - p).sum()
+    return (
+        p @ y / accepts if accepts > 0 else None,
+        (1.0 - p) @ y / rejects if rejects > 0 else None,
+    )
 
 
-def assert_matches_dense(branch, ppv_window, for_window):
-    got = opt._branch_best_in_windows(branch, ppv_window, for_window)
-    want = dense_best(branch, ppv_window, for_window)
-    if want is None:
+def assert_matches_dense(dataset, group, branches, ppv_window, for_window):
+    """The search over ``branches`` of ``group`` against their dense q-grids;
+    False if no grid point lies in the windows."""
+    got = group_best(branches, ppv_window, for_window)
+    want = [dense_best(branch, ppv_window, for_window) for branch in branches]
+    if all(w is None for w in want):
         return False
     assert got is not None
-    j, q, util = got
-    assert util >= want - 1e-9
-    for value, window in zip(point_values(branch, j, q), (ppv_window, for_window)):
+    util, cut = got
+    assert util >= max(w for w in want if w is not None) - 1e-9
+    for value, window in zip(point_values(dataset, group, cut), (ppv_window, for_window)):
         if window is not None:
             assert window[0] - 1e-9 <= value <= window[1] + 1e-9
     return True
 
 
-def single_group_branch(labels):
-    """Descending branch of one group whose records, by falling score, carry ``labels``."""
+def single_group(labels):
+    """One group whose records, by falling score, carry ``labels``, and its descending branch.
+
+    The branch alone, as a group's only branch, is searched in the windows.
+    """
     dataset = make_dataset([(0.99 - 0.01 * i, y, "a") for i, y in enumerate(labels)])
-    return opt._ladders(dataset, ACC)["a"]
+    return dataset, opt._ladders(dataset, ACC)["a"]
 
 
 def test_vertex_on_window_edge_is_inside():
     # PPV 12/15 at the last vertex lies on the edge 0.8; in q-space the lower
     # edge needed q = 0.20000000000000107 / 0.19999999999999996 > 1 on the
     # only segment ending there, so the vertex was lost.
-    branch = single_group_branch([1] * 11 + [0] * 3 + [1])
-    got = opt._branch_best_in_windows(branch, (0.8, 0.8), None)
-    assert got is not None and got[2] == branch.cum_du[15]
-    assert_matches_dense(branch, (0.8, 0.8), None)
+    dataset, branch = single_group([1] * 11 + [0] * 3 + [1])
+    got = group_best([branch], (0.8, 0.8), None)
+    assert got is not None and got[0] == branch.cum_du[15]
+    assert_matches_dense(dataset, "a", [branch], (0.8, 0.8), None)
     # FOR 4/9 at vertex 2 is the path's minimum; a window one ulp below it,
     # the same value computed another way, must still contain it.
-    branch = single_group_branch([1, 1, 0] + [0, 1] * 4)
+    dataset, branch = single_group([1, 1, 0] + [0, 1] * 4)
     edge = float(np.nextafter(4 / 9, 0.0))
     assert edge == 0.44444444444444436
-    got = opt._branch_best_in_windows(branch, None, (edge, edge))
-    assert got is not None and got[2] == branch.cum_du[2]
-    assert_matches_dense(branch, None, (edge, edge))
+    got = group_best([branch], None, (edge, edge))
+    assert got is not None and got[0] == branch.cum_du[2]
+    assert_matches_dense(dataset, "a", [branch], None, (edge, edge))
 
 
 def test_a_point_inside_both_windows_is_kept():
     # The dense grid has points inside both windows on one segment; solved at
     # the exact edges, its PPV and FOR crossings land more than an ulp apart
     # in q and empty the segment's interval, so the search found nothing.
-    branch = single_group_branch([0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1])
+    dataset, branch = single_group([0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1])
     windows = (0.32000000000000006, 0.4), (0.4, 0.5)
-    assert opt._branch_best_in_windows(branch, *windows) is not None
-    assert assert_matches_dense(branch, *windows)
+    assert group_best([branch], *windows) is not None
+    assert assert_matches_dense(dataset, "a", [branch], *windows)
 
 
 @pytest.mark.parametrize("gamma", [0.8, 0.9, 1.0])
@@ -583,24 +642,24 @@ def test_a_rule_randomized_at_zero_solves(kind, gamma, rows):
     assert disparity_detail(compute_rates(dataset, rule), criterion).ratio >= gamma - 1e-9
 
 
-def test_branch_best_matches_dense_grid_on_vertex_edges():
+def test_group_best_matches_dense_grid_on_vertex_edges():
     # Window edges are vertex values of any branch of the instance, or their
     # quotients by gamma, as in the scan's candidates.
     rng = random.Random(23)
     checked = 0
     for dataset in instances(40, 29):
-        branches = [b for group in branches_of(dataset).values() for b in group]
-        for branch in branches:
-            for which in ("ppv", "for_rate"):
-                source = rng.choice(branches)
-                vertex = source.values(which, source.cum_count, source.cum_pos)
+        groups = branches_of(dataset)
+        every_branch = [b for pair in groups.values() for b in pair]
+        for group, pair in groups.items():
+            for which in FAMILIES:
+                vertex = vertex_values(rng.choice(every_branch), which)
                 values = sorted(set(vertex[~np.isnan(vertex)]))
                 for v in rng.sample(values, min(3, len(values))):
                     gamma = rng.choice(GAMMAS)
                     for window in ((gamma * v, v), (v, v / gamma)):
                         windows = (window, None) if which == "ppv" else (None, window)
-                        checked += assert_matches_dense(branch, *windows)
-    assert checked > 500
+                        checked += assert_matches_dense(dataset, group, pair, *windows)
+    assert checked > 400
 
 
 def solve_matches_oracle(dataset, criterion, min_count=30) -> bool:
